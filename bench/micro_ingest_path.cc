@@ -31,12 +31,15 @@
 // the on-disk bytes / in-memory bytes ratio (MemoryBits / 8) so the
 // serialization overhead is visible next to the timings.
 //
-// Phase "index": SimilarityIndex::Rebuild (full re-extraction) vs.
-// RefreshDirty (dirty users + array-word delta only) at dirty fractions
-// {1%, 10%, 50%} of the candidate set. Every RefreshDirty result is
-// VOS_CHECKed bit-identical to a full Rebuild on the same sketch state —
-// rows, row order and β — before its timing counts. Expected: ≥5× at
-// ≤10% dirty.
+// Phase "index": SimilarityIndex::Rebuild (full re-extraction, plain and
+// with incremental state captured) vs. RefreshDirty (flips only the
+// changed digest bits) at dirty fractions {1%, 10%, 50%} of the candidate
+// set, plus one delta of more updates than the whole stream spread over
+// all users ("refresh-stream"): the patch's worst case, where nearly every
+// array word changed, timed against both Rebuild rows. Every RefreshDirty
+// result is VOS_CHECKed bit-identical to a full Rebuild on the same sketch
+// state — rows, row order, cardinalities and β — before its timing
+// counts. Expected: ≥5× at ≤10% dirty.
 //
 // Run: ./build/micro_ingest_path [--users=100000] [--edges_per_user=20]
 //      [--k=6400] [--m=33554432] [--shards=4] [--producers=4]
@@ -131,6 +134,7 @@ void CheckIndexesIdentical(const SimilarityIndex& a,
                            const SimilarityIndex& b) {
   VOS_CHECK(a.candidate_count() == b.candidate_count());
   VOS_CHECK(a.snapshot_beta() == b.snapshot_beta());
+  VOS_CHECK(a.row_cardinalities() == b.row_cardinalities());
   const core::DigestMatrix& ma = a.matrix();
   const core::DigestMatrix& mb = b.matrix();
   VOS_CHECK(ma.rows() == mb.rows() &&
@@ -510,12 +514,12 @@ int main(int argc, char** argv) {
   QueryOptions incremental_options;
   incremental_options.num_threads = 1;
   incremental_options.incremental = true;
-  // Measure the pure refresh path at every fraction: the adaptive
-  // fallback (QueryOptions default 0.5) would turn the 50% row into a
-  // plain Rebuild — this bench is what the break-even is calibrated ON.
-  incremental_options.refresh_fallback_fraction = 2.0;
   SimilarityIndex incremental_index(sketch, {}, incremental_options);
-  incremental_index.Rebuild(candidates);
+  const double incremental_rebuild_seconds = BestSeconds(repeats, [&] {
+    incremental_index.Rebuild(candidates);
+  });
+  emit("index", "rebuild-incremental", 1, 1, 1, incremental_rebuild_seconds,
+       candidates.size() / incremental_rebuild_seconds, "rows/s", 1.0);
 
   QueryOptions plain_options;
   plain_options.num_threads = 1;
@@ -528,31 +532,52 @@ int main(int argc, char** argv) {
        candidates.size() / full_rebuild_seconds, "rows/s", 1.0);
 
   ItemId next_item = static_cast<ItemId>(elements.size()) + 1000;
+  // Applies one delta per repeat, times RefreshDirty over it and checks
+  // the result against a fresh Rebuild; returns the best time.
+  const auto time_refresh = [&](const auto& apply_delta) {
+    double best = 0.0;
+    for (int r = 0; r < repeats; ++r) {
+      apply_delta();
+      WallTimer timer;
+      incremental_index.RefreshDirty();
+      const double elapsed = timer.ElapsedSeconds();
+      if (r == 0 || elapsed < best) best = elapsed;
+      full_index.Rebuild(candidates);
+      CheckIndexesIdentical(incremental_index, full_index);
+    }
+    return best;
+  };
   double speedup_at_10pct = 0.0;
   for (const double frac : {0.01, 0.10, 0.50}) {
     const size_t dirty_count = std::max<size_t>(
         1, static_cast<size_t>(frac * static_cast<double>(candidates.size())));
-    double refresh_seconds = 0.0;
-    for (int r = 0; r < repeats; ++r) {
+    const double refresh_seconds = time_refresh([&] {
       // Touch the first `dirty_count` candidates with a few inserts each.
       for (size_t i = 0; i < dirty_count; ++i) {
         for (int e = 0; e < 3; ++e) {
           sketch.Update({candidates[i], next_item++, Action::kInsert});
         }
       }
-      WallTimer timer;
-      incremental_index.RefreshDirty();
-      const double elapsed = timer.ElapsedSeconds();
-      if (r == 0 || elapsed < refresh_seconds) refresh_seconds = elapsed;
-      full_index.Rebuild(candidates);
-      CheckIndexesIdentical(incremental_index, full_index);
-    }
+    });
     const double speedup = full_rebuild_seconds / refresh_seconds;
     if (frac == 0.10) speedup_at_10pct = speedup;
     emit("index", "refresh-" + TablePrinter::FormatDouble(frac, 2), 1, 1, 1,
          refresh_seconds, candidates.size() / refresh_seconds, "rows/s",
          speedup);
   }
+  // A delta larger than the whole stream, over every user: the worst case
+  // for a patch (nearly every array word holds a changed bit).
+  const size_t stream_delta = elements.size() + 1;
+  const double stream_refresh_seconds = time_refresh([&] {
+    for (size_t e = 0; e < stream_delta; ++e) {
+      const auto user = static_cast<UserId>(hash::ReduceToRange(
+          hash::Hash64(next_item, config.seed ^ 0xde17a), users));
+      sketch.Update({user, next_item++, Action::kInsert});
+    }
+  });
+  emit("index", "refresh-stream", 1, 1, 1, stream_refresh_seconds,
+       candidates.size() / stream_refresh_seconds, "rows/s",
+       full_rebuild_seconds / stream_refresh_seconds);
 
   EmitTable(flags, table, header, rows);
   MaybeEmitJson(flags, "micro_ingest_path", header, rows);
@@ -568,6 +593,11 @@ int main(int argc, char** argv) {
                   ? async_1shard_seconds / async_max_shards_seconds
                   : 0.0,
               max_shards, speedup_at_10pct);
+  std::printf("RefreshDirty over a %zu-update delta (> the %zu-element "
+              "stream): %.2f ms vs Rebuild %.2f ms plain, %.2f ms with "
+              "incremental state\n",
+              stream_delta, elements.size(), 1e3 * stream_refresh_seconds,
+              1e3 * full_rebuild_seconds, 1e3 * incremental_rebuild_seconds);
   std::printf("multi-producer scaling 1 -> %u producers at %u shards: "
               "%.2fx (target >= 2x at S >= 4; needs >= %u hardware "
               "threads — producers + shard workers — to be meaningful)\n",

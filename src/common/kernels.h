@@ -88,12 +88,6 @@ struct KernelTable {
                        uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,
                        uint32_t* cells);
 
-  /// Re-extraction from captured cells (DigestMatrix::ExtractRowFromCells):
-  /// bit j of dst = array_words[cells[j] >> 6] >> (cells[j] & 63) & 1.
-  void (*extract_bits_from_cells)(const uint64_t* array_words,
-                                  const uint32_t* cells, uint32_t k,
-                                  uint64_t* dst);
-
   /// Producer-side routing (ShardRouter::ShardOf over a batch):
   /// shards[i] = ReduceToRange(Mix64(users[i] ^ seed_mix), num_shards)
   /// with seed_mix = seed * 0x9e3779b97f4a7c15. When local_of is

@@ -286,40 +286,6 @@ void Avx2ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
   if ((k & 63) != 0) *dst = word;
 }
 
-void Avx2ExtractBitsFromCells(const uint64_t* array_words,
-                              const uint32_t* cells, uint32_t k,
-                              uint64_t* dst) {
-  const __m256i bit_mask = _mm256_set1_epi64x(1);
-  const __m256i low6 = _mm256_set1_epi64x(63);
-  uint64_t word = 0;
-  uint32_t j = 0;
-  for (; j + 4 <= k; j += 4) {
-    const __m256i cell = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cells + j)));
-    const __m256i gathered = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(array_words),
-        _mm256_srli_epi64(cell, 6), 8);
-    const __m256i bits = _mm256_and_si256(
-        _mm256_srlv_epi64(gathered, _mm256_and_si256(cell, low6)), bit_mask);
-    const int lane_mask =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_slli_epi64(bits, 63)));
-    word |= static_cast<uint64_t>(lane_mask) << (j & 63);
-    if ((j & 63) == 60) {
-      *dst++ = word;
-      word = 0;
-    }
-  }
-  for (; j < k; ++j) {
-    const uint32_t cell = cells[j];
-    word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << (j & 63);
-    if ((j & 63) == 63) {
-      *dst++ = word;
-      word = 0;
-    }
-  }
-  if ((k & 63) != 0) *dst = word;
-}
-
 // ------------------------------------------------------------------ routing
 
 // Routing stays scalar at the AVX2 level: Mix64 is two 64-bit multiplies
@@ -378,7 +344,6 @@ constexpr KernelTable kAvx2Table = {
     Avx2XorPopcount2x4,
     Avx2PopcountWords,
     Avx2ExtractBits,
-    Avx2ExtractBitsFromCells,
     ScalarRouteBatch,  // see the routing note above: scalar wins on AVX2
     Avx2BandKeys,
     DispatchLevel::kAvx2,

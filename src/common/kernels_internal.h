@@ -42,9 +42,6 @@ size_t ScalarPopcountWords(const uint64_t* a, size_t n);
 void ScalarExtractBits(const uint64_t* array_words, const uint64_t* seeds,
                        uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,
                        uint32_t* cells);
-void ScalarExtractBitsFromCells(const uint64_t* array_words,
-                                const uint32_t* cells, uint32_t k,
-                                uint64_t* dst);
 void ScalarRouteBatch(const uint32_t* users, size_t n, uint64_t seed_mix,
                       uint32_t num_shards, const uint32_t* local_of,
                       uint16_t* shards, uint32_t* locals);

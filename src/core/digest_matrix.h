@@ -35,8 +35,8 @@ class DigestMatrix {
   DigestMatrix() = default;
 
   /// An all-zero matrix with `rows` k-bit rows; callers fill rows in
-  /// place via MutableRow (the incremental index mixes fresh extractions
-  /// with rows copied from the previous snapshot).
+  /// place via MutableRow (the incremental index permutes the previous
+  /// snapshot's rows into it, then flips the changed bits).
   DigestMatrix(uint32_t k, size_t rows)
       : k_(k),
         num_rows_(rows),
@@ -67,8 +67,8 @@ class DigestMatrix {
   /// ExtractRow against an alternate `array` (see BuildFromArray). When
   /// `cells` is non-null it additionally records the k cell indices
   /// f_j(user) into cells[0..k) — the incremental index captures them at
-  /// Rebuild so later refreshes re-read rows with k array lookups and no
-  /// hashing (cells depend only on the user, never on the array).
+  /// Rebuild to map each changed array cell to the digest bits it owns
+  /// (cells depend only on the user, never on the array).
   static void ExtractRowFromArray(const BitVector& array,
                                   const VosSketch& sketch, UserId user,
                                   uint64_t* dst, uint32_t* cells = nullptr);
@@ -94,13 +94,6 @@ class DigestMatrix {
     VOS_DCHECK(i < num_rows_) << "row" << i << "of" << num_rows_;
     return words_.data() + i * words_per_row_;
   }
-
-  /// Packs the k bits array[cells[0]], …, array[cells[k-1]] into
-  /// dst[0 .. WordsPerRow(k)) — re-extraction from previously captured
-  /// cells (see ExtractRowFromArray): k array reads, zero hashing.
-  static void ExtractRowFromCells(const BitVector& array,
-                                  const uint32_t* cells, uint32_t k,
-                                  uint64_t* dst);
 
   /// Row i as a standalone BitVector (reference/test path; copies).
   BitVector RowAsBitVector(size_t i) const;

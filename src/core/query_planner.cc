@@ -69,19 +69,14 @@ void QueryPlanner::Rebuild(std::vector<UserId> candidates) {
            [&](size_t s) { indexes_[s]->Rebuild(std::move(locals[s])); });
 }
 
-bool QueryPlanner::Refresh() {
+void QueryPlanner::Refresh() {
   VOS_CHECK(query_options_.incremental)
       << "Refresh needs QueryOptions::incremental";
   VOS_DCHECK(!sketch_->HasPendingIngest())
       << "Refresh on a non-quiesced pipeline; call Flush() first";
   const uint32_t num_shards = sketch_->num_shards();
-  std::vector<uint8_t> incremental(num_shards, 0);
   RunTasks(ResolveThreadCount(query_options_.num_threads, num_shards),
-           num_shards, [&](size_t s) {
-             incremental[s] = indexes_[s]->RefreshDirty() ? 1 : 0;
-           });
-  return std::all_of(incremental.begin(), incremental.end(),
-                     [](uint8_t i) { return i != 0; });
+           num_shards, [&](size_t s) { indexes_[s]->RefreshDirty(); });
 }
 
 UserId QueryPlanner::GlobalOfRow(uint32_t s, size_t p) const {

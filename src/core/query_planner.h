@@ -12,8 +12,9 @@
 //     S independent snapshot builds, run in parallel. With
 //     QueryOptions::incremental each snapshot retains refresh state, and
 //     Refresh() drains each shard's dirty set shard-locally through
-//     SimilarityIndex::RefreshDirty (with its adaptive full-rebuild
-//     fallback) — incremental maintenance never crosses a shard boundary.
+//     SimilarityIndex::RefreshDirty, which patches only the changed
+//     digest bits — incremental maintenance never crosses a shard
+//     boundary.
 //
 //   * AllPairsAbove(τ) decomposes the pair space exactly: S same-shard
 //     triangle passes plus S·(S−1)/2 cross-shard rectangle passes that
@@ -107,12 +108,10 @@ class QueryPlanner {
   void Rebuild(std::vector<UserId> candidates);
 
   /// Incrementally re-snapshots the SAME candidate set, draining each
-  /// shard's dirty set shard-locally (SimilarityIndex::RefreshDirty, with
-  /// the adaptive full-rebuild fallback). Requires
-  /// QueryOptions::incremental and a prior Rebuild(). Returns true when
-  /// every shard refreshed incrementally, false if any fell back to a
-  /// full per-shard rebuild. Result is bit-identical either way.
-  bool Refresh();
+  /// shard's dirty set shard-locally (SimilarityIndex::RefreshDirty).
+  /// Requires QueryOptions::incremental and a prior Rebuild(). The result
+  /// is bit-identical to Rebuild() of the same candidates.
+  void Refresh();
 
   /// All unordered candidate pairs with Ĵ ≥ `jaccard_threshold`, global
   /// ids, u < v, descending Ĵ (ties by (u, v)) — same pair set and

@@ -18,9 +18,9 @@
 //     cache is a QueryPlanner holding one incremental SimilarityIndex per
 //     shard. The first PrepareQuery builds the per-shard snapshots; every
 //     subsequent PrepareQuery over the SAME tracked set refreshes them
-//     incrementally (SimilarityIndex::RefreshDirty shard-locally, with
-//     the adaptive full-rebuild fallback) instead of re-extracting every
-//     row — the PR 2 follow-up paid off at the harness checkpoint loop.
+//     incrementally (SimilarityIndex::RefreshDirty shard-locally, which
+//     flips only the digest bits whose array cells changed) instead of
+//     re-extracting every row.
 //     EstimatePair reads snapshot rows from the shard indexes; estimates
 //     are bit-identical to the default mode on quiesced state. This mode
 //     requires (and force-enables) VosConfig::track_dirty on the shards.

@@ -67,68 +67,53 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
   }
   SortRowsAndMaps();
   const uint32_t k = sketch_->config().k;
+  std::vector<UserId> ordered_users(n);
+  for (size_t p = 0; p < n; ++p) {
+    ordered_users[p] = candidates_[sorted_rows_[p]];
+  }
+  matrix_ =
+      DigestMatrix::Build(*sketch_, ordered_users, query_options_.num_threads);
   if (!query_options_.incremental) {
-    std::vector<UserId> ordered_users(n);
-    for (size_t p = 0; p < n; ++p) {
-      ordered_users[p] = candidates_[sorted_rows_[p]];
-    }
-    matrix_ = DigestMatrix::Build(*sketch_, ordered_users,
-                                  query_options_.num_threads);
     snapshot_words_.clear();
-    cells_.clear();
-    cells_.shrink_to_fit();
     bucket_offsets_.clear();
     bucket_entries_.clear();
   } else {
-    // Incremental snapshot: extract as usual but capture every row's
-    // cells (keyed by stable candidate index, not by sorted position —
-    // the sorted order changes across refreshes, the cells never do).
     const uint64_t m = sketch_->config().m;
     VOS_CHECK(sketch_->tracks_dirty())
         << "incremental index needs a sketch with VosConfig::track_dirty";
     VOS_CHECK(m <= uint64_t{0xffffffff})
-        << "incremental index stores cells as uint32; m too large";
-    VOS_CHECK(n < (size_t{1} << 26))
-        << "incremental index packs candidate ids into 26 bits";
+        << "incremental index captures cells as uint32; m too large";
     VOS_CHECK(n * static_cast<size_t>(k) <= uint64_t{0xffffffff})
-        << "incremental index offsets are uint32; candidates*k too large";
-    cells_.resize(n * static_cast<size_t>(k));
-    matrix_ = DigestMatrix(k, n);
-    const size_t block = 64;
-    const size_t num_blocks = (n + block - 1) / block;
-    const unsigned threads =
-        ResolveThreadCount(query_options_.num_threads, num_blocks);
-    RunBlocks(threads, num_blocks, [&](size_t b) {
-      const size_t end = std::min(n, (b + 1) * block);
-      for (size_t p = b * block; p < end; ++p) {
-        const uint32_t i = sorted_rows_[p];
-        DigestMatrix::ExtractRowFromArray(
-            sketch_->array(), *sketch_, candidates_[i], matrix_.MutableRow(p),
-            cells_.data() + static_cast<size_t>(i) * k);
-      }
-    });
+        << "incremental index entries are uint32; candidates*k too large";
     // Counting-sorted inverse index, bucketed by cell *word* (so the
-    // refresh scan can jump from a changed word straight to its owners)
-    // with the exact bit-in-word packed into each entry (so only true
-    // owners of a *changed bit* are marked — expected n·k/m rows per
-    // flip, independent of word sharing).
+    // refresh scan jumps from a changed word straight to its owners).
+    // Each entry is the flat digest-bit index i·k + j, so a changed cell
+    // names exactly the bits it flips: bit j of candidate i. Cells depend
+    // only on the user, so both passes re-hash them instead of storing
+    // n·k of them.
+    std::vector<uint32_t> row_cells(k);
+    std::vector<uint64_t> row(matrix_.words_per_row());
+    const auto for_each_cell = [&](const auto& visit) {
+      for (size_t i = 0; i < n; ++i) {
+        DigestMatrix::ExtractRowFromArray(sketch_->array(), *sketch_,
+                                          candidates_[i], row.data(),
+                                          row_cells.data());
+        for (uint32_t j = 0; j < k; ++j) visit(i * k + j, row_cells[j]);
+      }
+    };
     const size_t num_words = (m + 63) / 64;
     bucket_offsets_.assign(num_words + 1, 0);
-    for (uint32_t cell : cells_) ++bucket_offsets_[(cell >> 6) + 1];
+    for_each_cell(
+        [&](size_t, uint32_t cell) { ++bucket_offsets_[(cell >> 6) + 1]; });
     for (size_t w = 0; w < num_words; ++w) {
       bucket_offsets_[w + 1] += bucket_offsets_[w];
     }
-    bucket_entries_.resize(cells_.size());
+    bucket_entries_.resize(n * static_cast<size_t>(k));
     std::vector<uint32_t> cursor(bucket_offsets_.begin(),
                                  bucket_offsets_.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t* row_cells = cells_.data() + i * static_cast<size_t>(k);
-      for (uint32_t j = 0; j < k; ++j) {
-        const uint32_t cell = row_cells[j];
-        bucket_entries_[cursor[cell >> 6]++] =
-            (static_cast<uint32_t>(i) << 6) | (cell & 63);
-      }
-    }
+    for_each_cell([&](size_t flat, uint32_t cell) {
+      bucket_entries_[cursor[cell >> 6]++] = static_cast<uint32_t>(flat);
+    });
     snapshot_words_ = sketch_->array().words();
     sketch_->ClearDirtyUsers();
   }
@@ -154,7 +139,7 @@ void SimilarityIndex::AbsorbRecallFeedback() {
       pending_recall_force_exact_.exchange(false, std::memory_order_relaxed);
 }
 
-bool SimilarityIndex::RefreshDirty() {
+void SimilarityIndex::RefreshDirty() {
   VOS_CHECK(query_options_.incremental)
       << "RefreshDirty needs QueryOptions::incremental";
   VOS_CHECK(snapshot_words_.size() == sketch_->array().words().size())
@@ -162,77 +147,68 @@ bool SimilarityIndex::RefreshDirty() {
   const size_t n = candidates_.size();
   const uint32_t k = sketch_->config().k;
 
-  // Affected candidates = dirty users (covers cardinality changes — those
-  // never show in the array delta) ∪ owners of any cell whose bit changed
-  // (covers every possible digest change, including shared-cell flips
-  // from other users' updates). Each changed word's XOR mask is tested
-  // against the exact bit recorded in the bucket entry, and the snapshot
-  // word is re-synced in place — scanned-but-unchanged words cost one
-  // compare, changed words are never re-scanned on the next refresh.
+  // Affected candidates = rows whose cardinality or digest changed.
+  // Cardinality changes never show in the array delta, but every one is
+  // a dirty user's.
   std::vector<uint8_t> affected(n, 0);
   if (!sketch_->dirty_users().empty()) {
     for (size_t i = 0; i < n; ++i) {
-      if (sketch_->IsDirty(candidates_[i])) affected[i] = 1;
+      if (!sketch_->IsDirty(candidates_[i])) continue;
+      const uint32_t card = sketch_->Cardinality(candidates_[i]);
+      if (card != cardinalities_[i]) {
+        cardinalities_[i] = card;
+        affected[i] = 1;
+      }
     }
   }
+  const std::vector<uint32_t> old_row_of_orig = row_of_orig_;
+  SortRowsAndMaps();
+
+  // The next snapshot starts as the old rows permuted into the new
+  // cardinality order; the published matrix_ is never written.
+  DigestMatrix next(k, n);
+  const size_t words = next.words_per_row();
+  const size_t block = 64;
+  const size_t num_blocks = (n + block - 1) / block;
+  RunBlocks(ResolveThreadCount(query_options_.num_threads, num_blocks),
+            num_blocks, [&](size_t b) {
+              const size_t end = std::min(n, (b + 1) * block);
+              for (size_t p = b * block; p < end; ++p) {
+                std::memcpy(next.MutableRow(p),
+                            matrix_.Row(old_row_of_orig[sorted_rows_[p]]),
+                            words * sizeof(uint64_t));
+              }
+            });
+
+  // Digest bit j of candidate i is A[f_j(u_i)], so each changed array bit
+  // flips exactly its owners' bits. Each changed word's XOR mask is
+  // tested against the owner's exact bit-in-word (f_j(u_i) & 63, one
+  // hash), then the snapshot word is re-synced: unchanged words cost one
+  // compare, and a cell flipped an even number of times since the last
+  // snapshot flips nothing.
   const std::vector<uint64_t>& live_words = sketch_->array().words();
   for (size_t w = 0; w < live_words.size(); ++w) {
     const uint64_t mask = live_words[w] ^ snapshot_words_[w];
     if (mask == 0) continue;
     for (size_t idx = bucket_offsets_[w]; idx < bucket_offsets_[w + 1];
          ++idx) {
-      const uint32_t entry = bucket_entries_[idx];
-      if ((mask >> (entry & 63)) & 1) affected[entry >> 6] = 1;
+      const uint32_t flat = bucket_entries_[idx];
+      const uint32_t i = flat / k;
+      const uint32_t j = flat - i * k;
+      if (((mask >> (sketch_->CellOf(candidates_[i], j) & 63)) & 1) == 0) {
+        continue;
+      }
+      next.MutableRow(row_of_orig_[i])[j >> 6] ^= uint64_t{1} << (j & 63);
+      affected[i] = 1;
     }
     snapshot_words_[w] = live_words[w];
   }
-
-  // Adaptive fallback: past the break-even fraction, re-extracting
-  // everything is cheaper than refresh bookkeeping. Deciding here costs
-  // only the delta scan above; Rebuild re-captures the snapshot anyway,
-  // so the in-place word re-sync is harmless.
-  size_t affected_count = 0;
-  for (const uint8_t a : affected) affected_count += a;
-  if (static_cast<double>(affected_count) >
-      query_options_.refresh_fallback_fraction * static_cast<double>(n)) {
-    Rebuild(std::move(candidates_));
-    return false;
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    if (affected[i]) cardinalities_[i] = sketch_->Cardinality(candidates_[i]);
-  }
-  const std::vector<uint32_t> old_row_of_orig = row_of_orig_;
-  SortRowsAndMaps();
-
-  // New matrix in the new sorted order: clean rows are block-copied from
-  // their old position (bit-identical — none of their cells changed),
-  // affected rows re-read from captured cells (k lookups, no hashing).
-  DigestMatrix next(k, n);
-  const size_t words = next.words_per_row();
-  const BitVector& array = sketch_->array();
-  const size_t block = 64;
-  const size_t num_blocks = (n + block - 1) / block;
-  const unsigned threads =
-      ResolveThreadCount(query_options_.num_threads, num_blocks);
-  RunBlocks(threads, num_blocks, [&](size_t b) {
-    const size_t end = std::min(n, (b + 1) * block);
-    for (size_t p = b * block; p < end; ++p) {
-      const uint32_t i = sorted_rows_[p];
-      if (affected[i]) {
-        DigestMatrix::ExtractRowFromCells(
-            array, cells_.data() + static_cast<size_t>(i) * k, k,
-            next.MutableRow(p));
-      } else {
-        std::memcpy(next.MutableRow(p), matrix_.Row(old_row_of_orig[i]),
-                    words * sizeof(uint64_t));
-      }
-    }
-  });
   matrix_ = std::move(next);
   sketch_->ClearDirtyUsers();
   beta_ = sketch_->beta();
   log_beta_term_ = estimator_.LogBetaTerm(beta_);
+  size_t affected_count = 0;
+  for (const uint8_t a : affected) affected_count += a;
   last_refresh_dirty_fraction_ =
       n == 0 ? 0.0
              : static_cast<double>(affected_count) / static_cast<double>(n);
@@ -240,14 +216,13 @@ bool SimilarityIndex::RefreshDirty() {
   if (query_options_.banding_bands > 0 && !banding_.empty()) {
     // Incremental banding upkeep: `affected` is indexed by candidate
     // index, which IS the table's stable id, so the patch re-keys exactly
-    // the re-extracted rows and re-translates the permuted clean ones —
+    // the changed rows and re-translates the permuted clean ones —
     // bit-identical to RebuildBanding() (asserted in tests), minus the
     // O(bands · n log n) re-sort.
     banding_.Patch(matrix_, sorted_rows_.data(), affected);
   } else {
     RebuildBanding();
   }
-  return true;
 }
 
 size_t SimilarityIndex::RowOf(UserId user) const {

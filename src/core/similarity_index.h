@@ -142,18 +142,14 @@ struct QueryOptions {
   /// feasible range (the default); results are identical either way.
   bool prefilter = true;
   /// Retain incremental-maintenance state at Rebuild so RefreshDirty()
-  /// can run: a copy of the sketch array (m bits), every candidate row's
-  /// k cell indices, and a cell-word → candidate inverse index (≈ 8 bytes
-  /// per candidate-bit — e.g. 2,000 candidates × k=6400 ≈ 100 MiB).
-  /// Costs one extra pass at Rebuild; leave off for rebuild-only indexes.
+  /// can run: a copy of the sketch array (m bits, plus 4 bytes per array
+  /// word of inverse-index offsets) and a cell-word → digest-bit inverse
+  /// index (4 bytes per candidate-bit — e.g. 2,000 candidates × k=6400 ≈
+  /// 49 MiB). Each RefreshDirty additionally holds the old and the next
+  /// digest matrix (k/8 bytes per candidate each) until it returns. Costs
+  /// two extra hashing passes at Rebuild; leave off for rebuild-only
+  /// indexes.
   bool incremental = false;
-  /// Adaptive refresh: RefreshDirty() falls back to a full Rebuild() when
-  /// more than this fraction of the candidates is affected — past the
-  /// measured break-even (~50% dirty, bench/micro_ingest_path.cc) the
-  /// refresh bookkeeping costs more than re-extracting everything.
-  /// Results are bit-identical either way; only the time differs. Set
-  /// > 1 to force the incremental path always, ≤ 0 to always rebuild.
-  double refresh_fallback_fraction = 0.5;
 };
 
 /// Snapshot index over a candidate set of users.
@@ -174,36 +170,32 @@ class SimilarityIndex {
   /// Snapshots digests, cardinalities and β for `candidates` (extraction
   /// runs on QueryOptions::num_threads workers). With
   /// QueryOptions::incremental it additionally captures the refresh
-  /// state (snapshot array, per-row cells, inverse index) and consumes
-  /// the sketch's dirty set.
+  /// state (snapshot array, inverse index) and consumes the sketch's
+  /// dirty set.
   void Rebuild(std::vector<UserId> candidates);
 
-  /// Incrementally re-snapshots the SAME candidate set, re-extracting
-  /// only rows that may have changed since the last Rebuild()/
-  /// RefreshDirty(): rows of users in the sketch's dirty set (covers
-  /// every cardinality change) plus rows owning an array cell whose bit
-  /// changed (covers every digest change, including shared-cell
-  /// contamination flips caused by OTHER users' updates). Refreshed rows are
-  /// re-read from their captured cells (k array lookups, no hashing),
-  /// clean rows are block-copied into the new cardinality-sorted order,
-  /// and β is recaptured — the result is asserted bit-identical to a full
-  /// Rebuild(candidates) in tests for every dirty fraction and thread
-  /// count. The log-alpha table depends only on k and is never rebuilt
-  /// (k is fixed for the sketch's lifetime). Requires
-  /// QueryOptions::incremental and a prior Rebuild(); consumes the
-  /// sketch's dirty set (at most one incremental consumer per sketch —
-  /// see VosSketch's dirty-tracking contract).
+  /// Incrementally re-snapshots the SAME candidate set by patching the
+  /// last snapshot (Rebuild() or RefreshDirty()) instead of re-extracting
+  /// rows. Digest bit j of candidate i is A[f_j(u_i)], so every array bit
+  /// that changed since the last snapshot flips exactly the digest bits
+  /// of its owners — including shared-cell contamination flips caused by
+  /// OTHER users' updates. Cardinalities are re-read for dirty users only
+  /// (every cardinality change is a dirty user's). The old rows are
+  /// copied into the new cardinality-sorted order, the changed bits are
+  /// flipped in that copy (the published snapshot is never written), and
+  /// β is recaptured. The result is bit-identical to
+  /// Rebuild(candidates) at any delta size, asserted in tests. The
+  /// log-alpha table depends only on k and is never rebuilt (k is fixed
+  /// for the sketch's lifetime). Requires QueryOptions::incremental and a
+  /// prior Rebuild(); consumes the sketch's dirty set (at most one
+  /// incremental consumer per sketch — see VosSketch's dirty-tracking
+  /// contract).
   ///
-  /// Cost: O(m/64) for the word delta + O(k) per affected row + one
-  /// row-copy pass, vs. Rebuild's O(k) hashes per candidate — ≥5× faster
-  /// when ≤10% of candidates are affected (bench/micro_ingest_path.cc).
-  ///
-  /// Adaptive fallback: when the affected fraction exceeds
-  /// QueryOptions::refresh_fallback_fraction the call delegates to a full
-  /// Rebuild() of the same candidates (bit-identical result, cheaper past
-  /// the break-even). Returns true when the incremental path ran, false
-  /// when it fell back.
-  bool RefreshDirty();
+  /// Cost: O(m/64) word scan + O(inverse-index entries in changed words),
+  /// one f_j hash each + one row-permute copy (n·k/8 bytes); no row is
+  /// re-read in O(k), whatever the delta size (bench/micro_ingest_path.cc
+  /// times it against Rebuild up to a delta larger than the stream).
+  void RefreshDirty();
 
   /// True once Rebuild() has captured incremental state (i.e.
   /// RefreshDirty() may be called).
@@ -304,8 +296,9 @@ class SimilarityIndex {
     return banding_feedback_force_exact_;
   }
 
-  /// Affected-candidate fraction of the last snapshot (1.0 after a full
-  /// Rebuild) — the optimizer's banding-upkeep statistic.
+  /// Fraction of candidates whose digest or cardinality changed in the
+  /// last RefreshDirty (1.0 after a full Rebuild) — the optimizer's
+  /// banding-upkeep statistic.
   double last_refresh_dirty_fraction() const {
     return last_refresh_dirty_fraction_;
   }
@@ -399,16 +392,13 @@ class SimilarityIndex {
   /// words localizes every changed cell. RefreshDirty re-syncs only the
   /// words it finds changed, so no full copy is ever repeated.
   std::vector<uint64_t> snapshot_words_;
-  /// cells_[i·k + j] = f_j(candidates_[i]) — captured once at Rebuild
-  /// (cells depend only on the user, never on the array, so refreshes
-  /// re-read rows without hashing).
-  std::vector<uint32_t> cells_;
-  /// Counting-sorted inverse index over cell words: the candidates owning
-  /// a cell in array word w are bucket_entries_[bucket_offsets_[w] ..
-  /// bucket_offsets_[w+1]), each entry packed as
-  /// (candidate_index << 6) | (cell & 63) so detection tests the exact
-  /// changed bit — a flip affects only true cell owners (expected
-  /// n·k/m candidates), not every row sharing the 64-bit word.
+  /// Counting-sorted inverse index over cell words: the digest bits owned
+  /// by a cell in array word w are bucket_entries_[bucket_offsets_[w] ..
+  /// bucket_offsets_[w+1]), each entry the flat index i·k + j (bit j of
+  /// candidate i; fits 32 bits since n·k < 2³² is checked at Rebuild).
+  /// The refresh tests the exact changed bit, f_j(u_i) & 63, so a
+  /// change flips only true cell owners (expected n·k/m per cell), not
+  /// every bit sharing the 64-bit word.
   std::vector<uint32_t> bucket_offsets_;
   std::vector<uint32_t> bucket_entries_;
 };

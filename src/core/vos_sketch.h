@@ -194,8 +194,8 @@ class VosSketch {
   //
   // The sketch records which users received updates since the last
   // ClearDirtyUsers(), so a snapshot consumer (SimilarityIndex) can
-  // refresh only the rows that may have changed instead of re-extracting
-  // every candidate. Maintenance is O(1) amortized per Update: an epoch
+  // refresh only what may have changed instead of re-extracting every
+  // candidate. Maintenance is O(1) amortized per Update: an epoch
   // compare, plus one push_back the first time a user is touched in the
   // current epoch.
   //

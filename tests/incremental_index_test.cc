@@ -1,12 +1,18 @@
 // Tests for incremental index maintenance: SimilarityIndex::RefreshDirty
-// must be bit-identical to a full Rebuild on the same sketch state — for
-// every dirty fraction (including the shared-cell contamination case,
+// patches the snapshot by flipping the digest bits of changed array cells
+// and must be bit-identical to a full Rebuild on the same sketch state —
+// for every delta size (including the shared-cell contamination case,
 // where updates to NON-candidate users flip bits of clean candidates'
-// digests), every thread count, and across repeated refreshes.
+// digests, cells flipped back to their old value, and rows owning one
+// cell twice), every thread count, and across repeated refreshes.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -55,6 +61,8 @@ void ExpectIndexesIdentical(const SimilarityIndex& refreshed,
   ASSERT_EQ(refreshed.candidate_count(), rebuilt.candidate_count())
       << context;
   EXPECT_EQ(refreshed.snapshot_beta(), rebuilt.snapshot_beta()) << context;
+  EXPECT_EQ(refreshed.row_cardinalities(), rebuilt.row_cardinalities())
+      << context;
   const DigestMatrix& ma = refreshed.matrix();
   const DigestMatrix& mb = rebuilt.matrix();
   ASSERT_EQ(ma.rows(), mb.rows()) << context;
@@ -101,123 +109,209 @@ void Churn(VosSketch* sketch, const std::vector<UserId>& candidates,
   }
 }
 
-TEST(RefreshDirtyTest, BitIdenticalToRebuildAcrossDirtyFractionsAndThreads) {
-  const UserId users = 120;
-  const UserId num_candidates = 80;  // users 80..119 are background-only
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    VosSketch sketch = PopulatedSketch(SmallConfig(), users, 60, 5);
-    std::vector<UserId> candidates;
-    for (UserId u = 0; u < num_candidates; ++u) candidates.push_back(u);
+std::vector<UserId> FirstUsers(UserId count) {
+  std::vector<UserId> users;
+  for (UserId u = 0; u < count; ++u) users.push_back(u);
+  return users;
+}
 
-    QueryOptions incremental_options;
-    incremental_options.num_threads = threads;
-    incremental_options.incremental = true;
-    // Force the incremental path at every fraction — the adaptive
-    // fallback (covered by AdaptiveRefreshTest below) would otherwise
-    // turn the 50%/100% rounds into plain Rebuilds.
-    incremental_options.refresh_fallback_fraction = 2.0;
-    SimilarityIndex refreshed(sketch, {}, incremental_options);
+QueryOptions IncrementalOptions(unsigned threads) {
+  QueryOptions options;
+  options.num_threads = threads;
+  options.incremental = true;
+  return options;
+}
+
+/// A non-incremental snapshot of `candidates` at the sketch's state.
+std::unique_ptr<SimilarityIndex> Fresh(const VosSketch& sketch,
+                                       const std::vector<UserId>& candidates) {
+  auto index = std::make_unique<SimilarityIndex>(sketch);
+  index->Rebuild(candidates);
+  return index;
+}
+
+/// Refreshes `index`, checks it against a fresh Rebuild and returns that.
+std::unique_ptr<SimilarityIndex> RefreshAndCheck(SimilarityIndex& index,
+                                                 const VosSketch& sketch,
+                                                 const std::string& context) {
+  index.RefreshDirty();
+  auto fresh = Fresh(sketch, index.candidates());
+  ExpectIndexesIdentical(index, *fresh, context);
+  return fresh;
+}
+
+/// Number of candidates whose digest row or cardinality differs.
+size_t ChangedRows(const SimilarityIndex& a, const SimilarityIndex& b) {
+  size_t changed = 0;
+  for (const UserId u : a.candidates()) {
+    const size_t p = a.RowIndexOf(u);
+    const size_t q = b.RowIndexOf(u);
+    if (a.row_cardinality(p) != b.row_cardinality(q) ||
+        std::memcmp(a.matrix().Row(p), b.matrix().Row(q),
+                    a.matrix().words_per_row() * sizeof(uint64_t)) != 0) {
+      ++changed;
+    }
+  }
+  return changed;
+}
+
+TEST(RefreshDirtyTest, BitIdenticalToRebuildAcrossDirtyFractionsAndThreads) {
+  const std::vector<UserId> candidates = FirstUsers(80);  // 80..119: background
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    VosSketch sketch = PopulatedSketch(SmallConfig(), 120, 60, 5);
+    SimilarityIndex refreshed(sketch, {}, IncrementalOptions(threads));
     refreshed.Rebuild(candidates);
     EXPECT_TRUE(refreshed.CanRefresh());
-
-    QueryOptions plain_options;
-    plain_options.num_threads = threads;
-    SimilarityIndex rebuilt(sketch, {}, plain_options);
-
     ItemId next_item = 1 << 29;
-    for (const double fraction : {0.0, 0.01, 0.5, 1.0}) {
+    // Up to full churn (every candidate dirty) and back: the patch covers
+    // every delta size, with no fallback to a rebuild.
+    for (const double fraction : {0.0, 0.01, 0.5, 1.0, 0.01}) {
       Churn(&sketch, candidates, fraction, &next_item);
-      EXPECT_TRUE(refreshed.RefreshDirty())
-          << "fallback disabled yet RefreshDirty claims it rebuilt";
-      rebuilt.Rebuild(candidates);
-      ExpectIndexesIdentical(
-          refreshed, rebuilt,
-          "threads=" + std::to_string(threads) +
-              " fraction=" + std::to_string(fraction));
+      RefreshAndCheck(refreshed, sketch,
+                      "threads=" + std::to_string(threads) +
+                          " fraction=" + std::to_string(fraction));
+      if (fraction == 1.0) {
+        EXPECT_EQ(refreshed.last_refresh_dirty_fraction(), 1.0);
+      }
     }
   }
 }
 
-// ------------------------------------------------------- adaptive refresh
-
-TEST(AdaptiveRefreshTest, FallsBackToRebuildPastBreakEvenFraction) {
-  VosSketch sketch = PopulatedSketch(SmallConfig(1 << 14), 60, 40, 41);
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < 60; ++u) candidates.push_back(u);
-  QueryOptions options;
-  options.num_threads = 1;
-  options.incremental = true;  // default fallback fraction: 0.5
-  SimilarityIndex index(sketch, {}, options);
-  index.Rebuild(candidates);
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
-
-  // A handful of dirty candidates: well under the break-even, so the
-  // incremental path must run.
-  ItemId next_item = 1 << 29;
-  sketch.Update({3, next_item++, Action::kInsert});
-  sketch.Update({9, next_item++, Action::kInsert});
-  EXPECT_TRUE(index.RefreshDirty());
-  rebuilt.Rebuild(candidates);
-  ExpectIndexesIdentical(index, rebuilt, "small dirty fraction");
-
-  // Touch every candidate: past the break-even, the call must delegate
-  // to a full Rebuild — and stay bit-identical.
-  for (UserId u = 0; u < 60; ++u) {
-    sketch.Update({u, next_item++, Action::kInsert});
+TEST(RefreshDirtyTest, CellFlippedBackLeavesRowsUntouched) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(), 40, 30, 47);
+  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
+  index.Rebuild(FirstUsers(30));
+  // Insert then delete the same element (candidate and non-candidate):
+  // each cell flips twice, so the array, every digest and every
+  // cardinality end where they started although both users are dirty.
+  for (const UserId u : {UserId{4}, UserId{35}}) {
+    sketch.Update({u, ItemId{1} << 29, Action::kInsert});
+    sketch.Update({u, ItemId{1} << 29, Action::kDelete});
   }
-  EXPECT_FALSE(index.RefreshDirty());
-  rebuilt.Rebuild(candidates);
-  ExpectIndexesIdentical(index, rebuilt, "full dirty fraction");
-
-  // The fallback re-captures incremental state: refreshing again works.
-  sketch.Update({5, next_item++, Action::kInsert});
-  EXPECT_TRUE(index.CanRefresh());
-  EXPECT_TRUE(index.RefreshDirty());
-  rebuilt.Rebuild(candidates);
-  ExpectIndexesIdentical(index, rebuilt, "refresh after fallback");
+  ASSERT_TRUE(sketch.IsDirty(4));
+  RefreshAndCheck(index, sketch, "net-zero cell flips");
+  EXPECT_EQ(index.last_refresh_dirty_fraction(), 0.0);
 }
 
-TEST(AdaptiveRefreshTest, FractionOverrideControlsTheBreakEven) {
-  VosSketch sketch = PopulatedSketch(SmallConfig(1 << 14), 30, 30, 43);
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < 30; ++u) candidates.push_back(u);
-
-  // Zero threshold: any affected candidate forces the rebuild path.
-  QueryOptions always_rebuild;
-  always_rebuild.num_threads = 1;
-  always_rebuild.incremental = true;
-  always_rebuild.refresh_fallback_fraction = 0.0;
-  SimilarityIndex eager(sketch, {}, always_rebuild);
-  eager.Rebuild(candidates);
-  ItemId next_item = 1 << 29;
-  sketch.Update({0, next_item++, Action::kInsert});
-  EXPECT_FALSE(eager.RefreshDirty());
-  // Nothing affected is still a (trivial) incremental refresh.
-  EXPECT_TRUE(eager.RefreshDirty());
-
-  // Above-one threshold: never falls back, even at 100% dirty.
-  QueryOptions never_rebuild = always_rebuild;
-  never_rebuild.refresh_fallback_fraction = 1.5;
-  SimilarityIndex sticky(sketch, {}, never_rebuild);
-  sticky.Rebuild(candidates);
-  for (UserId u = 0; u < 30; ++u) {
-    sketch.Update({u, next_item++, Action::kInsert});
+TEST(RefreshDirtyTest, RowsOwningOneCellTwice) {
+  // m < k: by pigeonhole every row maps two of its bits to one cell, so a
+  // single changed cell flips several bits of the same row.
+  VosSketch sketch = PopulatedSketch(SmallConfig(128), 24, 20, 53);
+  std::set<uint64_t> cells_of_zero;
+  for (uint32_t j = 0; j < sketch.config().k; ++j) {
+    cells_of_zero.insert(sketch.CellOf(0, j));
   }
-  EXPECT_TRUE(sticky.RefreshDirty());
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
-  rebuilt.Rebuild(candidates);
-  ExpectIndexesIdentical(sticky, rebuilt, "forced incremental at 100%");
+  ASSERT_LT(cells_of_zero.size(), sketch.config().k);
+  SimilarityIndex index(sketch, {}, IncrementalOptions(2));
+  index.Rebuild(FirstUsers(24));
+  ItemId next_item = 1 << 29;
+  for (UserId u = 0; u < 20; ++u) {
+    sketch.Update({u, next_item++, Action::kInsert});
+    if (u % 5 == 4) RefreshAndCheck(index, sketch, "duplicate cells");
+  }
+}
+
+TEST(RefreshDirtyTest, NonCandidateUpdateFlipsCandidateBit) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(), 40, 30, 59);
+  const std::vector<UserId> candidates = FirstUsers(20);
+  std::set<uint64_t> candidate_cells;
+  for (const UserId u : candidates) {
+    for (uint32_t j = 0; j < sketch.config().k; ++j) {
+      candidate_cells.insert(sketch.CellOf(u, j));
+    }
+  }
+  // An element of non-candidate 30 whose cell a candidate owns.
+  ItemId item = 1 << 29;
+  while (candidate_cells.count(sketch.CellOf(30, sketch.BucketOf(item))) ==
+         0) {
+    ++item;
+  }
+  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
+  index.Rebuild(candidates);
+  const auto before = Fresh(sketch, candidates);
+  sketch.Update({30, item, Action::kInsert});
+  for (const UserId u : candidates) ASSERT_FALSE(sketch.IsDirty(u));
+  const auto after = RefreshAndCheck(index, sketch, "contamination flip");
+  const size_t changed = ChangedRows(*before, *after);
+  EXPECT_GT(changed, 0u);
+  EXPECT_EQ(index.last_refresh_dirty_fraction(), changed / 20.0);
+}
+
+TEST(RefreshDirtyTest, DeletionsDownToZeroCardinality) {
+  VosSketch sketch(SmallConfig(1 << 13), 30);
+  std::vector<std::vector<ItemId>> items(30);
+  Rng rng(61);
+  for (UserId u = 0; u < 30; ++u) {
+    for (int i = 0; i < 25; ++i) {
+      items[u].push_back(static_cast<ItemId>(rng.NextBounded(1 << 28)));
+      sketch.Update({u, items[u].back(), Action::kInsert});
+    }
+  }
+  SimilarityIndex index(sketch, {}, IncrementalOptions(2));
+  index.Rebuild(FirstUsers(30));
+  // Empty users 0..9 in two steps; a zero-cardinality row sorts first.
+  for (const size_t keep : {size_t{10}, size_t{0}}) {
+    for (UserId u = 0; u < 10; ++u) {
+      for (; items[u].size() > keep; items[u].pop_back()) {
+        sketch.Update({u, items[u].back(), Action::kDelete});
+      }
+    }
+    RefreshAndCheck(index, sketch, "deletions to " + std::to_string(keep));
+  }
+  EXPECT_EQ(index.row_cardinality(0), 0u);
+}
+
+/// Seeded operation sequence: many refreshes whose deltas range from one
+/// element to more than the whole stream, mixing inserts and deletes of
+/// live elements from candidates and non-candidates. After every refresh
+/// the patched index must equal a fresh non-incremental Rebuild, and its
+/// dirty fraction must count exactly the rows whose digest or
+/// cardinality changed.
+TEST(RefreshDirtyTest, SeededDeltaSizesFromOneElementToBeyondTheStream) {
+  const UserId users = 64;
+  const std::vector<UserId> candidates = FirstUsers(48);
+  VosSketch sketch(SmallConfig(1 << 11), users);
+  std::vector<Element> live;
+  Rng rng(67);
+  ItemId next_item = 1;
+  const auto insert = [&] {
+    live.push_back({static_cast<UserId>(rng.NextBounded(users)), next_item++,
+                    Action::kInsert});
+    sketch.Update(live.back());
+  };
+  for (int i = 0; i < 1500; ++i) insert();
+  const size_t stream = live.size();
+  SimilarityIndex index(sketch, {}, IncrementalOptions(2));
+  index.Rebuild(candidates);
+  auto previous = Fresh(sketch, candidates);
+  for (const size_t delta : {size_t{1}, size_t{1}, size_t{2}, size_t{7},
+                             size_t{30}, size_t{150}, size_t{600}, stream,
+                             2 * stream + 1, size_t{3}, size_t{0},
+                             3 * stream}) {
+    for (size_t e = 0; e < delta; ++e) {
+      if (live.empty() || rng.NextBounded(2) == 0) {
+        insert();
+        continue;
+      }
+      const size_t victim = rng.NextBounded(live.size());
+      sketch.Update({live[victim].user, live[victim].item, Action::kDelete});
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    const std::string context = "delta=" + std::to_string(delta);
+    auto fresh = RefreshAndCheck(index, sketch, context);
+    EXPECT_EQ(index.last_refresh_dirty_fraction(),
+              static_cast<double>(ChangedRows(*previous, *fresh)) /
+                  candidates.size())
+        << context;
+    previous = std::move(fresh);
+  }
 }
 
 TEST(RefreshDirtyTest, NoChangesIsANoOpSnapshot) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 40, 50, 9);
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < 40; ++u) candidates.push_back(u);
-  QueryOptions options;
-  options.num_threads = 1;
-  options.incremental = true;
-  SimilarityIndex index(sketch, {}, options);
-  index.Rebuild(candidates);
+  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
+  index.Rebuild(FirstUsers(40));
   const auto before = index.AllPairsAbove(0.1);
   index.RefreshDirty();  // nothing changed since Rebuild
   const auto after = index.AllPairsAbove(0.1);
@@ -234,33 +328,20 @@ TEST(RefreshDirtyTest, CardinalityOnlyChangesReorderCorrectly) {
   // candidate a big cardinality jump so the sorted window order changes,
   // and verify refresh tracks the re-sort exactly.
   VosSketch sketch = PopulatedSketch(SmallConfig(1 << 14), 30, 20, 13);
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < 30; ++u) candidates.push_back(u);
-  QueryOptions options;
-  options.num_threads = 1;
-  options.incremental = true;
-  SimilarityIndex refreshed(sketch, {}, options);
-  refreshed.Rebuild(candidates);
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
-
+  SimilarityIndex refreshed(sketch, {}, IncrementalOptions(1));
+  refreshed.Rebuild(FirstUsers(30));
   for (ItemId item = 0; item < 500; ++item) {
     sketch.Update({7, static_cast<ItemId>((1 << 27) + item),
                    Action::kInsert});
   }
-  refreshed.RefreshDirty();
-  rebuilt.Rebuild(candidates);
-  ExpectIndexesIdentical(refreshed, rebuilt, "cardinality jump");
+  RefreshAndCheck(refreshed, sketch, "cardinality jump");
 }
 
 TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 10, 10, 17);
-  QueryOptions options;
-  options.incremental = true;
-  SimilarityIndex index(sketch, {}, options);
+  SimilarityIndex index(sketch, {}, IncrementalOptions(0));
   EXPECT_FALSE(index.CanRefresh());  // no Rebuild yet
-  SimilarityIndex plain(sketch, {}, QueryOptions{});
-  plain.Rebuild({0, 1, 2});
-  EXPECT_FALSE(plain.CanRefresh());  // incremental off
+  EXPECT_FALSE(Fresh(sketch, {0, 1, 2})->CanRefresh());  // incremental off
 }
 
 // ------------------------------------------------------ VosDrift batching

@@ -247,7 +247,7 @@ TEST(QueryPlannerTest, TopKMatchesReferenceWithSharedBoundPruning) {
 
 /// Refresh() drains dirty state shard-locally and must land on exactly
 /// the snapshots a fresh Rebuild would produce — across churn rounds and
-/// including the adaptive fallback round (everything dirty).
+/// including a round where every candidate is dirty.
 TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
   const UserId users = 56;
   std::vector<Element> elements = CommunityStream(users, 40, 19);
@@ -267,7 +267,7 @@ TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
     sketch.Update({touched, next_item++, Action::kInsert});
     sketch.Update({touched, next_item++, Action::kInsert});
   }
-  EXPECT_TRUE(refreshed.Refresh());
+  refreshed.Refresh();
 
   QueryPlanner rebuilt(sketch, {}, QueryOptions{});
   rebuilt.Rebuild(candidates);
@@ -276,12 +276,16 @@ TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
   ExpectEntriesIdentical(refreshed.TopK(2, 8), rebuilt.TopK(2, 8),
                          "small churn TopK");
 
-  // Touch everyone: per-shard refreshes cross the break-even and fall
-  // back to full per-shard rebuilds — results must not change.
+  // Touch everyone: every shard patches all of its rows — results must
+  // not change.
   for (UserId u = 0; u < users; ++u) {
     sketch.Update({u, next_item++, Action::kInsert});
   }
-  EXPECT_FALSE(refreshed.Refresh());
+  refreshed.Refresh();
+  for (uint32_t s = 0; s < sketch.num_shards(); ++s) {
+    EXPECT_EQ(refreshed.shard_index(s).last_refresh_dirty_fraction(), 1.0)
+        << "shard " << s;
+  }
   rebuilt.Rebuild(candidates);
   ExpectPairsIdentical(refreshed.AllPairsAbove(0.25),
                        rebuilt.AllPairsAbove(0.25), "full churn");
