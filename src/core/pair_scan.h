@@ -20,9 +20,13 @@
 //     pass's combined log-beta cut (core/scan_common.h) — and skips
 //     whole tiles that no row's window reaches;
 //   * dispatches the tiles of ALL passes to one dynamic worker pool
-//     (scan::RunIndexed), merging per-unit outputs in unit order so the
-//     result is independent of thread count and schedule (callers sort
-//     with scan::PairBefore, a total order on unique pairs).
+//     (scan::RunIndexed) and returns the pairs in their final
+//     scan::PairBefore order (Ĵ descending, then (u, v) — a total order
+//     on unique pairs), so the result is independent of thread count and
+//     schedule. Large results are ordered on the same pool: each worker
+//     counts its pairs into Ĵ range buckets, scatters them into disjoint
+//     slices, and the pool sorts the buckets; small ones take one
+//     std::sort. Callers do not sort again.
 //
 // The exact tiled path is bit-identical to the pre-tier scans for every
 // tile size, thread count and prefilter setting: tiles partition exactly
@@ -56,15 +60,6 @@
 #include "core/vos_estimator.h"
 
 namespace vos::core::pair_scan {
-
-/// Default tile edge: 256 rows ≈ 200 KiB per side at k = 6400, so a
-/// tile's working set stays L2-resident on common parts.
-inline constexpr size_t kDefaultTileRows = 256;
-
-/// Resolves a QueryOptions::tile_rows request (0 = the default above).
-inline size_t ResolveTileRows(size_t requested) {
-  return requested == 0 ? kDefaultTileRows : requested;
-}
 
 /// One side of a pass: a cardinality-sorted digest snapshot. `cards`
 /// must hold matrix->rows() non-decreasing values aligned with the rows.
@@ -229,8 +224,9 @@ struct Pass {
 
 /// Runs every pass — tiled when exact, bucket-driven when banded — over
 /// one dynamic worker pool of `num_threads` (0 = hardware concurrency,
-/// clamped to the unit count). Returns all emitted pairs concatenated in
-/// deterministic (pass, unit) order; callers sort with scan::PairBefore.
+/// clamped to the work count), in `tile_rows` × `tile_rows` tiles
+/// (0 = optimizer::AdaptiveTileRows for the passes' row width). Returns
+/// every emitted pair, already in scan::PairBefore order.
 std::vector<scan::Pair> RunPasses(const std::vector<Pass>& passes,
                                   const ScanParams& params, size_t tile_rows,
                                   unsigned num_threads);

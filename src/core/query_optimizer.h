@@ -40,8 +40,8 @@
 // reproducible across threads, shards and repeated calls, which the
 // bit-identity tests rely on (tests/query_optimizer_test.cc).
 //
-// AdaptiveTileRows replaces the fixed 256-row tile default with one
-// derived from the digest row width and the detected cache hierarchy
+// AdaptiveTileRows is the tile edge pair_scan::RunPasses uses for
+// QueryOptions::tile_rows == 0, derived from the digest row width and the detected cache hierarchy
 // (per-core L2 / LLC share): a tile's two row ranges should stay resident
 // while its pairs are popcounted. Tile size never changes results, only
 // locality, so the adaptive value inherits the tier's bit-identity
@@ -169,8 +169,8 @@ size_t RectangleWindowPairs(const uint32_t* cards_a, size_t n_a,
 
 /// Tile edge for QueryOptions::tile_rows == 0: sized so a tile's two row
 /// ranges (2 · tile · words · 8 bytes) fit in about half the per-core
-/// cache budget — min(L2, LLC / cores), detected once from sysfs (the
-/// tier default 256 when detection fails). Clamped to [64, 2048] and
+/// cache budget — min(L2, LLC / cores), detected once from sysfs (a
+/// 256 KiB budget when detection fails). Clamped to [64, 2048] and
 /// rounded down to a multiple of 8. Deterministic per process.
 size_t AdaptiveTileRows(size_t words_per_row);
 

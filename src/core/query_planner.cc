@@ -149,12 +149,12 @@ void QueryPlanner::ReportMeasuredRecall(double recall) const {
 
 std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
     double jaccard_threshold) const {
-  std::vector<Pair> pairs;
   const uint32_t num_shards = sketch_->num_shards();
   // Describe the whole pair space as pair_scan passes: one triangle per
   // shard plus one rectangle per shard pair. The tier decomposes every
   // pass into tiles and dispatches them to ONE pool, so a hot shard's
-  // triangle runs as many units instead of one serialized task.
+  // triangle runs as many units instead of one serialized task, and
+  // returns the pairs already in PairBefore order.
   pair_scan::ScanParams params;
   params.jaccard_threshold = jaccard_threshold;
   params.prefilter =
@@ -220,17 +220,8 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
       passes.push_back(std::move(pass));
     }
   }
-  if (passes.empty()) return pairs;
-
-  const size_t tile_rows =
-      query_options_.tile_rows == 0
-          ? optimizer::AdaptiveTileRows(
-                DigestMatrix::WordsPerRow(sketch_->config().base.k))
-          : query_options_.tile_rows;
-  pairs = pair_scan::RunPasses(passes, params, tile_rows,
-                               query_options_.num_threads);
-  std::sort(pairs.begin(), pairs.end(), PairBefore);
-  return pairs;
+  return pair_scan::RunPasses(passes, params, query_options_.tile_rows,
+                              query_options_.num_threads);
 }
 
 std::vector<QueryPlanner::Entry> QueryPlanner::TopK(UserId query,

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "stream/element.h"
@@ -56,25 +57,32 @@ inline bool PairBefore(const Pair& a, const Pair& b) {
 
 /// Runs `work(i)` for every i in [0, count) across `threads` workers
 /// pulling ids from a shared counter (dynamic balancing for triangular /
-/// mixed-cost workloads). `threads` is clamped to ≥ 1 here — callers
-/// normally pass ResolveThreadCount output, but an unclamped 0 would
-/// underflow the unsigned pool reservation below to ~4e9. Callers merge
-/// per-unit outputs in unit order, so results are independent of the
-/// schedule.
+/// mixed-cost workloads). A `work(i, worker)` callable also receives the
+/// running worker's index in [0, threads), for per-worker state.
+/// `threads` is clamped to ≥ 1 here — callers normally pass
+/// ResolveThreadCount output, but an unclamped 0 would underflow the
+/// unsigned pool reservation below to ~4e9. Which worker runs which id
+/// depends on the schedule, so callers keep results schedule-independent:
+/// most write per-id outputs merged in id order, and pair_scan::RunPasses
+/// sorts every Ĵ bucket with PairBefore, a total order.
 template <typename Work>
 void RunIndexed(unsigned threads, size_t count, const Work& work) {
   if (threads == 0) threads = 1;
   std::atomic<size_t> next{0};
-  const auto worker = [&] {
+  const auto worker = [&](unsigned w) {
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      work(i);
+      if constexpr (std::is_invocable_v<const Work&, size_t, unsigned>) {
+        work(i, w);
+      } else {
+        work(i);
+      }
     }
   };
   std::vector<std::thread> pool;
   pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
+  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker, t);
+  worker(0);
   for (std::thread& t : pool) t.join();
 }
 

@@ -49,9 +49,8 @@ struct ShardedQueryConfig {
   /// Planner task-level worker threads (0 = hardware concurrency). Only
   /// meaningful with shards_local; SetQueryThreads overrides it.
   unsigned planner_threads = 0;
-  /// Rows per tile edge of the planner's pair scans (0 = the pair_scan
-  /// tier default; see QueryOptions::tile_rows). Only meaningful with
-  /// shards_local.
+  /// Rows per tile edge of the planner's pair scans (0 = adaptive; see
+  /// QueryOptions::tile_rows). Only meaningful with shards_local.
   size_t tile_rows = 0;
   /// Opt-in LSH banding for planner-level AllPairsAbove over the tracked
   /// set (see QueryOptions::banding_bands; 0 = exact, the default).

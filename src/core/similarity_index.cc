@@ -436,8 +436,7 @@ void SimilarityIndex::ReportMeasuredRecall(double recall) const {
 
 std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAbove(
     double jaccard_threshold) const {
-  std::vector<Pair> pairs;
-  if (matrix_.rows() < 2) return pairs;
+  if (matrix_.rows() < 2) return {};
   // One triangle pass on the shared tiled scan tier; the prefilter is
   // sound only where Ĵ is monotone in ŝ over the clamped feasible range,
   // so the gate resolves here (scan::PrefilterApplies) exactly as the
@@ -475,17 +474,8 @@ std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAbove(
     out.push_back({candidates_[u], candidates_[v], est.common, est.jaccard});
   };
 
-  // tile_rows == 0 now resolves adaptively from the digest row width and
-  // the detected cache hierarchy instead of the fixed tier default (tile
-  // size never changes results, only locality).
-  const size_t tile_rows =
-      query_options_.tile_rows == 0
-          ? optimizer::AdaptiveTileRows(matrix_.words_per_row())
-          : query_options_.tile_rows;
-  pairs = pair_scan::RunPasses({pass}, params, tile_rows,
-                               query_options_.num_threads);
-  std::sort(pairs.begin(), pairs.end(), PairBefore);
-  return pairs;
+  return pair_scan::RunPasses({pass}, params, query_options_.tile_rows,
+                              query_options_.num_threads);
 }
 
 std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAboveReference(

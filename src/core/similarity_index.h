@@ -79,9 +79,11 @@ struct QueryOptions {
   /// every triangle/rectangle pass is decomposed into tile_rows ×
   /// tile_rows row tiles, each one work unit on the pool, so a hot
   /// shard's triangle parallelizes and candidate sets beyond the LLC
-  /// stay cache-resident per tile. 0 = the tier default (256); any
-  /// value ≥ the candidate count degenerates to one tile per pass.
-  /// Results are bit-identical for every value.
+  /// stay cache-resident per tile. 0 = optimizer::AdaptiveTileRows,
+  /// sized from the digest row width and the detected per-core cache
+  /// (648 rows at k = 6400 with a 2 MiB L2); any value ≥ the candidate
+  /// count degenerates to one tile per pass. Results are bit-identical
+  /// for every value.
   size_t tile_rows = 0;
   /// Opt-in LSH banding for AllPairsAbove (0 = exact enumeration, the
   /// default). When > 0, Rebuild/RefreshDirty additionally index the

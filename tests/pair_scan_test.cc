@@ -186,6 +186,137 @@ TEST(PairScanTest, PlannerBitIdenticalAcrossTileSizesThreadsShards) {
   }
 }
 
+// ------------------------------------------- result order under ties
+
+/// Heavy-tie stream: groups of 40 users, every user holding exactly 20
+/// items drawn from its group's pool of 30 (equal cardinalities, so a
+/// pair's Ĵ depends only on its digest distance), groups sharing
+/// nothing. At k = 64 the distances take few values, so thousands of
+/// pairs share each Ĵ — every clamped cross-group pair with ŝ ≤ 0 ties
+/// on exactly 0 — and unclamped estimates leave [0, 1] on both sides.
+std::vector<Element> TieStream(UserId users, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Element> elements;
+  std::vector<ItemId> pool(30);
+  for (UserId u = 0; u < users; ++u) {
+    for (size_t i = 0; i < pool.size(); ++i) {
+      pool[i] = static_cast<ItemId>((u / 40) * 1000 + i);
+    }
+    rng.Shuffle(pool);
+    for (size_t i = 0; i < 20; ++i) {
+      elements.push_back({u, pool[i], Action::kInsert});
+    }
+  }
+  return elements;
+}
+
+/// One result-order case: threshold, estimator clamp and prefilter.
+struct TieCase {
+  double tau;
+  bool clamp;
+  bool prefilter;
+  std::string Name() const {
+    return "tau=" + std::to_string(tau) + " clamp=" + std::to_string(clamp) +
+           " prefilter=" + std::to_string(prefilter);
+  }
+};
+
+const TieCase kTieCases[] = {
+    {0.3, true, true},     // range buckets, prefiltered
+    {0.0, true, false},    // τ ≤ 0: the Ĵ = 0 tie group
+    {-1.0, false, false},  // Ĵ < 0 and Ĵ > 1 fill both end buckets
+    {0.3, false, true},    // unclamped: prefilter gated off, Ĵ > 1 kept
+};
+
+/// Checks that a reference result is large, heavily tied, and (for the
+/// unclamped cases) reaches outside [0, 1], so the comparison exercises
+/// the tier's bucketed order rather than its small-result sort.
+template <typename PairT>
+void ExpectHeavyTies(const std::vector<PairT>& reference, const TieCase& c) {
+  ASSERT_GT(reference.size(), 4000u) << c.Name();
+  std::map<double, size_t> ties;
+  for (const PairT& pair : reference) ++ties[pair.jaccard];
+  size_t largest = 0;
+  for (const auto& [jaccard, count] : ties) largest = std::max(largest, count);
+  EXPECT_GT(largest, 100u) << c.Name();
+  EXPECT_LT(ties.size(), reference.size() / 10) << c.Name();
+  if (!c.clamp) {
+    EXPECT_GT(reference.front().jaccard, 1.0) << c.Name();
+    if (c.tau < 0.0) {
+      EXPECT_LT(reference.back().jaccard, 0.0) << c.Name();
+    }
+  }
+}
+
+/// The result order under heavy Ĵ ties, on both surfaces: identical to
+/// the references — same pairs, same order, same bits — across threads
+/// {1, 2, 8} × tile_rows {1, adaptive} × S {1, 4} (planner).
+TEST(PairScanTest, HeavyTieOrderBitIdenticalOnBothSurfaces) {
+  const UserId users = 240;
+  const std::vector<Element> elements = TieStream(users, 17);
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
+
+  for (const TieCase& c : kTieCases) {
+    VosEstimatorOptions estimator;
+    estimator.clamp_to_feasible = c.clamp;
+
+    VosSketch sketch(IndexConfig(64, 1 << 14), users);
+    for (const Element& e : elements) sketch.Update(e);
+    std::vector<SimilarityIndex::Pair> reference;
+    {
+      SimilarityIndex probe(sketch, estimator);
+      probe.Rebuild(candidates);
+      reference = probe.AllPairsAboveReference(c.tau);
+    }
+    ExpectHeavyTies(reference, c);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      for (const size_t tile_rows : {size_t{1}, size_t{0}}) {
+        QueryOptions options;
+        options.num_threads = threads;
+        options.tile_rows = tile_rows;
+        options.prefilter = c.prefilter;
+        SimilarityIndex index(sketch, estimator, options);
+        index.Rebuild(candidates);
+        ExpectPairsIdentical(index.AllPairsAbove(c.tau), reference,
+                             "index " + c.Name() +
+                                 " threads=" + std::to_string(threads) +
+                                 " tile_rows=" + std::to_string(tile_rows));
+      }
+    }
+
+    for (const uint32_t shards : {1u, 4u}) {
+      ShardedVosConfig config = PlannerConfig(shards);
+      config.base.k = 64;
+      config.base.m = 1 << 14;
+      ShardedVosSketch sharded(config, users, estimator);
+      sharded.UpdateBatch(elements.data(), elements.size());
+      std::vector<QueryPlanner::Pair> planner_reference;
+      {
+        QueryPlanner probe(sharded, estimator);
+        probe.Rebuild(candidates);
+        planner_reference = probe.AllPairsAboveReference(c.tau);
+      }
+      ExpectHeavyTies(planner_reference, c);
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        for (const size_t tile_rows : {size_t{1}, size_t{0}}) {
+          QueryOptions options;
+          options.num_threads = threads;
+          options.tile_rows = tile_rows;
+          options.prefilter = c.prefilter;
+          QueryPlanner planner(sharded, estimator, options);
+          planner.Rebuild(candidates);
+          ExpectPairsIdentical(
+              planner.AllPairsAbove(c.tau), planner_reference,
+              "planner shards=" + std::to_string(shards) + " " + c.Name() +
+                  " threads=" + std::to_string(threads) +
+                  " tile_rows=" + std::to_string(tile_rows));
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ banding tables
 
 uint64_t ReferenceBandKey(const DigestMatrix& matrix, size_t row,

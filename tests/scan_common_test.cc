@@ -1,6 +1,7 @@
 // Unit tests for the shared pair-scan building blocks (core/scan_common.h):
 // the RunIndexed worker-pool helper — including the threads == 0 clamp
-// that used to underflow the unsigned pool reservation — and the result
+// that used to underflow the unsigned pool reservation, and the
+// worker-index form that per-worker buffers rely on — and the result
 // total orders both scan engines sort to.
 
 #include <gtest/gtest.h>
@@ -47,6 +48,23 @@ TEST(RunIndexedTest, CoversAllIndicesForEveryThreadCount) {
 
 TEST(RunIndexedTest, MoreThreadsThanWorkStillCoversOnce) {
   ExpectFullSingleCoverage(/*threads=*/16, /*count=*/3);
+}
+
+TEST(RunIndexedTest, WorkerIndexCallableSeesEveryIdOnceAndValidWorkers) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    const size_t count = 1000;
+    std::vector<std::atomic<uint32_t>> visits(count);
+    for (auto& v : visits) v.store(0);
+    std::atomic<bool> worker_in_range{true};
+    RunIndexed(threads, count, [&](size_t i, unsigned worker) {
+      if (worker >= threads) worker_in_range.store(false);
+      visits[i].fetch_add(1);
+    });
+    EXPECT_TRUE(worker_in_range.load()) << "threads=" << threads;
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(visits[i].load(), 1u) << "threads=" << threads << " i=" << i;
+    }
+  }
 }
 
 TEST(ScanOrderTest, EntryAndPairOrdersAreStrictTotalOrders) {
