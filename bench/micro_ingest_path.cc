@@ -32,7 +32,9 @@
 // serialization overhead is visible next to the timings.
 //
 // Phase "index": SimilarityIndex::Rebuild (full re-extraction, plain and
-// with incremental state captured) vs. RefreshDirty (flips only the
+// with incremental state captured at 1 and 2 threads — those rows'
+// speedup column is the ratio to the plain row, and every one is
+// VOS_CHECKed bit-identical to it) vs. RefreshDirty (flips only the
 // changed digest bits) at dirty fractions {1%, 10%, 50%} of the candidate
 // set, plus one delta of more updates than the whole stream spread over
 // all users ("refresh-stream"): the patch's worst case, where nearly every
@@ -511,16 +513,6 @@ int main(int argc, char** argv) {
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
 
-  QueryOptions incremental_options;
-  incremental_options.num_threads = 1;
-  incremental_options.incremental = true;
-  SimilarityIndex incremental_index(sketch, {}, incremental_options);
-  const double incremental_rebuild_seconds = BestSeconds(repeats, [&] {
-    incremental_index.Rebuild(candidates);
-  });
-  emit("index", "rebuild-incremental", 1, 1, 1, incremental_rebuild_seconds,
-       candidates.size() / incremental_rebuild_seconds, "rows/s", 1.0);
-
   QueryOptions plain_options;
   plain_options.num_threads = 1;
   SimilarityIndex full_index(sketch, {}, plain_options);
@@ -530,6 +522,29 @@ int main(int argc, char** argv) {
   });
   emit("index", "rebuild", 1, 1, 1, full_rebuild_seconds,
        candidates.size() / full_rebuild_seconds, "rows/s", 1.0);
+
+  // Rebuild with incremental state at 1 and 2 workers; the speedup column
+  // is the ratio to the plain rebuild above.
+  QueryOptions incremental_options;
+  incremental_options.incremental = true;
+  SimilarityIndex incremental_index(sketch, {}, incremental_options);
+  double incremental_rebuild_seconds[2] = {};
+  for (const unsigned threads : {1u, 2u}) {
+    incremental_options.num_threads = threads;
+    incremental_index.set_query_options(incremental_options);
+    const double seconds = BestSeconds(repeats, [&] {
+      incremental_index.Rebuild(candidates);
+    });
+    CheckIndexesIdentical(incremental_index, full_index);
+    incremental_rebuild_seconds[threads - 1] = seconds;
+    emit("index", "rebuild-incremental", 1, 1, threads, seconds,
+         candidates.size() / seconds, "rows/s",
+         full_rebuild_seconds / seconds);
+  }
+  // The refresh rows below run single-threaded (a snapshot does not
+  // depend on the thread count that built it).
+  incremental_options.num_threads = 1;
+  incremental_index.set_query_options(incremental_options);
 
   ItemId next_item = static_cast<ItemId>(elements.size()) + 1000;
   // Applies one delta per repeat, times RefreshDirty over it and checks
@@ -595,9 +610,12 @@ int main(int argc, char** argv) {
               max_shards, speedup_at_10pct);
   std::printf("RefreshDirty over a %zu-update delta (> the %zu-element "
               "stream): %.2f ms vs Rebuild %.2f ms plain, %.2f ms with "
-              "incremental state\n",
+              "incremental state (%.2fx the plain rebuild; %.2fx at 2 "
+              "threads)\n",
               stream_delta, elements.size(), 1e3 * stream_refresh_seconds,
-              1e3 * full_rebuild_seconds, 1e3 * incremental_rebuild_seconds);
+              1e3 * full_rebuild_seconds, 1e3 * incremental_rebuild_seconds[0],
+              incremental_rebuild_seconds[0] / full_rebuild_seconds,
+              incremental_rebuild_seconds[1] / full_rebuild_seconds);
   std::printf("multi-producer scaling 1 -> %u producers at %u shards: "
               "%.2fx (target >= 2x at S >= 4; needs >= %u hardware "
               "threads — producers + shard workers — to be meaningful)\n",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "common/popcount.h"
@@ -44,14 +45,30 @@ QueryPlanner::QueryPlanner(const ShardedVosSketch& sketch,
       query_options_(query_options),
       log_alpha_table_(estimator_.BuildLogAlphaTable()) {
   // One index per shard, bound to the shard's VosSketch (local id
-  // space). Planner parallelism is across tasks, so each index runs
-  // single-threaded inside — no nested oversubscription.
+  // space), with its share of the planner's workers (IndexThreads).
   QueryOptions per_index = query_options_;
-  per_index.num_threads = 1;
+  per_index.num_threads = IndexThreads();
   indexes_.reserve(sketch.num_shards());
   for (uint32_t s = 0; s < sketch.num_shards(); ++s) {
     indexes_.push_back(std::make_unique<SimilarityIndex>(
         sketch.shard(s), estimator_options, per_index));
+  }
+}
+
+unsigned QueryPlanner::IndexThreads() const {
+  // Rebuild/Refresh run min(T, S) shard tasks at a time, so ⌊T/S⌋
+  // workers inside each never exceed T threads in total.
+  const unsigned total = ResolveThreadCount(query_options_.num_threads,
+                                            std::numeric_limits<size_t>::max());
+  return std::max(1u, total / sketch_->num_shards());
+}
+
+void QueryPlanner::set_num_threads(unsigned num_threads) {
+  query_options_.num_threads = num_threads;
+  for (const std::unique_ptr<SimilarityIndex>& index : indexes_) {
+    QueryOptions options = index->query_options();
+    options.num_threads = IndexThreads();
+    index->set_query_options(options);
   }
 }
 

@@ -50,12 +50,14 @@
 //     Pruning is strict-inequality conservative, so the merged result is
 //     bit-identical to the unpruned scan for every schedule.
 //
-// Parallelism model: the planner parallelizes ACROSS scan units (the
-// tiles of every same-shard and cross-shard pass, QueryOptions::tile_rows
-// per tile edge) with QueryOptions::num_threads workers; each unit runs
-// single-threaded inside (per-shard indexes are configured with one
-// thread), so there is no nested oversubscription. With S == 1 the
-// planner degenerates to the single global index — tiled exactly as
+// Parallelism model: queries parallelize ACROSS scan units (the tiles
+// of every same-shard and cross-shard pass, QueryOptions::tile_rows per
+// tile edge) with T = QueryOptions::num_threads workers; each unit runs
+// single-threaded inside. Snapshots (Rebuild/Refresh) run min(T, S) shard
+// tasks at a time, and each shard index works with max(1, ⌊T/S⌋) workers
+// of its own (IndexThreads), so the nested split never exceeds T threads
+// and at S == 1 the one index uses all of them. With S == 1 the planner
+// degenerates to the single global index — tiled exactly as
 // SimilarityIndex::AllPairsAbove tiles it — which is what
 // bench/micro_query_path.cc measures shard scaling against.
 //
@@ -164,13 +166,16 @@ class QueryPlanner {
   void ReportMeasuredRecall(double recall) const;
 
   /// Task-level worker count for subsequent Rebuild/Refresh/queries
-  /// (0 = hardware concurrency). Results are bit-identical for every
-  /// value, so a long-lived planner can follow
-  /// SimilarityMethod::SetQueryThreads without invalidating its
-  /// snapshots. Not concurrent-safe with running queries.
-  void set_num_threads(unsigned num_threads) {
-    query_options_.num_threads = num_threads;
-  }
+  /// (0 = hardware concurrency); re-splits the shard indexes' share
+  /// (IndexThreads). Results are bit-identical for every value, so a
+  /// long-lived planner can follow SimilarityMethod::SetQueryThreads
+  /// without invalidating its snapshots. Not concurrent-safe with
+  /// running queries.
+  void set_num_threads(unsigned num_threads);
+
+  /// Workers each shard index gets for its own Rebuild/RefreshDirty:
+  /// max(1, ⌊T/S⌋) for T resolved planner threads and S shards.
+  unsigned IndexThreads() const;
 
  private:
   /// The TopK scatter–gather with the shared bound seeded at

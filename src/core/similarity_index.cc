@@ -23,6 +23,15 @@ void RunBlocks(unsigned threads, size_t num_blocks, const Work& work) {
   scan::RunIndexed(threads, num_blocks, work);
 }
 
+// The incremental Rebuild sorts its inverse-index entries by cell word in
+// two levels: a coarse scatter into partitions of 2^16 cells (1,024 array
+// words), then a counting sort by word inside each partition. The scatter
+// keeps one live cursor per partition, and a partition's entries and word
+// counters stay cache-resident while it is sorted.
+constexpr uint32_t kPartitionWordsLog2 = 10;
+constexpr uint32_t kPartitionCellsLog2 = kPartitionWordsLog2 + 6;
+constexpr size_t kPartitionWords = size_t{1} << kPartitionWordsLog2;
+
 }  // namespace
 
 SimilarityIndex::SimilarityIndex(const VosSketch& sketch,
@@ -66,54 +75,26 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
     cardinalities_.push_back(sketch_->Cardinality(u));
   }
   SortRowsAndMaps();
-  const uint32_t k = sketch_->config().k;
-  std::vector<UserId> ordered_users(n);
-  for (size_t p = 0; p < n; ++p) {
-    ordered_users[p] = candidates_[sorted_rows_[p]];
-  }
-  matrix_ =
-      DigestMatrix::Build(*sketch_, ordered_users, query_options_.num_threads);
   if (!query_options_.incremental) {
+    std::vector<UserId> ordered_users(n);
+    for (size_t p = 0; p < n; ++p) {
+      ordered_users[p] = candidates_[sorted_rows_[p]];
+    }
+    matrix_ = DigestMatrix::Build(*sketch_, ordered_users,
+                                  query_options_.num_threads);
     snapshot_words_.clear();
     bucket_offsets_.clear();
     bucket_entries_.clear();
   } else {
     const uint64_t m = sketch_->config().m;
+    const uint32_t k = sketch_->config().k;
     VOS_CHECK(sketch_->tracks_dirty())
         << "incremental index needs a sketch with VosConfig::track_dirty";
     VOS_CHECK(m <= uint64_t{0xffffffff})
         << "incremental index captures cells as uint32; m too large";
     VOS_CHECK(n * static_cast<size_t>(k) <= uint64_t{0xffffffff})
         << "incremental index entries are uint32; candidates*k too large";
-    // Counting-sorted inverse index, bucketed by cell *word* (so the
-    // refresh scan jumps from a changed word straight to its owners).
-    // Each entry is the flat digest-bit index i·k + j, so a changed cell
-    // names exactly the bits it flips: bit j of candidate i. Cells depend
-    // only on the user, so both passes re-hash them instead of storing
-    // n·k of them.
-    std::vector<uint32_t> row_cells(k);
-    std::vector<uint64_t> row(matrix_.words_per_row());
-    const auto for_each_cell = [&](const auto& visit) {
-      for (size_t i = 0; i < n; ++i) {
-        DigestMatrix::ExtractRowFromArray(sketch_->array(), *sketch_,
-                                          candidates_[i], row.data(),
-                                          row_cells.data());
-        for (uint32_t j = 0; j < k; ++j) visit(i * k + j, row_cells[j]);
-      }
-    };
-    const size_t num_words = (m + 63) / 64;
-    bucket_offsets_.assign(num_words + 1, 0);
-    for_each_cell(
-        [&](size_t, uint32_t cell) { ++bucket_offsets_[(cell >> 6) + 1]; });
-    for (size_t w = 0; w < num_words; ++w) {
-      bucket_offsets_[w + 1] += bucket_offsets_[w];
-    }
-    bucket_entries_.resize(n * static_cast<size_t>(k));
-    std::vector<uint32_t> cursor(bucket_offsets_.begin(),
-                                 bucket_offsets_.end() - 1);
-    for_each_cell([&](size_t flat, uint32_t cell) {
-      bucket_entries_[cursor[cell >> 6]++] = static_cast<uint32_t>(flat);
-    });
+    ExtractRowsAndInverseIndex();
     snapshot_words_ = sketch_->array().words();
     sketch_->ClearDirtyUsers();
   }
@@ -122,6 +103,114 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
   last_refresh_dirty_fraction_ = 1.0;
   AbsorbRecallFeedback();
   RebuildBanding();
+}
+
+void SimilarityIndex::ExtractRowsAndInverseIndex() {
+  // Counting-sorted inverse index, bucketed by cell *word* (so the
+  // refresh scan jumps from a changed word straight to its owners). Each
+  // entry is the flat digest-bit index i·k + j, so a changed cell names
+  // exactly the bits it flips: bit j of candidate i. Every bucket lists
+  // its entries in ascending flat order. Cells depend only on the user,
+  // so the sort passes re-hash them (VosSketch::CellOf, no array read)
+  // instead of storing n·k of them.
+  const size_t n = candidates_.size();
+  const uint32_t k = sketch_->config().k;
+  const size_t num_words = (sketch_->config().m + 63) / 64;
+  const size_t num_parts =
+      (num_words + kPartitionWords - 1) >> kPartitionWordsLog2;
+  const size_t total = n * static_cast<size_t>(k);
+  matrix_ = DigestMatrix(k, n);
+
+  // 1. Each worker extracts a contiguous candidate range straight into
+  // its matrix rows and counts the range's cells per partition.
+  const unsigned workers = ResolveThreadCount(query_options_.num_threads, n);
+  const auto range_begin = [&](size_t c) { return c * n / workers; };
+  // cursors[c·num_parts + p]: range c's count in partition p, then its
+  // next write position there.
+  std::vector<uint32_t> cursors(workers * num_parts, 0);
+  RunBlocks(workers, workers, [&](size_t c) {
+    uint32_t* counts = cursors.data() + c * num_parts;
+    std::vector<uint32_t> cells(k);
+    for (size_t i = range_begin(c); i < range_begin(c + 1); ++i) {
+      DigestMatrix::ExtractRowFromArray(
+          sketch_->array(), *sketch_, candidates_[i],
+          matrix_.MutableRow(row_of_orig_[i]), cells.data());
+      for (uint32_t j = 0; j < k; ++j) {
+        ++counts[cells[j] >> kPartitionCellsLog2];
+      }
+    }
+  });
+
+  // 2. Coarse scatter. Prefix sums in (partition, range) order give every
+  // range a disjoint slice of each partition, lower ranges first, so each
+  // partition holds its entries in ascending flat order.
+  std::vector<uint32_t> part_begin(num_parts + 1);
+  uint32_t next = 0;
+  for (size_t p = 0; p < num_parts; ++p) {
+    part_begin[p] = next;
+    for (size_t c = 0; c < workers; ++c) {
+      const uint32_t count = cursors[c * num_parts + p];
+      cursors[c * num_parts + p] = next;
+      next += count;
+    }
+  }
+  part_begin[num_parts] = next;
+  VOS_DCHECK(next == total) << "inverse index counted" << next << "of"
+                            << total;
+  bucket_entries_.resize(total);
+  uint32_t* const entries = bucket_entries_.data();
+  RunBlocks(workers, workers, [&](size_t c) {
+    uint32_t* part_cursor = cursors.data() + c * num_parts;
+    for (size_t i = range_begin(c); i < range_begin(c + 1); ++i) {
+      const UserId user = candidates_[i];
+      const uint32_t row_base = static_cast<uint32_t>(i * k);
+      for (uint32_t j = 0; j < k; ++j) {
+        const uint64_t cell = sketch_->CellOf(user, j);
+        entries[part_cursor[cell >> kPartitionCellsLog2]++] = row_base + j;
+      }
+    }
+  });
+
+  // 3. Fine sort: each partition is one unit, counting-sorted by word in
+  // its worker's scratch (bounded by one partition) and written back;
+  // the stable sort keeps each word's entries ascending.
+  bucket_offsets_.resize(num_words + 1);
+  bucket_offsets_[num_words] = static_cast<uint32_t>(total);
+  struct Scratch {
+    std::vector<uint16_t> word;  // entry → word within its partition
+    std::vector<uint32_t> sorted;
+    std::vector<uint32_t> offsets = std::vector<uint32_t>(kPartitionWords + 1);
+  };
+  const unsigned sort_workers =
+      ResolveThreadCount(query_options_.num_threads, num_parts);
+  std::vector<Scratch> scratch(sort_workers);
+  RunBlocks(sort_workers, num_parts, [&](size_t p, unsigned w) {
+    Scratch& s = scratch[w];
+    uint32_t* const part = entries + part_begin[p];
+    const size_t count = part_begin[p + 1] - part_begin[p];
+    const size_t first_word = p << kPartitionWordsLog2;
+    const size_t words = std::min(kPartitionWords, num_words - first_word);
+    if (s.word.size() < count) {
+      s.word.resize(count);
+      s.sorted.resize(count);
+    }
+    std::fill(s.offsets.begin(), s.offsets.begin() + words + 1, 0);
+    for (size_t e = 0; e < count; ++e) {
+      const uint32_t i = part[e] / k;
+      const uint64_t cell = sketch_->CellOf(candidates_[i], part[e] - i * k);
+      const auto word = static_cast<uint16_t>((cell >> 6) - first_word);
+      s.word[e] = word;
+      ++s.offsets[word + 1];
+    }
+    for (size_t x = 0; x < words; ++x) {
+      s.offsets[x + 1] += s.offsets[x];
+      bucket_offsets_[first_word + x] = part_begin[p] + s.offsets[x];
+    }
+    for (size_t e = 0; e < count; ++e) {
+      s.sorted[s.offsets[s.word[e]]++] = part[e];
+    }
+    std::copy_n(s.sorted.data(), count, part);
+  });
 }
 
 void SimilarityIndex::RebuildBanding() {

@@ -148,9 +148,10 @@ struct QueryOptions {
   /// word of inverse-index offsets) and a cell-word → digest-bit inverse
   /// index (4 bytes per candidate-bit — e.g. 2,000 candidates × k=6400 ≈
   /// 49 MiB). Each RefreshDirty additionally holds the old and the next
-  /// digest matrix (k/8 bytes per candidate each) until it returns. Costs
-  /// two extra hashing passes at Rebuild; leave off for rebuild-only
-  /// indexes.
+  /// digest matrix (k/8 bytes per candidate each) until it returns.
+  /// Rebuild extracts each row once, recording its cells, and builds the
+  /// inverse index with a two-level counting sort that re-hashes every
+  /// cell twice (no array reads); leave off for rebuild-only indexes.
   bool incremental = false;
 };
 
@@ -264,6 +265,18 @@ class SimilarityIndex {
   /// The candidate-list index owning matrix row p.
   size_t sorted_to_candidate(size_t p) const { return sorted_rows_[p]; }
 
+  /// The incremental inverse index (both empty unless CanRefresh()): the
+  /// digest bits backed by cells in array word w are the flat indices
+  /// i·k + j (bit j of candidate i) in inverse_index_entries()
+  /// [inverse_index_offsets()[w] .. inverse_index_offsets()[w + 1]),
+  /// ascending. Exposed for tests and diagnostics.
+  const std::vector<uint32_t>& inverse_index_offsets() const {
+    return bucket_offsets_;
+  }
+  const std::vector<uint32_t>& inverse_index_entries() const {
+    return bucket_entries_;
+  }
+
   /// The LSH banding table of the current snapshot, or nullptr when
   /// banding is off (QueryOptions::banding_bands == 0). Rebuilt with
   /// every Rebuild()/RefreshDirty(); the planner joins two shards'
@@ -312,6 +325,12 @@ class SimilarityIndex {
   }
 
  private:
+  /// The incremental Rebuild's snapshot: extracts every candidate's row
+  /// into matrix_ (at row_of_orig_) and builds the inverse index
+  /// (bucket_offsets_/bucket_entries_) on QueryOptions::num_threads
+  /// workers. Results are identical for every thread count.
+  void ExtractRowsAndInverseIndex();
+
   /// Recomputes the cardinality-sorted order and every row map from
   /// candidates_/cardinalities_ (shared by Rebuild and RefreshDirty, so
   /// both produce the identical deterministic order).

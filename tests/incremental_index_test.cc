@@ -53,8 +53,8 @@ VosSketch PopulatedSketch(const VosConfig& config, UserId users,
 }
 
 /// Full bit-level equality of two index snapshots: candidate order,
-/// per-row digests, cardinality order, β, and the query results built
-/// from them.
+/// per-row digests, cardinality order, β, the inverse index when both
+/// are incremental, and the query results built from them.
 void ExpectIndexesIdentical(const SimilarityIndex& refreshed,
                             const SimilarityIndex& rebuilt,
                             const std::string& context) {
@@ -74,6 +74,14 @@ void ExpectIndexesIdentical(const SimilarityIndex& refreshed,
                           ma.words_per_row() * sizeof(uint64_t)),
               0)
         << context << " digest row at sorted position " << p;
+  }
+  if (refreshed.CanRefresh() && rebuilt.CanRefresh()) {
+    EXPECT_EQ(refreshed.inverse_index_offsets(),
+              rebuilt.inverse_index_offsets())
+        << context;
+    EXPECT_EQ(refreshed.inverse_index_entries(),
+              rebuilt.inverse_index_entries())
+        << context;
   }
   // End-to-end: identical snapshots answer identically.
   const auto pairs_a = refreshed.AllPairsAbove(0.2);
@@ -335,6 +343,108 @@ TEST(RefreshDirtyTest, CardinalityOnlyChangesReorderCorrectly) {
                    Action::kInsert});
   }
   RefreshAndCheck(refreshed, sketch, "cardinality jump");
+}
+
+/// The inverse index recomputed by brute force: every digest bit's flat
+/// index i·k + j under the array word of its cell, ascending per word.
+void ExpectInverseIndexMatchesOracle(const SimilarityIndex& index,
+                                     const VosSketch& sketch,
+                                     const std::string& context) {
+  const uint32_t k = sketch.config().k;
+  std::vector<std::vector<uint32_t>> owners((sketch.config().m + 63) / 64);
+  for (size_t i = 0; i < index.candidate_count(); ++i) {
+    for (uint32_t j = 0; j < k; ++j) {
+      owners[sketch.CellOf(index.candidates()[i], j) >> 6].push_back(
+          static_cast<uint32_t>(i * k + j));
+    }
+  }
+  std::vector<uint32_t> offsets{0};
+  std::vector<uint32_t> entries;
+  for (const std::vector<uint32_t>& word : owners) {
+    entries.insert(entries.end(), word.begin(), word.end());
+    offsets.push_back(static_cast<uint32_t>(entries.size()));
+  }
+  EXPECT_EQ(index.inverse_index_offsets(), offsets) << context;
+  EXPECT_EQ(index.inverse_index_entries(), entries) << context;
+}
+
+/// `n` candidates, led by owners of the cells on both sides of every
+/// 2^16-cell partition boundary and of the array's last cell (boundary
+/// cells are where a partition-index slip shows), then the lowest other
+/// user ids.
+std::vector<UserId> BoundaryOwnersFirst(const VosSketch& sketch, size_t n) {
+  const uint64_t m = sketch.config().m;
+  std::set<uint64_t> targets{m - 1};
+  for (uint64_t edge = uint64_t{1} << 16; edge < m; edge += uint64_t{1} << 16) {
+    targets.insert(edge - 1);
+    targets.insert(edge);
+  }
+  std::vector<UserId> owners;
+  std::vector<UserId> others;
+  for (UserId u = 0; u < sketch.num_users(); ++u) {
+    bool owns_target = false;
+    for (uint32_t j = 0; j < sketch.config().k; ++j) {
+      owns_target |= targets.erase(sketch.CellOf(u, j)) > 0;
+    }
+    (owns_target ? owners : others).push_back(u);
+  }
+  EXPECT_TRUE(targets.empty()) << targets.size() << " boundary cells unowned";
+  owners.insert(owners.end(), others.begin(), others.end());
+  owners.resize(n);
+  return owners;
+}
+
+/// Rebuild sorts the inverse index in partitions of 2^16 cells on
+/// several workers. Arrays spanning three partitions plus a partial
+/// fourth (whose last word is partial too) and arrays below one
+/// partition, candidate counts from 0 to 200, and 1, 2 or 8 workers must
+/// all give the brute-force inverse index, and every snapshot of a seeded
+/// refresh sequence must equal a fresh single-threaded Rebuild — inverse
+/// index included.
+TEST(IncrementalRebuildTest, PartitionEdgesAndThreadCounts) {
+  const UserId users = 6000;  // enough to own every boundary cell
+  for (const uint64_t m : {uint64_t{3} * (1 << 16) + 777, uint64_t{1} << 12}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{200}}) {
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        const std::string context = "m=" + std::to_string(m) +
+                                    " n=" + std::to_string(n) +
+                                    " threads=" + std::to_string(threads);
+        VosSketch sketch(SmallConfig(m), users);
+        const std::vector<UserId> candidates = BoundaryOwnersFirst(sketch, n);
+        // The candidates plus 40 background users hold the stream.
+        std::vector<UserId> active = candidates;
+        for (UserId u = users - 40; u < users; ++u) active.push_back(u);
+        Rng rng(79 + threads + n);
+        ItemId next_item = 1;
+        for (const UserId u : active) {
+          for (int e = 0; e < 30; ++e) {
+            sketch.Update({u, next_item++, Action::kInsert});
+          }
+        }
+        SimilarityIndex index(sketch, {}, IncrementalOptions(threads));
+        index.Rebuild(candidates);
+        ExpectInverseIndexMatchesOracle(index, sketch, context);
+        for (int step = 0; step <= 4; ++step) {
+          if (step > 0) {
+            for (int e = 0; e < 40 * step; ++e) {
+              const UserId user = active[rng.NextBounded(active.size())];
+              const ItemId item = next_item++;
+              sketch.Update({user, item, Action::kInsert});
+              if (e % 4 == 0) sketch.Update({user, item, Action::kDelete});
+            }
+            index.RefreshDirty();
+          }
+          // The reference reads a copy: its Rebuild must not consume the
+          // dirty set the refreshed index drains next.
+          const VosSketch copy = sketch;
+          SimilarityIndex fresh(copy, {}, IncrementalOptions(1));
+          fresh.Rebuild(candidates);
+          ExpectIndexesIdentical(index, fresh,
+                                 context + " step=" + std::to_string(step));
+        }
+      }
+    }
+  }
 }
 
 TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {

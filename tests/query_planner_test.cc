@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -248,47 +249,87 @@ TEST(QueryPlannerTest, TopKMatchesReferenceWithSharedBoundPruning) {
 /// Refresh() drains dirty state shard-locally and must land on exactly
 /// the snapshots a fresh Rebuild would produce — across churn rounds and
 /// including a round where every candidate is dirty.
+/// Incremental Refresh against a fresh Rebuild for S ∈ {1, 2, 4} ×
+/// planner threads T ∈ {1, 2, 4}: each shard index builds its snapshot
+/// with max(1, ⌊T/S⌋) workers of its own. The thread count also changes
+/// between Rebuild and Refresh, as ShardedVosMethod::SetQueryThreads
+/// does through set_num_threads; the split must follow it.
 TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
   const UserId users = 56;
-  std::vector<Element> elements = CommunityStream(users, 40, 19);
-  ShardedVosSketch sketch(PlannerConfig(4, 512, 1 << 14), users);
-  sketch.UpdateBatch(elements.data(), elements.size());
+  const std::vector<Element> elements = CommunityStream(users, 40, 19);
   std::vector<UserId> candidates;
   for (UserId u = 0; u < users; ++u) candidates.push_back(u);
+  const auto expect_split = [](const QueryPlanner& planner, unsigned threads,
+                               uint32_t shards, const std::string& context) {
+    EXPECT_EQ(planner.IndexThreads(), std::max(1u, threads / shards))
+        << context;
+    for (uint32_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(planner.shard_index(s).query_options().num_threads,
+                planner.IndexThreads())
+          << context << " shard " << s;
+    }
+  };
 
-  QueryOptions incremental;
-  incremental.num_threads = 2;
-  incremental.incremental = true;
-  QueryPlanner refreshed(sketch, {}, incremental);
-  refreshed.Rebuild(candidates);
+  for (const uint32_t shards : {1u, 2u, 4u}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      const std::string context =
+          "S=" + std::to_string(shards) + " T=" + std::to_string(threads);
+      ShardedVosSketch sketch(PlannerConfig(shards, 512, 1 << 14), users);
+      sketch.UpdateBatch(elements.data(), elements.size());
+      QueryOptions incremental;
+      incremental.num_threads = threads;
+      incremental.incremental = true;
+      QueryPlanner refreshed(sketch, {}, incremental);
+      expect_split(refreshed, threads, shards, context);
+      refreshed.Rebuild(candidates);
 
-  ItemId next_item = 1 << 29;
-  for (const UserId touched : {UserId{2}, UserId{33}}) {
-    sketch.Update({touched, next_item++, Action::kInsert});
-    sketch.Update({touched, next_item++, Action::kInsert});
+      ItemId next_item = 1 << 29;
+      for (const UserId touched : {UserId{2}, UserId{33}}) {
+        sketch.Update({touched, next_item++, Action::kInsert});
+        sketch.Update({touched, next_item++, Action::kInsert});
+      }
+      refreshed.Refresh();
+
+      QueryPlanner rebuilt(sketch, {}, QueryOptions{});
+      rebuilt.Rebuild(candidates);
+      ExpectPairsIdentical(refreshed.AllPairsAbove(0.25),
+                           rebuilt.AllPairsAbove(0.25),
+                           context + " small churn");
+      ExpectEntriesIdentical(refreshed.TopK(2, 8), rebuilt.TopK(2, 8),
+                             context + " small churn TopK");
+
+      // New thread count between snapshots, then touch everyone: every
+      // shard patches all of its rows — results must not change.
+      const unsigned next_threads = threads == 4 ? 1 : 4;
+      refreshed.set_num_threads(next_threads);
+      expect_split(refreshed, next_threads, shards, context + " reset");
+      for (UserId u = 0; u < users; ++u) {
+        sketch.Update({u, next_item++, Action::kInsert});
+      }
+      refreshed.Refresh();
+      for (uint32_t s = 0; s < sketch.num_shards(); ++s) {
+        EXPECT_EQ(refreshed.shard_index(s).last_refresh_dirty_fraction(), 1.0)
+            << context << " shard " << s;
+      }
+      rebuilt.Rebuild(candidates);
+      ExpectPairsIdentical(refreshed.AllPairsAbove(0.25),
+                           rebuilt.AllPairsAbove(0.25),
+                           context + " full churn");
+
+      // A Rebuild under the new split, then one more refresh.
+      refreshed.Rebuild(candidates);
+      for (UserId u = 0; u < users; u += 3) {
+        sketch.Update({u, next_item++, Action::kInsert});
+      }
+      refreshed.Refresh();
+      rebuilt.Rebuild(candidates);
+      ExpectPairsIdentical(refreshed.AllPairsAbove(0.25),
+                           rebuilt.AllPairsAbove(0.25),
+                           context + " rebuilt at new split");
+      ExpectEntriesIdentical(refreshed.TopK(33, 8), rebuilt.TopK(33, 8),
+                             context + " rebuilt at new split TopK");
+    }
   }
-  refreshed.Refresh();
-
-  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
-  rebuilt.Rebuild(candidates);
-  ExpectPairsIdentical(refreshed.AllPairsAbove(0.25),
-                       rebuilt.AllPairsAbove(0.25), "small churn");
-  ExpectEntriesIdentical(refreshed.TopK(2, 8), rebuilt.TopK(2, 8),
-                         "small churn TopK");
-
-  // Touch everyone: every shard patches all of its rows — results must
-  // not change.
-  for (UserId u = 0; u < users; ++u) {
-    sketch.Update({u, next_item++, Action::kInsert});
-  }
-  refreshed.Refresh();
-  for (uint32_t s = 0; s < sketch.num_shards(); ++s) {
-    EXPECT_EQ(refreshed.shard_index(s).last_refresh_dirty_fraction(), 1.0)
-        << "shard " << s;
-  }
-  rebuilt.Rebuild(candidates);
-  ExpectPairsIdentical(refreshed.AllPairsAbove(0.25),
-                       rebuilt.AllPairsAbove(0.25), "full churn");
 }
 
 TEST(QueryPlannerTest, EmptyAndDegenerateInputs) {
