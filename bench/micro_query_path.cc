@@ -35,26 +35,10 @@
 // (core/pair_scan.h): the candidate set is skewed so one shard owns most
 // rows — before the tier that shard's triangle ran as ONE planner task
 // and serialized, so planner threads could not help; tiles are the work
-// unit now, so the same workload must show multi-thread scaling. The
-// "banding" phase measures opt-in LSH banding on the global index:
-// banded results are verified to be a subset of the exact pass with
-// bit-identical estimates, and the measured recall is reported as a
-// column (exact rows print 1.0000 by definition).
-//
-// The "optimizer" phase is the cost-based planner's acceptance signal
-// (core/query_optimizer.h): three workloads with opposite winning plans —
-// a skewed uniform-cardinality community set (wide τ windows, tight
-// banding buckets: banded should win), the sparse zipf set (narrow
-// windows: exact should win, with the degenerate-bucket guard bounding
-// the banded candidates it rejects), and a high-dirty incremental
-// refresh (the upkeep term taxes the banded plan). Every row reports the
-// chosen plan, its estimated cost and the measured recall against the
-// forced-exact reference, plus a row measuring the optimizer's own
-// per-plan overhead. --plan (or VOS_PLAN) forces every pass.
+// unit now, so the same workload must show multi-thread scaling.
 //
 // Run: ./build/micro_query_path [--users=2000] [--k=6400] [--threads=8]
 //      [--tau=0.5] [--repeats=3] [--planner_threads=0] [--tile_rows=0]
-//      [--banding_bands=16] [--banding_rows=8] [--plan=auto|exact|banded]
 //      [--dispatch=auto|scalar|neon|avx2|avx512] [--csv=out.csv]
 
 #include <algorithm>
@@ -66,7 +50,6 @@
 #include "bench/bench_util.h"
 #include "common/kernels.h"
 #include "common/timer.h"
-#include "core/query_optimizer.h"
 #include "core/query_planner.h"
 #include "core/sharded_vos_sketch.h"
 #include "core/similarity_index.h"
@@ -87,7 +70,6 @@ using stream::Action;
 using stream::Element;
 using stream::ItemId;
 using stream::UserId;
-namespace optimizer = core::optimizer;
 
 /// Synthetic community: every 4-user group's first two members share 80%
 /// of their items (planted near-duplicates), the rest are disjoint — so
@@ -149,7 +131,6 @@ int main(int argc, char** argv) {
       "[--users=N] [--edges_per_user=N] [--k=N] [--m=N] [--threads=N] "
       "[--tau=J] [--repeats=N] [--seed=N] [--dist=zipf|uniform] "
       "[--planner_threads=N] [--planner_shards=N] [--tile_rows=N] "
-      "[--banding_bands=N] [--banding_rows=N] [--plan=auto|exact|banded] "
       "[--dispatch=auto|scalar|neon|avx2|avx512] [--csv=path] "
       "[--json=path]");
   const auto users = static_cast<UserId>(flags.GetInt("users", 2000));
@@ -159,17 +140,9 @@ int main(int argc, char** argv) {
   const double tau = flags.GetDouble("tau", 0.5);
   const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
   const auto tile_rows = static_cast<size_t>(flags.GetInt("tile_rows", 0));
-  const auto banding_bands =
-      static_cast<uint32_t>(flags.GetInt("banding_bands", 16));
-  const auto banding_rows =
-      static_cast<uint32_t>(flags.GetInt("banding_rows", 8));
   const std::string dist = flags.GetString("dist", "zipf");
   VOS_CHECK(dist == "zipf" || dist == "uniform")
       << "--dist must be zipf or uniform, got" << dist;
-  const std::string plan_flag = flags.GetString("plan", "auto");
-  optimizer::PlanMode plan_mode;
-  VOS_CHECK(optimizer::ParsePlanMode(plan_flag.c_str(), &plan_mode))
-      << "--plan must be auto|exact|banded, got" << plan_flag;
 
   VosConfig config;
   config.k = static_cast<uint32_t>(flags.GetInt("k", 6400));
@@ -208,28 +181,18 @@ int main(int argc, char** argv) {
               config.k, static_cast<unsigned long long>(config.m),
               sketch.beta(), users, num_pairs, tau);
 
-  TablePrinter table({"phase", "engine", "kernel", "threads", "seconds",
-                      "throughput", "unit", "speedup", "recall", "plan",
-                      "cost"});
+  const std::vector<std::string> header = {
+      "phase",      "engine", "kernel",  "threads", "seconds",
+      "throughput", "unit",   "speedup", "recall"};
+  TablePrinter table(header);
   std::vector<std::vector<std::string>> rows;
-  // `recall` is 1.0 by definition for every exact path; the banding and
-  // optimizer phases override it with the measured banded-vs-exact
-  // fraction. `plan` is the optimizer's verdict for query rows ("n/a" on
-  // rows with no plan decision) and `cost` its estimated seconds for the
-  // plan that ran (0 where not applicable); bench_compare.py treats plan
-  // as an outcome (flags flips, never keys on it) and cost as a metric.
-  // The kernel_* phases stamp each row with the forced dispatch level;
-  // every other row carries the run-wide tag.
-  const auto format_cost = [](double cost) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3e", cost);
-    return std::string(buf);
-  };
+  // `recall` is 1.0 on every row: every path is exact. The kernel_*
+  // phases stamp each row with the forced dispatch level; every other
+  // row carries the run-wide tag.
   auto emit_row = [&](const std::string& phase, const std::string& engine,
                       const std::string& kernel, unsigned nthreads,
                       double seconds, double throughput,
-                      const std::string& unit, double speedup, double recall,
-                      const std::string& plan = "n/a", double cost = 0.0) {
+                      const std::string& unit, double speedup) {
     std::vector<std::string> row = {
         phase,
         engine,
@@ -239,33 +202,15 @@ int main(int argc, char** argv) {
         TablePrinter::FormatDouble(throughput, 4),
         unit,
         TablePrinter::FormatDouble(speedup, 3),
-        TablePrinter::FormatDouble(recall, 4),
-        plan,
-        format_cost(cost)};
+        TablePrinter::FormatDouble(1.0, 4)};
     table.AddRow(row);
     rows.push_back(std::move(row));
-  };
-  auto emit_planned = [&](const std::string& phase, const std::string& engine,
-                          unsigned nthreads, double seconds, double throughput,
-                          const std::string& unit, double speedup,
-                          double recall, const std::string& plan,
-                          double cost) {
-    emit_row(phase, engine, kernel_tag, nthreads, seconds, throughput, unit,
-             speedup, recall, plan, cost);
-  };
-  auto emit_with_recall = [&](const std::string& phase,
-                              const std::string& engine, unsigned nthreads,
-                              double seconds, double throughput,
-                              const std::string& unit, double speedup,
-                              double recall) {
-    emit_row(phase, engine, kernel_tag, nthreads, seconds, throughput, unit,
-             speedup, recall);
   };
   auto emit = [&](const std::string& phase, const std::string& engine,
                   unsigned nthreads, double seconds, double throughput,
                   const std::string& unit, double speedup) {
-    emit_with_recall(phase, engine, nthreads, seconds, throughput, unit,
-                     speedup, 1.0);
+    emit_row(phase, engine, kernel_tag, nthreads, seconds, throughput, unit,
+             speedup);
   };
 
   // ------------------------------------------------------ digest extraction
@@ -347,7 +292,7 @@ int main(int argc, char** argv) {
       }
       emit_row("kernel_hamming", "xor_popcount8", kernel.name, 1, ham_seconds,
                static_cast<double>(ham_pairs * sweeps) / ham_seconds,
-               "pairs/s", ham_scalar_seconds / ham_seconds, 1.0);
+               "pairs/s", ham_scalar_seconds / ham_seconds);
 
       // Extraction: DigestMatrix::Build routes through extract_bits; the
       // whole matrix must equal the scalar-built one word-for-word.
@@ -369,7 +314,7 @@ int main(int argc, char** argv) {
       }
       emit_row("kernel_extract", "extract_bits", kernel.name, 1,
                extract_seconds, users / extract_seconds, "users/s",
-               extract_scalar_seconds / extract_seconds, 1.0);
+               extract_scalar_seconds / extract_seconds);
       ++levels_verified;
     }
     VOS_CHECK(kernels::SetDispatchLevel(restore_level));
@@ -382,7 +327,6 @@ int main(int argc, char** argv) {
   QueryOptions query_options;
   query_options.num_threads = threads;
   query_options.tile_rows = tile_rows;
-  query_options.plan = plan_mode;
   SimilarityIndex index(sketch, {}, query_options);
   index.Rebuild(candidates);
 
@@ -464,7 +408,6 @@ int main(int argc, char** argv) {
     QueryOptions planner_options;
     planner_options.num_threads = planner_threads;
     planner_options.tile_rows = tile_rows;
-    planner_options.plan = plan_mode;
     QueryPlanner planner(sharded_sketch, {}, planner_options);
     planner.Rebuild(candidates);
 
@@ -575,277 +518,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ----------------------------------------------------------- banding
-  // Opt-in LSH banding on the global index: the banded result must be a
-  // subset of the exact pass with bit-identical per-pair estimates
-  // (precision 1), so recall = banded/exact — measured here and reported
-  // as a column, never assumed.
-  if (banding_bands > 0) {
-    const auto exact_pairs = index.AllPairsAbove(tau);
-    QueryOptions banded_options = query_options;
-    banded_options.banding_bands = banding_bands;
-    banded_options.banding_rows_per_band = banding_rows;
-    // The phase measures what the BANDED path costs, so the plan is
-    // pinned — the optimizer choosing exact here would silently turn
-    // this into a second exact row (the auto-choice measurement lives in
-    // the optimizer phase below).
-    banded_options.plan = optimizer::PlanMode::kForceBanded;
-    SimilarityIndex banded(sketch, {}, banded_options);
-    banded.Rebuild(candidates);
-    const auto banded_pairs = banded.AllPairsAbove(tau);
-    // Subset + identical-estimate verification before timing.
-    {
-      size_t ei = 0;
-      std::vector<SimilarityIndex::Pair> exact_sorted = exact_pairs;
-      std::vector<SimilarityIndex::Pair> banded_sorted = banded_pairs;
-      const auto by_ids = [](const SimilarityIndex::Pair& a,
-                             const SimilarityIndex::Pair& b) {
-        return a.u != b.u ? a.u < b.u : a.v < b.v;
-      };
-      std::sort(exact_sorted.begin(), exact_sorted.end(), by_ids);
-      std::sort(banded_sorted.begin(), banded_sorted.end(), by_ids);
-      for (const auto& pair : banded_sorted) {
-        while (ei < exact_sorted.size() && by_ids(exact_sorted[ei], pair)) {
-          ++ei;
-        }
-        VOS_CHECK(ei < exact_sorted.size() &&
-                  exact_sorted[ei].u == pair.u && exact_sorted[ei].v == pair.v)
-            << "banded pair not in the exact result — precision must be 1";
-        VOS_CHECK(exact_sorted[ei].common == pair.common &&
-                  exact_sorted[ei].jaccard == pair.jaccard)
-            << "banded estimate differs from the exact pass";
-      }
-    }
-    const double recall =
-        exact_pairs.empty() ? 1.0
-                            : static_cast<double>(banded_pairs.size()) /
-                                  static_cast<double>(exact_pairs.size());
-    const double exact_seconds = BestSeconds(repeats, [&] {
-      (void)index.AllPairsAbove(tau);
-    });
-    const double banded_seconds = BestSeconds(repeats, [&] {
-      (void)banded.AllPairsAbove(tau);
-    });
-    const optimizer::PassReport banded_report = banded.PlanAllPairs(tau);
-    emit_planned("banding", "exact", threads, exact_seconds,
-                 num_pairs / exact_seconds, "pairs/s", 1.0, 1.0, "exact",
-                 banded_report.plan.exact_cost);
-    emit_planned(
-        "banding",
-        "banded-b" + std::to_string(banding_bands) + "r" +
-            std::to_string(banding_rows),
-        threads, banded_seconds, num_pairs / banded_seconds, "pairs/s",
-        exact_seconds / banded_seconds, recall, "banded",
-        banded_report.plan.banded_cost);
-    std::printf("\nbanding b=%u r=%u: recall %.4f (%zu of %zu exact pairs), "
-                "%.2fx vs the exact tiled pass.\n",
-                banding_bands, banding_rows, recall, banded_pairs.size(),
-                exact_pairs.size(), exact_seconds / banded_seconds);
-  }
-
-  // ----------------------------------------------------------- optimizer
-  // The cost-based planner on three workloads with opposite winners. For
-  // each: forced-exact (the reference), forced-banded, and the
-  // configured mode (--plan, default auto) — per row the chosen plan,
-  // its estimated cost and the measured recall vs forced-exact. The
-  // measured recall is fed back through ReportMeasuredRecall, closing
-  // the optimizer's feedback loop exactly the way a production caller
-  // would.
-  if (banding_bands > 0) {
-    const auto measure_workload = [&](const std::string& tag,
-                                      SimilarityIndex& opt_index) {
-      const auto timed_with_plan = [&](optimizer::PlanMode mode) {
-        QueryOptions options = opt_index.query_options();
-        options.plan = mode;
-        opt_index.set_query_options(options);
-        (void)opt_index.AllPairsAbove(tau);  // warm
-        return BestSeconds(repeats, [&] {
-          (void)opt_index.AllPairsAbove(tau);
-        });
-      };
-      const auto result_with_plan = [&](optimizer::PlanMode mode) {
-        QueryOptions options = opt_index.query_options();
-        options.plan = mode;
-        opt_index.set_query_options(options);
-        return opt_index.AllPairsAbove(tau);
-      };
-
-      const auto exact_result =
-          result_with_plan(optimizer::PlanMode::kForceExact);
-      const auto banded_result =
-          result_with_plan(optimizer::PlanMode::kForceBanded);
-      const auto chosen_result = result_with_plan(plan_mode);
-      const auto recall_of = [&](size_t found) {
-        return exact_result.empty()
-                   ? 1.0
-                   : static_cast<double>(found) /
-                         static_cast<double>(exact_result.size());
-      };
-      VOS_CHECK(banded_result.size() <= exact_result.size())
-          << tag << ": banded must be a subset of exact";
-      VOS_CHECK(chosen_result.size() <= exact_result.size())
-          << tag << ": the chosen plan must be a subset of exact";
-
-      const double exact_seconds =
-          timed_with_plan(optimizer::PlanMode::kForceExact);
-      const double banded_seconds =
-          timed_with_plan(optimizer::PlanMode::kForceBanded);
-      const double chosen_seconds = timed_with_plan(plan_mode);
-
-      // The report under the configured mode: predicts what the chosen
-      // row executed (the decision code is shared with AllPairsAbove).
-      QueryOptions options = opt_index.query_options();
-      options.plan = plan_mode;
-      opt_index.set_query_options(options);
-      const optimizer::PassReport report = opt_index.PlanAllPairs(tau);
-      const char* chosen_plan = optimizer::PlanKindName(report.plan.kind);
-      const double chosen_cost =
-          report.plan.kind == optimizer::PlanKind::kBanded
-              ? report.plan.banded_cost
-              : report.plan.exact_cost;
-
-      emit_planned("optimizer", tag + "-exact", threads, exact_seconds,
-                   num_pairs / exact_seconds, "pairs/s", 1.0, 1.0, "exact",
-                   report.plan.exact_cost);
-      emit_planned("optimizer", tag + "-banded", threads, banded_seconds,
-                   num_pairs / banded_seconds, "pairs/s",
-                   exact_seconds / banded_seconds,
-                   recall_of(banded_result.size()), "banded",
-                   report.plan.banded_cost);
-      emit_planned("optimizer", tag + "-" + plan_flag, threads,
-                   chosen_seconds, num_pairs / chosen_seconds, "pairs/s",
-                   exact_seconds / chosen_seconds,
-                   recall_of(chosen_result.size()), chosen_plan, chosen_cost);
-      // Close the feedback loop with the measured recall of what ran.
-      const double chosen_recall = recall_of(chosen_result.size());
-      opt_index.ReportMeasuredRecall(chosen_recall);
-      std::printf("optimizer %s: plan=%s (exact %.3e s vs banded %.3e s "
-                  "estimated), measured %.2fx vs forced-exact, recall "
-                  "%.4f (%zu of %zu exact pairs)\n",
-                  tag.c_str(), chosen_plan, report.plan.exact_cost,
-                  report.plan.banded_cost, exact_seconds / chosen_seconds,
-                  recall_of(chosen_result.size()), chosen_result.size(),
-                  exact_result.size());
-      // A recall breach is handled, not fatal: the production response
-      // is the feedback latch — the reported recall must force the
-      // exact plan at the next snapshot (auto mode only; a forced plan
-      // is the caller's explicit choice). Verify the latch engages.
-      const double recall_floor =
-          opt_index.query_options().banding_recall_floor;
-      if (recall_floor > 0.0 && chosen_recall + 1e-12 < recall_floor &&
-          !report.plan.forced) {
-        opt_index.Rebuild(candidates);  // absorbs the pending feedback
-        VOS_CHECK(opt_index.banding_feedback_force_exact())
-            << tag << ": recall " << chosen_recall << " under the floor "
-            << recall_floor << " must latch force-exact at the snapshot";
-        const optimizer::PassReport after = opt_index.PlanAllPairs(tau);
-        VOS_CHECK(after.plan.kind == optimizer::PlanKind::kExact)
-            << tag << ": the latched snapshot must plan exact";
-        std::printf("optimizer %s: recall %.4f undercut the %.2f floor — "
-                    "feedback latch engaged, next snapshot plans exact\n",
-                    tag.c_str(), chosen_recall, recall_floor);
-      }
-      return report;
-    };
-
-    QueryOptions opt_base = query_options;
-    opt_base.banding_bands = banding_bands;
-    opt_base.banding_rows_per_band = banding_rows;
-    // The recall contract the chosen plan must honour: a breach both
-    // fails the bench (VOS_CHECK above) and latches the index's
-    // force-exact feedback for the next snapshot.
-    opt_base.banding_recall_floor = 0.7;
-    std::printf("\n");
-
-    // Workload 1 — skewed communities with uniform cardinalities: every
-    // τ window spans most of the triangle (uniform sizes defeat the
-    // cardinality prefilter), so the exact tier pays the full quadratic
-    // bill. The band keys are widened beyond the default 8 rows because
-    // VOS digests are sparse: short keys are mostly all-zero (one
-    // degenerate bucket), while wider keys regain selectivity —
-    // unrelated digests rarely agree on a whole band, planted
-    // near-duplicates still do. The width scales with k (digest density
-    // falls as registers spread) and stays within the k rows available
-    // to the configured band count. The optimizer should pick banded
-    // here and beat forced-exact.
-    const std::vector<Element> skew_elements =
-        BuildElements(users, edges_per_user, /*zipf=*/false);
-    const VosSketch skew_sketch = BuildSketch(config, users, skew_elements);
-    QueryOptions opt_skew = opt_base;
-    opt_skew.banding_rows_per_band = std::max<size_t>(
-        banding_rows,
-        std::min<size_t>(
-            64, std::min<size_t>(config.k / 50, config.k / banding_bands)));
-    SimilarityIndex skew_index(skew_sketch, {}, opt_skew);
-    skew_index.Rebuild(candidates);
-    (void)measure_workload("skew", skew_index);
-
-    // Workload 2 — the sparse zipf set: heavy-tailed cardinalities make
-    // the τ windows narrow (exact work collapses), and near-empty
-    // digests pile into few buckets — the degenerate-bucket guard keeps
-    // the banded candidate bound subquadratic, but exact should win.
-    SimilarityIndex sparse_index(sketch, {}, opt_base);
-    sparse_index.Rebuild(candidates);
-    const optimizer::PassReport sparse_report =
-        measure_workload("sparse", sparse_index);
-    if (const core::pair_scan::BandingTable* t =
-            sparse_index.banding_table()) {
-      std::printf("optimizer sparse: max bucket run %zu of %zu rows, "
-                  "post-guard candidate bound %zu (%.1f%% of the %zu-pair "
-                  "window)\n",
-                  t->MaxBucketRun(), t->rows(), t->TriangleCandidateBound(),
-                  sparse_report.stats.exact_pairs == 0
-                      ? 0.0
-                      : 100.0 *
-                            static_cast<double>(
-                                sparse_report.stats.banded_candidates) /
-                            static_cast<double>(
-                                sparse_report.stats.exact_pairs),
-                  sparse_report.stats.exact_pairs);
-    }
-
-    // Workload 3 — high-dirty incremental refresh: ~1/5 of the users
-    // churn between snapshots, so the banded plan pays its table-upkeep
-    // term (dirty_fraction · entries) every cycle. Shared-cell flips
-    // spill dirtiness onto untouched users (the fraction grows with
-    // array fill).
-    VosConfig dirty_config = config;
-    dirty_config.track_dirty = true;
-    VosSketch dirty_sketch = BuildSketch(dirty_config, users, elements);
-    QueryOptions dirty_options = opt_base;
-    dirty_options.incremental = true;
-    SimilarityIndex dirty_index(dirty_sketch, {}, dirty_options);
-    dirty_index.Rebuild(candidates);
-    ItemId churn_item = 1u << 30;
-    for (UserId u = 0; u < users; u += 5) {
-      dirty_sketch.Update({u, churn_item++, Action::kInsert});
-    }
-    dirty_index.RefreshDirty();
-    const optimizer::PassReport dirty_report =
-        measure_workload("dirty", dirty_index);
-    std::printf("optimizer dirty: refresh touched %.0f%% of the rows "
-                "(dirty_fraction %.3f in the banded upkeep term)\n",
-                100.0 * dirty_index.last_refresh_dirty_fraction(),
-                dirty_report.stats.dirty_fraction);
-
-    // The optimizer's own overhead: statistics + costing per plan call
-    // (window sweep + candidate bound; no popcounts).
-    constexpr int kPlanCalls = 200;
-    const double plan_seconds = BestSeconds(repeats, [&] {
-      for (int i = 0; i < kPlanCalls; ++i) {
-        (void)sparse_index.PlanAllPairs(tau);
-      }
-    });
-    emit_planned("optimizer", "plan_overhead", 1, plan_seconds / kPlanCalls,
-                 kPlanCalls / plan_seconds, "plans/s", 1.0, 1.0, "n/a", 0.0);
-    std::printf("optimizer overhead: %.2f us per PlanAllPairs call\n",
-                1e6 * plan_seconds / kPlanCalls);
-  }
-
-  const std::vector<std::string> header = {
-      "phase",      "engine", "kernel",  "threads", "seconds",
-      "throughput", "unit",   "speedup", "recall",  "plan",
-      "cost"};
   EmitTable(flags, table, header, rows);
   MaybeEmitJson(flags, "micro_query_path", header, rows);
   std::printf("\n%zu pairs above tau=%.2f; batch results verified "

@@ -9,12 +9,6 @@
 //            cross-shard pairs estimated under the (1−2β_A)(1−2β_B)
 //            correction, then refreshed incrementally after more churn.
 //
-// It also demonstrates the opt-in LSH banding knobs
-// (QueryOptions::banding_bands / banding_rows_per_band): a second
-// planner enumerates only bucket-colliding pairs, and the example
-// measures its recall against the exact pass — banded pairs always
-// carry the exact estimate (precision 1), only coverage can drop.
-//
 // Build & run:
 //   cmake -B build && cmake --build build
 //   ./build/sharded_query_planner
@@ -86,28 +80,6 @@ int main() {
   std::printf("all-pairs J >= 0.5: %zu pairs (%zu of them cross-shard, "
               "expected ~%u from the planted communities)\n",
               pairs.size(), cross_shard, kUsers / 5 * 10);
-
-  // Opt-in LSH banding: band the leading 32×8 digest bits into bucket
-  // tables at Rebuild time and enumerate only bucket-colliding pairs.
-  // The banded result is a subset of the exact result with identical
-  // per-pair estimates, so recall is simply banded/exact — measure it
-  // before trusting a banded configuration on your workload.
-  QueryOptions banded_options;
-  banded_options.banding_bands = 32;
-  banded_options.banding_rows_per_band = 8;
-  QueryPlanner banded(sketch, {}, banded_options);
-  banded.Rebuild(candidates);
-  const auto banded_pairs = banded.AllPairsAbove(0.5);
-  const double recall =
-      pairs.empty() ? 1.0
-                    : static_cast<double>(banded_pairs.size()) /
-                          static_cast<double>(pairs.size());
-  std::printf("banded all-pairs (bands=%u, rows_per_band=%u): %zu pairs, "
-              "recall %.3f vs the exact pass (estimates bit-identical on "
-              "every surviving pair)\n",
-              banded_options.banding_bands,
-              banded_options.banding_rows_per_band, banded_pairs.size(),
-              recall);
 
   const auto top = planner.TopK(0, 4);
   std::printf("top-4 neighbours of user 0 (community 0..4):");

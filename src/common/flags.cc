@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace vos {
@@ -32,20 +33,26 @@ StatusOr<Flags> Flags::Parse(int argc, char** argv) {
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
+  const std::string& text = it->second;
   char* end = nullptr;
-  const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  VOS_CHECK(end == it->second.c_str() + it->second.size())
-      << "flag --" << name << " is not an integer:" << it->second;
+  errno = 0;
+  const int64_t v = std::strtoll(text.c_str(), &end, 10);
+  VOS_CHECK(!text.empty() && end == text.c_str() + text.size() &&
+            errno != ERANGE)
+      << "flag --" << name << " is not an integer in int64 range:" << text;
   return v;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
+  const std::string& text = it->second;
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  VOS_CHECK(end == it->second.c_str() + it->second.size())
-      << "flag --" << name << " is not a number:" << it->second;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  VOS_CHECK(!text.empty() && end == text.c_str() + text.size() &&
+            errno != ERANGE)
+      << "flag --" << name << " is not a number in double range:" << text;
   return v;
 }
 

@@ -25,8 +25,8 @@ class Flags {
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
   /// Typed getters; return `def` when the flag is absent. Abort via
-  /// VOS_CHECK when the supplied value does not parse — a misconfigured
-  /// experiment must not run.
+  /// VOS_CHECK when the supplied value does not parse, is empty, or is
+  /// out of the type's range — a misconfigured experiment must not run.
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   std::string GetString(const std::string& name, const std::string& def) const;

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD kernel table for the library's data-plane hot
 // loops: XOR+popcount over digest rows, batched digest-bit extraction,
-// producer-side shard routing, and LSH band-key derivation.
+// and producer-side shard routing.
 //
 // One Release binary built for baseline x86-64 (or aarch64) carries every
 // implementation the compiler could produce — scalar always, plus AVX2
@@ -15,7 +15,7 @@
 //
 // Contract: every kernel at every dispatch level is BIT-IDENTICAL to the
 // scalar reference — same popcounts, same extracted cells/bits, same
-// shard ids and locals, same band keys — for every input, including
+// shard ids and locals — for every input, including
 // unaligned row bases, odd strides and 0..7-word tails
 // (tests/kernel_dispatch_test.cc sweeps all available levels against
 // scalar). Dispatch therefore never changes results, only throughput, and
@@ -96,13 +96,6 @@ struct KernelTable {
   void (*route_batch)(const uint32_t* users, size_t n, uint64_t seed_mix,
                       uint32_t num_shards, const uint32_t* local_of,
                       uint16_t* shards, uint32_t* locals);
-
-  /// Band-key derivation (BandingTable): keys[b] = bits
-  /// [b·rows_per_band, (b+1)·rows_per_band) of the packed row, for b in
-  /// [0, bands). Requires bands·rows_per_band <= words·64 and words >= 1;
-  /// rows_per_band in [1, 64]. Never reads past row[words).
-  void (*band_keys)(const uint64_t* row, size_t words, uint32_t bands,
-                    uint32_t rows_per_band, uint64_t* keys);
 
   DispatchLevel level;
   const char* name;  ///< "scalar" | "neon" | "avx2" | "avx512"

@@ -260,43 +260,6 @@ void Avx512RouteBatch(const uint32_t* users, size_t n, uint64_t seed_mix,
   }
 }
 
-// ---------------------------------------------------------------- band keys
-
-void Avx512BandKeys(const uint64_t* row, size_t words, uint32_t bands,
-                    uint32_t rows_per_band, uint64_t* keys) {
-  const uint64_t key_mask = rows_per_band == 64
-                                ? ~uint64_t{0}
-                                : ((uint64_t{1} << rows_per_band) - 1);
-  const __m512i mask_vec = _mm512_set1_epi64(static_cast<long long>(key_mask));
-  const __m512i low6 = _mm512_set1_epi64(63);
-  const __m512i sixty_four = _mm512_set1_epi64(64);
-  const __m512i last_word =
-      _mm512_set1_epi64(static_cast<long long>(words - 1));
-  const __m512i step =
-      _mm512_set1_epi64(static_cast<long long>(8 * rows_per_band));
-  const __m512i lane_ids = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-  __m512i begin = _mm512_mullo_epi64(
-      lane_ids, _mm512_set1_epi64(static_cast<long long>(rows_per_band)));
-  uint32_t b = 0;
-  for (; b + 8 <= bands; b += 8, begin = _mm512_add_epi64(begin, step)) {
-    const __m512i w = _mm512_srli_epi64(begin, 6);
-    const __m512i off = _mm512_and_si512(begin, low6);
-    // Clamp the spill-word index (memory safety only; lanes that do not
-    // span a boundary shift the spill word out entirely).
-    const __m512i w2 = _mm512_min_epu64(
-        _mm512_add_epi64(w, _mm512_set1_epi64(1)), last_word);
-    const __m512i g1 = _mm512_i64gather_epi64(w, row, 8);
-    const __m512i g2 = _mm512_i64gather_epi64(w2, row, 8);
-    const __m512i v = _mm512_or_si512(
-        _mm512_srlv_epi64(g1, off),
-        _mm512_sllv_epi64(g2, _mm512_sub_epi64(sixty_four, off)));
-    _mm512_storeu_si512(keys + b, _mm512_and_si512(v, mask_vec));
-  }
-  for (; b < bands; ++b) {
-    keys[b] = ScalarBandKeyAt(row, b * rows_per_band, rows_per_band);
-  }
-}
-
 constexpr KernelTable kAvx512Table = {
     Avx512XorPopcount,
     Avx512XorPopcount8,
@@ -304,7 +267,6 @@ constexpr KernelTable kAvx512Table = {
     Avx512PopcountWords,
     Avx512ExtractBits,
     Avx512RouteBatch,
-    Avx512BandKeys,
     DispatchLevel::kAvx512,
     "avx512",
 };

@@ -45,14 +45,10 @@ void ScalarExtractBits(const uint64_t* array_words, const uint64_t* seeds,
 void ScalarRouteBatch(const uint32_t* users, size_t n, uint64_t seed_mix,
                       uint32_t num_shards, const uint32_t* local_of,
                       uint16_t* shards, uint32_t* locals);
-void ScalarBandKeys(const uint64_t* row, size_t words, uint32_t bands,
-                    uint32_t rows_per_band, uint64_t* keys);
 
-// Per-element helpers for the ISA kernels' ragged tails (lane counts
-// rarely divide k or bands exactly).
+// Per-element helper for the ISA kernels' ragged tails (lane counts
+// rarely divide k exactly).
 uint64_t ScalarCellOf(uint64_t user, uint64_t seed, uint64_t m);
-uint64_t ScalarBandKeyAt(const uint64_t* row, uint32_t bit_begin,
-                         uint32_t nbits);
 
 // Per-ISA factories: the level's table when this build compiled the
 // implementation, nullptr when the TU was stubbed out (compiler lacks

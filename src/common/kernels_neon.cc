@@ -1,7 +1,7 @@
 // NEON kernel table (aarch64, where NEON is baseline — so no runtime
 // probe is needed beyond "this TU was compiled in"). Popcounts use
 // vcntq_u8 + the widening pairwise-add ladder; the gather-shaped kernels
-// (extraction, routing, band keys) have no NEON gather to build on, so
+// (extraction, routing) have no NEON gather to build on, so
 // they alias the scalar reference — the table still wins on the
 // popcount-bound query path. Same ODR rule as the other ISA files: no
 // project headers beyond kernels_internal.h.
@@ -102,7 +102,6 @@ constexpr KernelTable kNeonTable = {
     NeonPopcountWords,
     ScalarExtractBits,
     ScalarRouteBatch,
-    ScalarBandKeys,
     DispatchLevel::kNeon,
     "neon",
 };

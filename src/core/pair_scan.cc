@@ -4,8 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#include "common/kernels.h"
-#include "common/logging.h"
 #include "common/popcount.h"
 #include "core/query_optimizer.h"
 
@@ -14,25 +12,11 @@ namespace {
 
 using scan::Pair;
 
-void UnpackSortedUnique(std::vector<uint64_t>* packed,
-                        std::vector<std::pair<uint32_t, uint32_t>>* out) {
-  std::sort(packed->begin(), packed->end());
-  packed->erase(std::unique(packed->begin(), packed->end()), packed->end());
-  out->reserve(packed->size());
-  for (const uint64_t v : *packed) {
-    out->push_back({static_cast<uint32_t>(v >> 32),
-                    static_cast<uint32_t>(v & 0xffffffffu)});
-  }
-}
-
-/// One unit of RunPasses work: an exact tile of a pass, or a chunk of a
-/// banded pass's candidate list.
+/// One unit of RunPasses work: a tile of a pass.
 struct ScanUnit {
   size_t pass = 0;
   size_t a_begin = 0, a_end = 0;
   size_t b_begin = 0, b_end = 0;
-  bool banded = false;
-  size_t cand_begin = 0, cand_end = 0;
 };
 
 /// Results of at most this many pairs are ordered by one std::sort (about
@@ -80,11 +64,6 @@ class JaccardBuckets {
   unsigned shift_ = 0;
   size_t count_ = 0;
 };
-
-/// Candidate-pair chunks per banded work unit: large enough to amortize
-/// dispatch, small enough that a pass with many survivors still spreads
-/// across the pool.
-constexpr size_t kBandedChunkPairs = 4096;
 
 /// Exact scan of one triangle tile: pairs {(p, q) : p ∈ [a_begin, a_end),
 /// q ∈ [max(p+1, b_begin), b_end)} of the pass's (single) sorted matrix.
@@ -296,326 +275,7 @@ void ScanRectTile(const Pass& pass, const ScanParams& params, size_t a_begin,
   }
 }
 
-/// Banded scan of one candidate-list chunk: every bucket-colliding pair
-/// gets the full-row Hamming distance and the exact estimator call — the
-/// identical estimate the exact path would produce — then the τ filter.
-void ScanBandedChunk(const Pass& pass, const ScanParams& params,
-                     const std::vector<std::pair<uint32_t, uint32_t>>& cands,
-                     size_t begin, size_t end, std::vector<Pair>* out) {
-  const DigestMatrix& ma = *pass.a.matrix;
-  const DigestMatrix& mb = pass.triangle ? ma : *pass.b.matrix;
-  const uint32_t* cards_a = pass.a.cards;
-  const uint32_t* cards_b = pass.triangle ? cards_a : pass.b.cards;
-  const size_t words = ma.words_per_row();
-  const std::vector<double>& table = *params.log_alpha_table;
-  const VosEstimator& estimator = *params.estimator;
-  for (size_t i = begin; i < end; ++i) {
-    const size_t p = cands[i].first;
-    const size_t q = cands[i].second;
-    const size_t d = XorPopcount(ma.Row(p), mb.Row(q), words);
-    const PairEstimate est = estimator.EstimateFromLogTerms(
-        cards_a[p], cards_b[q], table[d], pass.log_beta_pair);
-    if (est.jaccard >= params.jaccard_threshold) pass.emit(p, q, est, *out);
-  }
-}
-
 }  // namespace
-
-BandingTable::BandingTable(const DigestMatrix& matrix, uint32_t bands,
-                           uint32_t rows_per_band)
-    : BandingTable(matrix, bands, rows_per_band, nullptr, 0) {}
-
-BandingTable::BandingTable(const DigestMatrix& matrix, uint32_t bands,
-                           uint32_t rows_per_band,
-                           const uint32_t* stable_of_row,
-                           uint32_t max_bucket) {
-  VOS_CHECK(rows_per_band >= 1 && rows_per_band <= 64)
-      << "banding_rows_per_band must be in [1, 64], got" << rows_per_band;
-  VOS_CHECK(matrix.rows() <= uint64_t{0xffffffff})
-      << "banding rows are uint32";
-  rows_ = matrix.rows();
-  rows_per_band_ = rows_per_band;
-  max_bucket_ = max_bucket;
-  // Bands must fit the digest: clamp instead of failing so an
-  // over-ambitious request degrades to fewer bands (lower recall), never
-  // to out-of-range reads.
-  bands_ = std::min(bands, matrix.k() / rows_per_band);
-  if (bands_ == 0 || rows_ == 0) return;
-  row_of_stable_.resize(rows_);
-  entries_.resize(static_cast<size_t>(bands_) * rows_);
-  // Rows-outer: one band_keys kernel call derives all of a row's keys
-  // (vectorized multi-band gather over the packed bits; bands_ ·
-  // rows_per_band_ ≤ k ≤ words·64 by the clamp above, which is the
-  // kernel's bounds contract), scattered into the per-band segments.
-  const kernels::KernelTable& kernel = kernels::Active();
-  std::vector<uint64_t> keys(bands_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const uint32_t stable =
-        stable_of_row == nullptr ? static_cast<uint32_t>(r) : stable_of_row[r];
-    row_of_stable_[stable] = static_cast<uint32_t>(r);
-    kernel.band_keys(matrix.Row(r), matrix.words_per_row(), bands_,
-                     rows_per_band_, keys.data());
-    for (uint32_t b = 0; b < bands_; ++b) {
-      entries_[static_cast<size_t>(b) * rows_ + r] = {keys[b], stable};
-    }
-  }
-  for (uint32_t b = 0; b < bands_; ++b) {
-    std::pair<uint64_t, uint32_t>* seg =
-        entries_.data() + static_cast<size_t>(b) * rows_;
-    std::sort(seg, seg + rows_);
-  }
-}
-
-void BandingTable::Patch(const DigestMatrix& matrix,
-                         const uint32_t* stable_of_row,
-                         const std::vector<uint8_t>& affected_by_stable) {
-  VOS_CHECK(matrix.rows() == rows_) << "Patch cannot change the row set";
-  VOS_CHECK(affected_by_stable.size() == rows_)
-      << "affected flags must cover every stable id";
-  if (empty()) return;
-  // The cardinality re-sort permutes rows even for clean digests; only
-  // the translation changes for them, never their (key, stable) entries.
-  for (size_t p = 0; p < rows_; ++p) {
-    const uint32_t stable =
-        stable_of_row == nullptr ? static_cast<uint32_t>(p) : stable_of_row[p];
-    row_of_stable_[stable] = static_cast<uint32_t>(p);
-  }
-  std::vector<uint32_t> affected_stables;
-  for (size_t s = 0; s < rows_; ++s) {
-    if (affected_by_stable[s] != 0) affected_stables.push_back(
-        static_cast<uint32_t>(s));
-  }
-  if (affected_stables.empty()) return;
-  // Re-key the affected rows only (one band_keys call each), band-major
-  // so each band's fresh entries sort as one contiguous run.
-  const kernels::KernelTable& kernel = kernels::Active();
-  const size_t a_count = affected_stables.size();
-  std::vector<uint64_t> keys(bands_);
-  std::vector<std::pair<uint64_t, uint32_t>> fresh(
-      static_cast<size_t>(bands_) * a_count);
-  for (size_t i = 0; i < a_count; ++i) {
-    const uint32_t stable = affected_stables[i];
-    kernel.band_keys(matrix.Row(row_of_stable_[stable]),
-                     matrix.words_per_row(), bands_, rows_per_band_,
-                     keys.data());
-    for (uint32_t b = 0; b < bands_; ++b) {
-      fresh[static_cast<size_t>(b) * a_count + i] = {keys[b], stable};
-    }
-  }
-  // Per band: drop the affected entries (order-preserving), sort the A
-  // fresh ones, merge. Survivor keys are unchanged (their digest bytes
-  // are unchanged by contract), so the merged segment is the exact
-  // (key, stable) order a full re-sort would produce.
-  std::vector<std::pair<uint64_t, uint32_t>> merged(rows_);
-  for (uint32_t b = 0; b < bands_; ++b) {
-    std::pair<uint64_t, uint32_t>* seg =
-        entries_.data() + static_cast<size_t>(b) * rows_;
-    std::pair<uint64_t, uint32_t>* fresh_seg =
-        fresh.data() + static_cast<size_t>(b) * a_count;
-    std::sort(fresh_seg, fresh_seg + a_count);
-    std::pair<uint64_t, uint32_t>* keep_end = std::remove_if(
-        seg, seg + rows_, [&](const std::pair<uint64_t, uint32_t>& e) {
-          return affected_by_stable[e.second] != 0;
-        });
-    std::merge(seg, keep_end, fresh_seg, fresh_seg + a_count, merged.begin());
-    std::copy(merged.begin(), merged.end(), seg);
-  }
-}
-
-std::vector<std::pair<uint32_t, uint32_t>> BandingTable::TriangleCandidates()
-    const {
-  std::vector<uint64_t> packed;
-  for (uint32_t b = 0; b < bands_; ++b) {
-    const std::pair<uint64_t, uint32_t>* seg =
-        entries_.data() + static_cast<size_t>(b) * rows_;
-    size_t i = 0;
-    while (i < rows_) {
-      size_t j = i + 1;
-      while (j < rows_ && seg[j].first == seg[i].first) ++j;
-      // Degenerate-bucket guard: enumerate within max_bucket-sized
-      // cohorts of the run only, so one giant bucket (all-zero digests)
-      // stays O(run · cap) instead of O(run²).
-      const size_t cap = max_bucket_ == 0 ? j - i : max_bucket_;
-      for (size_t c = i; c < j; c += cap) {
-        const size_t ce = std::min(j, c + cap);
-        for (size_t x = c; x < ce; ++x) {
-          const uint32_t rx = row_of_stable_[seg[x].second];
-          for (size_t y = x + 1; y < ce; ++y) {
-            // Stable order inside a bucket is not row order: canonicalize
-            // to (p < q) so dedup and the triangle contract hold.
-            const uint32_t ry = row_of_stable_[seg[y].second];
-            packed.push_back((uint64_t{std::min(rx, ry)} << 32) |
-                             std::max(rx, ry));
-          }
-        }
-      }
-      i = j;
-    }
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> out;
-  UnpackSortedUnique(&packed, &out);
-  return out;
-}
-
-size_t BandingTable::TriangleCandidateBound() const {
-  size_t total = 0;
-  for (uint32_t b = 0; b < bands_; ++b) {
-    const std::pair<uint64_t, uint32_t>* seg =
-        entries_.data() + static_cast<size_t>(b) * rows_;
-    size_t i = 0;
-    while (i < rows_) {
-      size_t j = i + 1;
-      while (j < rows_ && seg[j].first == seg[i].first) ++j;
-      const size_t len = j - i;
-      const size_t cap = max_bucket_ == 0 ? len : max_bucket_;
-      const size_t full = len / cap;
-      const size_t rem = len % cap;
-      total += full * (cap * (cap - 1) / 2) + rem * (rem - 1) / 2;
-      i = j;
-    }
-  }
-  return total;
-}
-
-size_t BandingTable::MaxBucketRun() const {
-  size_t longest = 0;
-  for (uint32_t b = 0; b < bands_; ++b) {
-    const std::pair<uint64_t, uint32_t>* seg =
-        entries_.data() + static_cast<size_t>(b) * rows_;
-    size_t i = 0;
-    while (i < rows_) {
-      size_t j = i + 1;
-      while (j < rows_ && seg[j].first == seg[i].first) ++j;
-      longest = std::max(longest, j - i);
-      i = j;
-    }
-  }
-  return longest;
-}
-
-namespace {
-
-/// Shared shape of the capped rectangle enumeration: visits the aligned
-/// guard-cohort pairs of one equal-key run pair and hands each cohort
-/// cross product to `emit(x_begin, x_end, y_begin, y_end)`. With both
-/// caps off this is the single full cross product.
-template <typename Emit>
-void ForEachRectCohortPair(size_t i, size_t i2, size_t cap_a, size_t j,
-                           size_t j2, size_t cap_b, const Emit& emit) {
-  const size_t len_a = i2 - i;
-  const size_t len_b = j2 - j;
-  const size_t eff_a = cap_a == 0 ? len_a : cap_a;
-  const size_t eff_b = cap_b == 0 ? len_b : cap_b;
-  const size_t chunks_a = (len_a + eff_a - 1) / eff_a;
-  const size_t chunks_b = (len_b + eff_b - 1) / eff_b;
-  const size_t chunks = std::max(chunks_a, chunks_b);
-  for (size_t t = 0; t < chunks; ++t) {
-    const size_t ca = std::min(t, chunks_a - 1);
-    const size_t cb = std::min(t, chunks_b - 1);
-    emit(i + ca * eff_a, std::min(i2, i + (ca + 1) * eff_a), j + cb * eff_b,
-         std::min(j2, j + (cb + 1) * eff_b));
-  }
-}
-
-}  // namespace
-
-std::vector<std::pair<uint32_t, uint32_t>> BandingTable::RectangleCandidates(
-    const BandingTable& a, const BandingTable& b) {
-  VOS_CHECK(a.bands_ == b.bands_ && a.rows_per_band_ == b.rows_per_band_)
-      << "banded rectangle needs identically banded sides";
-  std::vector<uint64_t> packed;
-  for (uint32_t band = 0; band < a.bands_; ++band) {
-    const std::pair<uint64_t, uint32_t>* sa =
-        a.entries_.data() + static_cast<size_t>(band) * a.rows_;
-    const std::pair<uint64_t, uint32_t>* sb =
-        b.entries_.data() + static_cast<size_t>(band) * b.rows_;
-    size_t i = 0, j = 0;
-    while (i < a.rows_ && j < b.rows_) {
-      if (sa[i].first < sb[j].first) {
-        ++i;
-      } else if (sb[j].first < sa[i].first) {
-        ++j;
-      } else {
-        size_t i2 = i + 1;
-        while (i2 < a.rows_ && sa[i2].first == sa[i].first) ++i2;
-        size_t j2 = j + 1;
-        while (j2 < b.rows_ && sb[j2].first == sb[j].first) ++j2;
-        ForEachRectCohortPair(
-            i, i2, a.max_bucket_, j, j2, b.max_bucket_,
-            [&](size_t xb, size_t xe, size_t yb, size_t ye) {
-              for (size_t x = xb; x < xe; ++x) {
-                const uint64_t row_a = a.row_of_stable_[sa[x].second];
-                for (size_t y = yb; y < ye; ++y) {
-                  packed.push_back((row_a << 32) |
-                                   b.row_of_stable_[sb[y].second]);
-                }
-              }
-            });
-        i = i2;
-        j = j2;
-      }
-    }
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> out;
-  UnpackSortedUnique(&packed, &out);
-  return out;
-}
-
-size_t BandingTable::RectangleCandidateBound(const BandingTable& a,
-                                             const BandingTable& b) {
-  VOS_CHECK(a.bands_ == b.bands_ && a.rows_per_band_ == b.rows_per_band_)
-      << "banded rectangle needs identically banded sides";
-  size_t total = 0;
-  for (uint32_t band = 0; band < a.bands_; ++band) {
-    const std::pair<uint64_t, uint32_t>* sa =
-        a.entries_.data() + static_cast<size_t>(band) * a.rows_;
-    const std::pair<uint64_t, uint32_t>* sb =
-        b.entries_.data() + static_cast<size_t>(band) * b.rows_;
-    size_t i = 0, j = 0;
-    while (i < a.rows_ && j < b.rows_) {
-      if (sa[i].first < sb[j].first) {
-        ++i;
-      } else if (sb[j].first < sa[i].first) {
-        ++j;
-      } else {
-        size_t i2 = i + 1;
-        while (i2 < a.rows_ && sa[i2].first == sa[i].first) ++i2;
-        size_t j2 = j + 1;
-        while (j2 < b.rows_ && sb[j2].first == sb[j].first) ++j2;
-        ForEachRectCohortPair(i, i2, a.max_bucket_, j, j2, b.max_bucket_,
-                              [&](size_t xb, size_t xe, size_t yb, size_t ye) {
-                                total += (xe - xb) * (ye - yb);
-                              });
-        i = i2;
-        j = j2;
-      }
-    }
-  }
-  return total;
-}
-
-void BandingTable::AppendRowCandidates(const uint64_t* row, size_t words,
-                                       std::vector<uint32_t>* out) const {
-  if (empty()) return;
-  const kernels::KernelTable& kernel = kernels::Active();
-  std::vector<uint64_t> keys(bands_);
-  kernel.band_keys(row, words, bands_, rows_per_band_, keys.data());
-  for (uint32_t b = 0; b < bands_; ++b) {
-    const std::pair<uint64_t, uint32_t>* seg =
-        entries_.data() + static_cast<size_t>(b) * rows_;
-    const std::pair<uint64_t, uint32_t>* lo = std::lower_bound(
-        seg, seg + rows_, std::pair<uint64_t, uint32_t>{keys[b], 0});
-    const std::pair<uint64_t, uint32_t>* hi = std::upper_bound(
-        lo, seg + rows_,
-        std::pair<uint64_t, uint32_t>{keys[b], uint32_t{0xffffffff}});
-    const size_t run = static_cast<size_t>(hi - lo);
-    const size_t take =
-        max_bucket_ == 0 ? run : std::min<size_t>(run, max_bucket_);
-    for (size_t t = 0; t < take; ++t) {
-      out->push_back(row_of_stable_[lo[t].second]);
-    }
-  }
-}
 
 std::vector<scan::Pair> RunPasses(const std::vector<Pass>& passes,
                                   const ScanParams& params, size_t tile_rows,
@@ -627,32 +287,12 @@ std::vector<scan::Pair> RunPasses(const std::vector<Pass>& passes,
           : optimizer::AdaptiveTileRows(passes[0].a.matrix->words_per_row());
   const double tau_frac =
       params.jaccard_threshold / (1.0 + params.jaccard_threshold);
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> candidates(
-      passes.size());
   std::vector<ScanUnit> units;
   for (size_t pi = 0; pi < passes.size(); ++pi) {
     const Pass& pass = passes[pi];
     const size_t n_a = pass.a.rows();
     const size_t n_b = pass.triangle ? n_a : pass.b.rows();
     if (n_a == 0 || n_b == 0 || (pass.triangle && n_a < 2)) continue;
-    const bool banded = pass.banding_a != nullptr &&
-                        (pass.triangle || pass.banding_b != nullptr);
-    if (banded) {
-      candidates[pi] =
-          pass.triangle
-              ? pass.banding_a->TriangleCandidates()
-              : BandingTable::RectangleCandidates(*pass.banding_a,
-                                                  *pass.banding_b);
-      for (size_t c = 0; c < candidates[pi].size(); c += kBandedChunkPairs) {
-        ScanUnit unit;
-        unit.pass = pi;
-        unit.banded = true;
-        unit.cand_begin = c;
-        unit.cand_end = std::min(candidates[pi].size(), c + kBandedChunkPairs);
-        units.push_back(unit);
-      }
-      continue;
-    }
     if (pass.triangle) {
       for (size_t a0 = 0; a0 < n_a; a0 += tile) {
         const size_t a1 = std::min(n_a, a0 + tile);
@@ -721,10 +361,7 @@ std::vector<scan::Pair> RunPasses(const std::vector<Pass>& passes,
   const auto run_unit = [&](size_t i, std::vector<scan::Pair>* out) {
     const ScanUnit& unit = units[i];
     const Pass& pass = passes[unit.pass];
-    if (unit.banded) {
-      ScanBandedChunk(pass, params, candidates[unit.pass], unit.cand_begin,
-                      unit.cand_end, out);
-    } else if (pass.triangle) {
+    if (pass.triangle) {
       ScanTriangleTile(pass, params, unit.a_begin, unit.a_end, unit.b_begin,
                        unit.b_end, out);
     } else {

@@ -102,41 +102,6 @@ UserId QueryPlanner::GlobalOfRow(uint32_t s, size_t p) const {
   return sketch_->GlobalUserOf(s, local);
 }
 
-optimizer::PassReport QueryPlanner::PlanRectanglePass(
-    uint32_t s, uint32_t t, double jaccard_threshold, bool prefilter) const {
-  const SimilarityIndex& ia = *indexes_[s];
-  const SimilarityIndex& ib = *indexes_[t];
-  optimizer::PassReport report;
-  optimizer::PassStats& st = report.stats;
-  st.triangle = false;
-  st.rows_a = ia.matrix().rows();
-  st.rows_b = ib.matrix().rows();
-  st.words_per_row = ia.matrix().words_per_row();
-  st.exact_pairs = optimizer::RectangleWindowPairs(
-      ia.row_cardinalities().data(), st.rows_a, ib.row_cardinalities().data(),
-      st.rows_b, jaccard_threshold, prefilter);
-  const pair_scan::BandingTable* ta = ia.banding_table();
-  const pair_scan::BandingTable* tb = ib.banding_table();
-  st.banded_available = ta != nullptr && tb != nullptr;
-  if (st.banded_available) {
-    st.banded_entries = ta->entry_count() + tb->entry_count();
-    st.banded_candidates =
-        pair_scan::BandingTable::RectangleCandidateBound(*ta, *tb);
-  }
-  st.dirty_fraction = std::max(ia.last_refresh_dirty_fraction(),
-                               ib.last_refresh_dirty_fraction());
-  optimizer::PlanMode mode = optimizer::EffectivePlanMode(query_options_.plan);
-  if (mode == optimizer::PlanMode::kAuto &&
-      (ia.banding_feedback_force_exact() || ib.banding_feedback_force_exact())) {
-    // Either side's recall undershoot taints the rectangle: re-plan exact
-    // until both sides' snapshots pass their floor again.
-    mode = optimizer::PlanMode::kForceExact;
-  }
-  report.plan =
-      optimizer::ChoosePassPlan(st, optimizer::CalibratedCosts(), mode);
-  return report;
-}
-
 std::vector<optimizer::PassReport> QueryPlanner::PlanAllPairs(
     double jaccard_threshold) const {
   const bool prefilter =
@@ -144,24 +109,30 @@ std::vector<optimizer::PassReport> QueryPlanner::PlanAllPairs(
                              estimator_.options().clamp_to_feasible,
                              jaccard_threshold);
   std::vector<optimizer::PassReport> reports;
+  const auto report = [&](size_t exact_pairs) {
+    optimizer::PassReport r;
+    r.stats.exact_pairs = exact_pairs;
+    reports.push_back(r);
+  };
   const uint32_t num_shards = sketch_->num_shards();
   for (uint32_t s = 0; s < num_shards; ++s) {
-    if (indexes_[s]->matrix().rows() < 2) continue;
-    reports.push_back(indexes_[s]->PlanAllPairs(jaccard_threshold));
+    const std::vector<uint32_t>& cards = indexes_[s]->row_cardinalities();
+    if (cards.size() < 2) continue;
+    report(optimizer::TriangleWindowPairs(cards.data(), cards.size(),
+                                          jaccard_threshold, prefilter));
   }
   for (uint32_t s = 0; s < num_shards; ++s) {
-    if (indexes_[s]->matrix().rows() == 0) continue;
+    const std::vector<uint32_t>& cards_a = indexes_[s]->row_cardinalities();
+    if (cards_a.empty()) continue;
     for (uint32_t t = s + 1; t < num_shards; ++t) {
-      if (indexes_[t]->matrix().rows() == 0) continue;
-      reports.push_back(
-          PlanRectanglePass(s, t, jaccard_threshold, prefilter));
+      const std::vector<uint32_t>& cards_b = indexes_[t]->row_cardinalities();
+      if (cards_b.empty()) continue;
+      report(optimizer::RectangleWindowPairs(
+          cards_a.data(), cards_a.size(), cards_b.data(), cards_b.size(),
+          jaccard_threshold, prefilter));
     }
   }
   return reports;
-}
-
-void QueryPlanner::ReportMeasuredRecall(double recall) const {
-  for (const auto& index : indexes_) index->ReportMeasuredRecall(recall);
 }
 
 std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
@@ -190,13 +161,6 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
                                             index.row_cardinalities().data()};
     pass.triangle = true;
     pass.log_beta_pair = index.log_beta_term();
-    // Per-pass plan: the index prices its own triangle (the same call
-    // PlanAllPairs reports), and only a banded verdict wires the tables.
-    pass.banding_a = pass.banding_b =
-        index.PlanAllPairs(jaccard_threshold).plan.kind ==
-                optimizer::PlanKind::kBanded
-            ? index.banding_table()
-            : nullptr;
     pass.emit = [this, s](size_t p, size_t q, const PairEstimate& est,
                           std::vector<Pair>& out) {
       const UserId gu = GlobalOfRow(s, p);
@@ -222,11 +186,6 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
       // contamination, so the estimator takes the mean of the two
       // log-beta terms — identical to ShardedVosSketch::EstimatePair.
       pass.log_beta_pair = 0.5 * (ia.log_beta_term() + ib.log_beta_term());
-      const bool banded =
-          PlanRectanglePass(s, t, jaccard_threshold, params.prefilter)
-              .plan.kind == optimizer::PlanKind::kBanded;
-      pass.banding_a = banded ? ia.banding_table() : nullptr;
-      pass.banding_b = banded ? ib.banding_table() : nullptr;
       pass.emit = [this, s, t](size_t p, size_t q, const PairEstimate& est,
                                std::vector<Pair>& out) {
         const UserId gu = GlobalOfRow(s, p);
@@ -244,37 +203,6 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
 std::vector<QueryPlanner::Entry> QueryPlanner::TopK(UserId query,
                                                     size_t k) const {
   if (k == 0 || candidates_.empty()) return {};
-  // Warm seed: the explicit knob and/or the planner-remembered previous
-  // k-th best. Only meaningful where pruning runs at all (clamped path).
-  double seed = -1.0;
-  if (estimator_.options().clamp_to_feasible) {
-    if (query_options_.topk_warm_threshold > 0.0) {
-      seed = query_options_.topk_warm_threshold;
-    }
-    if (query_options_.topk_warm_start) {
-      MutexLock lock(&warm_mutex_);
-      const auto it = warm_topk_bounds_.find(WarmKey(query, k));
-      if (it != warm_topk_bounds_.end()) seed = std::max(seed, it->second);
-    }
-  }
-  std::vector<Entry> result = TopKImpl(query, k, seed);
-  if (seed > 0.0 && !(result.size() == k && result.back().jaccard >= seed)) {
-    // The optimistic seed over-pruned (data drifted below the previous
-    // checkpoint's k-th best, or the caller guessed high): rerun cold.
-    // Every seed-driven prune dropped only entries with Ĵ strictly below
-    // the seed, so when the verification above passes the warm result is
-    // bit-identical to this cold scan.
-    result = TopKImpl(query, k, -1.0);
-  }
-  if (query_options_.topk_warm_start && result.size() == k) {
-    MutexLock lock(&warm_mutex_);
-    warm_topk_bounds_[WarmKey(query, k)] = result.back().jaccard;
-  }
-  return result;
-}
-
-std::vector<QueryPlanner::Entry> QueryPlanner::TopKImpl(
-    UserId query, size_t k, double warm_seed) const {
   const uint32_t query_shard = sketch_->ShardOf(query);
   const UserId query_local = sketch_->LocalIdOf(query);
   const SimilarityIndex& query_index = *indexes_[query_shard];
@@ -305,7 +233,7 @@ std::vector<QueryPlanner::Entry> QueryPlanner::TopKImpl(
   // falls below a published bound before popcounting. Strict-inequality
   // conservative ⇒ bit-identical to the unpruned scan for any schedule.
   const bool prune = estimator_.options().clamp_to_feasible;
-  std::atomic<double> bound{warm_seed > 0.0 ? warm_seed : -1.0};
+  std::atomic<double> bound{-1.0};
   const uint32_t num_shards = sketch_->num_shards();
   std::vector<std::vector<Entry>> per_shard(num_shards);
   RunTasks(
@@ -317,44 +245,6 @@ std::vector<QueryPlanner::Entry> QueryPlanner::TopKImpl(
         if (rows == 0) return;
         const double log_beta_pair =
             0.5 * (log_beta_query + index.log_beta_term());
-        // Banded TopK: per-band point lookups on this shard's banding
-        // table gather the candidate rows; auto mode prices estimating
-        // only those against the full shard scan. Candidate estimates
-        // are the exact ones, so the banded gather ranks a subset of
-        // the exact ranking (the banding contract).
-        std::vector<uint32_t> cand_rows;
-        bool banded = false;
-        optimizer::PlanMode mode =
-            optimizer::EffectivePlanMode(query_options_.plan);
-        if (mode == optimizer::PlanMode::kAuto &&
-            index.banding_feedback_force_exact()) {
-          mode = optimizer::PlanMode::kForceExact;
-        }
-        const pair_scan::BandingTable* table = index.banding_table();
-        if (table != nullptr && mode != optimizer::PlanMode::kForceExact) {
-          table->AppendRowCandidates(query_row, words, &cand_rows);
-          std::sort(cand_rows.begin(), cand_rows.end());
-          cand_rows.erase(std::unique(cand_rows.begin(), cand_rows.end()),
-                          cand_rows.end());
-          if (mode == optimizer::PlanMode::kForceBanded) {
-            banded = true;
-          } else {
-            optimizer::PassStats stats;
-            stats.triangle = false;
-            stats.rows_a = 1;
-            stats.rows_b = rows;
-            stats.words_per_row = words;
-            stats.exact_pairs = rows;
-            stats.banded_entries = cand_rows.size();
-            stats.banded_candidates = cand_rows.size();
-            stats.banded_available = true;
-            stats.dirty_fraction = 0.0;
-            banded = optimizer::ChoosePassPlan(
-                         stats, optimizer::CalibratedCosts(),
-                         optimizer::PlanMode::kAuto)
-                         .kind == optimizer::PlanKind::kBanded;
-          }
-        }
         std::vector<Entry>& kept = per_shard[s];
         const size_t trim_at = std::max<size_t>(2 * k, 256);
         double local_bound = bound.load(std::memory_order_relaxed);
@@ -367,9 +257,7 @@ std::vector<QueryPlanner::Entry> QueryPlanner::TopKImpl(
           PublishBound(&bound, kept.back().jaccard);
           local_bound = bound.load(std::memory_order_relaxed);
         };
-        const size_t scan_count = banded ? cand_rows.size() : rows;
-        for (size_t i = 0; i < scan_count; ++i) {
-          const size_t p = banded ? cand_rows[i] : i;
+        for (size_t p = 0; p < rows; ++p) {
           const UserId global = GlobalOfRow(static_cast<uint32_t>(s), p);
           if (global == query) continue;
           const double card_v = index.row_cardinality(p);

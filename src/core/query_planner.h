@@ -35,11 +35,7 @@
 //     the combined ln|1−2β_A| + ln|1−2β_B| cut. Estimates are
 //     bit-identical to ShardedVosSketch::EstimatePair on the same
 //     quiesced state: the same log-alpha table, the same mean-log-beta
-//     combination. With QueryOptions::banding_bands > 0 every pass runs
-//     banded instead (per-shard BandingTables built at Rebuild/Refresh;
-//     cross-shard passes merge-join two shards' tables): the result is a
-//     subset of the exact result with identical per-pair estimates — the
-//     banding recall contract, src/core/README.md.
+//     combination.
 //
 //   * TopK(u, k) scatters the query digest to every shard index and
 //     gathers per-shard top-k lists under a shared global threshold
@@ -81,10 +77,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "common/thread_annotations.h"
+#include "core/query_optimizer.h"
 #include "core/sharded_vos_sketch.h"
 #include "core/similarity_index.h"
 
@@ -122,15 +117,6 @@ class QueryPlanner {
 
   /// The `k` candidates most similar to `query` (global id; any user of
   /// the stream, candidate or not), excluding the query itself.
-  ///
-  /// Warm start: the shared raise-only bound can be seeded from
-  /// QueryOptions::topk_warm_threshold and/or (topk_warm_start) the
-  /// planner-remembered k-th best of the previous completed TopK for the
-  /// SAME (query, k) — bounds are keyed per query so a mixed query set
-  /// cannot cross-pollute. A seed is optimistic, never trusted: when the
-  /// merged result does not end with k entries at or above the seed, the
-  /// scan reruns cold — so the returned entries are bit-identical to a
-  /// cold start for every seed.
   std::vector<Entry> TopK(UserId query, size_t k) const;
 
   /// Ground truth: one ShardedVosSketch::EstimatePair call per candidate
@@ -152,18 +138,14 @@ class QueryPlanner {
 
   const QueryOptions& query_options() const { return query_options_; }
 
-  /// The optimizer's verdicts for every pass AllPairsAbove(τ) would run,
-  /// in pass order (the S same-shard triangles with ≥ 2 rows, then the
-  /// cross-shard rectangles with two non-empty sides). The decision code
-  /// is shared with AllPairsAbove, so each report predicts the executed
-  /// plan (core/query_optimizer.h).
+  /// One report per pass AllPairsAbove(τ) runs, in pass order (the S
+  /// same-shard triangles with ≥ 2 rows, then the cross-shard rectangles
+  /// with two non-empty sides): `stats.exact_pairs` is the pass's
+  /// window-pair count (optimizer::Triangle/RectangleWindowPairs) and
+  /// `plan.kind` is always kExact. Held for e2ebench's
+  /// query_optimizer.window_pairs until the next benchmark change.
   std::vector<optimizer::PassReport> PlanAllPairs(
       double jaccard_threshold) const;
-
-  /// Recall feedback fan-out: forwards to every shard index's
-  /// ReportMeasuredRecall, so an undershoot re-plans every pass of the
-  /// next snapshot exact (rectangles consult both sides' feedback bits).
-  void ReportMeasuredRecall(double recall) const;
 
   /// Task-level worker count for subsequent Rebuild/Refresh/queries
   /// (0 = hardware concurrency); re-splits the shard indexes' share
@@ -178,18 +160,6 @@ class QueryPlanner {
   unsigned IndexThreads() const;
 
  private:
-  /// The TopK scatter–gather with the shared bound seeded at
-  /// `warm_seed` (≤ 0 = cold). A positive seed may prune entries the
-  /// final result needs, so TopK() verifies and reruns cold.
-  std::vector<Entry> TopKImpl(UserId query, size_t k, double warm_seed) const;
-
-  /// The shared stats → plan decision for the cross-shard rectangle
-  /// s × t at `jaccard_threshold` (see SimilarityIndex::PlanTrianglePass
-  /// for the triangle twin).
-  optimizer::PassReport PlanRectanglePass(uint32_t s, uint32_t t,
-                                          double jaccard_threshold,
-                                          bool prefilter) const;
-
   /// Global id of shard s's matrix row p.
   UserId GlobalOfRow(uint32_t s, size_t p) const;
 
@@ -202,19 +172,6 @@ class QueryPlanner {
   /// ln|1−2·d/k| per Hamming distance d — shared by every cross-shard
   /// task (identical by construction to each index's internal table).
   std::vector<double> log_alpha_table_;
-  /// k-th best Ĵ of the last completed full-k TopK, keyed per
-  /// (query, k) — one shared bound would thrash between high- and
-  /// low-similarity queries and force a cold rerun on almost every call
-  /// of a mixed query set. The key packs both (a collision is harmless:
-  /// every seed is verified, so a wrong bound only costs a cold rerun,
-  /// never a result). Mutex-guarded because TopK is const and
-  /// concurrent-safe; the map is a verified hint either way.
-  static uint64_t WarmKey(UserId query, size_t k) {
-    return (uint64_t{query} << 32) | (k & 0xffffffffull);
-  }
-  mutable Mutex warm_mutex_;
-  mutable std::unordered_map<uint64_t, double> warm_topk_bounds_
-      VOS_GUARDED_BY(warm_mutex_);
 };
 
 }  // namespace vos::core

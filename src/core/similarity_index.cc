@@ -1,7 +1,6 @@
 #include "core/similarity_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -97,12 +96,11 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
     ExtractRowsAndInverseIndex();
     snapshot_words_ = sketch_->array().words();
     sketch_->ClearDirtyUsers();
+    dirty_epoch_ = sketch_->dirty_epoch();
   }
   beta_ = sketch_->beta();
   log_beta_term_ = estimator_.LogBetaTerm(beta_);
   last_refresh_dirty_fraction_ = 1.0;
-  AbsorbRecallFeedback();
-  RebuildBanding();
 }
 
 void SimilarityIndex::ExtractRowsAndInverseIndex() {
@@ -213,26 +211,15 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
   });
 }
 
-void SimilarityIndex::RebuildBanding() {
-  banding_ =
-      query_options_.banding_bands > 0
-          ? pair_scan::BandingTable(matrix_, query_options_.banding_bands,
-                                    query_options_.banding_rows_per_band,
-                                    sorted_rows_.data(),
-                                    query_options_.banding_max_bucket)
-          : pair_scan::BandingTable();
-}
-
-void SimilarityIndex::AbsorbRecallFeedback() {
-  banding_feedback_force_exact_ =
-      pending_recall_force_exact_.exchange(false, std::memory_order_relaxed);
-}
-
 void SimilarityIndex::RefreshDirty() {
   VOS_CHECK(query_options_.incremental)
       << "RefreshDirty needs QueryOptions::incremental";
   VOS_CHECK(snapshot_words_.size() == sketch_->array().words().size())
       << "RefreshDirty before the first incremental Rebuild";
+  VOS_CHECK(sketch_->dirty_epoch() == dirty_epoch_)
+      << "RefreshDirty: another consumer cleared this sketch's dirty set "
+         "since this index's last snapshot (a sketch allows one "
+         "incremental index or planner); Rebuild instead";
   const size_t n = candidates_.size();
   const uint32_t k = sketch_->config().k;
 
@@ -294,6 +281,7 @@ void SimilarityIndex::RefreshDirty() {
   }
   matrix_ = std::move(next);
   sketch_->ClearDirtyUsers();
+  dirty_epoch_ = sketch_->dirty_epoch();
   beta_ = sketch_->beta();
   log_beta_term_ = estimator_.LogBetaTerm(beta_);
   size_t affected_count = 0;
@@ -301,17 +289,6 @@ void SimilarityIndex::RefreshDirty() {
   last_refresh_dirty_fraction_ =
       n == 0 ? 0.0
              : static_cast<double>(affected_count) / static_cast<double>(n);
-  AbsorbRecallFeedback();
-  if (query_options_.banding_bands > 0 && !banding_.empty()) {
-    // Incremental banding upkeep: `affected` is indexed by candidate
-    // index, which IS the table's stable id, so the patch re-keys exactly
-    // the changed rows and re-translates the permuted clean ones —
-    // bit-identical to RebuildBanding() (asserted in tests), minus the
-    // O(bands · n log n) re-sort.
-    banding_.Patch(matrix_, sorted_rows_.data(), affected);
-  } else {
-    RebuildBanding();
-  }
 }
 
 size_t SimilarityIndex::RowOf(UserId user) const {
@@ -351,62 +328,6 @@ std::vector<SimilarityIndex::Entry> SimilarityIndex::TopKFromRow(
       out->push_back({candidate, est.common, est.jaccard});
     }
   };
-
-  // Banded TopK: per-band point lookups on the banding table instead of
-  // scanning every row. Candidate rows ⊆ all rows and every estimate is
-  // the exact one, so the banded result ranks a subset of the exact
-  // ranking (recall < 1 possible, precision 1 — the banding contract).
-  optimizer::PlanMode mode = optimizer::EffectivePlanMode(query_options_.plan);
-  if (mode == optimizer::PlanMode::kAuto && banding_feedback_force_exact_) {
-    mode = optimizer::PlanMode::kForceExact;
-  }
-  const pair_scan::BandingTable* table = banding_table();
-  if (table != nullptr && mode != optimizer::PlanMode::kForceExact) {
-    std::vector<uint32_t> cand_rows;
-    table->AppendRowCandidates(query_row, matrix_.words_per_row(), &cand_rows);
-    std::sort(cand_rows.begin(), cand_rows.end());
-    cand_rows.erase(std::unique(cand_rows.begin(), cand_rows.end()),
-                    cand_rows.end());
-    bool use_banded = mode == optimizer::PlanMode::kForceBanded;
-    if (!use_banded) {
-      // Auto: price the full-row scan against estimating only the
-      // gathered candidates (the lookup itself is already paid; it is
-      // O(bands · log n + out), noise next to either plan).
-      optimizer::PassStats stats;
-      stats.triangle = false;
-      stats.rows_a = 1;
-      stats.rows_b = n;
-      stats.words_per_row = matrix_.words_per_row();
-      stats.exact_pairs = n;
-      stats.banded_entries = cand_rows.size();
-      stats.banded_candidates = cand_rows.size();
-      stats.banded_available = true;
-      stats.dirty_fraction = 0.0;
-      use_banded = optimizer::ChoosePassPlan(stats,
-                                             optimizer::CalibratedCosts(),
-                                             optimizer::PlanMode::kAuto)
-                       .kind == optimizer::PlanKind::kBanded;
-    }
-    if (use_banded) {
-      last_topk_plan_.store(optimizer::PlanKind::kBanded,
-                            std::memory_order_relaxed);
-      std::vector<Entry> entries;
-      entries.reserve(cand_rows.size());
-      for (const uint32_t p : cand_rows) {
-        // Rows ascending, same estimate calls as the full scan: the
-        // surviving entries are bit-identical to their full-scan twins
-        // and the sort below is deterministic.
-        scan(p, p + 1, &entries);
-      }
-      const size_t take = std::min(k, entries.size());
-      std::partial_sort(entries.begin(), entries.begin() + take,
-                        entries.end(), EntryBefore);
-      entries.resize(take);
-      return entries;
-    }
-  }
-  last_topk_plan_.store(optimizer::PlanKind::kExact,
-                        std::memory_order_relaxed);
 
   std::vector<Entry> entries;
   entries.reserve(n);
@@ -478,51 +399,6 @@ std::vector<SimilarityIndex::Entry> SimilarityIndex::TopKReference(
 
 // ----------------------------------------------------------- AllPairsAbove
 
-optimizer::PassReport SimilarityIndex::PlanTrianglePass(
-    double jaccard_threshold, bool prefilter) const {
-  optimizer::PassReport report;
-  optimizer::PassStats& s = report.stats;
-  const size_t n = matrix_.rows();
-  s.triangle = true;
-  s.rows_a = s.rows_b = n;
-  s.words_per_row = matrix_.words_per_row();
-  s.exact_pairs = optimizer::TriangleWindowPairs(
-      cards_by_row_.data(), n, jaccard_threshold, prefilter);
-  const pair_scan::BandingTable* table = banding_table();
-  s.banded_available = table != nullptr;
-  if (table != nullptr) {
-    s.banded_entries = table->entry_count();
-    s.banded_candidates = table->TriangleCandidateBound();
-  }
-  s.dirty_fraction = last_refresh_dirty_fraction_;
-  optimizer::PlanMode mode = optimizer::EffectivePlanMode(query_options_.plan);
-  if (mode == optimizer::PlanMode::kAuto && banding_feedback_force_exact_) {
-    // Recall feedback (see ReportMeasuredRecall): this snapshot's banded
-    // recall undercut the floor, so auto re-plans exact until a snapshot
-    // passes without an undershoot. Explicit force modes win over it.
-    mode = optimizer::PlanMode::kForceExact;
-  }
-  report.plan =
-      optimizer::ChoosePassPlan(s, optimizer::CalibratedCosts(), mode);
-  return report;
-}
-
-optimizer::PassReport SimilarityIndex::PlanAllPairs(
-    double jaccard_threshold) const {
-  return PlanTrianglePass(
-      jaccard_threshold,
-      scan::PrefilterApplies(query_options_.prefilter,
-                             estimator_.options().clamp_to_feasible,
-                             jaccard_threshold));
-}
-
-void SimilarityIndex::ReportMeasuredRecall(double recall) const {
-  if (query_options_.banding_recall_floor <= 0.0) return;
-  if (recall + 1e-12 < query_options_.banding_recall_floor) {
-    pending_recall_force_exact_.store(true, std::memory_order_relaxed);
-  }
-}
-
 std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAbove(
     double jaccard_threshold) const {
   if (matrix_.rows() < 2) return {};
@@ -539,19 +415,10 @@ std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAbove(
   params.estimator = &estimator_;
   params.log_alpha_table = &log_alpha_table_;
 
-  // The optimizer prices this pass with calibrated kernel costs (or a
-  // force mode pins it); PlanAllPairs shares this call, so the reported
-  // plan is by construction the executed one.
-  const optimizer::PassReport report =
-      PlanTrianglePass(jaccard_threshold, params.prefilter);
-
   pair_scan::Pass pass;
   pass.a = pass.b = pair_scan::MatrixView{&matrix_, cards_by_row_.data()};
   pass.triangle = true;
   pass.log_beta_pair = log_beta_term_;
-  pass.banding_a = pass.banding_b =
-      report.plan.kind == optimizer::PlanKind::kBanded ? banding_table()
-                                                       : nullptr;
   pass.emit = [this](size_t p, size_t q, const PairEstimate& est,
                      std::vector<Pair>& out) {
     // Canonical orientation: smaller candidate index first, as the

@@ -52,14 +52,12 @@
 
 #pragma once
 
-#include <atomic>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bit_vector.h"
 #include "core/digest_matrix.h"
 #include "core/pair_scan.h"
-#include "core/query_optimizer.h"
 #include "core/scan_common.h"
 #include "core/vos_estimator.h"
 #include "core/vos_sketch.h"
@@ -85,60 +83,6 @@ struct QueryOptions {
   /// count degenerates to one tile per pass. Results are bit-identical
   /// for every value.
   size_t tile_rows = 0;
-  /// Opt-in LSH banding for AllPairsAbove (0 = exact enumeration, the
-  /// default). When > 0, Rebuild/RefreshDirty additionally index the
-  /// leading banding_bands × banding_rows_per_band digest bits into
-  /// per-band bucket tables (pair_scan::BandingTable) and AllPairsAbove
-  /// estimates only bucket-colliding pairs: every reported pair carries
-  /// the exact estimate (the banded result is a strict subset of the
-  /// exact result — precision 1), but pairs colliding in no band are
-  /// missed, so recall < 1 is possible and should be measured against
-  /// the exact path (see the banding recall contract in
-  /// src/core/README.md). Requests are clamped so bands ·
-  /// rows_per_band ≤ k. Cost note: the table is re-keyed and re-sorted
-  /// wholesale at every Rebuild AND RefreshDirty (the cardinality
-  /// re-sort permutes row indices even for clean rows, so there is no
-  /// incremental update today — O(bands · n log n) per refresh); with a
-  /// high refresh cadence measure that cost before enabling banding on
-  /// an incremental index.
-  uint32_t banding_bands = 0;
-  /// Digest bits per band ("rows" in the classic LSH sense — each digest
-  /// bit is one parity row). Must be in [1, 64]. More bits per band cut
-  /// candidates harder but lower per-band collision probability.
-  uint32_t banding_rows_per_band = 8;
-  /// Degenerate-bucket guard (pair_scan::BandingTable): key runs longer
-  /// than this are split into max_bucket-sized cohorts and banded
-  /// candidates are enumerated within cohorts only, bounding candidate
-  /// generation by O(run · max_bucket) per bucket even when sparse
-  /// digests collapse ~n rows into one all-zero bucket. Costs recall on
-  /// pairs straddling a cohort boundary; 0 disables the guard.
-  uint32_t banding_max_bucket = 1024;
-  /// Recall floor for the optimizer's feedback loop: when a banded
-  /// AllPairsAbove's measured recall (reported via ReportMeasuredRecall)
-  /// falls below this, the NEXT snapshot (Rebuild/RefreshDirty) plans
-  /// this index's passes exact until a snapshot completes without an
-  /// undershoot. 0 (the default) disables the feedback.
-  double banding_recall_floor = 0.0;
-  /// Per-pass plan selection for AllPairsAbove/TopK
-  /// (core/query_optimizer.h): kAuto prices the exact vs banded plan
-  /// with calibrated kernel costs per pass; the force modes pin it
-  /// (kForceBanded degrades to exact where no banding table exists).
-  /// The VOS_PLAN env var overrides this per query when set.
-  optimizer::PlanMode plan = optimizer::PlanMode::kAuto;
-  /// Optimistic warm seed for QueryPlanner::TopK's shared raise-only
-  /// threshold bound (≤ 0 = cold start, the default). Any value is
-  /// safe: the result is verified to dominate the seed and the scan
-  /// reruns cold when it does not, so results are always bit-identical
-  /// to a cold start — a good seed (the previous checkpoint's k-th best
-  /// Ĵ) just skips most of the popcounts.
-  double topk_warm_threshold = -1.0;
-  /// Planner-held warm start: QueryPlanner remembers each completed
-  /// TopK's k-th best Ĵ per (query, k) and seeds the next call for that
-  /// same query with it (same verification + cold fallback as
-  /// topk_warm_threshold; per-query keying keeps a mixed query set from
-  /// cross-polluting bounds). Off by default; intended for the
-  /// checkpoint loop's repeated same-query-set TopK calls.
-  bool topk_warm_start = false;
   /// Enable the cardinality + Hamming-distance prescreen in
   /// AllPairsAbove. Only applied when the estimator clamps to the
   /// feasible range (the default); results are identical either way.
@@ -190,9 +134,11 @@ class SimilarityIndex {
   /// Rebuild(candidates) at any delta size, asserted in tests. The
   /// log-alpha table depends only on k and is never rebuilt (k is fixed
   /// for the sketch's lifetime). Requires QueryOptions::incremental and a
-  /// prior Rebuild(); consumes the sketch's dirty set (at most one
-  /// incremental consumer per sketch — see VosSketch's dirty-tracking
-  /// contract).
+  /// prior Rebuild(); consumes the sketch's dirty set. A sketch has at
+  /// most one incremental consumer (VosSketch's dirty-tracking contract):
+  /// when anyone else cleared the dirty set since this index's last
+  /// snapshot, the cardinality changes it held are lost to this index,
+  /// so RefreshDirty aborts instead of returning a stale snapshot.
   ///
   /// Cost: O(m/64) word scan + O(inverse-index entries in changed words),
   /// one f_j hash each + one row-permute copy (n·k/8 bytes); no row is
@@ -214,10 +160,7 @@ class SimilarityIndex {
 
   /// All unordered candidate pairs with Ĵ ≥ `jaccard_threshold`,
   /// descending by Ĵ (ties by (u, v)). Runs on the tiled pair-scan tier
-  /// (core/pair_scan.h): exact by default, bucket-driven when
-  /// QueryOptions::banding_bands > 0 (subset of the exact result with
-  /// identical per-pair estimates; recall measured against the exact
-  /// path).
+  /// (core/pair_scan.h).
   std::vector<Pair> AllPairsAbove(double jaccard_threshold) const;
 
   /// Scalar reference implementation of TopK: single-threaded, per-user
@@ -277,51 +220,15 @@ class SimilarityIndex {
     return bucket_entries_;
   }
 
-  /// The LSH banding table of the current snapshot, or nullptr when
-  /// banding is off (QueryOptions::banding_bands == 0). Rebuilt with
-  /// every Rebuild()/RefreshDirty(); the planner joins two shards'
-  /// tables for banded cross-shard passes.
-  const pair_scan::BandingTable* banding_table() const {
-    return banding_.empty() ? nullptr : &banding_;
-  }
-
   const QueryOptions& query_options() const { return query_options_; }
   void set_query_options(const QueryOptions& options) {
     query_options_ = options;
   }
 
-  /// The optimizer's verdict for this snapshot's all-pairs triangle at
-  /// `jaccard_threshold`: the same statistics → cost → plan decision
-  /// AllPairsAbove(jaccard_threshold) would execute (shared code path),
-  /// exposed for diagnostics, benches and tests.
-  optimizer::PassReport PlanAllPairs(double jaccard_threshold) const;
-
-  /// Feedback input of the optimizer's recall loop: callers that measure
-  /// a banded query's recall against the exact path report it here. When
-  /// it undercuts QueryOptions::banding_recall_floor the NEXT snapshot
-  /// re-plans this index exact (auto mode only; forced modes are never
-  /// overridden). Thread-safe and const — queries are const and
-  /// concurrent; the flag is latched into planning state only at the
-  /// next Rebuild/RefreshDirty, which the snapshot contract already
-  /// serializes against queries.
-  void ReportMeasuredRecall(double recall) const;
-
-  /// True when recall feedback has forced this snapshot's plans exact.
-  bool banding_feedback_force_exact() const {
-    return banding_feedback_force_exact_;
-  }
-
   /// Fraction of candidates whose digest or cardinality changed in the
-  /// last RefreshDirty (1.0 after a full Rebuild) — the optimizer's
-  /// banding-upkeep statistic.
+  /// last RefreshDirty (1.0 after a full Rebuild).
   double last_refresh_dirty_fraction() const {
     return last_refresh_dirty_fraction_;
-  }
-
-  /// Plan the most recent TopK executed with (diagnostic; relaxed, so
-  /// only meaningful once the call that set it returned).
-  optimizer::PlanKind last_topk_plan() const {
-    return last_topk_plan_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -335,20 +242,6 @@ class SimilarityIndex {
   /// candidates_/cardinalities_ (shared by Rebuild and RefreshDirty, so
   /// both produce the identical deterministic order).
   void SortRowsAndMaps();
-
-  /// (Re)builds banding_ from the current matrix_ when banding is on;
-  /// clears it otherwise. Called at the end of Rebuild and RefreshDirty.
-  void RebuildBanding();
-
-  /// Latches pending recall feedback into banding_feedback_force_exact_
-  /// (called at every snapshot boundary, where queries are quiescent).
-  void AbsorbRecallFeedback();
-
-  /// The shared stats → plan decision for this snapshot's triangle pass
-  /// (used verbatim by PlanAllPairs and AllPairsAbove, so the report
-  /// always predicts the execution).
-  optimizer::PassReport PlanTrianglePass(double jaccard_threshold,
-                                         bool prefilter) const;
 
   /// Reference-path estimate from two BitVector digests.
   PairEstimate EstimateFromDigests(const BitVector& a, uint32_t card_a,
@@ -392,27 +285,17 @@ class SimilarityIndex {
   double beta_ = 0.0;
   /// VosEstimator::LogBetaTerm(beta_), captured at Rebuild.
   double log_beta_term_ = 0.0;
-  /// LSH banding table over matrix_ (empty unless
-  /// QueryOptions::banding_bands > 0); see banding_table().
-  pair_scan::BandingTable banding_;
-  /// Affected fraction of the last snapshot (1.0 for a full Rebuild) —
-  /// feeds PassStats::dirty_fraction.
+  /// Affected fraction of the last snapshot (1.0 for a full Rebuild).
   double last_refresh_dirty_fraction_ = 1.0;
-  /// Recall-feedback latch: queries set the pending flag (const +
-  /// concurrent, hence atomic); snapshots exchange it into the plain
-  /// planning bit below, which queries then read race-free under the
-  /// snapshot immutability contract.
-  mutable std::atomic<bool> pending_recall_force_exact_{false};
-  bool banding_feedback_force_exact_ = false;
-  /// Diagnostic: plan of the most recent TopK (see last_topk_plan()).
-  mutable std::atomic<optimizer::PlanKind> last_topk_plan_{
-      optimizer::PlanKind::kExact};
 
   // --- Incremental-maintenance state (QueryOptions::incremental) -------
   /// The sketch array words as of the last snapshot; XOR against the live
   /// words localizes every changed cell. RefreshDirty re-syncs only the
   /// words it finds changed, so no full copy is ever repeated.
   std::vector<uint64_t> snapshot_words_;
+  /// VosSketch::dirty_epoch() right after this index's last clear; a
+  /// different value at RefreshDirty means another consumer cleared.
+  uint32_t dirty_epoch_ = 0;
   /// Counting-sorted inverse index over cell words: the digest bits owned
   /// by a cell in array word w are bucket_entries_[bucket_offsets_[w] ..
   /// bucket_offsets_[w+1]), each entry the flat index i·k + j (bit j of

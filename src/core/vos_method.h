@@ -27,7 +27,7 @@ namespace vos::core {
 class VosMethod : public SimilarityMethod {
  public:
   /// `query_options` configures batch scans built through MakeIndex()
-  /// (tile_rows, banding_*, prefilter — the method_factory knobs land
+  /// (tile_rows, prefilter — the method_factory's tile_rows lands
   /// here); the per-pair EstimatePair path ignores it.
   VosMethod(const VosConfig& config, UserId num_users,
             VosEstimatorOptions options = {}, QueryOptions query_options = {});
@@ -54,8 +54,8 @@ class VosMethod : public SimilarityMethod {
   const QueryOptions& query_options() const { return query_options_; }
 
   /// A snapshot SimilarityIndex over `candidates`, configured with this
-  /// method's QueryOptions (so factory knobs — tile_rows, banding_* —
-  /// and the last SetQueryThreads govern its scans). The returned index
+  /// method's QueryOptions (so the factory's tile_rows and the last
+  /// SetQueryThreads govern its scans). The returned index
   /// follows the usual snapshot semantics (core/similarity_index.h);
   /// callers drive TopK/AllPairsAbove on it directly.
   std::unique_ptr<SimilarityIndex> MakeIndex(

@@ -208,8 +208,11 @@ class VosSketch {
   //
   // Thread-safety: Update/MarkDirty follow the sketch's single-writer
   // model. ClearDirtyUsers is logically const (snapshot-consumer
-  // bookkeeping over mutable members) and must not race with Update;
-  // with multiple consumers of one sketch, only one may clear.
+  // bookkeeping over mutable members) and must not race with Update.
+  // A sketch has at most one incremental consumer: a second one would
+  // clear users the first has not yet read. Consumers record
+  // dirty_epoch() after they clear and check it before the next read
+  // (SimilarityIndex::RefreshDirty aborts when it moved).
 
   /// True iff this sketch maintains the dirty set
   /// (VosConfig::track_dirty).
@@ -232,6 +235,10 @@ class VosSketch {
   /// Empties the dirty set (O(1): bumps the epoch). Called by snapshot
   /// consumers once they have captured the set.
   void ClearDirtyUsers() const;
+
+  /// Changes with every ClearDirtyUsers(): a consumer that reads the same
+  /// value it recorded after its own clear knows nobody else cleared.
+  uint32_t dirty_epoch() const { return dirty_current_epoch_; }
 
  private:
   friend class VosSketchIo;  // serialization needs raw state access

@@ -7,7 +7,6 @@
 #include "baselines/minhash.h"
 #include "baselines/oph.h"
 #include "baselines/random_pairing.h"
-#include "core/query_optimizer.h"
 #include "core/sharded_vos_method.h"
 #include "core/vos_method.h"
 #include "hashing/hash64.h"
@@ -40,11 +39,6 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     return Status::InvalidArgument(
         "MethodFactoryConfig.num_users/num_items must be set");
   }
-  core::optimizer::PlanMode plan_mode = core::optimizer::PlanMode::kAuto;
-  if (!core::optimizer::ParsePlanMode(config.plan.c_str(), &plan_mode)) {
-    return Status::InvalidArgument("unknown plan '" + config.plan +
-                                   "' (want auto | exact | banded)");
-  }
   const MemoryBudget budget(config.base_k, config.num_users);
   const auto num_users = static_cast<stream::UserId>(config.num_users);
 
@@ -60,11 +54,6 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     options.clamp_to_feasible = config.clamp;
     core::QueryOptions query_options;
     query_options.tile_rows = config.tile_rows;
-    query_options.banding_bands = config.banding_bands;
-    query_options.banding_rows_per_band = config.banding_rows_per_band;
-    query_options.banding_max_bucket = config.banding_max_bucket;
-    query_options.banding_recall_floor = config.banding_recall_floor;
-    query_options.plan = plan_mode;
     return std::unique_ptr<core::SimilarityMethod>(
         std::make_unique<core::VosMethod>(vos, num_users, options,
                                           query_options));
@@ -88,11 +77,6 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     query.shards_local = config.query_shards_local;
     query.planner_threads = config.planner_threads;
     query.tile_rows = config.tile_rows;
-    query.banding_bands = config.banding_bands;
-    query.banding_rows_per_band = config.banding_rows_per_band;
-    query.banding_max_bucket = config.banding_max_bucket;
-    query.banding_recall_floor = config.banding_recall_floor;
-    query.plan = plan_mode;
     return std::unique_ptr<core::SimilarityMethod>(
         std::make_unique<core::ShardedVosMethod>(sharded, num_users, options,
                                                  query));

@@ -71,28 +71,6 @@ struct MethodFactoryConfig {
   /// MakeIndex QueryOptions and "VOS-sharded"'s planner mode; results
   /// are bit-identical for every value.
   size_t tile_rows = 0;
-  /// Opt-in LSH banding for all-pairs scans (0 = exact enumeration, the
-  /// default): band the leading banding_bands × banding_rows_per_band
-  /// digest bits and enumerate only bucket-colliding pairs. Reported
-  /// pairs carry exact estimates; recall is measured against the exact
-  /// path (see src/core/README.md). Per-pair EstimatePair answers are
-  /// never affected.
-  uint32_t banding_bands = 0;
-  uint32_t banding_rows_per_band = 8;
-  /// Degenerate-bucket guard for banded scans: key runs longer than this
-  /// are split into max_bucket-sized cohorts so sparse digest sets (one
-  /// giant all-zero bucket) keep banded candidate generation
-  /// subquadratic. 0 = uncapped.
-  uint32_t banding_max_bucket = 1024;
-  /// Recall floor for the query optimizer's feedback loop: a banded
-  /// query whose measured recall undercuts this is re-planned exact on
-  /// the next snapshot. 0 = feedback off.
-  double banding_recall_floor = 0.0;
-  /// Per-pass plan selection ("auto" | "exact" | "banded" — the --plan
-  /// flag): auto prices exact vs banded per pass with calibrated kernel
-  /// costs (core/query_optimizer.h); the forced modes pin every pass.
-  /// The VOS_PLAN env var overrides this per query.
-  std::string plan = "auto";
 };
 
 /// Recognized names: "VOS", "VOS-sharded", "MinHash", "OPH", "OPH+rot",

@@ -99,10 +99,16 @@ TEST(ContractDeathTest, ZeroSizedSketchAborts) {
 }
 
 TEST(ContractDeathTest, MalformedFlagValueAborts) {
-  const char* argv[] = {"prog", "--k=twelve"};
-  auto flags = Flags::Parse(2, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--k=twelve", "--empty=",
+                        "--big=99999999999999999999", "--huge=1e999"};
+  auto flags = Flags::Parse(5, const_cast<char**>(argv));
   ASSERT_TRUE(flags.ok());
   EXPECT_DEATH(flags->GetInt("k", 0), "not an integer");
+  // An empty value is not 0, and an out-of-range one does not saturate.
+  EXPECT_DEATH(flags->GetInt("empty", 0), "not an integer");
+  EXPECT_DEATH(flags->GetInt("big", 0), "not an integer");
+  EXPECT_DEATH(flags->GetDouble("empty", 0.0), "not a number");
+  EXPECT_DEATH(flags->GetDouble("huge", 0.0), "not a number");
 }
 
 TEST(ContractDeathTest, BadBudgetParametersAbort) {

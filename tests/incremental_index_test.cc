@@ -454,6 +454,41 @@ TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {
   EXPECT_FALSE(Fresh(sketch, {0, 1, 2})->CanRefresh());  // incremental off
 }
 
+/// A sketch has one incremental consumer. Two incremental indexes on it
+/// clear each other's dirty set; here user 4 gains two items in the same
+/// ψ bucket, so the array is unchanged and only the dirty set records
+/// that n₄ grew. Whichever index refreshes after the other cleared would
+/// miss it and return a stale snapshot, so RefreshDirty aborts instead.
+TEST(RefreshDirtyDeathTest, SecondIncrementalConsumerAborts) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(), 10, 10, 17);
+  const std::vector<UserId> candidates = FirstUsers(8);
+  SimilarityIndex first(sketch, {}, IncrementalOptions(1));
+  first.Rebuild(candidates);
+  SimilarityIndex second(sketch, {}, IncrementalOptions(1));
+  second.Rebuild(candidates);
+
+  const ItemId a = 1 << 29;
+  ItemId b = a + 1;
+  while (sketch.BucketOf(b) != sketch.BucketOf(a)) ++b;
+  const std::vector<uint64_t> words = sketch.array().words();
+  sketch.Update({4, a, Action::kInsert});
+  sketch.Update({4, b, Action::kInsert});
+  ASSERT_EQ(sketch.array().words(), words);
+
+  EXPECT_DEATH(
+      {
+        first.RefreshDirty();
+        second.RefreshDirty();
+      },
+      "another consumer cleared");
+  // One consumer alone refreshes fine and sees the change.
+  SimilarityIndex only(sketch, {}, IncrementalOptions(1));
+  only.Rebuild(candidates);
+  sketch.Update({4, a, Action::kDelete});
+  sketch.Update({4, b, Action::kDelete});
+  RefreshAndCheck(only, sketch, "single consumer");
+}
+
 // ------------------------------------------------------ VosDrift batching
 
 TEST(VosDriftBatchTest, BatchMatchesScalarBitForBit) {

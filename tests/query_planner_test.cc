@@ -3,9 +3,9 @@
 // bit-identical estimates on same-shard AND cross-shard pairs (the §IV
 // correction generalized to (1−2β_A)(1−2β_B)) — for every shard count,
 // planner thread count, threshold and prefilter setting; TopK must match
-// its brute-force reference under the shared-bound pruning; and the
+// its brute-force reference under the shared-bound pruning; the
 // incremental Refresh path must land on the same snapshots as a fresh
-// Rebuild.
+// Rebuild; and PlanAllPairs must report each pass's window pair count.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/query_optimizer.h"
 #include "core/query_planner.h"
+#include "core/scan_common.h"
 #include "core/sharded_vos_sketch.h"
 #include "core/similarity_index.h"
 #include "core/vos_estimator.h"
@@ -328,6 +330,79 @@ TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
                            context + " rebuilt at new split");
       ExpectEntriesIdentical(refreshed.TopK(33, 8), rebuilt.TopK(33, 8),
                              context + " rebuilt at new split TopK");
+
+      // Drift down: user 1 drops its planted overlap with user 0, so its
+      // best neighbours after the refresh are far weaker than before.
+      // TopK for it, for a never-clustered user and for two k must match
+      // a fresh Rebuild.
+      for (uint32_t c = 0; c < 30; ++c) {
+        sketch.Update({1, c, Action::kDelete});
+        sketch.Update({1, next_item++, Action::kInsert});
+      }
+      refreshed.Refresh();
+      rebuilt.Rebuild(candidates);
+      for (const UserId query : {UserId{1}, UserId{2}}) {
+        for (const size_t k : {size_t{6}, size_t{12}}) {
+          ExpectEntriesIdentical(refreshed.TopK(query, k),
+                                 rebuilt.TopK(query, k),
+                                 context + " drift TopK q=" +
+                                     std::to_string(query) +
+                                     " k=" + std::to_string(k));
+        }
+      }
+    }
+  }
+}
+
+/// PlanAllPairs feeds e2ebench's query_optimizer.window_pairs: one exact
+/// report per pass AllPairsAbove runs (triangles with ≥ 2 rows, then
+/// rectangles with two non-empty sides), each carrying the window pair
+/// count of that pass's shard cardinalities — which bounds the pairs the
+/// scan can emit.
+TEST(QueryPlannerTest, PlanAllPairsReportsWindowPairsPerPass) {
+  const UserId users = 48;
+  const std::vector<Element> elements = CommunityStream(users, 40, 23);
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
+  for (const uint32_t shards : {1u, 4u}) {
+    ShardedVosSketch sketch(PlannerConfig(shards), users);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    QueryPlanner planner(sketch);
+    planner.Rebuild(candidates);
+    for (const double tau : {0.25, 0.5}) {
+      const std::string context =
+          "S=" + std::to_string(shards) + " tau=" + std::to_string(tau);
+      const bool prefilter = scan::PrefilterApplies(true, true, tau);
+      std::vector<size_t> want;
+      for (uint32_t s = 0; s < shards; ++s) {
+        const auto& cards = planner.shard_index(s).row_cardinalities();
+        if (cards.size() < 2) continue;
+        want.push_back(optimizer::TriangleWindowPairs(
+            cards.data(), cards.size(), tau, prefilter));
+      }
+      for (uint32_t s = 0; s < shards; ++s) {
+        const auto& cards_a = planner.shard_index(s).row_cardinalities();
+        for (uint32_t t = s + 1; t < shards; ++t) {
+          const auto& cards_b = planner.shard_index(t).row_cardinalities();
+          if (cards_a.empty() || cards_b.empty()) continue;
+          want.push_back(optimizer::RectangleWindowPairs(
+              cards_a.data(), cards_a.size(), cards_b.data(), cards_b.size(),
+              tau, prefilter));
+        }
+      }
+      EXPECT_EQ(want.size(), shards + shards * (shards - 1) / 2) << context;
+
+      const auto reports = planner.PlanAllPairs(tau);
+      ASSERT_EQ(reports.size(), want.size()) << context;
+      size_t window_pairs = 0;
+      for (size_t i = 0; i < reports.size(); ++i) {
+        EXPECT_EQ(reports[i].stats.exact_pairs, want[i])
+            << context << " pass " << i;
+        EXPECT_EQ(reports[i].plan.kind, optimizer::PlanKind::kExact)
+            << context << " pass " << i;
+        window_pairs += reports[i].stats.exact_pairs;
+      }
+      EXPECT_GE(window_pairs, planner.AllPairsAbove(tau).size()) << context;
     }
   }
 }

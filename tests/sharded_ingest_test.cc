@@ -619,6 +619,89 @@ TEST(ShardedVosMethodTest, ProducerLaneIngestMatchesSingleProducer) {
   }
 }
 
+// ------------------------------------------------ adaptive spin budgets
+
+/// Small-sketch geometry (k = 512, m = 2^16) for the spin-budget test.
+ShardedVosConfig PlannerConfig(uint32_t shards) {
+  ShardedVosConfig config;
+  config.base.k = 512;
+  config.base.m = 1 << 16;
+  config.base.seed = 31;
+  config.num_shards = shards;
+  return config;
+}
+
+TEST(ShardedVosSketchTest, AdaptiveSpinBudgetsBoundedUnderBackPressure) {
+  const UserId users = 48;
+  const unsigned producers = 2;
+  const uint32_t shards = 4;
+  std::vector<Element> elements;
+  for (UserId u = 0; u < users; ++u) {
+    for (uint32_t i = 0; i < 120; ++i) {
+      elements.push_back(
+          {u, static_cast<ItemId>(u * 1000 + i), Action::kInsert});
+    }
+  }
+  std::vector<std::vector<Element>> lanes(producers);
+  for (size_t i = 0; i < elements.size(); ++i) {
+    lanes[i % producers].push_back(elements[i]);
+  }
+
+  ShardedVosConfig config = PlannerConfig(shards);
+  config.ingest_threads = 2;
+  config.ingest_producers = producers;
+  config.queue_capacity = 1;  // every second sub-batch stalls its lane
+  config.batch_size = 8;
+  ShardedVosSketch sketch(config, users);
+
+  std::vector<std::thread> threads;
+  threads.reserve(producers);
+  for (unsigned p = 0; p < producers; ++p) {
+    threads.emplace_back([&, p] {
+      for (const Element& e : lanes[p]) sketch.Update(e, p);
+      EXPECT_TRUE(sketch.FlushProducer(p).ok());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_TRUE(sketch.Flush().ok());
+  EXPECT_FALSE(sketch.HasPendingIngest());
+
+  const ShardedVosSketch::SpinStats spin = sketch.IngestSpinStats();
+  // The budgets adapt but must never leave their clamp.
+  EXPECT_GE(spin.min_push_spin_budget, 16u);
+  EXPECT_LE(spin.max_push_spin_budget, 512u);
+  EXPECT_LE(spin.min_push_spin_budget, spin.max_push_spin_budget);
+  EXPECT_GE(spin.min_idle_spin_budget, 16u);
+  EXPECT_LE(spin.max_idle_spin_budget, 512u);
+  EXPECT_LE(spin.min_idle_spin_budget, spin.max_idle_spin_budget);
+  // Capacity-1 rings with 8-element batches guarantee contention
+  // somewhere: at least one park or in-budget save must be observed.
+  EXPECT_GT(spin.push_parks + spin.push_spin_saves + spin.idle_parks +
+                spin.idle_spin_saves,
+            0u);
+
+  // The adapted pipeline still lands on the synchronous state (the
+  // equivalence contract the budgets must never touch).
+  ShardedVosSketch reference(PlannerConfig(shards), users);
+  for (const std::vector<Element>& lane : lanes) {
+    reference.UpdateBatch(lane.data(), lane.size());
+  }
+  for (UserId u = 0; u < users; u += 7) {
+    EXPECT_EQ(sketch.Cardinality(u), reference.Cardinality(u)) << u;
+  }
+  const PairEstimate got = sketch.EstimatePair(0, 1);
+  const PairEstimate want = reference.EstimatePair(0, 1);
+  EXPECT_EQ(got.jaccard, want.jaccard);
+
+  // Synchronous mode has no lanes or workers: all-zero stats.
+  const ShardedVosSketch::SpinStats sync_spin = reference.IngestSpinStats();
+  EXPECT_EQ(sync_spin.push_parks + sync_spin.push_spin_saves +
+                sync_spin.idle_parks + sync_spin.idle_spin_saves,
+            0u);
+  EXPECT_EQ(sync_spin.max_push_spin_budget, 0u);
+  EXPECT_EQ(sync_spin.max_idle_spin_budget, 0u);
+}
+
 // ---------------------------------------------------------- dirty tracking
 
 TEST(DirtyTrackingTest, UpdateMarksOnceAndClearResets) {

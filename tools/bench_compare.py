@@ -11,15 +11,9 @@ row carries one — regressed by more than --max-regression (default 20%).
 Rows are keyed by every identity column (bench, phase, engine, shards,
 producers, threads, pinned, unit — whichever are present), so a schema
 change that adds a column simply widens the key. Metric columns (seconds,
-throughput, speedup, recall, efficiency, cost) never participate in the
-key, and neither does the optimizer's "plan" column: the chosen plan is
-an OUTCOME (auto mode may legitimately flip between exact and banded when
-the data or the calibrated constants change), so a flip must not make the
-row "disappear" from the comparison. Instead, a baseline/current plan
-mismatch is reported explicitly as a plan flip and the row's throughput
-is NOT compared — exact and banded runs have different cost shapes, so
-cross-plan throughput deltas are noise, not regressions. Forced-plan legs
-(VOS_PLAN / --plan) pin the plan on both sides and always compare.
+throughput, speedup, recall, efficiency) never participate in the key.
+The retired "plan" and "cost" columns, which older micro_query_path rows
+still carry, are ignored, so those rows key the same as current ones.
 
 Trend mode: pass a DIRECTORY as the baseline to compare against the last
 N (--last, default 5) BENCH_*.json files found in it — e.g. a folder of
@@ -51,11 +45,10 @@ import statistics
 import sys
 
 METRIC_COLUMNS = frozenset(
-    {"seconds", "throughput", "speedup", "recall", "efficiency", "cost"})
+    {"seconds", "throughput", "speedup", "recall", "efficiency"})
 
-# Outcome columns: carried on the row and reported, but neither identity
-# nor a compared metric. "plan" is the optimizer's per-row verdict.
-OUTCOME_COLUMNS = frozenset({"plan"})
+# Columns of retired query-plan rows: neither identity nor a metric.
+RETIRED_COLUMNS = frozenset({"plan", "cost"})
 
 # Metrics where lower-than-baseline means a regression. Efficiency is the
 # micro_ingest_path producer-scaling column: throughput(P) divided by
@@ -65,10 +58,10 @@ COMPARED_METRICS = ("throughput", "efficiency")
 
 
 def row_key(row):
-    """Identity of a row: every non-metric, non-outcome column."""
+    """Identity of a row: every non-metric, non-retired column."""
     return tuple(
         sorted((k, v) for k, v in row.items()
-               if k not in METRIC_COLUMNS and k not in OUTCOME_COLUMNS)
+               if k not in METRIC_COLUMNS and k not in RETIRED_COLUMNS)
     )
 
 
@@ -172,24 +165,11 @@ def main():
     regressions = []
     improvements = 0
     compared = 0
-    plan_flips = 0
     for key, base_row in sorted(baseline.items()):
         new_row = current.get(key)
         if new_row is None:
             print(f"warning: baseline row missing from current run: "
                   f"{format_key(key)}")
-            continue
-        base_plan = base_row.get("plan")
-        new_plan = new_row.get("plan")
-        if base_plan is not None and new_plan is not None \
-                and base_plan != new_plan:
-            # Auto mode changed its verdict: report it, but do not compare
-            # throughput across plans (different cost shapes, not a
-            # regression). A recall collapse would still be caught by the
-            # bench's own floor check.
-            plan_flips += 1
-            print(f"PLAN FLIP: {format_key(key)}: "
-                  f"{base_plan} -> {new_plan} (throughput not compared)")
             continue
         for metric in COMPARED_METRICS:
             base = base_row.get(metric)
@@ -213,7 +193,7 @@ def main():
 
     print(f"compared {compared} row metric(s): {len(regressions)} regression(s) "
           f"beyond {args.max_regression * 100.0:.0f}%, "
-          f"{improvements} improvement(s), {plan_flips} plan flip(s)")
+          f"{improvements} improvement(s)")
     if regressions:
         print("if the regression is expected (or the runner hardware "
               "changed), regenerate the baseline with the CI smoke flags "
