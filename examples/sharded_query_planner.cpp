@@ -5,9 +5,11 @@
 //
 //   stream → ShardedVosSketch (dense user remap, per-shard worker threads)
 //          → QueryPlanner (one SimilarityIndex per shard)
-//          → AllPairsAbove / TopK answered as a scatter–gather with
-//            cross-shard pairs estimated under the (1−2β_A)(1−2β_B)
-//            correction, then refreshed incrementally after more churn.
+//          → AllPairsAbove (every same- and cross-shard pass, tiled on
+//            one worker pool) and TopK (one scan of every shard index on
+//            the calling thread), cross-shard pairs estimated under the
+//            (1−2β_A)(1−2β_B) correction, then refreshed incrementally
+//            after more churn.
 //
 // Build & run:
 //   cmake -B build && cmake --build build

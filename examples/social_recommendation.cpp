@@ -52,8 +52,9 @@ int main() {
 
   // The batch query engine: MakeIndex builds a snapshot configured with
   // the method's QueryOptions; Rebuild() re-snapshots every candidate
-  // digest once per checkpoint (thread-parallel), then TopK is a handful
-  // of row kernels instead of per-pair sketch reconstructions.
+  // digest once per checkpoint (thread-parallel), then TopK is one
+  // single-threaded pass of row kernels that skips rows unable to beat
+  // the running k-th best, instead of per-pair sketch reconstructions.
   const std::unique_ptr<SimilarityIndex> index = method.MakeIndex(candidates);
 
   // Replay the stream; at a few checkpoints, surface neighbors and

@@ -4,10 +4,11 @@
 //
 // One Release binary built for baseline x86-64 (or aarch64) carries every
 // implementation the compiler could produce — scalar always, plus AVX2
-// (Harley–Seal popcount, 4-lane hash/gather), AVX-512 (VPOPCNTDQ, 8-lane
-// hash/gather with mask-register bit packing) and NEON (vcnt) variants
-// compiled in their own translation units with per-file ISA flags — and
-// picks the best one the *running* CPU supports at first use. This
+// (Harley–Seal popcount, 4-lane hash/gather), AVX-512 (VPOPCNTDQ
+// popcounts, 8-lane routing hash; extraction reuses the AVX2 gather,
+// which won there) and NEON (vcnt) variants compiled in their own
+// translation units with per-file ISA flags — and picks the best one
+// the *running* CPU supports at first use. This
 // replaces the old model where the Hamming kernels only vectorized under
 // a -march=native build, which pinned a binary to the build machine's
 // microarchitecture (see CMakeLists.txt VOS_NATIVE_ARCH, now a pure
@@ -57,8 +58,9 @@ enum class DispatchLevel : uint8_t {
 };
 
 /// One resolved set of kernels. All entries are non-null; a level that
-/// has no profitable implementation of some kernel aliases the scalar
-/// one (NEON does this for the gather-shaped kernels).
+/// has no profitable implementation of some kernel aliases a narrower
+/// level's (NEON uses the scalar gather-shaped kernels, AVX-512 the AVX2
+/// extraction, AVX2 the scalar routing).
 struct KernelTable {
   /// popcount(a[i] ^ b[i]) summed over i in [0, n) — the Hamming
   /// distance between two n-word digest rows.

@@ -232,8 +232,11 @@ inline __m256i Mix64V2Lanes(__m256i x) {
   return x;
 }
 
+}  // namespace
+
 // --------------------------------------------------------------- extraction
 
+// Outside the anonymous namespace: the AVX-512 table uses it too.
 void Avx2ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
                      uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,
                      uint32_t* cells) {
@@ -285,6 +288,8 @@ void Avx2ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
   }
   if ((k & 63) != 0) *dst = word;
 }
+
+namespace {
 
 // ------------------------------------------------------------------ routing
 

@@ -8,8 +8,10 @@
 // Relative to AVX2 the wins are structural: native 64-bit popcount
 // (VPOPCNTDQ) replaces the whole Harley–Seal tree, masked loads make
 // word tails branch-free in-vector (no scalar fallback on the popcount
-// kernels), native 64-bit mullo (DQ) shortens the hash lanes, and
-// compare-into-mask packs extraction bits without the movemask dance.
+// kernels), and native 64-bit mullo (DQ) shortens the routing hash lanes.
+// Digest extraction has no AVX-512 body: the table points at the AVX2
+// kernel, which won on the one AVX-512 host measured
+// (kernels_internal.h).
 
 #include "common/kernels_internal.h"
 
@@ -134,26 +136,6 @@ size_t Avx512PopcountWords(const uint64_t* a, size_t n) {
 
 // ------------------------------------------------------------- 64-bit hash
 
-/// High 64 bits of a·b per lane (no native instruction even on AVX-512):
-/// same exact cross-term assembly as the AVX2 file, 8 lanes wide.
-inline __m512i MulHi64(__m512i a, __m512i b) {
-  const __m512i mask32 = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i a_hi = _mm512_srli_epi64(a, 32);
-  const __m512i b_hi = _mm512_srli_epi64(b, 32);
-  const __m512i ll = _mm512_mul_epu32(a, b);
-  const __m512i lh = _mm512_mul_epu32(a, b_hi);
-  const __m512i hl = _mm512_mul_epu32(a_hi, b);
-  const __m512i hh = _mm512_mul_epu32(a_hi, b_hi);
-  const __m512i carry = _mm512_srli_epi64(
-      _mm512_add_epi64(_mm512_add_epi64(_mm512_srli_epi64(ll, 32),
-                                        _mm512_and_si512(lh, mask32)),
-                       _mm512_and_si512(hl, mask32)),
-      32);
-  return _mm512_add_epi64(
-      _mm512_add_epi64(hh, carry),
-      _mm512_add_epi64(_mm512_srli_epi64(lh, 32), _mm512_srli_epi64(hl, 32)));
-}
-
 /// hash::Mix64, 8 lanes (native 64-bit mullo via AVX-512DQ).
 inline __m512i Mix64Lanes(__m512i x) {
   x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
@@ -164,64 +146,6 @@ inline __m512i Mix64Lanes(__m512i x) {
       x, _mm512_set1_epi64(static_cast<long long>(kMix64Mul2)));
   x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
   return x;
-}
-
-/// hash::Mix64V2, 8 lanes.
-inline __m512i Mix64V2Lanes(__m512i x) {
-  x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 30));
-  x = _mm512_mullo_epi64(
-      x, _mm512_set1_epi64(static_cast<long long>(kMix64V2Mul1)));
-  x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 27));
-  x = _mm512_mullo_epi64(
-      x, _mm512_set1_epi64(static_cast<long long>(kMix64V2Mul2)));
-  x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 31));
-  return x;
-}
-
-// --------------------------------------------------------------- extraction
-
-void Avx512ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
-                       uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,
-                       uint32_t* cells) {
-  const __m512i user_vec = _mm512_set1_epi64(static_cast<long long>(user));
-  const __m512i golden = _mm512_set1_epi64(static_cast<long long>(kGolden));
-  const __m512i m_vec = _mm512_set1_epi64(static_cast<long long>(m));
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i low6 = _mm512_set1_epi64(63);
-  uint64_t word = 0;
-  uint32_t j = 0;
-  for (; j + 8 <= k; j += 8) {
-    const __m512i seed_vec = _mm512_loadu_si512(seeds + j);
-    __m512i h = _mm512_xor_si512(user_vec,
-                                 _mm512_mullo_epi64(seed_vec, golden));
-    h = Mix64V2Lanes(_mm512_add_epi64(Mix64Lanes(h), seed_vec));
-    const __m512i cell = MulHi64(h, m_vec);
-    if (cells != nullptr) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cells + j),
-                          _mm512_cvtepi64_epi32(cell));
-    }
-    const __m512i gathered =
-        _mm512_i64gather_epi64(_mm512_srli_epi64(cell, 6), array_words, 8);
-    // Lane t's digest bit, tested straight into a mask register: bit t
-    // of the mask is ((gathered >> (cell & 63)) & 1).
-    const __mmask8 lane_mask = _mm512_test_epi64_mask(
-        _mm512_srlv_epi64(gathered, _mm512_and_si512(cell, low6)), one);
-    word |= static_cast<uint64_t>(lane_mask) << (j & 63);
-    if ((j & 63) == 56) {
-      *dst++ = word;
-      word = 0;
-    }
-  }
-  for (; j < k; ++j) {
-    const uint64_t cell = ScalarCellOf(user, seeds[j], m);
-    if (cells != nullptr) cells[j] = static_cast<uint32_t>(cell);
-    word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << (j & 63);
-    if ((j & 63) == 63) {
-      *dst++ = word;
-      word = 0;
-    }
-  }
-  if ((k & 63) != 0) *dst = word;
 }
 
 // ------------------------------------------------------------------ routing
@@ -265,7 +189,7 @@ constexpr KernelTable kAvx512Table = {
     Avx512XorPopcount8,
     Avx512XorPopcount2x4,
     Avx512PopcountWords,
-    Avx512ExtractBits,
+    Avx2ExtractBits,  // see kernels_internal.h: the AVX2 gather wins here
     Avx512RouteBatch,
     DispatchLevel::kAvx512,
     "avx512",

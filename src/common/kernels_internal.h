@@ -46,6 +46,14 @@ void ScalarRouteBatch(const uint32_t* users, size_t n, uint64_t seed_mix,
                       uint32_t num_shards, const uint32_t* local_of,
                       uint16_t* shards, uint32_t* locals);
 
+// The AVX2 extraction kernel (kernels_avx2.cc). The AVX-512 table uses it
+// as well: its own 8-lane gather kernel ran at 0.46-0.73x of this one on
+// an AVX-512 host (micro_ingest_path --dispatch=avx2|avx512, index rows),
+// so CMakeLists.txt compiles the AVX-512 file only alongside the AVX2 one.
+void Avx2ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
+                     uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,
+                     uint32_t* cells);
+
 // Per-element helper for the ISA kernels' ragged tails (lane counts
 // rarely divide k exactly).
 uint64_t ScalarCellOf(uint64_t user, uint64_t seed, uint64_t m);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/popcount.h"
 #include "core/query_optimizer.h"
@@ -276,6 +277,89 @@ void ScanRectTile(const Pass& pass, const ScanParams& params, size_t a_begin,
 }
 
 }  // namespace
+
+std::vector<scan::Entry> TopK(const TopKQuery& query, size_t k,
+                              const std::vector<TopKSide>& sides,
+                              const VosEstimator& estimator,
+                              const std::vector<double>& table) {
+  if (k == 0) return {};
+  const double card_q = query.card;
+  const bool clamped = estimator.options().clamp_to_feasible;
+  size_t rows = 0;
+  for (const TopKSide& side : sides) rows += side.rows.rows();
+
+  // The best ≤ k entries so far, a heap under EntryBefore: front() is
+  // the worst of them. Once k are held its Ĵ is `bound`, a lower bound
+  // on the final k-th best, and screening starts when the bound is
+  // positive under clamping (scan::PrefilterApplies at τ = bound).
+  std::vector<scan::Entry> best;
+  best.reserve(std::min(k, rows));
+  double bound = -std::numeric_limits<double>::infinity();
+  bool screen = false;
+  double bound_frac = 0.0;
+  double cut_scale = 0.0;
+  const auto admit = [&](const scan::Entry& entry) {
+    if (best.size() == k) {
+      if (!scan::EntryBefore(entry, best.front())) return;
+      std::pop_heap(best.begin(), best.end(), scan::EntryBefore);
+      best.back() = entry;
+    } else {
+      best.push_back(entry);
+    }
+    std::push_heap(best.begin(), best.end(), scan::EntryBefore);
+    if (best.size() < k) return;
+    bound = best.front().jaccard;
+    screen = scan::PrefilterApplies(true, clamped, bound);
+    bound_frac = bound / (1.0 + bound);
+    cut_scale = scan::CutScale(bound_frac, estimator.k());
+  };
+
+  for (const TopKSide& side : sides) {
+    const DigestMatrix& m = *side.rows.matrix;
+    const uint32_t* cards = side.rows.cards;
+    const size_t n = side.rows.rows();
+    const size_t words = m.words_per_row();
+    const double log_beta = side.log_beta_pair;
+    const auto card_fails = [&](size_t p) {
+      return screen &&
+             scan::CardinalityFail(std::min<double>(card_q, cards[p]),
+                                   card_q + cards[p], bound_frac);
+    };
+    // Row p at Hamming distance d: the log-alpha screen, the estimate,
+    // then the comparison with the bound — rows strictly below it never
+    // reach the row → id mapping.
+    const auto offer = [&](size_t p, size_t d) {
+      const double card = cards[p];
+      if (screen &&
+          table[d] < scan::SlackedCut(cut_scale * (card_q + card) +
+                                      2.0 * log_beta)) {
+        return;
+      }
+      const PairEstimate est =
+          estimator.EstimateFromLogTerms(card_q, card, table[d], log_beta);
+      if (est.jaccard < bound) return;
+      const stream::UserId user = side.user_of(p);
+      if (user == query.user) return;
+      admit({user, est.common, est.jaccard});
+    };
+    size_t p = 0;
+    size_t d8[8];
+    for (; p + 8 <= n; p += 8) {
+      bool any = false;
+      for (size_t t = 0; t < 8 && !any; ++t) any = !card_fails(p + t);
+      if (!any) continue;
+      XorPopcount8(query.row, m.Row(p), words, words, d8);
+      for (size_t t = 0; t < 8; ++t) {
+        if (!card_fails(p + t)) offer(p + t, d8[t]);
+      }
+    }
+    for (; p < n; ++p) {
+      if (!card_fails(p)) offer(p, XorPopcount(query.row, m.Row(p), words));
+    }
+  }
+  std::sort_heap(best.begin(), best.end(), scan::EntryBefore);
+  return best;
+}
 
 std::vector<scan::Pair> RunPasses(const std::vector<Pass>& passes,
                                   const ScanParams& params, size_t tile_rows,

@@ -28,6 +28,12 @@
 //     slices, and the pool sorts the buckets; small ones take one
 //     std::sort. Callers do not sort again.
 //
+// TopK is the tier's other entry point: one query row against every row
+// of one or more snapshots, on the calling thread, keeping a running
+// k-th best Ĵ and screening rows below it with the same prefilter math
+// (τ = that bound). SimilarityIndex::TopK and QueryPlanner::TopK both
+// call it.
+//
 // The exact tiled path is bit-identical to the pre-tier scans for every
 // tile size, thread count and prefilter setting: tiles partition exactly
 // the same pair set, every surviving pair's Hamming distance is the same
@@ -86,6 +92,40 @@ struct Pass {
                      std::vector<scan::Pair>& out)>
       emit;
 };
+
+/// One snapshot a TopK query is scanned against.
+struct TopKSide {
+  MatrixView rows;
+  /// The log-beta term of (query, row) pairs: the snapshot's own term
+  /// when the query shares its sketch, the mean of the two shards' terms
+  /// otherwise (as on a Pass).
+  double log_beta_pair = 0.0;
+  /// User id of row p; called only for rows whose Ĵ can still enter the
+  /// top k.
+  std::function<stream::UserId(size_t p)> user_of;
+};
+
+/// The query of a TopK scan: its id (rows of that user are skipped), its
+/// digest row and its cardinality.
+struct TopKQuery {
+  stream::UserId user = 0;
+  const uint64_t* row = nullptr;
+  uint32_t card = 0;
+};
+
+/// The `k` rows of `sides` most similar to `query`, in scan::EntryBefore
+/// order — the shared TopK of SimilarityIndex and QueryPlanner. Runs on
+/// the calling thread: the rows are walked eight at a time
+/// (XorPopcount8) against a running k-th best Ĵ, and once that bound is
+/// positive under clamping each row is screened with the AllPairsAbove
+/// prefilters at τ = bound (cardinality window, then the slacked
+/// log-alpha cut) before the estimator runs. Both screens drop only rows
+/// with Ĵ < bound, so a row tying the k-th best survives to the user-id
+/// tie-break and the result equals the unscreened ranking.
+std::vector<scan::Entry> TopK(const TopKQuery& query, size_t k,
+                              const std::vector<TopKSide>& sides,
+                              const VosEstimator& estimator,
+                              const std::vector<double>& log_alpha_table);
 
 /// Runs every pass over one dynamic worker pool of `num_threads`
 /// (0 = hardware concurrency, clamped to the work count), in

@@ -1,12 +1,9 @@
 #include "core/query_planner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <thread>
 
-#include "common/popcount.h"
 #include "core/pair_scan.h"
 #include "core/scan_common.h"
 
@@ -18,22 +15,6 @@ namespace {
 // bit-identical to the single-index path, so none of it may diverge.
 using scan::EntryBefore;
 using scan::PairBefore;
-
-template <typename Work>
-void RunTasks(unsigned threads, size_t num_tasks, const Work& work) {
-  scan::RunIndexed(threads, num_tasks, work);
-}
-
-/// Raise-only publish of a shared lower bound (TopK's gathered k-th best
-/// Ĵ). Relaxed ordering is enough: the bound is a monotone hint — any
-/// stale read only prunes less.
-void PublishBound(std::atomic<double>* bound, double candidate) {
-  double current = bound->load(std::memory_order_relaxed);
-  while (candidate > current &&
-         !bound->compare_exchange_weak(current, candidate,
-                                       std::memory_order_relaxed)) {
-  }
-}
 
 }  // namespace
 
@@ -81,7 +62,7 @@ void QueryPlanner::Rebuild(std::vector<UserId> candidates) {
   for (const UserId user : candidates_) {
     locals[sketch_->ShardOf(user)].push_back(sketch_->LocalIdOf(user));
   }
-  RunTasks(ResolveThreadCount(query_options_.num_threads, num_shards),
+  scan::RunIndexed(ResolveThreadCount(query_options_.num_threads, num_shards),
            num_shards,
            [&](size_t s) { indexes_[s]->Rebuild(std::move(locals[s])); });
 }
@@ -92,7 +73,7 @@ void QueryPlanner::Refresh() {
   VOS_DCHECK(!sketch_->HasPendingIngest())
       << "Refresh on a non-quiesced pipeline; call Flush() first";
   const uint32_t num_shards = sketch_->num_shards();
-  RunTasks(ResolveThreadCount(query_options_.num_threads, num_shards),
+  scan::RunIndexed(ResolveThreadCount(query_options_.num_threads, num_shards),
            num_shards, [&](size_t s) { indexes_[s]->RefreshDirty(); });
 }
 
@@ -202,97 +183,45 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
 
 std::vector<QueryPlanner::Entry> QueryPlanner::TopK(UserId query,
                                                     size_t k) const {
+  VOS_CHECK(query < sketch_->num_users())
+      << "TopK query user" << query << "is not below num_users"
+      << sketch_->num_users();
   if (k == 0 || candidates_.empty()) return {};
   const uint32_t query_shard = sketch_->ShardOf(query);
   const UserId query_local = sketch_->LocalIdOf(query);
   const SimilarityIndex& query_index = *indexes_[query_shard];
-  const size_t words = DigestMatrix::WordsPerRow(sketch_->config().base.k);
 
   // Query digest: snapshot row when the query is a candidate, live
   // extraction from its owning shard otherwise.
   std::vector<uint64_t> extracted;
-  const uint64_t* query_row = nullptr;
-  uint32_t query_card = 0;
+  pair_scan::TopKQuery q;
+  q.user = query;
   const size_t query_pos = query_index.RowIndexOf(query_local);
   if (query_pos != SimilarityIndex::npos) {
-    query_row = query_index.matrix().Row(query_pos);
-    query_card = query_index.row_cardinality(query_pos);
+    q.row = query_index.matrix().Row(query_pos);
+    q.card = query_index.row_cardinality(query_pos);
   } else {
-    extracted.resize(words);
+    extracted.resize(DigestMatrix::WordsPerRow(sketch_->config().base.k));
     DigestMatrix::ExtractRow(sketch_->shard(query_shard), query_local,
                              extracted.data());
-    query_row = extracted.data();
-    query_card = sketch_->shard(query_shard).Cardinality(query_local);
+    q.row = extracted.data();
+    q.card = sketch_->shard(query_shard).Cardinality(query_local);
   }
-  const double log_beta_query = query_index.log_beta_term();
 
-  // Scatter: one task per shard index. Gather under a shared global
-  // threshold bound: each task publishes its current k-th best Ĵ (a
-  // lower bound on the final k-th best — the merged top-k can only be
-  // better than any one task's) and prunes rows whose clamped Ĵ provably
-  // falls below a published bound before popcounting. Strict-inequality
-  // conservative ⇒ bit-identical to the unpruned scan for any schedule.
-  const bool prune = estimator_.options().clamp_to_feasible;
-  std::atomic<double> bound{-1.0};
-  const uint32_t num_shards = sketch_->num_shards();
-  std::vector<std::vector<Entry>> per_shard(num_shards);
-  RunTasks(
-      ResolveThreadCount(query_options_.num_threads, num_shards), num_shards,
-      [&](size_t s) {
-        const SimilarityIndex& index = *indexes_[s];
-        const DigestMatrix& matrix = index.matrix();
-        const size_t rows = matrix.rows();
-        if (rows == 0) return;
-        const double log_beta_pair =
-            0.5 * (log_beta_query + index.log_beta_term());
-        std::vector<Entry>& kept = per_shard[s];
-        const size_t trim_at = std::max<size_t>(2 * k, 256);
-        double local_bound = bound.load(std::memory_order_relaxed);
-        const auto trim = [&] {
-          if (kept.size() <= k) return;
-          std::partial_sort(kept.begin(),
-                            kept.begin() + static_cast<ptrdiff_t>(k),
-                            kept.end(), EntryBefore);
-          kept.resize(k);
-          PublishBound(&bound, kept.back().jaccard);
-          local_bound = bound.load(std::memory_order_relaxed);
-        };
-        for (size_t p = 0; p < rows; ++p) {
-          const UserId global = GlobalOfRow(static_cast<uint32_t>(s), p);
-          if (global == query) continue;
-          const double card_v = index.row_cardinality(p);
-          if (prune && local_bound > 0.0) {
-            // Ĵ ≤ min/(sum−min) under clamping; prune when even that
-            // ceiling is strictly below the bound (same slack regime as
-            // the all-pairs prefilter).
-            const double bound_frac = local_bound / (1.0 + local_bound);
-            if (scan::CardinalityFail(std::min<double>(query_card, card_v),
-                                      query_card + card_v, bound_frac)) {
-              continue;
-            }
-          }
-          const size_t d = XorPopcount(query_row, matrix.Row(p), words);
-          const PairEstimate est = estimator_.EstimateFromLogTerms(
-              query_card, card_v, log_alpha_table_[d], log_beta_pair);
-          kept.push_back({global, est.common, est.jaccard});
-          if (kept.size() >= trim_at) trim();
-        }
-        trim();
-      });
-
-  std::vector<Entry> entries;
-  size_t total = 0;
-  for (const auto& chunk : per_shard) total += chunk.size();
-  entries.reserve(total);
-  for (const auto& chunk : per_shard) {
-    entries.insert(entries.end(), chunk.begin(), chunk.end());
+  // One side per shard index, scanned in shard order on this thread
+  // against one running k-th best (pair_scan::TopK).
+  std::vector<pair_scan::TopKSide> sides;
+  sides.reserve(indexes_.size());
+  for (uint32_t s = 0; s < indexes_.size(); ++s) {
+    const SimilarityIndex& index = *indexes_[s];
+    if (index.matrix().rows() == 0) continue;
+    sides.push_back(
+        {pair_scan::MatrixView{&index.matrix(),
+                               index.row_cardinalities().data()},
+         0.5 * (query_index.log_beta_term() + index.log_beta_term()),
+         [this, s](size_t p) { return GlobalOfRow(s, p); }});
   }
-  const size_t take = std::min(k, entries.size());
-  std::partial_sort(entries.begin(),
-                    entries.begin() + static_cast<ptrdiff_t>(take),
-                    entries.end(), EntryBefore);
-  entries.resize(take);
-  return entries;
+  return pair_scan::TopK(q, k, sides, estimator_, log_alpha_table_);
 }
 
 std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAboveReference(

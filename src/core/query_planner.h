@@ -37,24 +37,25 @@
 //     quiesced state: the same log-alpha table, the same mean-log-beta
 //     combination.
 //
-//   * TopK(u, k) scatters the query digest to every shard index and
-//     gathers per-shard top-k lists under a shared global threshold
-//     bound: each worker publishes its current k-th best Ĵ (a lower bound
-//     on the final k-th best, since the merged result can only be
-//     better), and every worker prunes candidates whose clamped Ĵ
-//     provably falls below the published bound before popcounting.
-//     Pruning is strict-inequality conservative, so the merged result is
-//     bit-identical to the unpruned scan for every schedule.
+//   * TopK(u, k) scans every shard index's rows against the query digest
+//     on the calling thread (pair_scan::TopK, shared with
+//     SimilarityIndex::TopK), with each shard's mean log-beta term and one
+//     running k-th best Ĵ across all shards. Rows that provably fall
+//     strictly below that bound are screened out before the estimator;
+//     ties with it survive to the user-id tie-break, so the answer is
+//     bit-identical to TopKReference.
 //
-// Parallelism model: queries parallelize ACROSS scan units (the tiles
-// of every same-shard and cross-shard pass, QueryOptions::tile_rows per
-// tile edge) with T = QueryOptions::num_threads workers; each unit runs
-// single-threaded inside. Snapshots (Rebuild/Refresh) run min(T, S) shard
-// tasks at a time, and each shard index works with max(1, ⌊T/S⌋) workers
-// of its own (IndexThreads), so the nested split never exceeds T threads
-// and at S == 1 the one index uses all of them. With S == 1 the planner
-// degenerates to the single global index — tiled exactly as
-// SimilarityIndex::AllPairsAbove tiles it — which is what
+// Parallelism model: only AllPairsAbove and snapshots use threads. With
+// T = QueryOptions::num_threads workers, AllPairsAbove parallelizes
+// ACROSS scan units (the tiles of every same-shard and cross-shard pass,
+// QueryOptions::tile_rows per tile edge), each unit single-threaded
+// inside. Snapshots (Rebuild/Refresh) run min(T, S) shard tasks at a
+// time, and each shard index works with max(1, ⌊T/S⌋) workers of its own
+// (IndexThreads), so the nested split never exceeds T threads and at
+// S == 1 the one index uses all of them. TopK spawns no thread: a call
+// is about one popcount per candidate row, less than starting a worker.
+// With S == 1 the planner degenerates to the single global index — tiled
+// exactly as SimilarityIndex::AllPairsAbove tiles it — which is what
 // bench/micro_query_path.cc measures shard scaling against.
 //
 // Results are global: pairs/entries carry global user ids (canonically
@@ -92,7 +93,8 @@ class QueryPlanner {
   using Pair = SimilarityIndex::Pair;
 
   /// Binds to `sketch` (not owned; must outlive the planner).
-  /// QueryOptions::num_threads is the planner's task-level worker count;
+  /// QueryOptions::num_threads is the worker count of AllPairsAbove and
+  /// of snapshots;
   /// QueryOptions::incremental enables Refresh() (requires the shards to
   /// track dirty users, VosConfig::track_dirty).
   explicit QueryPlanner(const ShardedVosSketch& sketch,
@@ -116,7 +118,9 @@ class QueryPlanner {
   std::vector<Pair> AllPairsAbove(double jaccard_threshold) const;
 
   /// The `k` candidates most similar to `query` (global id; any user of
-  /// the stream, candidate or not), excluding the query itself.
+  /// the stream, candidate or not), excluding the query itself, in
+  /// scan::EntryBefore order. Runs on the calling thread; aborts when
+  /// `query` is not below the sketch's num_users.
   std::vector<Entry> TopK(UserId query, size_t k) const;
 
   /// Ground truth: one ShardedVosSketch::EstimatePair call per candidate
@@ -147,7 +151,7 @@ class QueryPlanner {
   std::vector<optimizer::PassReport> PlanAllPairs(
       double jaccard_threshold) const;
 
-  /// Task-level worker count for subsequent Rebuild/Refresh/queries
+  /// Worker count for subsequent Rebuild/Refresh/AllPairsAbove
   /// (0 = hardware concurrency); re-splits the shard indexes' share
   /// (IndexThreads). Results are bit-identical for every value, so a
   /// long-lived planner can follow SimilarityMethod::SetQueryThreads

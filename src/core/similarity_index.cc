@@ -1,11 +1,8 @@
 #include "core/similarity_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <thread>
 
-#include "common/popcount.h"
 #include "core/pair_scan.h"
 #include "core/scan_common.h"
 
@@ -305,67 +302,28 @@ PairEstimate SimilarityIndex::EstimateFromDigests(const BitVector& a,
   return estimator_.Estimate(card_a, card_b, alpha, beta_);
 }
 
-PairEstimate SimilarityIndex::EstimateRows(const uint64_t* a, uint32_t card_a,
-                                           const uint64_t* b,
-                                           uint32_t card_b) const {
-  const size_t d = XorPopcount(a, b, matrix_.words_per_row());
-  return estimator_.EstimateFromLogTerms(card_a, card_b, log_alpha_table_[d],
-                                         log_beta_term_);
-}
-
 // ----------------------------------------------------------------- TopK
-
-std::vector<SimilarityIndex::Entry> SimilarityIndex::TopKFromRow(
-    UserId query, const uint64_t* query_row, uint32_t query_card,
-    size_t k) const {
-  const size_t n = matrix_.rows();
-  const auto scan = [&](size_t begin, size_t end, std::vector<Entry>* out) {
-    for (size_t p = begin; p < end; ++p) {
-      const UserId candidate = candidates_[sorted_rows_[p]];
-      if (candidate == query) continue;
-      const PairEstimate est = EstimateRows(
-          query_row, query_card, matrix_.Row(p), cards_by_row_[p]);
-      out->push_back({candidate, est.common, est.jaccard});
-    }
-  };
-
-  std::vector<Entry> entries;
-  entries.reserve(n);
-  const size_t block = std::max<size_t>(query_options_.block_size, 1);
-  const size_t num_blocks = (n + block - 1) / block;
-  const unsigned threads =
-      ResolveThreadCount(query_options_.num_threads, num_blocks);
-  if (threads <= 1) {
-    scan(0, n, &entries);
-  } else {
-    std::vector<std::vector<Entry>> per_block(num_blocks);
-    RunBlocks(threads, num_blocks, [&](size_t b) {
-      const size_t begin = b * block;
-      scan(begin, std::min(n, begin + block), &per_block[b]);
-    });
-    for (const auto& chunk : per_block) {
-      entries.insert(entries.end(), chunk.begin(), chunk.end());
-    }
-  }
-  const size_t take = std::min(k, entries.size());
-  std::partial_sort(entries.begin(), entries.begin() + take, entries.end(),
-                    EntryBefore);
-  entries.resize(take);
-  return entries;
-}
 
 std::vector<SimilarityIndex::Entry> SimilarityIndex::TopK(UserId query,
                                                           size_t k) const {
+  VOS_CHECK(query < sketch_->num_users())
+      << "TopK query user" << query << "is not below num_users"
+      << sketch_->num_users();
   if (candidates_.empty()) return {};
+  const std::vector<pair_scan::TopKSide> side = {
+      {pair_scan::MatrixView{&matrix_, cards_by_row_.data()}, log_beta_term_,
+       [this](size_t p) { return candidates_[sorted_rows_[p]]; }}};
   const size_t row = RowOf(query);
   if (row != kNpos) {
     // Snapshot reuse: the query's digest and cardinality were captured at
     // Rebuild; no per-call re-extraction.
-    return TopKFromRow(query, matrix_.Row(row), cards_by_row_[row], k);
+    return pair_scan::TopK({query, matrix_.Row(row), cards_by_row_[row]}, k,
+                           side, estimator_, log_alpha_table_);
   }
   std::vector<uint64_t> query_row(matrix_.words_per_row());
   DigestMatrix::ExtractRow(*sketch_, query, query_row.data());
-  return TopKFromRow(query, query_row.data(), sketch_->Cardinality(query), k);
+  return pair_scan::TopK({query, query_row.data(), sketch_->Cardinality(query)},
+                         k, side, estimator_, log_alpha_table_);
 }
 
 std::vector<SimilarityIndex::Entry> SimilarityIndex::TopKReference(

@@ -44,11 +44,12 @@
 // and must not run concurrently with queries (or each other). Between
 // snapshots the index is immutable; TopK, AllPairsAbove and their
 // *Reference twins are const and safe to call concurrently from any
-// number of threads (each call may itself spawn
-// QueryOptions::num_threads workers). Snapshot calls additionally read —
-// and, under QueryOptions::incremental, consume — the bound sketch's
-// dirty set, so they must not race with sketch Updates either; quiesce
-// the ingest pipeline (ShardedVosSketch::Flush) before snapshotting.
+// number of threads (an AllPairsAbove call may itself spawn
+// QueryOptions::num_threads workers; TopK runs on the calling thread).
+// Snapshot calls additionally read — and, under QueryOptions::incremental,
+// consume — the bound sketch's dirty set, so they must not race with
+// sketch Updates either; quiesce the ingest pipeline
+// (ShardedVosSketch::Flush) before snapshotting.
 
 #pragma once
 
@@ -66,13 +67,10 @@ namespace vos::core {
 
 /// Tunables of the batch query engine.
 struct QueryOptions {
-  /// Worker threads per query / Rebuild extraction pass
+  /// Worker threads of AllPairsAbove and of snapshots (Rebuild,
+  /// RefreshDirty); TopK runs on the calling thread
   /// (0 = std::thread::hardware_concurrency()).
   unsigned num_threads = 0;
-  /// Rows per parallel work unit in the TopK candidate loop. Small
-  /// blocks balance mixed-cost workloads; large blocks cut scheduling
-  /// overhead. (The all-pairs loop is governed by `tile_rows` below.)
-  size_t block_size = 128;
   /// Rows per tile edge of the all-pairs pair scan (core/pair_scan.h):
   /// every triangle/rectangle pass is decomposed into tile_rows ×
   /// tile_rows row tiles, each one work unit on the pool, so a hot
@@ -152,10 +150,13 @@ class SimilarityIndex {
     return query_options_.incremental && !snapshot_words_.empty();
   }
 
-  /// The `k` candidates most similar to `query` (by Ĵ, descending;
-  /// excluding the query itself if present among candidates). When the
-  /// query is a candidate its snapshot row is reused; otherwise its digest
-  /// is extracted from the live sketch.
+  /// The `k` candidates most similar to `query` (by Ĵ, descending, ties
+  /// by user; excluding the query itself if present among candidates).
+  /// When the query is a candidate its snapshot row is reused; otherwise
+  /// its digest is extracted from the live sketch. One single-threaded
+  /// scan with running-bound screens (pair_scan::TopK, shared with
+  /// QueryPlanner::TopK); aborts when `query` is not below the sketch's
+  /// num_users.
   std::vector<Entry> TopK(UserId query, size_t k) const;
 
   /// All unordered candidate pairs with Ĵ ≥ `jaccard_threshold`,
@@ -246,14 +247,6 @@ class SimilarityIndex {
   /// Reference-path estimate from two BitVector digests.
   PairEstimate EstimateFromDigests(const BitVector& a, uint32_t card_a,
                                    const BitVector& b, uint32_t card_b) const;
-
-  /// Batch-path estimate from two packed rows.
-  PairEstimate EstimateRows(const uint64_t* a, uint32_t card_a,
-                            const uint64_t* b, uint32_t card_b) const;
-
-  /// TopK core over an explicit query row + cardinality.
-  std::vector<Entry> TopKFromRow(UserId query, const uint64_t* query_row,
-                                 uint32_t query_card, size_t k) const;
 
   /// Row index of `user` among the candidates, or npos.
   size_t RowOf(UserId user) const;

@@ -1,7 +1,7 @@
 // Tests for the batch query engine: the word-span popcount kernels,
 // DigestMatrix extraction, and the SimilarityIndex batch paths, which must
 // be bit-identical to the scalar reference implementation for every thread
-// count, block size, and prefilter setting.
+// count, tile size, and prefilter setting.
 
 #include <gtest/gtest.h>
 
@@ -172,21 +172,19 @@ void ExpectPairsIdentical(const std::vector<SimilarityIndex::Pair>& a,
 TEST(SimilarityIndexBatchTest, TopKIdenticalToReferenceAcrossThreadCounts) {
   const VosSketch sketch =
       PopulatedSketch(TestConfig(512, 1 << 15, 17), 60, 80, 21);
-  for (unsigned threads : {1u, 2u, 8u}) {
-    for (size_t block : {1u, 7u, 128u}) {
-      QueryOptions options;
-      options.num_threads = threads;
-      options.block_size = block;
-      SimilarityIndex index(sketch, {}, options);
-      index.Rebuild(AllUsers(60));
-      for (UserId query : {0u, 1u, 59u}) {  // candidates
-        ExpectEntriesIdentical(index.TopK(query, 10),
-                               index.TopKReference(query, 10));
+  for (unsigned threads : {1u, 2u, 8u}) {  // snapshot threads; TopK has one
+    QueryOptions options;
+    options.num_threads = threads;
+    SimilarityIndex index(sketch, {}, options);
+    index.Rebuild(AllUsers(60));
+    for (UserId query : {0u, 1u, 59u}) {  // candidates
+      for (size_t k : {size_t{1}, size_t{10}}) {
+        ExpectEntriesIdentical(index.TopK(query, k),
+                               index.TopKReference(query, k));
       }
-      // Full ranking, and k beyond the candidate count.
-      ExpectEntriesIdentical(index.TopK(0, 1000),
-                             index.TopKReference(0, 1000));
     }
+    // Full ranking, and k beyond the candidate count.
+    ExpectEntriesIdentical(index.TopK(0, 1000), index.TopKReference(0, 1000));
   }
 }
 
@@ -229,10 +227,10 @@ TEST(SimilarityIndexBatchTest, AllPairsIdenticalAcrossThreadsAndBlocks) {
   for (double tau : {0.0, 0.2, 0.5, 0.9}) {
     const auto expected = reference_index.AllPairsAboveReference(tau);
     for (unsigned threads : {1u, 2u, 8u}) {
-      for (size_t block : {1u, 16u, 4096u}) {
+      for (size_t tile_rows : {1u, 7u, 64u, 0u}) {  // 0 = adaptive
         QueryOptions options;
         options.num_threads = threads;
-        options.block_size = block;
+        options.tile_rows = tile_rows;
         SimilarityIndex index(sketch, {}, options);
         index.Rebuild(AllUsers(60));
         ExpectPairsIdentical(index.AllPairsAbove(tau), expected);
@@ -281,25 +279,28 @@ TEST(SimilarityIndexBatchTest, SortedSweepIdenticalOnSkewedCardinalities) {
       sketch.Update({u, item, Action::kInsert});
     }
   }
-  QueryOptions with, without;
-  with.prefilter = true;
-  with.num_threads = 4;
-  with.block_size = 8;
+  QueryOptions without;
   without.prefilter = false;
   without.num_threads = 1;
-  SimilarityIndex filtered(sketch, {}, with);
   SimilarityIndex unfiltered(sketch, {}, without);
-  filtered.Rebuild(AllUsers(50));
   unfiltered.Rebuild(AllUsers(50));
   std::vector<double> thresholds = {0.05, 0.3, 0.5, 0.8};
   for (const auto& pair : unfiltered.AllPairsAbove(0.01)) {
     thresholds.push_back(pair.jaccard);  // exact boundaries
   }
-  for (double tau : thresholds) {
-    ExpectPairsIdentical(filtered.AllPairsAbove(tau),
-                         unfiltered.AllPairsAbove(tau));
-    ExpectPairsIdentical(filtered.AllPairsAbove(tau),
-                         unfiltered.AllPairsAboveReference(tau));
+  for (size_t tile_rows : {1u, 7u, 64u, 0u}) {  // 0 = adaptive
+    QueryOptions with;
+    with.prefilter = true;
+    with.num_threads = 4;
+    with.tile_rows = tile_rows;
+    SimilarityIndex filtered(sketch, {}, with);
+    filtered.Rebuild(AllUsers(50));
+    for (double tau : thresholds) {
+      ExpectPairsIdentical(filtered.AllPairsAbove(tau),
+                           unfiltered.AllPairsAbove(tau));
+      ExpectPairsIdentical(filtered.AllPairsAbove(tau),
+                           unfiltered.AllPairsAboveReference(tau));
+    }
   }
 }
 

@@ -2,10 +2,12 @@
 // the pair set of the per-pair ShardedVosSketch::EstimatePair reference —
 // bit-identical estimates on same-shard AND cross-shard pairs (the §IV
 // correction generalized to (1−2β_A)(1−2β_B)) — for every shard count,
-// planner thread count, threshold and prefilter setting; TopK must match
-// its brute-force reference under the shared-bound pruning; the
-// incremental Refresh path must land on the same snapshots as a fresh
-// Rebuild; and PlanAllPairs must report each pass's window pair count.
+// planner thread count, tile size, threshold and prefilter setting; TopK
+// must match its brute-force reference under the running-bound screens,
+// ties at the cut included, and equal SimilarityIndex::TopK at S = 1; a
+// query id beyond num_users must abort; the incremental Refresh path must
+// land on the same snapshots as a fresh Rebuild; and PlanAllPairs must
+// report each pass's window pair count.
 
 #include <gtest/gtest.h>
 
@@ -89,7 +91,8 @@ void ExpectEntriesIdentical(const std::vector<QueryPlanner::Entry>& got,
 
 /// The acceptance matrix: same pair set and bit-identical estimates as
 /// the per-pair reference for S ∈ {1, 2, 4} × planner threads ∈ {1, 8} ×
-/// τ ∈ {0.2, 0.5}, with and without the prefilter.
+/// τ ∈ {0.2, 0.5} × tile_rows ∈ {1, 7, 64, adaptive}, with and without
+/// the prefilter.
 TEST(QueryPlannerTest, AllPairsMatchesReferenceAcrossShardsAndThreads) {
   const UserId users = 72;
   const std::vector<Element> elements = CommunityStream(users, 60, 7);
@@ -122,18 +125,23 @@ TEST(QueryPlannerTest, AllPairsMatchesReferenceAcrossShardsAndThreads) {
       }
       for (const unsigned threads : {1u, 8u}) {
         for (const bool prefilter : {true, false}) {
-          QueryOptions options;
-          options.num_threads = threads;
-          options.prefilter = prefilter;
-          options.block_size = 16;  // several cross-shard blocks per pass
-          QueryPlanner planner(sketch, {}, options);
-          planner.Rebuild(candidates);
-          ExpectPairsIdentical(
-              planner.AllPairsAbove(tau), reference,
-              "shards=" + std::to_string(shards) +
-                  " threads=" + std::to_string(threads) +
-                  " tau=" + std::to_string(tau) +
-                  " prefilter=" + std::to_string(prefilter));
+          // 0 = adaptive (one tile per pass here); the others split every
+          // pass into several tiles, down to single rows.
+          for (const size_t tile_rows : {1u, 7u, 64u, 0u}) {
+            QueryOptions options;
+            options.num_threads = threads;
+            options.prefilter = prefilter;
+            options.tile_rows = tile_rows;
+            QueryPlanner planner(sketch, {}, options);
+            planner.Rebuild(candidates);
+            ExpectPairsIdentical(
+                planner.AllPairsAbove(tau), reference,
+                "shards=" + std::to_string(shards) +
+                    " threads=" + std::to_string(threads) +
+                    " tau=" + std::to_string(tau) +
+                    " prefilter=" + std::to_string(prefilter) +
+                    " tile_rows=" + std::to_string(tile_rows));
+          }
         }
       }
     }
@@ -218,7 +226,7 @@ TEST(QueryPlannerTest, CrossShardEstimatesMatchTwoBetaModel) {
   EXPECT_GT(cross_checked, 0u);
 }
 
-TEST(QueryPlannerTest, TopKMatchesReferenceWithSharedBoundPruning) {
+TEST(QueryPlannerTest, TopKMatchesReferenceWithRunningBoundScreens) {
   const UserId users = 60;
   const std::vector<Element> elements = CommunityStream(users, 50, 17);
   for (const uint32_t shards : {1u, 3u, 4u}) {
@@ -245,6 +253,133 @@ TEST(QueryPlannerTest, TopKMatchesReferenceWithSharedBoundPruning) {
         }
       }
     }
+  }
+}
+
+/// At S = 1 both TopK surfaces run one scan: the planner answers exactly
+/// as SimilarityIndex over an equivalent standalone VosSketch, for
+/// candidate and non-candidate queries and k up to the full ranking.
+TEST(QueryPlannerTest, SingleShardTopKEqualsGlobalSimilarityIndex) {
+  const UserId users = 64;
+  const std::vector<Element> elements = CommunityStream(users, 50, 29);
+  const ShardedVosConfig config = PlannerConfig(1);
+  ShardedVosSketch sharded(config, users);
+  VosSketch plain(ShardedVosSketch::ShardConfig(config, 0), users);
+  sharded.UpdateBatch(elements.data(), elements.size());
+  for (const Element& e : elements) plain.Update(e);
+
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < users - 4; ++u) candidates.push_back(u);
+  QueryPlanner planner(sharded);
+  planner.Rebuild(candidates);
+  SimilarityIndex index(plain);
+  index.Rebuild(candidates);
+  for (const UserId query : {UserId{0}, UserId{1}, UserId{7}, users - 2}) {
+    for (const size_t k : {size_t{1}, size_t{5}, size_t{20}, size_t{1000}}) {
+      ExpectEntriesIdentical(planner.TopK(query, k), index.TopK(query, k),
+                             "query=" + std::to_string(query) +
+                                 " k=" + std::to_string(k));
+    }
+  }
+}
+
+/// Users 0..23 hold the same 60 items, user 24 holds 30 of them plus 30
+/// of its own, and users 25.. are noise of assorted sizes. The array is
+/// large, so most group members carry no contamination and share one
+/// digest: against either query they tie on Ĵ.
+std::vector<Element> TieStream(UserId users) {
+  std::vector<Element> elements;
+  for (UserId u = 0; u < users; ++u) {
+    if (u < 24) {
+      for (ItemId i = 0; i < 60; ++i) elements.push_back({u, i, Action::kInsert});
+    } else if (u == 24) {
+      for (ItemId i = 0; i < 30; ++i) {
+        elements.push_back({u, i, Action::kInsert});
+        elements.push_back({u, 1000 + i, Action::kInsert});
+      }
+    } else {
+      const ItemId base = 100000 * u;
+      for (ItemId i = 0; i < 10 + 7 * (u % 13); ++i) {
+        elements.push_back({u, i < 20 ? i : base + i, Action::kInsert});
+      }
+    }
+  }
+  return elements;
+}
+
+/// k that puts the cut inside the largest run of equal Ĵ > 0 in a full
+/// `ranking` (its middle), or 0 when there is no such run.
+size_t CutInsideTie(const std::vector<QueryPlanner::Entry>& ranking) {
+  size_t best_begin = 0, best_size = 0;
+  for (size_t a = 0; a < ranking.size();) {
+    size_t b = a + 1;
+    while (b < ranking.size() && ranking[b].jaccard == ranking[a].jaccard) ++b;
+    if (b - a > best_size && ranking[a].jaccard > 1e-3) {
+      best_begin = a;
+      best_size = b - a;
+    }
+    a = b;
+  }
+  return best_size < 2 ? 0 : best_begin + best_size / 2;
+}
+
+/// A tie at the k-th best Ĵ: the screens run with τ = that Ĵ and must
+/// keep every tied row, so only the user-id tie-break decides which
+/// members make the cut. Both surfaces (the planner, and the query's
+/// shard index in local ids), S ∈ {1, 4}, clamping on (screened) and off
+/// (unscreened), against the per-pair references.
+TEST(QueryPlannerTest, TopKTieAtTheCutMatchesReference) {
+  const UserId users = 64;
+  const std::vector<Element> elements = TieStream(users);
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
+  for (const bool clamp : {true, false}) {
+    VosEstimatorOptions estimator_options;
+    estimator_options.clamp_to_feasible = clamp;
+    for (const uint32_t shards : {1u, 4u}) {
+      ShardedVosSketch sketch(PlannerConfig(shards, 512, 1 << 24), users,
+                              estimator_options);
+      sketch.UpdateBatch(elements.data(), elements.size());
+      QueryPlanner planner(sketch, estimator_options);
+      planner.Rebuild(candidates);
+      for (const UserId query : {UserId{0}, UserId{24}}) {
+        const std::string context = "clamp=" + std::to_string(clamp) +
+                                    " S=" + std::to_string(shards) +
+                                    " query=" + std::to_string(query);
+        const size_t k =
+            CutInsideTie(planner.TopKReference(query, candidates.size()));
+        ASSERT_GT(k, 0u) << context << ": no tie to cut";
+        ExpectEntriesIdentical(planner.TopK(query, k),
+                               planner.TopKReference(query, k),
+                               context + " k=" + std::to_string(k));
+
+        const SimilarityIndex& index =
+            planner.shard_index(sketch.ShardOf(query));
+        const UserId local = sketch.LocalIdOf(query);
+        const size_t k_local =
+            CutInsideTie(index.TopKReference(local, index.candidate_count()));
+        ASSERT_GT(k_local, 0u) << context << ": no tie in the shard index";
+        ExpectEntriesIdentical(index.TopK(local, k_local),
+                               index.TopKReference(local, k_local),
+                               context + " index k=" + std::to_string(k_local));
+      }
+    }
+  }
+}
+
+/// A query id beyond num_users aborts at the entry of both TopK surfaces
+/// with one message at every shard count, instead of reading past the
+/// per-user state (S = 1) or tripping the shard map's check (S > 1).
+TEST(QueryPlannerDeathTest, TopKQueryBeyondNumUsersAborts) {
+  const UserId users = 16;
+  for (const uint32_t shards : {1u, 2u}) {
+    ShardedVosSketch sketch(PlannerConfig(shards), users);
+    QueryPlanner planner(sketch);
+    planner.Rebuild({0, 1, 2, 3});
+    EXPECT_DEATH(planner.TopK(users, 1), "TopK query user") << shards;
+    EXPECT_DEATH(planner.TopK(400000000, 1), "TopK query user") << shards;
+    EXPECT_DEATH(planner.shard_index(0).TopK(400000000, 1), "TopK query user")
+        << shards;
   }
 }
 
