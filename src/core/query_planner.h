@@ -50,9 +50,10 @@
 // ACROSS scan units (the tiles of every same-shard and cross-shard pass,
 // QueryOptions::tile_rows per tile edge), each unit single-threaded
 // inside. Snapshots (Rebuild/Refresh) run min(T, S) shard tasks at a
-// time, and each shard index works with max(1, ⌊T/S⌋) workers of its own
+// time; each shard index rebuilds with max(1, ⌊T/S⌋) workers of its own
 // (IndexThreads), so the nested split never exceeds T threads and at
-// S == 1 the one index uses all of them. TopK spawns no thread: a call
+// S == 1 the one index uses all of them, and refreshes on its task's
+// thread (a refresh costs what changed). TopK spawns no thread: a call
 // is about one popcount per candidate row, less than starting a worker.
 // With S == 1 the planner degenerates to the single global index — tiled
 // exactly as SimilarityIndex::AllPairsAbove tiles it — which is what
@@ -159,8 +160,8 @@ class QueryPlanner {
   /// running queries.
   void set_num_threads(unsigned num_threads);
 
-  /// Workers each shard index gets for its own Rebuild/RefreshDirty:
-  /// max(1, ⌊T/S⌋) for T resolved planner threads and S shards.
+  /// Workers each shard index gets for its own Rebuild: max(1, ⌊T/S⌋)
+  /// for T resolved planner threads and S shards.
   unsigned IndexThreads() const;
 
  private:

@@ -41,18 +41,23 @@ uint32_t ShrunkSpinBudget(uint32_t budget) {
   return std::max(kSpinBudgetMin, budget / 2);
 }
 
-/// Construction-time footprint estimate for the memory-budget validation:
-/// shard arrays (word-rounded) plus per-user state (cardinality counter,
-/// dirty epoch, dense-remap tables). Matches MemoryBits() up to rounding.
+/// Construction-time footprint for the memory-budget validation: shard
+/// arrays (word-rounded), their changed-word summaries when tracked (one
+/// bit per array word, word-rounded), and per-user state (cardinality
+/// counter, dirty epoch, dense-remap tables). Equals a fresh sketch's
+/// MemoryBits().
 uint64_t StaticFootprintBits(const ShardedVosConfig& config,
                              stream::UserId num_users) {
-  uint64_t total = 0;
   const uint64_t shard_m =
       config.num_shards > 1
           ? std::max<uint64_t>(1, config.base.m / config.num_shards)
           : config.base.m;
-  total += static_cast<uint64_t>(config.num_shards) * ((shard_m + 63) / 64) *
-           64;
+  const uint64_t shard_words = (shard_m + 63) / 64;
+  uint64_t per_shard = shard_words * 64;             // array
+  if (config.base.track_dirty) {
+    per_shard += (shard_words + 63) / 64 * 64;       // changed-word summary
+  }
+  uint64_t total = static_cast<uint64_t>(config.num_shards) * per_shard;
   uint64_t per_user = 32;                            // cardinality counter
   if (config.base.track_dirty) per_user += 32;       // dirty epoch
   if (config.num_shards > 1) per_user += 64;         // dense remap tables
@@ -943,7 +948,7 @@ size_t ShardedVosSketch::MemoryBits() const {
   // dense remap keeps the per-user portion independent of num_shards.
   size_t total = dense_map_.MemoryBits();
   for (const VosSketch& shard : shards_) {
-    total += shard.MemoryBits() + shard.PerUserStateBits();
+    total += shard.MemoryBits() + shard.BookkeepingBits();
   }
   return total;
 }

@@ -347,16 +347,16 @@ class ShardedVosSketch {
   }
 
   /// Honest total memory: the shard arrays (≈ base.m bits by
-  /// construction) PLUS every per-user structure the sharded facade
-  /// allocates — per-shard cardinality counters and dirty epochs
-  /// (VosSketch::PerUserStateBits) and the dense remap's forward/inverse
-  /// tables. Thanks to the dense remap the per-user portion is
-  /// independent of num_shards (~8–16 bytes/user total, vs. ~8·S
-  /// bytes/user without it), and — unlike plain VosSketch::MemoryBits(),
-  /// which excludes the one cardinality counter per user every compared
-  /// method keeps — nothing here is silently dropped: duplicated or
-  /// facade-specific per-user state is exactly the overhead a
-  /// Figure-2-style equal-memory comparison must see.
+  /// construction) PLUS every structure the sharded facade allocates
+  /// beside them — per-shard cardinality counters, dirty epochs and
+  /// changed-word summaries (VosSketch::BookkeepingBits) and the dense
+  /// remap's forward/inverse tables. Thanks to the dense remap the
+  /// per-user portion is independent of num_shards (~8–16 bytes/user
+  /// total, vs. ~8·S bytes/user without it), and — unlike plain
+  /// VosSketch::MemoryBits(), which excludes the one cardinality counter
+  /// per user every compared method keeps — nothing here is silently
+  /// dropped: duplicated or facade-specific state is exactly the
+  /// overhead a Figure-2-style equal-memory comparison must see.
   size_t MemoryBits() const;
 
   const ShardedVosConfig& config() const { return config_; }

@@ -1,6 +1,7 @@
 #include "core/similarity_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "core/pair_scan.h"
@@ -13,11 +14,6 @@ namespace {
 // (core/scan_common.h) — both paths must sort and schedule identically.
 using scan::EntryBefore;
 using scan::PairBefore;
-
-template <typename Work>
-void RunBlocks(unsigned threads, size_t num_blocks, const Work& work) {
-  scan::RunIndexed(threads, num_blocks, work);
-}
 
 // The incremental Rebuild sorts its inverse-index entries by cell word in
 // two levels: a coarse scatter into partitions of 2^16 cells (1,024 array
@@ -48,23 +44,23 @@ void SimilarityIndex::SortRowsAndMaps() {
                          ? cardinalities_[a] < cardinalities_[b]
                          : a < b;
             });
-  row_of_orig_.assign(n, 0);
+  row_of_orig_.resize(n);
   cards_by_row_.resize(n);
   for (size_t p = 0; p < n; ++p) {
     const uint32_t i = sorted_rows_[p];
     row_of_orig_[i] = static_cast<uint32_t>(p);
     cards_by_row_[p] = cardinalities_[i];
   }
-  row_of_.clear();
-  row_of_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    row_of_.emplace(candidates_[i], row_of_orig_[i]);  // first occurrence
-  }
 }
 
 void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
   candidates_ = std::move(candidates);
   const size_t n = candidates_.size();
+  candidate_of_.clear();
+  candidate_of_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    candidate_of_.emplace(candidates_[i], i);  // first occurrence
+  }
   cardinalities_.clear();
   cardinalities_.reserve(n);
   for (UserId u : candidates_) {
@@ -123,7 +119,7 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
   // cursors[c·num_parts + p]: range c's count in partition p, then its
   // next write position there.
   std::vector<uint32_t> cursors(workers * num_parts, 0);
-  RunBlocks(workers, workers, [&](size_t c) {
+  scan::RunIndexed(workers, workers, [&](size_t c) {
     uint32_t* counts = cursors.data() + c * num_parts;
     std::vector<uint32_t> cells(k);
     for (size_t i = range_begin(c); i < range_begin(c + 1); ++i) {
@@ -154,7 +150,7 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
                             << total;
   bucket_entries_.resize(total);
   uint32_t* const entries = bucket_entries_.data();
-  RunBlocks(workers, workers, [&](size_t c) {
+  scan::RunIndexed(workers, workers, [&](size_t c) {
     uint32_t* part_cursor = cursors.data() + c * num_parts;
     for (size_t i = range_begin(c); i < range_begin(c + 1); ++i) {
       const UserId user = candidates_[i];
@@ -179,7 +175,7 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
   const unsigned sort_workers =
       ResolveThreadCount(query_options_.num_threads, num_parts);
   std::vector<Scratch> scratch(sort_workers);
-  RunBlocks(sort_workers, num_parts, [&](size_t p, unsigned w) {
+  scan::RunIndexed(sort_workers, num_parts, [&](size_t p, unsigned w) {
     Scratch& s = scratch[w];
     uint32_t* const part = entries + part_begin[p];
     const size_t count = part_begin[p + 1] - part_begin[p];
@@ -234,47 +230,60 @@ void SimilarityIndex::RefreshDirty() {
       }
     }
   }
-  const std::vector<uint32_t> old_row_of_orig = row_of_orig_;
+  const std::vector<uint32_t> old_row_of_orig = std::move(row_of_orig_);
   SortRowsAndMaps();
 
   // The next snapshot starts as the old rows permuted into the new
-  // cardinality order; the published matrix_ is never written.
+  // cardinality order; the published matrix_ is never written. One
+  // n·k/8-byte copy, on the calling thread.
   DigestMatrix next(k, n);
-  const size_t words = next.words_per_row();
-  const size_t block = 64;
-  const size_t num_blocks = (n + block - 1) / block;
-  RunBlocks(ResolveThreadCount(query_options_.num_threads, num_blocks),
-            num_blocks, [&](size_t b) {
-              const size_t end = std::min(n, (b + 1) * block);
-              for (size_t p = b * block; p < end; ++p) {
-                std::memcpy(next.MutableRow(p),
-                            matrix_.Row(old_row_of_orig[sorted_rows_[p]]),
-                            words * sizeof(uint64_t));
-              }
-            });
+  const size_t row_bytes = next.words_per_row() * sizeof(uint64_t);
+  for (size_t p = 0; p < n; ++p) {
+    std::memcpy(next.MutableRow(p),
+                matrix_.Row(old_row_of_orig[sorted_rows_[p]]), row_bytes);
+  }
 
   // Digest bit j of candidate i is A[f_j(u_i)], so each changed array bit
-  // flips exactly its owners' bits. Each changed word's XOR mask is
-  // tested against the owner's exact bit-in-word (f_j(u_i) & 63, one
-  // hash), then the snapshot word is re-synced: unchanged words cost one
-  // compare, and a cell flipped an even number of times since the last
-  // snapshot flips nothing.
+  // flips exactly its owners' bits. Only the words the sketch's
+  // changed-word summary flags can differ from the snapshot. Pass 1
+  // compares those against the snapshot, re-syncs them and records each
+  // changed word's XOR mask and inverse-index bucket; a cell flipped an
+  // even number of times since the last snapshot flips nothing.
   const std::vector<uint64_t>& live_words = sketch_->array().words();
-  for (size_t w = 0; w < live_words.size(); ++w) {
-    const uint64_t mask = live_words[w] ^ snapshot_words_[w];
-    if (mask == 0) continue;
-    for (size_t idx = bucket_offsets_[w]; idx < bucket_offsets_[w + 1];
-         ++idx) {
+  const std::vector<uint64_t>& summary = sketch_->changed_words();
+  refresh_words_.clear();
+  for (size_t s = 0; s < summary.size(); ++s) {
+    for (uint64_t bits = summary[s]; bits != 0; bits &= bits - 1) {
+      const size_t w = (s << 6) + static_cast<size_t>(std::countr_zero(bits));
+      const uint64_t mask = live_words[w] ^ snapshot_words_[w];
+      if (mask == 0) continue;
+      snapshot_words_[w] = live_words[w];
+      refresh_words_.push_back(
+          {mask, bucket_offsets_[w], bucket_offsets_[w + 1]});
+    }
+  }
+  // Pass 2 tests each bucket entry against its owner's exact bit-in-word
+  // (f_j(u_i) & 63, one hash) and flips the matching digest bits. The
+  // buckets are scattered over the inverse index, so the walk prefetches
+  // a few words ahead.
+  constexpr size_t kPrefetchWords = 4;
+  for (size_t c = 0; c < refresh_words_.size(); ++c) {
+    if (c + kPrefetchWords < refresh_words_.size()) {
+      __builtin_prefetch(
+          bucket_entries_.data() + refresh_words_[c + kPrefetchWords].begin);
+    }
+    const ChangedWord& word = refresh_words_[c];
+    for (uint32_t idx = word.begin; idx < word.end; ++idx) {
       const uint32_t flat = bucket_entries_[idx];
       const uint32_t i = flat / k;
       const uint32_t j = flat - i * k;
-      if (((mask >> (sketch_->CellOf(candidates_[i], j) & 63)) & 1) == 0) {
+      if (((word.mask >> (sketch_->CellOf(candidates_[i], j) & 63)) & 1) ==
+          0) {
         continue;
       }
       next.MutableRow(row_of_orig_[i])[j >> 6] ^= uint64_t{1} << (j & 63);
       affected[i] = 1;
     }
-    snapshot_words_[w] = live_words[w];
   }
   matrix_ = std::move(next);
   sketch_->ClearDirtyUsers();
@@ -289,8 +298,8 @@ void SimilarityIndex::RefreshDirty() {
 }
 
 size_t SimilarityIndex::RowOf(UserId user) const {
-  const auto it = row_of_.find(user);
-  return it == row_of_.end() ? kNpos : it->second;
+  const auto it = candidate_of_.find(user);
+  return it == candidate_of_.end() ? kNpos : row_of_orig_[it->second];
 }
 
 PairEstimate SimilarityIndex::EstimateFromDigests(const BitVector& a,

@@ -67,9 +67,8 @@ namespace vos::core {
 
 /// Tunables of the batch query engine.
 struct QueryOptions {
-  /// Worker threads of AllPairsAbove and of snapshots (Rebuild,
-  /// RefreshDirty); TopK runs on the calling thread
-  /// (0 = std::thread::hardware_concurrency()).
+  /// Worker threads of AllPairsAbove and Rebuild; TopK and RefreshDirty
+  /// run on the calling thread (0 = std::thread::hardware_concurrency()).
   unsigned num_threads = 0;
   /// Rows per tile edge of the all-pairs pair scan (core/pair_scan.h):
   /// every triangle/rectangle pass is decomposed into tile_rows ×
@@ -138,10 +137,14 @@ class SimilarityIndex {
   /// snapshot, the cardinality changes it held are lost to this index,
   /// so RefreshDirty aborts instead of returning a stale snapshot.
   ///
-  /// Cost: O(m/64) word scan + O(inverse-index entries in changed words),
-  /// one f_j hash each + one row-permute copy (n·k/8 bytes); no row is
-  /// re-read in O(k), whatever the delta size (bench/micro_ingest_path.cc
-  /// times it against Rebuild up to a delta larger than the stream).
+  /// Cost: O(changed words + their inverse-index entries) — the sketch's
+  /// changed-word summary (VosSketch::changed_words(), m/4096 words) names
+  /// the words to compare, and each entry costs one f_j hash — plus the
+  /// n·k/64-word row-permute copy and an O(n) pass over the candidates.
+  /// No row is re-read in O(k) and no array word outside the summary is
+  /// read, whatever the delta size (bench/micro_ingest_path.cc times it
+  /// against Rebuild up to a delta larger than the stream). Runs on the
+  /// calling thread.
   void RefreshDirty();
 
   /// True once Rebuild() has captured incremental state (i.e.
@@ -239,9 +242,9 @@ class SimilarityIndex {
   /// workers. Results are identical for every thread count.
   void ExtractRowsAndInverseIndex();
 
-  /// Recomputes the cardinality-sorted order and every row map from
-  /// candidates_/cardinalities_ (shared by Rebuild and RefreshDirty, so
-  /// both produce the identical deterministic order).
+  /// Recomputes the cardinality-sorted order, the row ↔ candidate maps
+  /// and cards_by_row_ from cardinalities_ (shared by Rebuild and
+  /// RefreshDirty, so both produce the identical deterministic order).
   void SortRowsAndMaps();
 
   /// Reference-path estimate from two BitVector digests.
@@ -269,8 +272,9 @@ class SimilarityIndex {
   std::vector<uint32_t> sorted_rows_;
   /// row_of_orig_[i] = matrix row of candidate index i.
   std::vector<uint32_t> row_of_orig_;
-  /// user → matrix row (first occurrence among candidates).
-  std::unordered_map<UserId, size_t> row_of_;
+  /// user → candidate index (first occurrence). Built by Rebuild only:
+  /// RefreshDirty keeps the candidate list, so the map stays valid.
+  std::unordered_map<UserId, size_t> candidate_of_;
   /// log_alpha_table_[d] = VosEstimator::LogAlphaTerm(d / k) for every
   /// Hamming distance d in [0, k]; built once in the constructor (it
   /// depends only on k, so neither Rebuild nor RefreshDirty touches it).
@@ -283,8 +287,9 @@ class SimilarityIndex {
 
   // --- Incremental-maintenance state (QueryOptions::incremental) -------
   /// The sketch array words as of the last snapshot; XOR against the live
-  /// words localizes every changed cell. RefreshDirty re-syncs only the
-  /// words it finds changed, so no full copy is ever repeated.
+  /// words localizes every changed cell. RefreshDirty compares and
+  /// re-syncs only the words the sketch's changed-word summary flags, so
+  /// no full copy or compare is ever repeated.
   std::vector<uint64_t> snapshot_words_;
   /// VosSketch::dirty_epoch() right after this index's last clear; a
   /// different value at RefreshDirty means another consumer cleared.
@@ -298,6 +303,14 @@ class SimilarityIndex {
   /// every bit sharing the 64-bit word.
   std::vector<uint32_t> bucket_offsets_;
   std::vector<uint32_t> bucket_entries_;
+  /// RefreshDirty scratch, kept across refreshes: each changed word's XOR
+  /// mask with its inverse-index bucket range.
+  struct ChangedWord {
+    uint64_t mask;
+    uint32_t begin;
+    uint32_t end;
+  };
+  std::vector<ChangedWord> refresh_words_;
 };
 
 }  // namespace vos::core

@@ -11,7 +11,9 @@ VosSketch::VosSketch(const VosConfig& config, UserId num_users)
                                  : hash::DeriveSeed(config.seed, 0xf00d)),
       array_(config.m),
       cardinality_(num_users, 0),
-      dirty_epoch_(config.track_dirty ? num_users : 0, 0) {
+      dirty_epoch_(config.track_dirty ? num_users : 0, 0),
+      changed_words_(
+          config.track_dirty ? (array_.words().size() + 63) / 64 : 0, 0) {
   VOS_CHECK(config.k >= 1) << "virtual sketch needs at least one bit";
   VOS_CHECK(config.m >= 1) << "shared array must be non-empty";
   {
@@ -41,13 +43,28 @@ void VosSketch::MergeFrom(const VosSketch& other) {
   for (size_t u = 0; u < cardinality_.size(); ++u) {
     if (other.cardinality_[u] != 0) {
       cardinality_[u] += other.cardinality_[u];
-      MarkDirty(static_cast<UserId>(u));
+      if (tracks_dirty()) MarkUserDirty(static_cast<UserId>(u));
     }
+  }
+  if (changed_words_.empty()) return;  // tracking off
+  // The XOR bypassed Update: flag every word it can have changed.
+  const std::vector<uint64_t>& words = other.array_.words();
+  for (size_t w = 0; w < words.size(); ++w) {
+    if (words[w] != 0) changed_words_[w >> 6] |= uint64_t{1} << (w & 63);
+  }
+}
+
+void VosSketch::MarkAllWordsChanged() const {
+  std::fill(changed_words_.begin(), changed_words_.end(), ~uint64_t{0});
+  const size_t tail = array_.words().size() % 64;
+  if (tail != 0 && !changed_words_.empty()) {  // empty: tracking off
+    changed_words_.back() = (uint64_t{1} << tail) - 1;
   }
 }
 
 void VosSketch::ClearDirtyUsers() const {
   dirty_users_.clear();
+  std::fill(changed_words_.begin(), changed_words_.end(), 0);
   if (++dirty_current_epoch_ == 0) {
     // uint32 epoch wrapped: reset the per-user epochs so stale entries
     // from 2^32 snapshots ago cannot alias the fresh epoch.

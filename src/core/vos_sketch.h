@@ -70,10 +70,12 @@ struct VosConfig {
   /// (common items still cancel) while the shards' cell maps stay
   /// independent.
   uint64_t f_seed = 0;
-  /// Maintain the per-user dirty set (see dirty_users()). Costs one extra
-  /// epoch load+compare per Update; turn off for sketches that will never
-  /// be consumed incrementally (the harness does, so the Figure-2 update
-  /// measurement stays at the paper's bare O(1) cost).
+  /// Maintain the per-user dirty set (see dirty_users()) and the
+  /// changed-word summary (see changed_words()). Costs one extra epoch
+  /// load+compare and one summary-bit OR per Update, plus one bit per
+  /// array word; turn off for sketches that will never be consumed
+  /// incrementally (the harness does, so the Figure-2 update measurement
+  /// stays at the paper's bare O(1) cost).
   bool track_dirty = true;
 };
 
@@ -86,16 +88,18 @@ class VosSketch {
   /// Processes one stream element in O(1): flips A[f_ψ(i)(u)] and adjusts
   /// n_u by ±1. Under VosConfig::track_dirty it also marks the user dirty
   /// (see dirty_users()) in O(1) amortized — one epoch compare, plus a
-  /// push the first time a user is touched after a snapshot.
+  /// push the first time a user is touched after a snapshot — and flags
+  /// the flipped cell's array word in changed_words().
   void Update(const Element& e) {
-    array_.Flip(CellOf(e.user, BucketOf(e.item)));
+    const uint64_t cell = CellOf(e.user, BucketOf(e.item));
+    array_.Flip(cell);
     if (e.action == Action::kInsert) {
       ++cardinality_[e.user];
     } else {
       VOS_DCHECK(cardinality_[e.user] > 0) << "deletion below zero" << e;
       --cardinality_[e.user];
     }
-    MarkDirty(e.user);
+    MarkDirty(e.user, cell >> 6);
   }
 
   /// ψ(item) ∈ [0, k) — which virtual bit of its user an item toggles.
@@ -156,14 +160,15 @@ class VosSketch {
   /// SimilarityMethod::MemoryBits).
   size_t MemoryBits() const { return array_.MemoryBits(); }
 
-  /// Per-user bookkeeping bits: cardinality counters plus (when tracked)
-  /// dirty epochs. Excluded from MemoryBits() by the SimilarityMethod
-  /// convention above, but counted by sharded facades — whether this
-  /// state is allocated once per user or once per (user, shard) is real
-  /// memory the facade is accountable for
-  /// (see ShardedVosSketch::MemoryBits).
-  size_t PerUserStateBits() const {
-    return (cardinality_.size() + dirty_epoch_.size()) * sizeof(uint32_t) * 8;
+  /// Bookkeeping bits beyond the array: cardinality counters plus, when
+  /// tracked, the dirty epochs and the changed-word summary. Excluded from
+  /// MemoryBits() by the SimilarityMethod convention above, but counted
+  /// by sharded facades — whether this state is allocated once per user
+  /// or once per (user, shard) is real memory the facade is accountable
+  /// for (see ShardedVosSketch::MemoryBits).
+  size_t BookkeepingBits() const {
+    return (cardinality_.size() + dirty_epoch_.size()) * sizeof(uint32_t) * 8 +
+           changed_words_.size() * 64;
   }
 
   /// Merges another shard's sketch into this one (distributed ingestion).
@@ -202,8 +207,11 @@ class VosSketch {
   // Contract: the dirty set covers *which users were updated* — because
   // array cells are shared, an update for user v can still flip a bit of
   // a clean user u's reconstructed digest. Incremental consumers must
-  // therefore pair the dirty set with an array-delta check (see
-  // SimilarityIndex::RefreshDirty); the dirty set alone is exact for
+  // therefore pair the dirty set with the changed-word summary
+  // (changed_words()): every array word written since the last clear is
+  // flagged there, so a consumer compares only the flagged words against
+  // its snapshot instead of the whole array (see
+  // SimilarityIndex::RefreshDirty). The dirty set alone is exact for
   // cardinality changes, which never appear in the array delta.
   //
   // Thread-safety: Update/MarkDirty follow the sketch's single-writer
@@ -223,17 +231,29 @@ class VosSketch {
   /// users whose merged cardinality changed (a merge CAN flip a user's
   /// array bits without a net cardinality change — such users are not
   /// listed here, by design: digest-level changes are only detectable
-  /// via an array delta, which is exactly how RefreshDirty pairs with
-  /// this set). Always empty when tracking is off.
+  /// via the array delta over the words changed_words() flags, which is
+  /// exactly how RefreshDirty pairs with this set). Always empty when
+  /// tracking is off.
   const std::vector<UserId>& dirty_users() const { return dirty_users_; }
+
+  /// The changed-word summary: bit w (word w >> 6, bit w & 63) is set iff
+  /// array word w may have changed since the last ClearDirtyUsers() — set
+  /// by Update for the word it flips, and conservatively by the writers
+  /// that bypass Update (MergeFrom, the VosSketchIo decoder). A flagged
+  /// word may be back at its old value (a cell flipped twice); an
+  /// unflagged word is unchanged. One bit per array word, no bit at or
+  /// beyond array().words().size() is ever set; empty when tracking is
+  /// off.
+  const std::vector<uint64_t>& changed_words() const { return changed_words_; }
 
   /// True iff `user` is in dirty_users().
   bool IsDirty(UserId user) const {
     return tracks_dirty() && dirty_epoch_[user] == dirty_current_epoch_;
   }
 
-  /// Empties the dirty set (O(1): bumps the epoch). Called by snapshot
-  /// consumers once they have captured the set.
+  /// Empties the dirty set (O(1): bumps the epoch) and zeroes the
+  /// changed-word summary (m/64 bits). Called by snapshot consumers once
+  /// they have captured both.
   void ClearDirtyUsers() const;
 
   /// Changes with every ClearDirtyUsers(): a consumer that reads the same
@@ -243,14 +263,27 @@ class VosSketch {
  private:
   friend class VosSketchIo;  // serialization needs raw state access
 
-  void MarkDirty(UserId user) const {
+  /// Records an Update of `user` that flipped a cell in array word
+  /// `word`. The one tracking-off branch guards both the summary bit and
+  /// the dirty epoch, so an untracked Update pays a single early return.
+  void MarkDirty(UserId user, uint64_t word) const {
     if (dirty_epoch_.empty()) return;  // tracking off
+    changed_words_[word >> 6] |= uint64_t{1} << (word & 63);
+    MarkUserDirty(user);
+  }
+
+  /// Adds `user` to the dirty set; tracking must be on.
+  void MarkUserDirty(UserId user) const {
     uint32_t& epoch = dirty_epoch_[user];
     if (epoch != dirty_current_epoch_) {
       epoch = dirty_current_epoch_;
       dirty_users_.push_back(user);
     }
   }
+
+  /// Flags every array word in the summary (a no-op when tracking is
+  /// off): for writers that replace the whole array.
+  void MarkAllWordsChanged() const;
 
   VosConfig config_;
   uint64_t psi_seed_;
@@ -270,6 +303,9 @@ class VosSketch {
   // bookkeeping, not sketch state — a cleared sketch is the same sketch.
   mutable std::vector<uint32_t> dirty_epoch_;
   mutable std::vector<UserId> dirty_users_;
+  // The changed-word summary (see changed_words()): one bit per array
+  // word, allocated only under track_dirty. Mutable for the same reason.
+  mutable std::vector<uint64_t> changed_words_;
   mutable uint32_t dirty_current_epoch_ = 1;
 };
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -16,8 +17,11 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/query_planner.h"
+#include "core/sharded_vos_sketch.h"
 #include "core/similarity_index.h"
 #include "core/vos_drift.h"
+#include "core/vos_io.h"
 #include "core/vos_sketch.h"
 
 namespace vos::core {
@@ -487,6 +491,234 @@ TEST(RefreshDirtyDeathTest, SecondIncrementalConsumerAborts) {
   sketch.Update({4, a, Action::kDelete});
   sketch.Update({4, b, Action::kDelete});
   RefreshAndCheck(only, sketch, "single consumer");
+}
+
+// ------------------------------------------------- Changed-word summary
+
+/// Number of words the changed-word summary flags.
+size_t FlaggedWords(const VosSketch& sketch) {
+  size_t flagged = 0;
+  for (const uint64_t bits : sketch.changed_words()) {
+    flagged += static_cast<size_t>(std::popcount(bits));
+  }
+  return flagged;
+}
+
+TEST(ChangedWordSummaryTest, UpdateFlagsTheFlippedWordAndClearZeroes) {
+  VosSketch sketch(SmallConfig(1 << 13), 20);
+  ASSERT_EQ(sketch.changed_words().size(),
+            (sketch.array().words().size() + 63) / 64);
+  EXPECT_EQ(FlaggedWords(sketch), 0u);
+  const Element e{3, ItemId{1} << 29, Action::kInsert};
+  sketch.Update(e);
+  const uint64_t word = sketch.CellOf(e.user, sketch.BucketOf(e.item)) >> 6;
+  EXPECT_EQ(FlaggedWords(sketch), 1u);
+  EXPECT_EQ((sketch.changed_words()[word >> 6] >> (word & 63)) & 1, 1u);
+  // Flipping the cell back leaves the word flagged: the summary is
+  // conservative, the refresh's compare finds the word unchanged.
+  sketch.Update({e.user, e.item, Action::kDelete});
+  EXPECT_EQ(FlaggedWords(sketch), 1u);
+  sketch.ClearDirtyUsers();
+  EXPECT_EQ(FlaggedWords(sketch), 0u);
+}
+
+TEST(ChangedWordSummaryTest, TrackingOffAllocatesNoSummary) {
+  VosConfig config = SmallConfig();
+  config.track_dirty = false;
+  VosSketch sketch = PopulatedSketch(config, 30, 20, 71);
+  EXPECT_FALSE(sketch.tracks_dirty());
+  EXPECT_TRUE(sketch.changed_words().empty());
+  EXPECT_TRUE(sketch.dirty_users().empty());
+  EXPECT_EQ(sketch.BookkeepingBits(), 30u * 32u);  // cardinalities only
+  config.track_dirty = true;
+  const VosSketch tracked(config, 30);
+  // Plus epochs and one summary word (64 array words).
+  EXPECT_EQ(tracked.BookkeepingBits(), 30u * 64u + 64u);
+}
+
+/// The decoder writes the array outside Update, so a decoded sketch
+/// flags every array word — and no bit past the last word.
+TEST(ChangedWordSummaryTest, DecodedSketchFlagsEveryWord) {
+  // 66 array words: the summary's second word has a two-bit tail.
+  const VosSketch sketch =
+      PopulatedSketch(SmallConfig((1 << 12) + 100), 30, 20, 97);
+  std::string fields;
+  VosSketchIo::SerializeFields(sketch, &fields);
+  size_t consumed = 0;
+  const StatusOr<VosSketch> decoded = VosSketchIo::ParseFields(
+      reinterpret_cast<const uint8_t*>(fields.data()), fields.size(),
+      VosSketchIo::kVersion, "decoded", &consumed);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->array().words(), sketch.array().words());
+  EXPECT_EQ(decoded->changed_words(),
+            (std::vector<uint64_t>{~uint64_t{0}, 0b11}));
+}
+
+/// A copy carries its own summary: clearing the copy (as a reference
+/// Rebuild on it does) must not clear the original's, which the
+/// original's incremental index still needs.
+TEST(ChangedWordSummaryTest, CopiedSketchKeepsItsSummary) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(), 40, 30, 73);
+  const std::vector<UserId> candidates = FirstUsers(30);
+  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
+  index.Rebuild(candidates);
+  ItemId next_item = 1 << 29;
+  for (const UserId u : {UserId{1}, UserId{12}, UserId{35}}) {
+    sketch.Update({u, next_item++, Action::kInsert});
+  }
+  const VosSketch copy = sketch;
+  EXPECT_EQ(copy.changed_words(), sketch.changed_words());
+  EXPECT_EQ(FlaggedWords(copy), FlaggedWords(sketch));
+  EXPECT_GT(FlaggedWords(copy), 0u);
+  SimilarityIndex on_copy(copy, {}, IncrementalOptions(1));
+  on_copy.Rebuild(candidates);  // clears the copy's dirty set and summary
+  EXPECT_EQ(FlaggedWords(copy), 0u);
+  EXPECT_GT(FlaggedWords(sketch), 0u);
+  RefreshAndCheck(index, sketch, "original after the copy was cleared");
+}
+
+/// MergeFrom writes the array outside Update. A shard whose updates all
+/// belong to non-candidates changes candidates' digests through shared
+/// cells while no candidate becomes dirty; the summary must still flag
+/// those words.
+TEST(ChangedWordSummaryTest, MergeOfNonCandidateUpdatesRefreshesExactly) {
+  const VosConfig config = SmallConfig();
+  VosSketch sketch = PopulatedSketch(config, 40, 30, 79);
+  const std::vector<UserId> candidates = FirstUsers(20);
+  std::set<uint64_t> candidate_cells;
+  for (const UserId u : candidates) {
+    for (uint32_t j = 0; j < config.k; ++j) {
+      candidate_cells.insert(sketch.CellOf(u, j));
+    }
+  }
+  SimilarityIndex index(sketch, {}, IncrementalOptions(2));
+  index.Rebuild(candidates);
+  const auto before = Fresh(sketch, candidates);
+
+  VosSketch other(config, 40);
+  ItemId item = 1 << 29;
+  size_t hits = 0;
+  for (UserId u = 20; u < 40; ++u, ++item) {
+    hits += candidate_cells.count(sketch.CellOf(u, sketch.BucketOf(item)));
+    other.Update({u, item, Action::kInsert});
+  }
+  ASSERT_GT(hits, 0u);
+  const std::vector<uint64_t> words = sketch.array().words();
+  sketch.MergeFrom(other);
+  ASSERT_NE(sketch.array().words(), words);
+  for (const UserId u : candidates) ASSERT_FALSE(sketch.IsDirty(u));
+  // Every word the merge changed is flagged.
+  for (size_t w = 0; w < words.size(); ++w) {
+    if (words[w] == sketch.array().words()[w]) continue;
+    EXPECT_EQ((sketch.changed_words()[w >> 6] >> (w & 63)) & 1, 1u)
+        << "word " << w;
+  }
+  const auto after = RefreshAndCheck(index, sketch, "merge of non-candidates");
+  EXPECT_GT(ChangedRows(*before, *after), 0u);
+}
+
+/// Checks every shard index of `planner` against a fresh non-incremental
+/// Rebuild of its candidates: matrix rows, row cardinalities, β (all via
+/// ExpectIndexesIdentical) and RowIndexOf for every candidate.
+void ExpectPlannerMatchesRebuild(const QueryPlanner& planner,
+                                 const ShardedVosSketch& sketch,
+                                 const std::string& context) {
+  for (uint32_t s = 0; s < sketch.num_shards(); ++s) {
+    const SimilarityIndex& index = planner.shard_index(s);
+    const auto fresh = Fresh(sketch.shard(s), index.candidates());
+    const std::string where = context + " shard " + std::to_string(s);
+    ExpectIndexesIdentical(index, *fresh, where);
+    for (const UserId u : index.candidates()) {
+      ASSERT_EQ(index.RowIndexOf(u), fresh->RowIndexOf(u))
+          << where << " local user " << u;
+    }
+  }
+}
+
+/// Randomized differential test of the refresh path: seeded sequences
+/// of inserts, deletes of live elements, insert-delete pairs (cells
+/// flipped back) and merges of side sketches into a shard, in stretches
+/// of 0 to a few hundred operations between QueryPlanner::Refresh calls.
+/// After every refresh each shard snapshot must equal a fresh Rebuild.
+TEST(RefreshDirtyDifferentialTest, RandomOpsAndMergesMatchRebuild) {
+  const UserId users = 96;
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const unsigned threads : {1u, 2u}) {
+      for (const uint64_t seed : {uint64_t{83}, uint64_t{89}}) {
+        const std::string context = "S=" + std::to_string(shards) +
+                                    " T=" + std::to_string(threads) +
+                                    " seed=" + std::to_string(seed);
+        ShardedVosConfig config;
+        config.base = SmallConfig(1 << 12);
+        config.num_shards = shards;
+        ShardedVosSketch sketch(config, users);
+        Rng rng(seed);
+        std::vector<Element> live;
+        ItemId next_item = 1;
+        const auto insert = [&] {
+          live.push_back({static_cast<UserId>(rng.NextBounded(users)),
+                          next_item++, Action::kInsert});
+          sketch.Update(live.back());
+        };
+        for (int i = 0; i < 800; ++i) insert();
+        ASSERT_TRUE(sketch.Flush().ok()) << context;
+        // Users 0..71 are candidates; 72..95 only contaminate.
+        QueryPlanner planner(sketch, {}, IncrementalOptions(threads));
+        planner.Rebuild(FirstUsers(72));
+
+        for (int step = 0; step < 24; ++step) {
+          const size_t ops = rng.NextBounded(4) == 0 ? rng.NextBounded(300)
+                                                     : rng.NextBounded(6);
+          for (size_t op = 0; op < ops; ++op) {
+            switch (rng.NextBounded(8)) {
+              case 0:
+              case 1:
+              case 2:
+                insert();
+                break;
+              case 3:
+              case 4:
+              case 5: {
+                if (live.empty()) break;
+                const size_t victim = rng.NextBounded(live.size());
+                sketch.Update(
+                    {live[victim].user, live[victim].item, Action::kDelete});
+                live[victim] = live.back();
+                live.pop_back();
+                break;
+              }
+              case 6: {
+                const Element e{static_cast<UserId>(rng.NextBounded(users)),
+                                next_item++, Action::kInsert};
+                sketch.Update(e);
+                sketch.Update({e.user, e.item, Action::kDelete});
+                break;
+              }
+              default: {
+                // A side shard's inserts merged into one live shard.
+                ASSERT_TRUE(sketch.Flush().ok()) << context;
+                const auto s = static_cast<uint32_t>(rng.NextBounded(shards));
+                VosSketch side(ShardedVosSketch::ShardConfig(config, s),
+                               sketch.ShardUserCount(s));
+                const size_t count = 1 + rng.NextBounded(20);
+                for (size_t e = 0; e < count; ++e) {
+                  side.Update({static_cast<UserId>(
+                                   rng.NextBounded(side.num_users())),
+                               next_item++, Action::kInsert});
+                }
+                sketch.mutable_shard(s).MergeFrom(side);
+                break;
+              }
+            }
+          }
+          ASSERT_TRUE(sketch.Flush().ok()) << context;
+          planner.Refresh();
+          ExpectPlannerMatchesRebuild(
+              planner, sketch, context + " step=" + std::to_string(step));
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ VosDrift batching

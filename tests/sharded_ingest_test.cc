@@ -368,6 +368,30 @@ TEST(ShardedVosSketchTest, MemoryBitsIndependentOfShardCountAndUpdates) {
   EXPECT_GT(before, arrays);
 }
 
+/// The memory-budget validation and MemoryBits() count the same bits —
+/// arrays, changed-word summaries, per-user state, remap tables — so a
+/// budget of exactly a fresh sketch's MemoryBits() is accepted and one
+/// bit less is rejected. m is not a multiple of 64·64·S, so every shard's
+/// array and summary round up to whole words.
+TEST(ShardedVosSketchTest, MemoryBudgetValidationMatchesMemoryBits) {
+  const UserId users = 500;
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const bool track_dirty : {true, false}) {
+      ShardedVosConfig config =
+          TestConfig(shards, 0, /*k=*/256, /*m=*/(uint64_t{1} << 16) + 777);
+      config.base.track_dirty = track_dirty;
+      const uint64_t bits = ShardedVosSketch(config, users).MemoryBits();
+      config.memory_budget_bits = bits;
+      EXPECT_TRUE(ShardedVosSketch::ValidateConfig(config, users).ok())
+          << "S=" << shards << " track_dirty=" << track_dirty;
+      config.memory_budget_bits = bits - 1;
+      EXPECT_EQ(ShardedVosSketch::ValidateConfig(config, users).code(),
+                StatusCode::kInvalidArgument)
+          << "S=" << shards << " track_dirty=" << track_dirty;
+    }
+  }
+}
+
 /// The async pipeline must land on exactly the synchronous pipeline's
 /// state for every thread count — in-shard order is preserved through
 /// tagging, shared batches and per-worker queues.
