@@ -23,13 +23,14 @@
 // reported.
 //
 // The "kernel_hamming" / "kernel_extract" phases are the dispatch tier's
-// acceptance signal (common/kernels.h): the 1×8 blocked XOR+popcount and
-// the batched digest-extraction kernels timed once per dispatch level the
-// build + CPU offers (scalar / neon / avx2 / avx512). Every level's
-// output is verified bit-identical to the scalar reference table before
-// its timing counts, and the speedup column divides by the scalar level's
-// time — so these rows measure exactly what runtime dispatch buys on this
-// host, inside the same JSON schema bench_compare.py trends on.
+// acceptance signal (common/kernels.h): the 1×8 and 4×4 blocked
+// XOR+popcounts and the batched digest-extraction kernels timed once per
+// dispatch level the build + CPU offers (scalar / neon / avx2 / avx512).
+// Every level's output is verified bit-identical to the scalar reference
+// table before its timing counts, and the speedup column divides by the
+// scalar level's time — so these rows measure exactly what runtime
+// dispatch buys on this host, inside the same JSON schema
+// bench_compare.py trends on.
 //
 // The "hot_shard" phase is the tiled tier's acceptance signal
 // (core/pair_scan.h): the candidate set is skewed so one shard owns most
@@ -233,9 +234,10 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------------------- kernel tier
-  // One row per dispatch level for the two kernels the query path spends
-  // its time in: the 1×8 blocked XOR+popcount (the tiled pair scan's
-  // inner loop) and batched digest extraction (DigestMatrix::Build).
+  // One row per dispatch level for the kernels the query path spends its
+  // time in: the 1×8 blocked XOR+popcount (TopK's scan and the pair
+  // scan's leftover rows), the 4×4 one (the tiled pair scan's blocks)
+  // and batched digest extraction (DigestMatrix::Build).
   // Reference outputs come from the scalar table; every level must match
   // them bit-for-bit before its timing counts, and speedup divides by the
   // scalar level's time — the measured value of runtime dispatch on this
@@ -259,8 +261,20 @@ int main(int argc, char** argv) {
       scalar_table.xor_popcount8(matrix.Row(r), matrix.Row(r + 1), words,
                                  words, &ham_ref[r * 8]);
     }
+    // The 4×4 kernel (the AllPairsAbove scan's block): rows r..r+3
+    // against rows r+4..r+7.
+    const size_t blocks = mrows - 8;
+    const size_t block_pairs = blocks * 16;
+    const size_t block_sweeps = std::max<size_t>(
+        1, 8'000'000 / std::max<size_t>(1, block_pairs * words));
+    std::vector<size_t> block_ref(block_pairs);
+    for (size_t r = 0; r < blocks; ++r) {
+      scalar_table.xor_popcount4x4(matrix.Row(r), matrix.Row(r + 4), words,
+                                   words, &block_ref[r * 16]);
+    }
 
     double ham_scalar_seconds = 0.0;
+    double block_scalar_seconds = 0.0;
     double extract_scalar_seconds = 0.0;
     size_t levels_verified = 0;
     for (const kernels::DispatchLevel level : kernels::AvailableLevels()) {
@@ -293,6 +307,32 @@ int main(int argc, char** argv) {
       emit_row("kernel_hamming", "xor_popcount8", kernel.name, 1, ham_seconds,
                static_cast<double>(ham_pairs * sweeps) / ham_seconds,
                "pairs/s", ham_scalar_seconds / ham_seconds);
+
+      std::vector<size_t> block_out(block_pairs);
+      for (size_t r = 0; r < blocks; ++r) {
+        kernel.xor_popcount4x4(matrix.Row(r), matrix.Row(r + 4), words, words,
+                               &block_out[r * 16]);
+      }
+      VOS_CHECK(block_out == block_ref)
+          << kernel.name << " 4x4 Hamming kernel diverges from scalar";
+      const double block_seconds = BestSeconds(repeats, [&] {
+        size_t block[16];
+        for (size_t s = 0; s < block_sweeps; ++s) {
+          for (size_t r = 0; r < blocks; ++r) {
+            kernel.xor_popcount4x4(matrix.Row(r), matrix.Row(r + 4), words,
+                                   words, block);
+            sink += block[0] + block[15];
+          }
+        }
+      });
+      VOS_CHECK(sink != static_cast<size_t>(-1));
+      if (level == kernels::DispatchLevel::kScalar) {
+        block_scalar_seconds = block_seconds;
+      }
+      emit_row("kernel_hamming", "xor_popcount4x4", kernel.name, 1,
+               block_seconds,
+               static_cast<double>(block_pairs * block_sweeps) / block_seconds,
+               "pairs/s", block_scalar_seconds / block_seconds);
 
       // Extraction: DigestMatrix::Build routes through extract_bits; the
       // whole matrix must equal the scalar-built one word-for-word.

@@ -66,9 +66,15 @@ void ScalarXorPopcount8(const uint64_t* a, const uint64_t* b_base,
   out[7] = c7;
 }
 
-void ScalarXorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
-                          const uint64_t* b_base, size_t stride, size_t n,
-                          size_t out[8]) {
+namespace {
+
+/// Two a-rows against four b-rows: out[t] = popcount(a0 XOR b_t),
+/// out[4 + t] = popcount(a1 XOR b_t). One half of the 4×4 kernel — eight
+/// accumulators plus six loaded words fit the general-purpose registers,
+/// sixteen accumulators would not.
+void XorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
+                    const uint64_t* b_base, size_t stride, size_t n,
+                    size_t out[8]) {
   size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
   size_t c4 = 0, c5 = 0, c6 = 0, c7 = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -95,6 +101,15 @@ void ScalarXorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
   out[5] = c5;
   out[6] = c6;
   out[7] = c7;
+}
+
+}  // namespace
+
+void ScalarXorPopcount4x4(const uint64_t* a_base, const uint64_t* b_base,
+                          size_t stride, size_t n, size_t out[16]) {
+  XorPopcount2x4(a_base, a_base + stride, b_base, stride, n, out);
+  XorPopcount2x4(a_base + 2 * stride, a_base + 3 * stride, b_base, stride, n,
+                 out + 8);
 }
 
 size_t ScalarPopcountWords(const uint64_t* a, size_t n) {
@@ -155,7 +170,7 @@ namespace {
 constexpr KernelTable kScalarTable = {
     internal::ScalarXorPopcount,
     internal::ScalarXorPopcount8,
-    internal::ScalarXorPopcount2x4,
+    internal::ScalarXorPopcount4x4,
     internal::ScalarPopcountWords,
     internal::ScalarExtractBits,
     internal::ScalarRouteBatch,

@@ -71,11 +71,12 @@ struct KernelTable {
   void (*xor_popcount8)(const uint64_t* a, const uint64_t* b_base,
                         size_t stride, size_t n, size_t out[8]);
 
-  /// 2×4 variant: out[t] = popcount(a0 XOR (b_base + t·stride)),
-  /// out[4+t] = popcount(a1 XOR (b_base + t·stride)), t in [0, 4).
-  void (*xor_popcount2x4)(const uint64_t* a0, const uint64_t* a1,
-                          const uint64_t* b_base, size_t stride, size_t n,
-                          size_t out[8]);
+  /// 4×4 variant over four consecutive a-rows and four consecutive
+  /// b-rows of row-major matrices with one common row stride:
+  /// out[4·i + t] = popcount((a_base + i·stride) XOR (b_base + t·stride))
+  /// over n words, i, t in [0, 4).
+  void (*xor_popcount4x4)(const uint64_t* a_base, const uint64_t* b_base,
+                          size_t stride, size_t n, size_t out[16]);
 
   /// popcount(a[i]) summed over i in [0, n).
   size_t (*popcount_words)(const uint64_t* a, size_t n);

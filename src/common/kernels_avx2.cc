@@ -137,6 +137,9 @@ void Avx2XorPopcount8(const uint64_t* a, const uint64_t* b_base, size_t stride,
   }
 }
 
+/// One half of the 4×4 kernel: two a-rows against four b-rows
+/// (out[t] for a0, out[4 + t] for a1). Sixteen ymm accumulators would
+/// leave no register for the loads, so the 4×4 kernel runs two halves.
 void Avx2XorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
                         const uint64_t* b_base, size_t stride, size_t n,
                         size_t out[8]) {
@@ -164,6 +167,13 @@ void Avx2XorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
       out[4 + t] += ScalarXorPopcount(a1 + i, b_base + t * stride + i, n - i);
     }
   }
+}
+
+void Avx2XorPopcount4x4(const uint64_t* a_base, const uint64_t* b_base,
+                        size_t stride, size_t n, size_t out[16]) {
+  Avx2XorPopcount2x4(a_base, a_base + stride, b_base, stride, n, out);
+  Avx2XorPopcount2x4(a_base + 2 * stride, a_base + 3 * stride, b_base, stride,
+                     n, out + 8);
 }
 
 size_t Avx2PopcountWords(const uint64_t* a, size_t n) {
@@ -303,7 +313,7 @@ namespace {
 constexpr KernelTable kAvx2Table = {
     Avx2XorPopcount,
     Avx2XorPopcount8,
-    Avx2XorPopcount2x4,
+    Avx2XorPopcount4x4,
     Avx2PopcountWords,
     Avx2ExtractBits,
     ScalarRouteBatch,  // see the routing note above: scalar wins on AVX2

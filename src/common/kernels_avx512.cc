@@ -85,39 +85,63 @@ void Avx512XorPopcount8(const uint64_t* a, const uint64_t* b_base,
   }
 }
 
-void Avx512XorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
-                          const uint64_t* b_base, size_t stride, size_t n,
-                          size_t out[8]) {
-  __m512i acc[8];
-  for (int t = 0; t < 8; ++t) acc[t] = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i a0_vec = _mm512_loadu_si512(a0 + i);
-    const __m512i a1_vec = _mm512_loadu_si512(a1 + i);
-    for (int t = 0; t < 4; ++t) {
-      const __m512i b_vec = _mm512_loadu_si512(b_base + t * stride + i);
-      acc[t] = _mm512_add_epi64(
-          acc[t], _mm512_popcnt_epi64(_mm512_xor_si512(a0_vec, b_vec)));
-      acc[4 + t] = _mm512_add_epi64(
-          acc[4 + t], _mm512_popcnt_epi64(_mm512_xor_si512(a1_vec, b_vec)));
+/// Lane l of the result is x's and y's lanes 2l and 2l+1 summed pairwise:
+/// each 128-bit lane holds (x part-sum, y part-sum).
+inline __m512i SumPairs(__m512i x, __m512i y) {
+  return _mm512_add_epi64(_mm512_unpacklo_epi64(x, y),
+                          _mm512_unpackhi_epi64(x, y));
+}
+
+/// Adds neighbouring 128-bit lanes: result lanes (x.0+x.1, x.2+x.3,
+/// y.0+y.1, y.2+y.3) in 128-bit units.
+inline __m512i Fold(__m512i x, __m512i y) {
+  return _mm512_add_epi64(
+      _mm512_shuffle_i64x2(x, y, _MM_SHUFFLE(2, 0, 2, 0)),
+      _mm512_shuffle_i64x2(x, y, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
+/// Transposed reduction: lane j of the result is the sum of v_j's eight
+/// lanes. Four SumPairs and three Folds (14 shuffles, 7 adds) replace
+/// eight _mm512_reduce_add_epi64 trees. The accumulators are passed by
+/// value so they stay in registers.
+inline __m512i ReduceEight(__m512i v0, __m512i v1, __m512i v2, __m512i v3,
+                           __m512i v4, __m512i v5, __m512i v6, __m512i v7) {
+  return Fold(Fold(SumPairs(v0, v1), SumPairs(v2, v3)),
+              Fold(SumPairs(v4, v5), SumPairs(v6, v7)));
+}
+
+void Avx512XorPopcount4x4(const uint64_t* a_base, const uint64_t* b_base,
+                          size_t stride, size_t n, size_t out[16]) {
+  // acc[4·r + t] counts a-row r against b-row t: 16 accumulators plus
+  // 8 loaded vectors fit the 32 zmm registers. Brace-initialized: GCC
+  // turns a zeroing loop into a memset of a stack copy on every call.
+  __m512i acc[16] = {};
+  // One loop for body and ragged tail: the masked load costs what a
+  // plain one does, and a single loop keeps every accumulator in a
+  // register.
+  for (size_t i = 0; i < n; i += 8) {
+    const __mmask8 mask =
+        n - i >= 8 ? static_cast<__mmask8>(0xff) : TailMask(n - i);
+    __m512i a_vec[4];
+    __m512i b_vec[4];
+    for (int r = 0; r < 4; ++r) {
+      a_vec[r] = _mm512_maskz_loadu_epi64(mask, a_base + r * stride + i);
+      b_vec[r] = _mm512_maskz_loadu_epi64(mask, b_base + r * stride + i);
+    }
+    for (int r = 0; r < 4; ++r) {
+      for (int t = 0; t < 4; ++t) {
+        acc[4 * r + t] = _mm512_add_epi64(
+            acc[4 * r + t],
+            _mm512_popcnt_epi64(_mm512_xor_si512(a_vec[r], b_vec[t])));
+      }
     }
   }
-  if (i < n) {
-    const __mmask8 mask = TailMask(n - i);
-    const __m512i a0_vec = _mm512_maskz_loadu_epi64(mask, a0 + i);
-    const __m512i a1_vec = _mm512_maskz_loadu_epi64(mask, a1 + i);
-    for (int t = 0; t < 4; ++t) {
-      const __m512i b_vec =
-          _mm512_maskz_loadu_epi64(mask, b_base + t * stride + i);
-      acc[t] = _mm512_add_epi64(
-          acc[t], _mm512_popcnt_epi64(_mm512_xor_si512(a0_vec, b_vec)));
-      acc[4 + t] = _mm512_add_epi64(
-          acc[4 + t], _mm512_popcnt_epi64(_mm512_xor_si512(a1_vec, b_vec)));
-    }
-  }
-  for (int t = 0; t < 8; ++t) {
-    out[t] = static_cast<size_t>(_mm512_reduce_add_epi64(acc[t]));
-  }
+  static_assert(sizeof(size_t) == sizeof(uint64_t));
+  _mm512_storeu_si512(out, ReduceEight(acc[0], acc[1], acc[2], acc[3], acc[4],
+                                       acc[5], acc[6], acc[7]));
+  _mm512_storeu_si512(out + 8,
+                      ReduceEight(acc[8], acc[9], acc[10], acc[11], acc[12],
+                                  acc[13], acc[14], acc[15]));
 }
 
 size_t Avx512PopcountWords(const uint64_t* a, size_t n) {
@@ -187,7 +211,7 @@ void Avx512RouteBatch(const uint32_t* users, size_t n, uint64_t seed_mix,
 constexpr KernelTable kAvx512Table = {
     Avx512XorPopcount,
     Avx512XorPopcount8,
-    Avx512XorPopcount2x4,
+    Avx512XorPopcount4x4,
     Avx512PopcountWords,
     Avx2ExtractBits,  // see kernels_internal.h: the AVX2 gather wins here
     Avx512RouteBatch,

@@ -35,9 +35,8 @@ inline constexpr uint64_t kMix64V2Mul2 = 0x94d049bb133111ebULL;
 size_t ScalarXorPopcount(const uint64_t* a, const uint64_t* b, size_t n);
 void ScalarXorPopcount8(const uint64_t* a, const uint64_t* b_base,
                         size_t stride, size_t n, size_t out[8]);
-void ScalarXorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
-                          const uint64_t* b_base, size_t stride, size_t n,
-                          size_t out[8]);
+void ScalarXorPopcount4x4(const uint64_t* a_base, const uint64_t* b_base,
+                          size_t stride, size_t n, size_t out[16]);
 size_t ScalarPopcountWords(const uint64_t* a, size_t n);
 void ScalarExtractBits(const uint64_t* array_words, const uint64_t* seeds,
                        uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,

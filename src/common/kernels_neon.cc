@@ -59,6 +59,8 @@ void NeonXorPopcount8(const uint64_t* a, const uint64_t* b_base, size_t stride,
   }
 }
 
+/// One half of the 4×4 kernel: two a-rows against four b-rows
+/// (out[t] for a0, out[4 + t] for a1).
 void NeonXorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
                         const uint64_t* b_base, size_t stride, size_t n,
                         size_t out[8]) {
@@ -84,6 +86,13 @@ void NeonXorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
   }
 }
 
+void NeonXorPopcount4x4(const uint64_t* a_base, const uint64_t* b_base,
+                        size_t stride, size_t n, size_t out[16]) {
+  NeonXorPopcount2x4(a_base, a_base + stride, b_base, stride, n, out);
+  NeonXorPopcount2x4(a_base + 2 * stride, a_base + 3 * stride, b_base, stride,
+                     n, out + 8);
+}
+
 size_t NeonPopcountWords(const uint64_t* a, size_t n) {
   uint64x2_t acc = vdupq_n_u64(0);
   size_t i = 0;
@@ -98,7 +107,7 @@ size_t NeonPopcountWords(const uint64_t* a, size_t n) {
 constexpr KernelTable kNeonTable = {
     NeonXorPopcount,
     NeonXorPopcount8,
-    NeonXorPopcount2x4,
+    NeonXorPopcount4x4,
     NeonPopcountWords,
     ScalarExtractBits,
     ScalarRouteBatch,

@@ -41,15 +41,14 @@ inline void XorPopcount8(const uint64_t* a, const uint64_t* b_base,
   kernels::Active().xor_popcount8(a, b_base, stride, n, out);
 }
 
-/// 2×4 micro-kernel: Hamming distances of two rows against four
-/// consecutive rows of a row-major matrix. out[t] = popcount(a0 XOR
-/// (b_base + t·stride)); out[4 + t] = the same against a1. The extra
-/// register reuse (each b-load feeds two pairs) makes this the fastest
-/// all-pairs shape measured.
-inline void XorPopcount2x4(const uint64_t* a0, const uint64_t* a1,
-                           const uint64_t* b_base, size_t stride, size_t n,
-                           size_t out[8]) {
-  kernels::Active().xor_popcount2x4(a0, a1, b_base, stride, n, out);
+/// 4×4 micro-kernel: Hamming distances of four consecutive rows against
+/// four consecutive rows, both row-major with the same stride.
+/// out[4·i + t] = popcount((a_base + i·stride) XOR (b_base + t·stride)).
+/// Each loaded word feeds four pairs, and the 16 sums finish in one
+/// transposed reduction on AVX-512 — the all-pairs scan's block shape.
+inline void XorPopcount4x4(const uint64_t* a_base, const uint64_t* b_base,
+                           size_t stride, size_t n, size_t out[16]) {
+  kernels::Active().xor_popcount4x4(a_base, b_base, stride, n, out);
 }
 
 /// Number of set bits in a[i] over i in [0, n).

@@ -66,214 +66,135 @@ class JaccardBuckets {
   size_t count_ = 0;
 };
 
-/// Exact scan of one triangle tile: pairs {(p, q) : p ∈ [a_begin, a_end),
-/// q ∈ [max(p+1, b_begin), b_end)} of the pass's (single) sorted matrix.
-/// This is the pre-tier SimilarityIndex::ScanSortedBlock sweep with the
-/// partner range clamped to the tile — the per-row admissible window is
-/// the global partition point intersected with [b_begin, b_end), so the
-/// tiles of one pass enumerate exactly the pre-tier pair set, each pair
-/// once, with the identical phase-split/confinement/exact-screen math.
-void ScanTriangleTile(const Pass& pass, const ScanParams& params,
-                      size_t a_begin, size_t a_end, size_t b_begin,
-                      size_t b_end, std::vector<Pair>* out) {
-  const DigestMatrix& m = *pass.a.matrix;
-  const uint32_t* cards = pass.a.cards;
-  const size_t words = m.words_per_row();
-  const uint32_t k = m.k();
-  const std::vector<double>& table = *params.log_alpha_table;
-  const VosEstimator& estimator = *params.estimator;
-  const double tau = params.jaccard_threshold;
-  const double log_beta = pass.log_beta_pair;
-
-  if (!params.prefilter) {
-    for (size_t p = a_begin; p < a_end; ++p) {
-      const uint64_t* row_i = m.Row(p);
-      const double card_i = cards[p];
-      for (size_t q = std::max(p + 1, b_begin); q < b_end; ++q) {
-        const size_t d = XorPopcount(row_i, m.Row(q), words);
-        const PairEstimate est = estimator.EstimateFromLogTerms(
-            card_i, cards[q], table[d], log_beta);
-        if (est.jaccard >= tau) pass.emit(p, q, est, *out);
-      }
-    }
-    return;
-  }
-
-  const double tau_frac = tau / (1.0 + tau);
-  const size_t phase1_words = scan::Phase1Words(words);
-  const bool split = phase1_words != words;
-  const size_t phase1_bits = std::min<size_t>(phase1_words * 64, k);
-  const double cut_scale = scan::CutScale(tau_frac, k);
-
-  // Admissible window of row p, clamped to the tile's partner range. In
-  // sorted order card_p is the pair's min throughout the window, so the
-  // fail test is scan::CardinalityFail on card_p and the window end is a
-  // partition point (see scan_common.h).
-  const auto window_end = [&](size_t p, double card_i) {
-    const size_t search_begin = std::max(p + 1, b_begin);
-    if (search_begin >= b_end) return search_begin;
-    const uint32_t* it = std::partition_point(
-        cards + search_begin, cards + b_end, [&](uint32_t card_j) {
-          return !scan::CardinalityFail(card_i, card_i + card_j, tau_frac);
-        });
-    return static_cast<size_t>(it - cards);
-  };
-
-  // Finishes pair (p, q) given the pair's phase-1 distance: confinement
-  // test against the slacked log-alpha cut, tail popcount for survivors,
-  // exact table screen, then the estimator.
-  const auto finish = [&](size_t p, const uint64_t* row_i, double card_i,
-                          size_t q, size_t d) {
-    const double card_j = cards[q];
-    const double cut =
-        scan::SlackedCut(cut_scale * (card_i + card_j) + 2.0 * log_beta);
-    if (scan::ConfinedFail(table, k, d, phase1_bits, cut)) return;
-    if (split) {
-      d += XorPopcount(row_i + phase1_words, m.Row(q) + phase1_words,
-                       words - phase1_words);
-    }
-    if (table[d] < cut) return;
-    const PairEstimate est =
-        estimator.EstimateFromLogTerms(card_i, card_j, table[d], log_beta);
-    if (est.jaccard >= tau) pass.emit(p, q, est, *out);
-  };
-
-  const auto scan_1x8 = [&](size_t p, const uint64_t* row_i, double card_i,
-                            size_t q, size_t q_end) {
-    size_t d8[8];
-    for (; q + 8 <= q_end; q += 8) {
-      XorPopcount8(row_i, m.Row(q), words, phase1_words, d8);
-      for (size_t t = 0; t < 8; ++t) finish(p, row_i, card_i, q + t, d8[t]);
-    }
-    for (; q < q_end; ++q) {
-      finish(p, row_i, card_i, q,
-             XorPopcount(row_i, m.Row(q), phase1_words));
-    }
-  };
-
-  // Pair up adjacent p-rows: their windows are nested (cards are sorted,
-  // so row p+1 admits every partner row p does), letting the shared range
-  // run on the 2×4 micro-kernel — each partner row load feeds two pairs.
-  size_t p = a_begin;
-  for (; p + 2 <= a_end; p += 2) {
-    const uint64_t* row_a = m.Row(p);
-    const uint64_t* row_b = m.Row(p + 1);
-    const double card_a = cards[p];
-    const double card_b = cards[p + 1];
-    const size_t q_end_a = window_end(p, card_a);
-    const size_t q_end_b = window_end(p + 1, card_b);
-    // Pair (p, p+1) belongs to this tile only when p+1 is inside the
-    // partner range (diagonal tiles).
-    if (p + 1 >= b_begin && p + 1 < q_end_a) {
-      finish(p, row_a, card_a, p + 1,
-             XorPopcount(row_a, row_b, phase1_words));
-    }
-    size_t q = std::max(p + 2, b_begin);
-    const size_t shared_begin = q;
-    size_t d8[8];
-    for (; q + 4 <= q_end_a; q += 4) {
-      XorPopcount2x4(row_a, row_b, m.Row(q), words, phase1_words, d8);
-      for (size_t t = 0; t < 4; ++t) {
-        finish(p, row_a, card_a, q + t, d8[t]);
-        finish(p + 1, row_b, card_b, q + t, d8[4 + t]);
-      }
-    }
-    for (; q < q_end_a; ++q) {
-      finish(p, row_a, card_a, q,
-             XorPopcount(row_a, m.Row(q), phase1_words));
-      finish(p + 1, row_b, card_b, q,
-             XorPopcount(row_b, m.Row(q), phase1_words));
-    }
-    scan_1x8(p + 1, row_b, card_b, std::max(q_end_a, shared_begin), q_end_b);
-  }
-  for (; p < a_end; ++p) {
-    scan_1x8(p, m.Row(p), cards[p], std::max(p + 1, b_begin),
-             window_end(p, cards[p]));
-  }
-}
-
-/// Exact scan of one rectangle tile: rows [a_begin, a_end) of side a
-/// against rows [b_begin, b_end) of side b. The pre-tier
-/// QueryPlanner::ScanCrossShardBlock sweep with both ends of the
-/// two-sided cardinality window clamped to the tile's partner range.
-void ScanRectTile(const Pass& pass, const ScanParams& params, size_t a_begin,
-                  size_t a_end, size_t b_begin, size_t b_end,
-                  std::vector<Pair>* out) {
+/// Exact scan of one tile: a-rows [unit.a_begin, unit.a_end) against
+/// partner rows [unit.b_begin, unit.b_end). Row p's window is the set of
+/// its partners the scan screens:
+///
+///   * triangle (pairs p < q of one sorted matrix): [max(p+1, b_begin),
+///     end_p), where end_p is the partition point of the one-sided
+///     cardinality bound — in sorted order card_p is the pair's min
+///     throughout, so the fail test is scan::CardinalityFail on card_p;
+///   * rectangle: [lo_p, hi_p), both ends partition points — below lo_p
+///     the partner is the min and too small, from hi_p on card_p is the
+///     min and too small;
+///
+/// each clamped to the tile's partner range, so the tiles of one pass
+/// enumerate exactly the pre-tier pair set, each pair once. Without the
+/// prefilter a window is the whole partner range. The window ends are
+/// non-decreasing in p (cards are sorted and CardinalityFail is
+/// monotone), so the windows of four consecutive rows nearly coincide:
+/// each 4-row block runs the 4×4 kernel over the union of its rows'
+/// windows, and only pairs inside their own row's window are screened
+/// and estimated. Leftover rows (< 4) and partner tails (< 4) take the
+/// 1×8 kernel and single-pair popcounts. Every screened pair gets its
+/// full-row Hamming distance, the same integer whichever kernel computes
+/// it, then the exact log-alpha screen (prefilter only) and the
+/// estimator. Returns the number of pairs screened.
+size_t ScanTile(const Pass& pass, const ScanParams& params,
+                const ScanUnit& unit, std::vector<Pair>* out) {
   const DigestMatrix& ma = *pass.a.matrix;
   const DigestMatrix& mb = *pass.b.matrix;
   const uint32_t* cards_a = pass.a.cards;
   const uint32_t* cards_b = pass.b.cards;
   const size_t words = ma.words_per_row();
-  const uint32_t k = ma.k();
   const std::vector<double>& table = *params.log_alpha_table;
   const VosEstimator& estimator = *params.estimator;
   const double tau = params.jaccard_threshold;
-  const double log_beta = pass.log_beta_pair;
-
-  if (!params.prefilter) {
-    for (size_t p = a_begin; p < a_end; ++p) {
-      const uint64_t* row_a = ma.Row(p);
-      const double card_a = cards_a[p];
-      for (size_t q = b_begin; q < b_end; ++q) {
-        const size_t d = XorPopcount(row_a, mb.Row(q), words);
-        const PairEstimate est = estimator.EstimateFromLogTerms(
-            card_a, cards_b[q], table[d], log_beta);
-        if (est.jaccard >= tau) pass.emit(p, q, est, *out);
-      }
-    }
-    return;
-  }
-
   const double tau_frac = tau / (1.0 + tau);
-  const size_t phase1_words = scan::Phase1Words(words);
-  const bool split = phase1_words != words;
-  const size_t phase1_bits = std::min<size_t>(phase1_words * 64, k);
-  const double cut_scale = scan::CutScale(tau_frac, k);
+  const double cut_scale = scan::CutScale(tau_frac, ma.k());
+  const double log_beta = pass.log_beta_pair;
+  const size_t b_begin = unit.b_begin;
+  const size_t b_end = unit.b_end;
 
-  for (size_t p = a_begin; p < a_end; ++p) {
-    const uint64_t* row_a = ma.Row(p);
-    const double card_a = cards_a[p];
-    // Two-sided admissible window over b's cardinality-sorted rows,
-    // clamped to the tile: below the window the partner is the min and
-    // too small, above it card_a is the min and too small; both fail
-    // predicates are monotone in the partner's cardinality, so both ends
-    // are partition points and out-of-window pairs are never enumerated.
-    const uint32_t* lo_it = std::partition_point(
-        cards_b + b_begin, cards_b + b_end, [&](uint32_t card_j) {
-          return scan::CardinalityFail(card_j, card_a + card_j, tau_frac);
-        });
-    const uint32_t* hi_it =
-        std::partition_point(lo_it, cards_b + b_end, [&](uint32_t card_j) {
-          return !scan::CardinalityFail(card_a, card_a + card_j, tau_frac);
-        });
-    size_t q = static_cast<size_t>(lo_it - cards_b);
-    const size_t q_end = static_cast<size_t>(hi_it - cards_b);
+  struct Window {
+    size_t lo, hi;
+  };
+  const auto window_of = [&](size_t p) {
+    const double card_p = cards_a[p];
+    Window w{pass.triangle ? std::max(p + 1, b_begin) : b_begin, b_end};
+    if (w.lo >= b_end) return Window{b_end, b_end};
+    if (!params.prefilter) return w;
+    if (!pass.triangle) {
+      w.lo = static_cast<size_t>(
+          std::partition_point(cards_b + b_begin, cards_b + b_end,
+                               [&](uint32_t card_q) {
+                                 return scan::CardinalityFail(
+                                     card_q, card_p + card_q, tau_frac);
+                               }) -
+          cards_b);
+    }
+    w.hi = static_cast<size_t>(
+        std::partition_point(cards_b + w.lo, cards_b + b_end,
+                             [&](uint32_t card_q) {
+                               return !scan::CardinalityFail(
+                                   card_p, card_p + card_q, tau_frac);
+                             }) -
+        cards_b);
+    return w;
+  };
 
-    const auto finish = [&](size_t qq, size_t d) {
-      const double card_b = cards_b[qq];
-      const double cut =
-          scan::SlackedCut(cut_scale * (card_a + card_b) + 2.0 * log_beta);
-      if (scan::ConfinedFail(table, k, d, phase1_bits, cut)) return;
-      size_t d_full = d;
-      if (split) {
-        d_full += XorPopcount(row_a + phase1_words, mb.Row(qq) + phase1_words,
-                              words - phase1_words);
-      }
-      if (table[d_full] < cut) return;
-      const PairEstimate est = estimator.EstimateFromLogTerms(
-          card_a, card_b, table[d_full], log_beta);
-      if (est.jaccard >= tau) pass.emit(p, qq, est, *out);
-    };
+  size_t screened = 0;
+  // Pair (p, q) at full-row distance d: the exact screen against the
+  // slacked log-alpha cut (sound only under the prefilter's gating),
+  // then the estimator.
+  const auto finish = [&](size_t p, size_t q, size_t d) {
+    ++screened;
+    const double card_p = cards_a[p];
+    const double card_q = cards_b[q];
+    if (params.prefilter &&
+        table[d] < scan::SlackedCut(cut_scale * (card_p + card_q) +
+                                    2.0 * log_beta)) {
+      return;
+    }
+    const PairEstimate est =
+        estimator.EstimateFromLogTerms(card_p, card_q, table[d], log_beta);
+    if (est.jaccard >= tau) pass.emit(p, q, est, *out);
+  };
 
+  // Row p against partners [q, q_end), eight at a time.
+  const auto scan_row = [&](size_t p, size_t q, size_t q_end) {
+    const uint64_t* row = ma.Row(p);
     size_t d8[8];
     for (; q + 8 <= q_end; q += 8) {
-      XorPopcount8(row_a, mb.Row(q), words, phase1_words, d8);
-      for (size_t i = 0; i < 8; ++i) finish(q + i, d8[i]);
+      XorPopcount8(row, mb.Row(q), words, words, d8);
+      for (size_t t = 0; t < 8; ++t) finish(p, q + t, d8[t]);
     }
-    for (; q < q_end; ++q) {
-      finish(q, XorPopcount(row_a, mb.Row(q), phase1_words));
+    for (; q < q_end; ++q) finish(p, q, XorPopcount(row, mb.Row(q), words));
+  };
+
+  size_t p = unit.a_begin;
+  for (; p + 4 <= unit.a_end; p += 4) {
+    Window w[4];
+    size_t q_begin = b_end;
+    size_t q_end = b_begin;
+    for (size_t r = 0; r < 4; ++r) {
+      w[r] = window_of(p + r);
+      if (w[r].lo < w[r].hi) {
+        q_begin = std::min(q_begin, w[r].lo);
+        q_end = std::max(q_end, w[r].hi);
+      }
+    }
+    size_t q = q_begin;
+    size_t d16[16];
+    for (; q + 4 <= q_end; q += 4) {
+      XorPopcount4x4(ma.Row(p), mb.Row(q), words, words, d16);
+      for (size_t r = 0; r < 4; ++r) {
+        for (size_t t = 0; t < 4; ++t) {
+          if (q + t >= w[r].lo && q + t < w[r].hi) {
+            finish(p + r, q + t, d16[4 * r + t]);
+          }
+        }
+      }
+    }
+    for (size_t r = 0; r < 4; ++r) {
+      scan_row(p + r, std::max(q, w[r].lo), w[r].hi);
     }
   }
+  for (; p < unit.a_end; ++p) {
+    const Window w = window_of(p);
+    scan_row(p, w.lo, w.hi);
+  }
+  return screened;
 }
 
 }  // namespace
@@ -442,17 +363,6 @@ std::vector<scan::Pair> RunPasses(const std::vector<Pass>& passes,
   }
   if (units.empty()) return {};
 
-  const auto run_unit = [&](size_t i, std::vector<scan::Pair>* out) {
-    const ScanUnit& unit = units[i];
-    const Pass& pass = passes[unit.pass];
-    if (pass.triangle) {
-      ScanTriangleTile(pass, params, unit.a_begin, unit.a_end, unit.b_begin,
-                       unit.b_end, out);
-    } else {
-      ScanRectTile(pass, params, unit.a_begin, unit.a_end, unit.b_begin,
-                   unit.b_end, out);
-    }
-  };
 
   // Step 1: scan each unit into its own buffer, then count its pairs
   // into the worker's Ĵ buckets while they are still in cache. (One
@@ -468,7 +378,11 @@ std::vector<scan::Pair> RunPasses(const std::vector<Pass>& passes,
   std::vector<std::vector<size_t>> counts(threads,
                                           std::vector<size_t>(buckets));
   scan::RunIndexed(threads, units.size(), [&](size_t i, unsigned worker) {
-    run_unit(i, &per_unit[i]);
+    const size_t screened =
+        ScanTile(passes[units[i].pass], params, units[i], &per_unit[i]);
+    if (params.screened_pairs != nullptr) {
+      params.screened_pairs->fetch_add(screened, std::memory_order_relaxed);
+    }
     units_of[worker].push_back(i);
     size_t* count = counts[worker].data();
     for (const scan::Pair& pair : per_unit[i]) {

@@ -15,10 +15,14 @@
 //     becomes many independent work units instead of one serialized pass;
 //   * runs the conservative prefilters per tile — the τ cardinality
 //     window (one-sided over a triangle, two-sided over a rectangle,
-//     both partition points over the sorted rows), the ~3/4-row
-//     confinement check, and the exact log-alpha screen, all against the
-//     pass's combined log-beta cut (core/scan_common.h) — and skips
-//     whole tiles that no row's window reaches;
+//     both partition points over the sorted rows) and the exact
+//     log-alpha screen against the pass's combined log-beta cut
+//     (core/scan_common.h) — and skips whole tiles that no row's window
+//     reaches;
+//   * computes full-row Hamming distances four a-rows × four partner
+//     rows at a time (XorPopcount4x4) over the union of the four rows'
+//     windows, which nearly coincide in sorted order; only the pairs
+//     inside their own row's window are screened;
 //   * dispatches the tiles of ALL passes to one dynamic worker pool
 //     (scan::RunIndexed) and returns the pairs in their final
 //     scan::PairBefore order (Ĵ descending, then (u, v) — a total order
@@ -44,6 +48,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -73,6 +78,11 @@ struct ScanParams {
   const VosEstimator* estimator = nullptr;
   /// ln|1−2·d/k| per Hamming distance d ∈ [0, k].
   const std::vector<double>* log_alpha_table = nullptr;
+  /// When set, every tile adds the number of pairs it screened: exactly
+  /// the pairs inside their rows' cardinality windows, which
+  /// optimizer::TriangleWindowPairs / RectangleWindowPairs count without
+  /// a scan (tests/pair_scan_test.cc holds the two equal).
+  std::atomic<uint64_t>* screened_pairs = nullptr;
 };
 
 /// One unit of query work: a triangle scan over a (same-shard / global

@@ -133,6 +133,16 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
   params.estimator = &estimator_;
   params.log_alpha_table = &log_alpha_table_;
 
+  // Row → global id per shard, filled once so each emitted pair reads
+  // two array slots instead of two GlobalOfRow lookups.
+  std::vector<std::vector<UserId>> global_of_row(num_shards);
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    global_of_row[s].resize(indexes_[s]->matrix().rows());
+    for (size_t p = 0; p < global_of_row[s].size(); ++p) {
+      global_of_row[s][p] = GlobalOfRow(s, p);
+    }
+  }
+
   std::vector<pair_scan::Pass> passes;
   for (uint32_t s = 0; s < num_shards; ++s) {
     const SimilarityIndex& index = *indexes_[s];
@@ -142,10 +152,11 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
                                             index.row_cardinalities().data()};
     pass.triangle = true;
     pass.log_beta_pair = index.log_beta_term();
-    pass.emit = [this, s](size_t p, size_t q, const PairEstimate& est,
-                          std::vector<Pair>& out) {
-      const UserId gu = GlobalOfRow(s, p);
-      const UserId gv = GlobalOfRow(s, q);
+    pass.emit = [ids = global_of_row[s].data()](
+                    size_t p, size_t q, const PairEstimate& est,
+                    std::vector<Pair>& out) {
+      const UserId gu = ids[p];
+      const UserId gv = ids[q];
       out.push_back({std::min(gu, gv), std::max(gu, gv), est.common,
                      est.jaccard});
     };
@@ -167,10 +178,12 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
       // contamination, so the estimator takes the mean of the two
       // log-beta terms — identical to ShardedVosSketch::EstimatePair.
       pass.log_beta_pair = 0.5 * (ia.log_beta_term() + ib.log_beta_term());
-      pass.emit = [this, s, t](size_t p, size_t q, const PairEstimate& est,
-                               std::vector<Pair>& out) {
-        const UserId gu = GlobalOfRow(s, p);
-        const UserId gv = GlobalOfRow(t, q);
+      pass.emit = [ids_a = global_of_row[s].data(),
+                   ids_b = global_of_row[t].data()](
+                      size_t p, size_t q, const PairEstimate& est,
+                      std::vector<Pair>& out) {
+        const UserId gu = ids_a[p];
+        const UserId gv = ids_b[q];
         out.push_back({std::min(gu, gv), std::max(gu, gv), est.common,
                        est.jaccard});
       };

@@ -31,8 +31,8 @@
 //     generalize too — the τ cardinality bound becomes a two-sided
 //     window over the partner shard's sorted rows (both matrices are
 //     cardinality-sorted, so both window ends are partition points), and
-//     the 3/4-row confinement check and exact log-alpha screen run with
-//     the combined ln|1−2β_A| + ln|1−2β_B| cut. Estimates are
+//     the exact log-alpha screen runs with the combined
+//     ln|1−2β_A| + ln|1−2β_B| cut. Estimates are
 //     bit-identical to ShardedVosSketch::EstimatePair on the same
 //     quiesced state: the same log-alpha table, the same mean-log-beta
 //     combination.

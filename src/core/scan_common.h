@@ -5,8 +5,8 @@
 // The planner's output is asserted bit-identical to the single-index
 // path, so everything both sweeps must agree on lives here exactly once:
 // the result record types and their total orders, the dynamic worker
-// pool, and the conservative prefilter math (slack regime, phase-split
-// policy, confinement test). Tuning any of these in one sweep but not
+// pool, and the conservative prefilter math (the cardinality window and
+// the slacked log-alpha cut). Tuning any of these in one sweep but not
 // the other would silently diverge results under specific cardinality
 // distributions — keeping them in one header makes the lockstep
 // structural.
@@ -86,7 +86,7 @@ void RunIndexed(unsigned threads, size_t count, const Work& work) {
   for (std::thread& t : pool) t.join();
 }
 
-// --- Conservative prefilter math (see pair_scan.cc ScanTriangleTile for
+// --- Conservative prefilter math (see pair_scan.cc ScanTile for
 // the full derivation; every slack is orders above FP rounding so no
 // boundary pair the estimator would keep is ever dropped) --------------
 
@@ -117,27 +117,6 @@ inline double CutScale(double tau_frac, uint32_t k) {
 /// The cut with its conservative slack applied.
 inline double SlackedCut(double la_cut) {
   return la_cut - 1e-6 * (std::fabs(la_cut) + 1.0);
-}
-
-/// Early-exit split policy: the micro-kernels popcount the first ~3/4 of
-/// each row (rounded down to the 4-word unroll), then the confinement
-/// check decides whether the tail can still matter; short rows skip the
-/// split. The position only decides where the (always sound) check runs,
-/// never the result.
-inline size_t Phase1Words(size_t words) {
-  return words >= 16 ? (words * 3 / 4) & ~size_t{3} : words;
-}
-
-/// Confinement test: a partial distance d over `seen_bits` bits confines
-/// the final distance to [d, d + (k − seen_bits)]. The pass set on d is
-/// [0, lo_end) ∪ [hi_begin, k] (`table` = ln|1−2·d/k| is non-increasing
-/// up to k/2 and non-decreasing after), so the pair provably fails when
-/// the interval misses both pass regions.
-inline bool ConfinedFail(const std::vector<double>& table, uint32_t k,
-                         size_t d, size_t seen_bits, double cut) {
-  const size_t mid = k / 2;
-  const size_t d_max = std::min<size_t>(d + (k - seen_bits), k);
-  return (d > mid || table[d] < cut) && (d_max < mid || table[d_max] < cut);
 }
 
 }  // namespace vos::core::scan

@@ -135,7 +135,6 @@ TEST(KernelDispatchTest, BlockedXorPopcountsMatchScalarAtOddStrides) {
     for (size_t n : {1, 3, 4, 5, 7, 8, 9, 16, 33, 100}) {
       for (const size_t stride : {n, n + 1, 2 * n + 3, n + 17}) {
         const std::vector<uint64_t> a = FillWords(n, rng.NextU64());
-        const std::vector<uint64_t> a1 = FillWords(n, rng.NextU64());
         const std::vector<uint64_t> b = FillWords(7 * stride + n, 0);
         size_t got[8], want[8];
         table->xor_popcount8(a.data(), b.data(), stride, n, got);
@@ -144,12 +143,53 @@ TEST(KernelDispatchTest, BlockedXorPopcountsMatchScalarAtOddStrides) {
           EXPECT_EQ(got[t], want[t]) << table->name << " xor8 n=" << n
                                      << " stride=" << stride << " t=" << t;
         }
-        table->xor_popcount2x4(a.data(), a1.data(), b.data(), stride, n, got);
-        scalar->xor_popcount2x4(a.data(), a1.data(), b.data(), stride, n,
-                                want);
-        for (int t = 0; t < 8; ++t) {
-          EXPECT_EQ(got[t], want[t]) << table->name << " xor2x4 n=" << n
-                                     << " stride=" << stride << " t=" << t;
+      }
+    }
+  }
+}
+
+// The 4×4 kernel reads four a-rows and four b-rows at one stride: every
+// word count 0..17 (each 1–7-word tail after zero, one and two full
+// 8-word vectors) plus long rows, strides at and above n, and bases off
+// vector alignment. The scalar table is pinned to one single-pair
+// popcount per (a-row, b-row) first, so the layout out[4·i + t] is
+// checked, not only agreement between levels.
+TEST(KernelDispatchTest, XorPopcount4x4MatchesScalarAtRaggedTailsAndStrides) {
+  const KernelTable* scalar = TableFor(DispatchLevel::kScalar);
+  Rng rng(44);
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 17; ++n) sizes.push_back(n);
+  sizes.push_back(33);
+  sizes.push_back(100);
+  for (const size_t n : sizes) {
+    for (const size_t stride : {n, n + 1, 2 * n + 3, n + 17}) {
+      for (const size_t misalign : {0, 1, 3}) {
+        const std::vector<uint64_t> a =
+            FillWords(misalign + 3 * stride + n, rng.NextU64());
+        const std::vector<uint64_t> b =
+            FillWords(misalign + 3 * stride + n, rng.NextU64());
+        const uint64_t* a_base = a.data() + misalign;
+        const uint64_t* b_base = b.data() + misalign;
+        const std::string context = " n=" + std::to_string(n) +
+                                    " stride=" + std::to_string(stride) +
+                                    " misalign=" + std::to_string(misalign);
+        size_t want[16];
+        scalar->xor_popcount4x4(a_base, b_base, stride, n, want);
+        for (size_t i = 0; i < 4; ++i) {
+          for (size_t t = 0; t < 4; ++t) {
+            ASSERT_EQ(want[4 * i + t],
+                      scalar->xor_popcount(a_base + i * stride,
+                                           b_base + t * stride, n))
+                << "scalar layout" << context << " i=" << i << " t=" << t;
+          }
+        }
+        for (const KernelTable* table : AllTables()) {
+          size_t got[16];
+          table->xor_popcount4x4(a_base, b_base, stride, n, got);
+          for (int j = 0; j < 16; ++j) {
+            EXPECT_EQ(got[j], want[j])
+                << table->name << " xor4x4" << context << " out=" << j;
+          }
         }
       }
     }

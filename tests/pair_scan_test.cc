@@ -6,17 +6,22 @@
 // whole-pass), thread count, shard count and prefilter setting. Tiles
 // repartition the enumeration; they must never change a single bit of
 // the output. Result order under heavy Ĵ ties and the VosMethod
-// tile_rows knob are covered too.
+// tile_rows knob are covered too, as are the 4×4 blocks' edges: tile
+// sizes and candidate counts that are not multiples of 4, and windows
+// whose ends differ between adjacent rows, where the scan must screen
+// exactly the window pairs the optimizer counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/pair_scan.h"
+#include "core/query_optimizer.h"
 #include "core/query_planner.h"
 #include "core/sharded_vos_sketch.h"
 #include "core/similarity_index.h"
@@ -287,6 +292,157 @@ TEST(PairScanTest, HeavyTieOrderBitIdenticalOnBothSurfaces) {
                   " tile_rows=" + std::to_string(tile_rows));
         }
       }
+    }
+  }
+}
+
+// ------------------------------------------------- 4×4 block edges
+
+/// Nested-set stream with spread cardinalities: user u holds the first
+/// 8 + 3u items of its 16-user group's pool, so same-group pairs have
+/// J = the ratio of their cardinalities (spread over (0, 1)) and other
+/// pairs share nothing. At τ = 0.5 row p's one-sided window ends near
+/// the row whose cardinality is twice card_p: adjacent rows' window ends
+/// differ by about two rows, so they fall inside 4×4 blocks rather than
+/// on their edges, on the triangle and (cross-shard) rectangle passes.
+std::vector<Element> SpreadStream(UserId users) {
+  std::vector<Element> elements;
+  for (UserId u = 0; u < users; ++u) {
+    const ItemId base = static_cast<ItemId>((u / 16) * 10000);
+    for (size_t i = 0; i < 8 + 3 * size_t{u}; ++i) {
+      elements.push_back({u, static_cast<ItemId>(base + i), Action::kInsert});
+    }
+  }
+  return elements;
+}
+
+constexpr double kSpreadTau = 0.5;
+
+/// Candidate counts 1, 2 and 3 above a multiple of 4 (leftover rows
+/// after the last 4-row block) × tile edges 5, 6, 7 (blocks straddle
+/// tile edges and diagonal tiles) plus 1 row and the adaptive default,
+/// at 1 and 2 threads: both surfaces bit-identical to their references.
+TEST(PairScanTest, BlockEdgesBitIdenticalOnBothSurfaces) {
+  const UserId users = 67;
+  const std::vector<Element> elements = SpreadStream(users);
+  VosSketch sketch(IndexConfig(), users);
+  for (const Element& e : elements) sketch.Update(e);
+  ShardedVosSketch sharded(PlannerConfig(4), users);
+  sharded.UpdateBatch(elements.data(), elements.size());
+
+  for (const UserId n : {UserId{65}, UserId{66}, UserId{67}}) {
+    std::vector<UserId> candidates;
+    for (UserId u = 0; u < n; ++u) candidates.push_back(u);
+    std::vector<SimilarityIndex::Pair> reference;
+    {
+      SimilarityIndex probe(sketch);
+      probe.Rebuild(candidates);
+      reference = probe.AllPairsAboveReference(kSpreadTau);
+    }
+    std::vector<QueryPlanner::Pair> planner_reference;
+    {
+      QueryPlanner probe(sharded);
+      probe.Rebuild(candidates);
+      planner_reference = probe.AllPairsAboveReference(kSpreadTau);
+    }
+    ASSERT_GT(reference.size(), 50u) << "n=" << n;
+    ASSERT_GT(planner_reference.size(), 50u) << "n=" << n;
+
+    for (const size_t tile_rows :
+         {size_t{1}, size_t{5}, size_t{6}, size_t{7}, size_t{0}}) {
+      for (const unsigned threads : {1u, 2u}) {
+        QueryOptions options;
+        options.tile_rows = tile_rows;
+        options.num_threads = threads;
+        const std::string context = "n=" + std::to_string(n) +
+                                    " tile_rows=" + std::to_string(tile_rows) +
+                                    " threads=" + std::to_string(threads);
+        SimilarityIndex index(sketch, {}, options);
+        index.Rebuild(candidates);
+        ExpectPairsIdentical(index.AllPairsAbove(kSpreadTau), reference,
+                             "index " + context);
+        QueryPlanner planner(sharded, {}, options);
+        planner.Rebuild(candidates);
+        ExpectPairsIdentical(planner.AllPairsAbove(kSpreadTau),
+                             planner_reference, "planner " + context);
+      }
+    }
+  }
+}
+
+/// The scan screens exactly the pairs inside their own row's window: a
+/// 4×4 block computes distances over the union of its rows' windows, and
+/// a pair outside its row's window would still be rejected by the
+/// estimator (the cardinality bound is sound), so only the screened
+/// count shows whether the per-row masks hold. It must equal the
+/// optimizer's window counts on a triangle pass and on a rectangle pass
+/// (the snapshot against itself), for every tile edge.
+TEST(PairScanTest, ScreensExactlyTheWindowPairs) {
+  const UserId users = 67;
+  const std::vector<Element> elements = SpreadStream(users);
+  VosSketch sketch(IndexConfig(), users);
+  for (const Element& e : elements) sketch.Update(e);
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
+  SimilarityIndex index(sketch);
+  index.Rebuild(candidates);
+  const std::vector<uint32_t>& cards = index.row_cardinalities();
+  const size_t n = cards.size();
+
+  // Precondition: adjacent rows whose window ends differ inside the
+  // matrix, so a mask-free 4×4 block would screen extra pairs.
+  const double tau_frac = kSpreadTau / (1.0 + kSpreadTau);
+  const auto window_end = [&](size_t p) {
+    size_t end = p + 1;
+    while (end < n && !scan::CardinalityFail(cards[p], cards[p] + cards[end],
+                                             tau_frac)) {
+      ++end;
+    }
+    return end;
+  };
+  size_t ragged = 0;
+  for (size_t p = 0; p + 1 < n; ++p) {
+    const size_t end = window_end(p);
+    if (end < n && end != window_end(p + 1)) ++ragged;
+  }
+  ASSERT_GT(ragged, n / 4);
+
+  const VosEstimator estimator(sketch.config().k);
+  const std::vector<double> table = estimator.BuildLogAlphaTable();
+  std::atomic<uint64_t> screened{0};
+  pair_scan::ScanParams params;
+  params.jaccard_threshold = kSpreadTau;
+  params.prefilter = true;
+  params.estimator = &estimator;
+  params.log_alpha_table = &table;
+  params.screened_pairs = &screened;
+
+  const pair_scan::MatrixView view{&index.matrix(), cards.data()};
+  for (const bool triangle : {true, false}) {
+    pair_scan::Pass pass;
+    pass.a = pass.b = view;
+    pass.triangle = triangle;
+    pass.log_beta_pair = index.log_beta_term();
+    pass.emit = [](size_t p, size_t q, const PairEstimate& est,
+                   std::vector<scan::Pair>& out) {
+      out.push_back({static_cast<UserId>(p), static_cast<UserId>(q),
+                     est.common, est.jaccard});
+    };
+    const size_t want =
+        triangle ? optimizer::TriangleWindowPairs(cards.data(), n, kSpreadTau,
+                                                  true)
+                 : optimizer::RectangleWindowPairs(cards.data(), n,
+                                                   cards.data(), n,
+                                                   kSpreadTau, true);
+    ASSERT_LT(want, triangle ? n * (n - 1) / 2 : n * n);
+    for (const size_t tile_rows :
+         {size_t{1}, size_t{5}, size_t{6}, size_t{7}, size_t{0}}) {
+      screened.store(0, std::memory_order_relaxed);
+      const std::vector<scan::Pair> pairs =
+          pair_scan::RunPasses({pass}, params, tile_rows, 2);
+      EXPECT_FALSE(pairs.empty());
+      EXPECT_EQ(screened.load(std::memory_order_relaxed), want)
+          << "triangle=" << triangle << " tile_rows=" << tile_rows;
     }
   }
 }
