@@ -143,8 +143,7 @@ int main() {
   }
   std::vector<UserId> docs;
   for (UserId doc = 0; doc < kDocs; ++doc) docs.push_back(doc);
-  // MakeIndex builds the snapshot with the method's QueryOptions, so
-  // factory-style knobs (tile_rows) would govern this scan.
+  // MakeIndex builds the same rebuild-only snapshot PrepareQuery caches.
   const auto vos_index = vos_method.MakeIndex(docs);
 
   auto report = [&](const char* phase) {

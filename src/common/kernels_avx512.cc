@@ -57,34 +57,6 @@ size_t Avx512XorPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
       _mm512_reduce_add_epi64(_mm512_add_epi64(acc0, acc1)));
 }
 
-void Avx512XorPopcount8(const uint64_t* a, const uint64_t* b_base,
-                        size_t stride, size_t n, size_t out[8]) {
-  __m512i acc[8];
-  for (int t = 0; t < 8; ++t) acc[t] = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i a_vec = _mm512_loadu_si512(a + i);
-    for (int t = 0; t < 8; ++t) {
-      const __m512i b_vec = _mm512_loadu_si512(b_base + t * stride + i);
-      acc[t] = _mm512_add_epi64(
-          acc[t], _mm512_popcnt_epi64(_mm512_xor_si512(a_vec, b_vec)));
-    }
-  }
-  if (i < n) {
-    const __mmask8 mask = TailMask(n - i);
-    const __m512i a_vec = _mm512_maskz_loadu_epi64(mask, a + i);
-    for (int t = 0; t < 8; ++t) {
-      const __m512i b_vec =
-          _mm512_maskz_loadu_epi64(mask, b_base + t * stride + i);
-      acc[t] = _mm512_add_epi64(
-          acc[t], _mm512_popcnt_epi64(_mm512_xor_si512(a_vec, b_vec)));
-    }
-  }
-  for (int t = 0; t < 8; ++t) {
-    out[t] = static_cast<size_t>(_mm512_reduce_add_epi64(acc[t]));
-  }
-}
-
 /// Lane l of the result is x's and y's lanes 2l and 2l+1 summed pairwise:
 /// each 128-bit lane holds (x part-sum, y part-sum).
 inline __m512i SumPairs(__m512i x, __m512i y) {
@@ -108,6 +80,31 @@ inline __m512i ReduceEight(__m512i v0, __m512i v1, __m512i v2, __m512i v3,
                            __m512i v4, __m512i v5, __m512i v6, __m512i v7) {
   return Fold(Fold(SumPairs(v0, v1), SumPairs(v2, v3)),
               Fold(SumPairs(v4, v5), SumPairs(v6, v7)));
+}
+
+// Both multi-pair kernels store a reduced vector straight into `out`.
+static_assert(sizeof(size_t) == sizeof(uint64_t));
+
+void Avx512XorPopcount8(const uint64_t* a, const uint64_t* b_base,
+                        size_t stride, size_t n, size_t out[8]) {
+  // Brace-initialized accumulators, one masked loop for body and tail and
+  // one transposed reduction keep the eight accumulators in registers: a
+  // zeroing loop or per-accumulator reduces make GCC keep them in a stack
+  // copy it memsets on every call.
+  __m512i acc[8] = {};
+  for (size_t i = 0; i < n; i += 8) {
+    const __mmask8 mask =
+        n - i >= 8 ? static_cast<__mmask8>(0xff) : TailMask(n - i);
+    const __m512i a_vec = _mm512_maskz_loadu_epi64(mask, a + i);
+    for (int t = 0; t < 8; ++t) {
+      const __m512i b_vec =
+          _mm512_maskz_loadu_epi64(mask, b_base + t * stride + i);
+      acc[t] = _mm512_add_epi64(
+          acc[t], _mm512_popcnt_epi64(_mm512_xor_si512(a_vec, b_vec)));
+    }
+  }
+  _mm512_storeu_si512(out, ReduceEight(acc[0], acc[1], acc[2], acc[3], acc[4],
+                                       acc[5], acc[6], acc[7]));
 }
 
 void Avx512XorPopcount4x4(const uint64_t* a_base, const uint64_t* b_base,
@@ -136,7 +133,6 @@ void Avx512XorPopcount4x4(const uint64_t* a_base, const uint64_t* b_base,
       }
     }
   }
-  static_assert(sizeof(size_t) == sizeof(uint64_t));
   _mm512_storeu_si512(out, ReduceEight(acc[0], acc[1], acc[2], acc[3], acc[4],
                                        acc[5], acc[6], acc[7]));
   _mm512_storeu_si512(out + 8,

@@ -99,12 +99,16 @@ class SimilarityMethod {
   /// Optional batch hook called before a round of EstimatePair() calls for
   /// `users`; lets methods precompute per-user digests (VOS materializes
   /// its k reconstructed bits per tracked user once instead of per pair).
+  /// Until the next InvalidateQueryCache, estimates between two of
+  /// `users` come from the snapshot this call took — identical to the
+  /// uncached answer until the stream advances — so the caller quiesces
+  /// ingest first and invalidates before updating again.
   virtual void PrepareQuery(const std::vector<UserId>& users) {
     (void)users;
   }
 
-  /// Clears any cache built by PrepareQuery (called when the stream
-  /// advances past a checkpoint).
+  /// Ends the PrepareQuery snapshot: later estimates answer from the live
+  /// state (called when the stream advances past a checkpoint).
   virtual void InvalidateQueryCache() {}
 
   /// Optional: worker threads PrepareQuery may use for batch digest

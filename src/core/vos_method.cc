@@ -5,60 +5,42 @@
 namespace vos::core {
 
 VosMethod::VosMethod(const VosConfig& config, UserId num_users,
-                     VosEstimatorOptions options, QueryOptions query_options)
+                     VosEstimatorOptions options)
     : sketch_(config, num_users),
       estimator_(config.k, options),
-      query_options_(query_options),
       log_alpha_table_(estimator_.BuildLogAlphaTable()) {}
 
 std::unique_ptr<SimilarityIndex> VosMethod::MakeIndex(
     std::vector<UserId> candidates) const {
-  QueryOptions options = query_options_;
-  if (query_threads_ != 0) options.num_threads = query_threads_;
+  QueryOptions options;
+  options.num_threads = query_threads_;
   auto index = std::make_unique<SimilarityIndex>(sketch_, estimator_.options(),
                                                  options);
   index->Rebuild(std::move(candidates));
   return index;
 }
 
-BitVector VosMethod::DigestFor(UserId user) const {
-  const auto it = cache_rows_.find(user);
-  if (it != cache_rows_.end()) return cache_.RowAsBitVector(it->second);
-  return sketch_.ExtractUserSketch(user);
-}
-
 void VosMethod::PrepareQuery(const std::vector<UserId>& users) {
-  cache_ = DigestMatrix::Build(sketch_, users, query_threads_);
-  cache_rows_.clear();
-  cache_rows_.reserve(users.size());
-  for (size_t i = 0; i < users.size(); ++i) {
-    cache_rows_.emplace(users[i], i);
-  }
-  cached_beta_ = sketch_.beta();
-  cached_log_beta_term_ = estimator_.LogBetaTerm(cached_beta_);
+  index_ = MakeIndex(users);
 }
 
 PairEstimate VosMethod::EstimatePair(UserId u, UserId v) const {
-  const auto iu = cache_rows_.find(u);
-  const auto iv = cache_rows_.find(v);
-  if (iu != cache_rows_.end() && iv != cache_rows_.end()) {
-    // Fast path: both digests cached — row kernel + log-table lookup,
-    // bit-identical to the BitVector path below by construction. The
-    // memoized log-beta term is used only while β is unchanged since
-    // PrepareQuery, so live-β semantics are preserved exactly.
-    const size_t d = XorPopcount(cache_.Row(iu->second),
-                                 cache_.Row(iv->second),
-                                 cache_.words_per_row());
-    const double beta = sketch_.beta();
-    const double log_beta_term = beta == cached_beta_
-                                     ? cached_log_beta_term_
-                                     : estimator_.LogBetaTerm(beta);
-    return estimator_.EstimateFromLogTerms(
-        sketch_.Cardinality(u), sketch_.Cardinality(v), log_alpha_table_[d],
-        log_beta_term);
+  if (index_ != nullptr) {
+    const size_t pu = index_->RowIndexOf(u);
+    const size_t pv = index_->RowIndexOf(v);
+    if (pu != SimilarityIndex::npos && pv != SimilarityIndex::npos) {
+      // Fast path: both users in the snapshot — row kernel + log-table
+      // lookup, bit-identical to the BitVector path below by construction.
+      const DigestMatrix& matrix = index_->matrix();
+      const size_t d =
+          XorPopcount(matrix.Row(pu), matrix.Row(pv), matrix.words_per_row());
+      return estimator_.EstimateFromLogTerms(
+          index_->row_cardinality(pu), index_->row_cardinality(pv),
+          log_alpha_table_[d], index_->log_beta_term());
+    }
   }
-  const BitVector du = DigestFor(u);
-  const BitVector dv = DigestFor(v);
+  const BitVector du = sketch_.ExtractUserSketch(u);
+  const BitVector dv = sketch_.ExtractUserSketch(v);
   const double alpha =
       static_cast<double>(du.HammingDistance(dv)) / sketch_.config().k;
   return estimator_.Estimate(sketch_.Cardinality(u), sketch_.Cardinality(v),

@@ -43,18 +43,17 @@ struct ExperimentConfig {
   /// (SimilarityMethod::SetQueryThreads; 0 = hardware concurrency).
   /// Metrics are bit-identical for every value.
   unsigned query_threads = 0;
-  /// Method sizing (base_k, λ, seeds, clamping), ingest knobs
+  /// Method sizing (base_k, λ, seeds, clamping) and ingest knobs
   /// (vos_shards, ingest_threads, ingest_producers — the accuracy replay
   /// itself stays single-producer so checkpoint cuts are exact —
   /// ingest_batch, the latter of which also sets
   /// the replay batch size for both experiment entry points; metrics are
   /// identical for every value, since the default UpdateBatch is the
   /// element loop and batched methods quiesce via FlushIngest before
-  /// each checkpoint), and query-tier knobs (query_shards_local /
-  /// planner_threads: "VOS-sharded" checkpoints refresh shard-local
-  /// incremental indexes instead of re-extracting every tracked user;
-  /// estimates — and therefore all metrics — are bit-identical either
-  /// way).
+  /// each checkpoint). Each checkpoint's PrepareQuery snapshots the
+  /// tracked users ("VOS-sharded" refreshes its shard-local incremental
+  /// indexes after the first checkpoint); estimates are bit-identical to
+  /// the uncached per-pair path.
   MethodFactoryConfig factory;
 };
 

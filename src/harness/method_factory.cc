@@ -52,11 +52,8 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     vos.track_dirty = false;
     core::VosEstimatorOptions options;
     options.clamp_to_feasible = config.clamp;
-    core::QueryOptions query_options;
-    query_options.tile_rows = config.tile_rows;
     return std::unique_ptr<core::SimilarityMethod>(
-        std::make_unique<core::VosMethod>(vos, num_users, options,
-                                          query_options));
+        std::make_unique<core::VosMethod>(vos, num_users, options));
   }
   if (name == "VOS-sharded") {
     core::ShardedVosConfig sharded;
@@ -65,7 +62,6 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     // Same seed as "VOS" so a 1-shard sharded method is the identical
     // sketch (ShardedVosSketch::ShardConfig keeps the base config then).
     sharded.base.seed = SeedFor(config, "VOS");
-    sharded.base.track_dirty = false;  // as for "VOS": bare update path
     sharded.num_shards = std::max<uint32_t>(1, config.vos_shards);
     sharded.ingest_threads = config.ingest_threads;
     sharded.ingest_producers = std::max<unsigned>(1, config.ingest_producers);
@@ -73,13 +69,8 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     sharded.pin_numa_workers = config.pin_threads;
     core::VosEstimatorOptions options;
     options.clamp_to_feasible = config.clamp;
-    core::ShardedQueryConfig query;
-    query.shards_local = config.query_shards_local;
-    query.planner_threads = config.planner_threads;
-    query.tile_rows = config.tile_rows;
     return std::unique_ptr<core::SimilarityMethod>(
-        std::make_unique<core::ShardedVosMethod>(sharded, num_users, options,
-                                                 query));
+        std::make_unique<core::ShardedVosMethod>(sharded, num_users, options));
   }
   if (name == "MinHash") {
     baseline::MinHashConfig mh;

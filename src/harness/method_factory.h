@@ -55,22 +55,6 @@ struct MethodFactoryConfig {
   /// default comes from numa::DefaultPinThreads() at the tool layer:
   /// off on single-node machines, on (or VOS_PIN) on multi-node ones.
   bool pin_threads = false;
-  /// "VOS-sharded" query tier: maintain shard-local incremental
-  /// SimilarityIndexes (core/query_planner.h) as the PrepareQuery cache.
-  /// Checkpoints after the first refresh only changed rows instead of
-  /// re-extracting every tracked user. Enables dirty tracking on the
-  /// shards (a small per-update cost), so it is off by default to keep
-  /// the Figure-2 update measurement at the paper's bare cost; estimates
-  /// are bit-identical either way.
-  bool query_shards_local = false;
-  /// Planner task-level worker threads for query_shards_local (0 =
-  /// hardware concurrency; SimilarityMethod::SetQueryThreads overrides).
-  unsigned planner_threads = 0;
-  /// Rows per tile edge of the pair-scan tier's all-pairs scans
-  /// (core/pair_scan.h; 0 = the tier default). Lands in "VOS"'s
-  /// MakeIndex QueryOptions and "VOS-sharded"'s planner mode; results
-  /// are bit-identical for every value.
-  size_t tile_rows = 0;
 };
 
 /// Recognized names: "VOS", "VOS-sharded", "MinHash", "OPH", "OPH+rot",

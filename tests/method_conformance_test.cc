@@ -2,9 +2,10 @@
 // build must satisfy the same behavioural contract. Parameterized over all
 // registered method names — so adding a method to the factory
 // automatically subjects it to this suite — plus a dedicated
-// "VOS-sharded" configuration matrix (shards × ingest threads × planner
-// mode), so the sharded engine honours the contract in every pipeline
-// mode, not just the factory default.
+// "VOS-sharded" configuration matrix (shards × ingest threads), so the
+// sharded engine honours the contract in every pipeline mode, not just
+// the factory default. Every sharded case caches through the planner's
+// incremental shard indexes, its only PrepareQuery cache.
 
 #include <gtest/gtest.h>
 
@@ -38,7 +39,6 @@ struct MethodCase {
   std::string name;
   uint32_t vos_shards = 4;
   unsigned ingest_threads = 0;
-  bool query_shards_local = false;
   std::string label;  ///< gtest-safe test-name suffix
 };
 
@@ -56,23 +56,18 @@ std::vector<MethodCase> DefaultCases() {
   return cases;
 }
 
-/// The sharded contract matrix: shards ∈ {1, 4} × ingest_threads ∈ {0, 2},
-/// plus the shard-local planner query tier on the fully sharded +
-/// threaded configuration.
+/// The sharded contract matrix: shards ∈ {1, 4} × ingest_threads ∈ {0, 2}.
 std::vector<MethodCase> ShardedMatrixCases() {
   std::vector<MethodCase> cases;
   for (const uint32_t shards : {1u, 4u}) {
     for (const unsigned threads : {0u, 2u}) {
-      for (const bool planner : {false, true}) {
-        MethodCase c;
-        c.name = "VOS-sharded";
-        c.vos_shards = shards;
-        c.ingest_threads = threads;
-        c.query_shards_local = planner;
-        c.label = "VOS_sharded_s" + std::to_string(shards) + "_t" +
-                  std::to_string(threads) + (planner ? "_planner" : "");
-        cases.push_back(std::move(c));
-      }
+      MethodCase c;
+      c.name = "VOS-sharded";
+      c.vos_shards = shards;
+      c.ingest_threads = threads;
+      c.label = "VOS_sharded_s" + std::to_string(shards) + "_t" +
+                std::to_string(threads);
+      cases.push_back(std::move(c));
     }
   }
   return cases;
@@ -84,7 +79,6 @@ class MethodConformanceTest : public ::testing::TestWithParam<MethodCase> {
     MethodFactoryConfig config = SmallFactory();
     config.vos_shards = GetParam().vos_shards;
     config.ingest_threads = GetParam().ingest_threads;
-    config.query_shards_local = GetParam().query_shards_local;
     auto method = CreateMethod(GetParam().name, config);
     VOS_CHECK(method.ok()) << method.status().ToString();
     return *std::move(method);

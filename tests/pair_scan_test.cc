@@ -5,11 +5,11 @@
 // QueryPlanner::AllPairsAbove — for every tile size (1 row, the default,
 // whole-pass), thread count, shard count and prefilter setting. Tiles
 // repartition the enumeration; they must never change a single bit of
-// the output. Result order under heavy Ĵ ties and the VosMethod
-// tile_rows knob are covered too, as are the 4×4 blocks' edges: tile
-// sizes and candidate counts that are not multiples of 4, and windows
-// whose ends differ between adjacent rows, where the scan must screen
-// exactly the window pairs the optimizer counts.
+// the output. Result order under heavy Ĵ ties is covered too, as are
+// the 4×4 blocks' edges: tile sizes and candidate counts that are not
+// multiples of 4, and windows whose ends differ between adjacent rows,
+// where the scan must screen exactly the window pairs the optimizer
+// counts.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "core/query_planner.h"
 #include "core/sharded_vos_sketch.h"
 #include "core/similarity_index.h"
-#include "core/vos_method.h"
 #include "core/vos_sketch.h"
 
 namespace vos::core {
@@ -445,34 +444,6 @@ TEST(PairScanTest, ScreensExactlyTheWindowPairs) {
           << "triangle=" << triangle << " tile_rows=" << tile_rows;
     }
   }
-}
-
-/// The factory-knob path into the tier: VosMethod::MakeIndex must build
-/// its snapshot with the method's QueryOptions, so a tile_rows
-/// configured at construction governs the scan (bit-identically).
-TEST(PairScanTest, VosMethodMakeIndexHonorsTileKnob) {
-  const UserId users = 64;
-  const std::vector<Element> elements = CommunityStream(users, 50, 27);
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
-
-  QueryOptions tiled_options;
-  tiled_options.tile_rows = 7;  // deliberately odd: many partial tiles
-  VosMethod tiled_method(IndexConfig(), users, {}, tiled_options);
-  VosMethod plain_method(IndexConfig(), users);
-  for (const Element& e : elements) {
-    tiled_method.Update(e);
-    plain_method.Update(e);
-  }
-
-  const auto plain = plain_method.MakeIndex(candidates);
-  const auto exact_pairs = plain->AllPairsAbove(0.4);
-  ASSERT_FALSE(exact_pairs.empty());
-
-  const auto tiled = tiled_method.MakeIndex(candidates);
-  EXPECT_EQ(tiled->query_options().tile_rows, 7u);
-  ExpectPairsIdentical(tiled->AllPairsAbove(0.4), exact_pairs,
-                       "MakeIndex tile_rows=7");
 }
 
 }  // namespace

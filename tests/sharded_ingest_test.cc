@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -639,6 +641,95 @@ TEST(ShardedVosMethodTest, ProducerLaneIngestMatchesSingleProducer) {
       ASSERT_EQ(actual.common, expected.common)
           << "pair=(" << u << "," << v << ")";
       ASSERT_EQ(actual.jaccard, expected.jaccard);
+    }
+  }
+}
+
+/// A feasible fully dynamic stream over overlapping item pools: user u
+/// toggles items of pool u % 5, inserting an absent edge and deleting a
+/// present one, so same-pool users keep Jaccard well above zero while
+/// roughly every other element is a deletion.
+std::vector<Element> TogglingPoolStream(UserId users, size_t elements,
+                                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<bool>> present(users, std::vector<bool>(150));
+  std::vector<Element> stream;
+  stream.reserve(elements);
+  while (stream.size() < elements) {
+    const auto user = static_cast<UserId>(rng.NextBounded(users));
+    const auto slot = static_cast<uint32_t>(rng.NextBounded(150));
+    const ItemId item = (user % 5) * 1000 + slot;
+    stream.push_back({user, item,
+                      present[user][slot] ? Action::kDelete : Action::kInsert});
+    present[user][slot] = !present[user][slot];
+  }
+  return stream;
+}
+
+/// The planner is the method's only query cache: PrepareQuery over the
+/// last set refreshes it incrementally, a new set rebuilds it, and
+/// Restore drops it. After every step the cached estimates over A ∪ B
+/// plus one user outside both must equal ShardedVosSketch::EstimatePair
+/// bit for bit, and the planner's AllPairsAbove its scalar reference.
+TEST(ShardedVosMethodTest, PrepareQueryRefreshesSameSetRebuildsNewSet) {
+  const UserId users = 40;
+  const std::vector<Element> elements = TogglingPoolStream(users, 6000, 83);
+  const size_t half = elements.size() / 2;
+  const std::vector<UserId> a = {0, 1, 5, 6, 10, 11, 15, 16, 20, 21};
+  const std::vector<UserId> b = {10, 11, 12, 15, 16, 17, 25, 26, 27, 30};
+  std::vector<UserId> probed = a;
+  probed.insert(probed.end(), b.begin(), b.end());
+  probed.push_back(39);  // in neither set
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const unsigned threads : {0u, 2u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      ShardedVosMethod method(TestConfig(shards, threads), users);
+      method.SetQueryThreads(2);
+      const auto check = [&](const std::string& step) {
+        SCOPED_TRACE(step);
+        for (UserId u : probed) {
+          for (UserId v : probed) {
+            const PairEstimate want = method.sketch().EstimatePair(u, v);
+            const PairEstimate got = method.EstimatePair(u, v);
+            ASSERT_EQ(got.common, want.common) << "pair=(" << u << "," << v
+                                               << ")";
+            ASSERT_EQ(got.jaccard, want.jaccard);
+          }
+        }
+        ASSERT_NE(method.planner(), nullptr);
+        for (const double tau : {0.05, 0.2}) {
+          const auto got = method.planner()->AllPairsAbove(tau);
+          const auto want = method.planner()->AllPairsAboveReference(tau);
+          ASSERT_EQ(got.size(), want.size()) << "tau=" << tau;
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].u, want[i].u) << "tau=" << tau << " pair " << i;
+            EXPECT_EQ(got[i].v, want[i].v) << "tau=" << tau << " pair " << i;
+            EXPECT_EQ(got[i].common, want[i].common);
+            EXPECT_EQ(got[i].jaccard, want[i].jaccard);
+          }
+        }
+      };
+
+      const std::string path = ::testing::TempDir() +
+                               "/sharded_method_refresh_" +
+                               std::to_string(shards) + "_" +
+                               std::to_string(threads);
+      method.UpdateBatch(elements.data(), half);
+      ASSERT_TRUE(method.Checkpoint(path).ok());
+      method.PrepareQuery(a);
+      check("first PrepareQuery(A)");
+      ASSERT_FALSE(method.planner()->AllPairsAbove(0.2).empty());
+      method.UpdateBatch(elements.data() + half, elements.size() - half);
+      ASSERT_TRUE(method.FlushIngest().ok());
+      method.PrepareQuery(a);
+      check("PrepareQuery(A) after ingest");
+      method.PrepareQuery(b);
+      check("PrepareQuery(B)");
+      ASSERT_TRUE(method.Restore(path).ok());
+      method.PrepareQuery(b);
+      check("PrepareQuery(B) after Restore");
+      std::remove(path.c_str());
     }
   }
 }
