@@ -15,7 +15,10 @@
 // so async throughput scales with the producer count instead of
 // flat-lining on a single producer's routing pass. Shard state is
 // verified identical to synchronous routing of the same per-producer
-// streams before any timing is reported.
+// streams before any timing is reported. One more row of that pass
+// ("sharded-async-p-q1") reruns the widest producer count with
+// capacity-1 rings: the back-pressure row, where producers fill their
+// rings and spin, then park — its spin/park counters print beside it.
 //
 // Phase "routing": producer-side routing bandwidth per kernel dispatch
 // level (common/kernels.h) — ShardRouter::Tag over the full element
@@ -59,7 +62,6 @@
 
 #include "bench/bench_util.h"
 #include "common/kernels.h"
-#include "common/numa.h"
 #include "common/timer.h"
 #include "stream/shard_router.h"
 #include "core/sharded_vos_sketch.h"
@@ -161,8 +163,7 @@ int main(int argc, char** argv) {
       argc, argv,
       "[--users=N] [--edges_per_user=N] [--k=N] [--m=N] [--shards=N] "
       "[--producers=N] [--batch=N] [--candidates=N] [--repeats=N] "
-      "[--seed=N] [--pin_threads=0|1] "
-      "[--dispatch=auto|scalar|neon|avx2|avx512] [--csv=path] "
+      "[--seed=N] [--dispatch=auto|scalar|neon|avx2|avx512] [--csv=path] "
       "[--json=path]");
   const auto users = static_cast<UserId>(flags.GetInt("users", 100000));
   const auto edges_per_user =
@@ -175,12 +176,6 @@ int main(int argc, char** argv) {
   const auto num_candidates =
       static_cast<size_t>(flags.GetInt("candidates", 1000));
   const int repeats = static_cast<int>(flags.GetInt("repeats", 3));
-  // NUMA pinning of the shard workers: VOS_PIN / multi-node autodetect
-  // unless forced. An identity column, not a metric — pinned and unpinned
-  // rows never compare against each other.
-  const bool pin_threads =
-      flags.GetInt("pin_threads", numa::DefaultPinThreads() ? 1 : 0) != 0;
-  const std::string pinned_tag = pin_threads ? "1" : "0";
 
   VosConfig config;
   config.k = static_cast<uint32_t>(flags.GetInt("k", 6400));
@@ -207,8 +202,6 @@ int main(int argc, char** argv) {
   std::printf("kernel dispatch: %s (requested %s)\n",
               kernels::Active().name, dispatch.c_str());
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("NUMA: %zu node(s); worker pinning %s\n",
-              numa::Detect().num_nodes(), pin_threads ? "ON" : "off");
   std::printf("hardware threads: %u%s\n", hw,
               hw < max_shards
                   ? "  (fewer than --shards: async scaling will be flat "
@@ -224,8 +217,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(config.m));
 
   const std::vector<std::string> header = {
-      "phase",   "engine", "kernel",     "shards", "producers", "threads",
-      "pinned",  "seconds", "throughput", "unit",  "speedup",   "efficiency"};
+      "phase",   "engine",     "kernel", "shards",  "producers", "threads",
+      "seconds", "throughput", "unit",   "speedup", "efficiency"};
   TablePrinter table(header);
   std::vector<std::vector<std::string>> rows;
   // The routing phase stamps rows with the dispatch level it forces;
@@ -244,7 +237,6 @@ int main(int argc, char** argv) {
                                     TablePrinter::FormatInt(shards),
                                     TablePrinter::FormatInt(producers),
                                     TablePrinter::FormatInt(threads),
-                                    pinned_tag,
                                     TablePrinter::FormatDouble(seconds, 4),
                                     TablePrinter::FormatDouble(throughput, 4),
                                     unit,
@@ -296,7 +288,6 @@ int main(int argc, char** argv) {
 
     // Concurrent pipeline: one worker per shard, tagged shared batches.
     sharded.ingest_threads = shards;
-    sharded.pin_numa_workers = pin_threads;
     double async_seconds = 0.0;
     for (int r = 0; r < repeats; ++r) {
       ShardedVosSketch sketch(sharded, users);
@@ -325,11 +316,13 @@ int main(int argc, char** argv) {
   // own per-user sub-stream (user % P keeps every user's history — and
   // therefore feasibility — on one lane) through its own
   // (producer, shard) queues. The P=1 row is the single-producer async
-  // baseline the acceptance target compares against.
-  double async_1producer_seconds = 0.0;
-  double async_max_producers_seconds = 0.0;
-  unsigned producers_measured = 1;
-  for (unsigned producers = 1; producers <= max_producers; producers *= 2) {
+  // baseline the acceptance target compares against. Returns the best
+  // time and the spin/park counters of that best repeat.
+  struct MultiProducerRun {
+    double seconds = 0.0;
+    ShardedVosSketch::SpinStats spin;
+  };
+  const auto time_producers = [&](unsigned producers, size_t queue_capacity) {
     std::vector<std::vector<Element>> lanes(producers);
     for (auto& lane : lanes) lane.reserve(elements.size() / producers + 1);
     for (const Element& e : elements) {
@@ -342,7 +335,7 @@ int main(int argc, char** argv) {
     sharded.batch_size = batch;
     sharded.ingest_threads = max_shards;
     sharded.ingest_producers = producers;
-    sharded.pin_numa_workers = pin_threads;
+    sharded.queue_capacity = queue_capacity;
 
     // Reference: synchronous routing of the same per-producer streams
     // (the state every timed repeat must land on bit-for-bit).
@@ -353,7 +346,7 @@ int main(int argc, char** argv) {
       reference.UpdateBatch(lane.data(), lane.size());
     }
 
-    double mp_seconds = 0.0;
+    MultiProducerRun best;
     for (int r = 0; r < repeats; ++r) {
       ShardedVosSketch sketch(sharded, users);
       WallTimer timer;
@@ -379,9 +372,21 @@ int main(int argc, char** argv) {
       const double elapsed = timer.ElapsedSeconds();
       VOS_CHECK(flushed.ok())
           << "multi-producer ingest degraded:" << flushed.ToString();
-      if (r == 0 || elapsed < mp_seconds) mp_seconds = elapsed;
+      if (r == 0 || elapsed < best.seconds) {
+        best.seconds = elapsed;
+        best.spin = sketch.IngestSpinStats();
+      }
       CheckShardsIdentical(sketch, reference);
     }
+    return best;
+  };
+  const size_t default_queue_capacity = ShardedVosConfig{}.queue_capacity;
+  double async_1producer_seconds = 0.0;
+  double async_max_producers_seconds = 0.0;
+  unsigned producers_measured = 1;
+  for (unsigned producers = 1; producers <= max_producers; producers *= 2) {
+    const double mp_seconds =
+        time_producers(producers, default_queue_capacity).seconds;
     if (producers == 1) async_1producer_seconds = mp_seconds;
     async_max_producers_seconds = mp_seconds;
     producers_measured = producers;
@@ -396,6 +401,26 @@ int main(int argc, char** argv) {
          max_shards + producers, mp_seconds, num_updates / mp_seconds,
          "updates/s", serial_seconds / mp_seconds,
          TablePrinter::FormatDouble(efficiency, 4));
+  }
+  // Back-pressure: the widest producer row again with capacity-1 rings,
+  // so every (producer, shard) ring fills after one sub-batch and
+  // producers spin, then park, on full rings. The only row that times the
+  // spin-then-park path; speedup divides by the serial loop, like the
+  // other ingest rows.
+  {
+    const MultiProducerRun pressured = time_producers(producers_measured, 1);
+    emit("ingest", "sharded-async-p-q1", max_shards, producers_measured,
+         max_shards + producers_measured, pressured.seconds,
+         num_updates / pressured.seconds, "updates/s",
+         serial_seconds / pressured.seconds);
+    std::printf("back-pressure (queue_capacity=1, %u producers, %u shards): "
+                "%.2f ms; push_parks=%llu push_spin_saves=%llu "
+                "idle_parks=%llu\n\n",
+                producers_measured, max_shards, 1e3 * pressured.seconds,
+                static_cast<unsigned long long>(pressured.spin.push_parks),
+                static_cast<unsigned long long>(
+                    pressured.spin.push_spin_saves),
+                static_cast<unsigned long long>(pressured.spin.idle_parks));
   }
 
   // ------------------------------------------------------------- routing
@@ -451,7 +476,6 @@ int main(int argc, char** argv) {
     sharded.num_shards = max_shards;
     sharded.batch_size = batch;
     sharded.ingest_threads = max_shards;
-    sharded.pin_numa_workers = pin_threads;
     ShardedVosSketch full_state(sharded, users);
     for (size_t t = 0; t < elements.size(); t += batch) {
       full_state.UpdateBatch(elements.data() + t,

@@ -17,7 +17,21 @@
 
 #if defined(VOS_KERNELS_AVX512)
 
+// GCC 12's avx512fintrin.h seeds _mm512_undefined_* values by
+// self-initialization, so every shuffle, unpack, convert and shift that
+// inlines one draws -Wuninitialized/-Wmaybe-uninitialized inside the
+// header. The warnings are located in the header, so silencing them over
+// the include alone keeps this file's own code fully checked. Clang
+// lacks -Wmaybe-uninitialized and does not warn here.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace vos::kernels::internal {
 namespace {

@@ -24,9 +24,10 @@
 // occupancy polling and flush barriers need. size() derives from them
 // and is approximate unless the ring is externally quiesced.
 //
-// Init() is separate from construction so the CONSUMER thread can
-// allocate the slot array: first-touch places the pages on the NUMA node
-// of the worker that will read from them (core/sharded_vos_sketch.cc).
+// Init() is separate from construction because the rings of
+// ShardedVosSketch live in an array of IngestLane (which holds a mutex
+// and never moves): the array is default-constructed, then each ring is
+// sized with Init() before the workers start.
 
 #pragma once
 
@@ -50,8 +51,7 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Allocates the slot array (capacity ≥ 1). Calling from the consumer
-  /// thread first-touches the slots on its node. Must complete before
+  /// Allocates the slot array (capacity ≥ 1). Must complete before
   /// (happen-before) any TryPush/TryPop; calling twice aborts.
   void Init(size_t capacity) {
     VOS_CHECK(slots_ == nullptr) << "SpscRing::Init called twice";

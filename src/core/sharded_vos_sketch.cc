@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/fault_injector.h"
-#include "common/numa.h"
 #include "common/popcount.h"
 #include "core/digest_matrix.h"
 #include "core/vos_io.h"
@@ -19,27 +18,14 @@ namespace {
 constexpr uint64_t kRouterTag = 0x40a7e0;
 constexpr uint64_t kShardFTag = 0x5a4d00;
 
-/// Adaptive spin budgets before parking (producer on a full ring, worker
-/// on empty rings). Each round yields: with fewer cores than threads the
-/// counterpart NEEDS this core to make progress, and with plenty of
-/// cores a yield is still cheaper than a park/unpark round-trip for the
-/// common microsecond-scale stall. The budget adapts per lane / worker
-/// from measured park rates within [kSpinBudgetMin, kSpinBudgetMax]:
-/// when spinning made the park unnecessary it grows ~12%, when the
-/// thread parked anyway it halves — long stalls converge on cheap early
-/// parks, micro-stalls converge on pure spinning. Purely a performance
-/// knob: every park/wake handshake and Flush/poisoning contract is
-/// untouched by the budget's value.
-constexpr uint32_t kSpinBudgetMin = 16;
-constexpr uint32_t kSpinBudgetMax = 512;
-
-uint32_t GrownSpinBudget(uint32_t budget) {
-  return std::min(kSpinBudgetMax, budget + budget / 8 + 1);
-}
-
-uint32_t ShrunkSpinBudget(uint32_t budget) {
-  return std::max(kSpinBudgetMin, budget / 2);
-}
+/// Spin rounds before parking, shared by a producer on a full ring and
+/// a worker on empty rings. Each round yields: with fewer cores than
+/// threads the counterpart NEEDS this core to make progress, and with
+/// plenty of cores a yield is still cheaper than a park/unpark round-trip
+/// for the common microsecond-scale stall. Purely a performance constant:
+/// every park/wake handshake and Flush/poisoning contract is independent
+/// of its value.
+constexpr uint32_t kSpinRounds = 64;
 
 /// Construction-time footprint for the memory-budget validation: shard
 /// arrays (word-rounded), their changed-word summaries when tracked (one
@@ -150,6 +136,15 @@ ShardedVosSketch::ShardedVosSketch(const ShardedVosConfig& config,
   shard_status_.resize(config.num_shards);
   accepted_ = std::vector<std::atomic<uint64_t>>(config.ingest_producers);
   dispatched_ = std::vector<std::atomic<uint64_t>>(config.ingest_producers);
+  // Every shard and ring exists before any worker starts: thread
+  // creation publishes them to the workers, and producers cannot push
+  // before the constructor returns.
+  shards_.reserve(config.num_shards);
+  for (uint32_t s = 0; s < config.num_shards; ++s) {
+    shards_.emplace_back(ShardConfig(config, s),
+                         config.num_shards > 1 ? dense_map_.shard_size(s)
+                                               : num_users);
+  }
   if (config.ingest_threads > 0) {
     const unsigned workers = static_cast<unsigned>(std::min<uint64_t>(
         {config.ingest_threads, config.num_shards, 256}));
@@ -167,47 +162,18 @@ ShardedVosSketch::ShardedVosSketch(const ShardedVosConfig& config,
     worker_lanes_.resize(workers);
     for (unsigned p = 0; p < producers_; ++p) {
       for (uint32_t s = 0; s < config.num_shards; ++s) {
+        lanes_[LaneIndex(p, s)].ring.Init(config.queue_capacity);
         worker_lanes_[owner_[s]].push_back(LaneIndex(p, s));
       }
     }
     worker_slots_ = std::make_unique<WorkerSlot[]>(workers);
     worker_dead_.assign(workers, 0);
-    // Workers construct their own shards and ring slot arrays
-    // (WorkerInit): first-touch places each shard's pages on its
-    // worker's NUMA node. Construction is deterministic regardless of
-    // which thread runs it, so shard state stays bit-identical to the
-    // synchronous pipeline's.
-    staged_shards_.resize(config.num_shards);
-    init_remaining_.store(workers, std::memory_order_relaxed);
     worker_threads_.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
       worker_threads_.emplace_back(&ShardedVosSketch::WorkerLoop, this, w);
     }
-    {
-      MutexLock lock(&init_mu_);
-      init_cv_.Wait(init_mu_, [&] {
-        return init_remaining_.load(std::memory_order_acquire) == 0;
-      });
-    }
-    shards_.reserve(config.num_shards);
-    for (uint32_t s = 0; s < config.num_shards; ++s) {
-      shards_.push_back(std::move(*staged_shards_[s]));
-    }
-    staged_shards_.clear();
-    staged_shards_.shrink_to_fit();
-    {
-      MutexLock lock(&init_mu_);
-      start_ = true;
-    }
-    init_cv_.NotifyAll();
   } else {
     producers_ = 1;  // synchronous ingestion is single-threaded by contract
-    shards_.reserve(config.num_shards);
-    for (uint32_t s = 0; s < config.num_shards; ++s) {
-      shards_.emplace_back(ShardConfig(config, s),
-                           config.num_shards > 1 ? dense_map_.shard_size(s)
-                                                 : num_users);
-    }
   }
   static_memory_bits_ = MemoryBits();
 }
@@ -218,37 +184,6 @@ ShardedVosSketch::~ShardedVosSketch() {
   stopping_.store(true, std::memory_order_relaxed);
   WakeAllWaiters();
   for (std::thread& t : worker_threads_) t.join();
-}
-
-void ShardedVosSketch::WorkerInit(unsigned worker) {
-  if (config_.pin_numa_workers) {
-    // Best-effort: spread workers round-robin over the detected nodes; a
-    // refused affinity call (masked cpuset, non-Linux) just runs
-    // unpinned.
-    (void)numa::PinCurrentThreadToNode(worker);
-  }
-  // First-touch: construct this worker's shards and ring slot arrays on
-  // the thread (and, when pinned, the node) that will consume them.
-  for (uint32_t s = 0; s < router_.num_shards(); ++s) {
-    if (owner_[s] != worker) continue;
-    staged_shards_[s].emplace(ShardConfig(config_, s),
-                              dense_remap() ? dense_map_.shard_size(s)
-                                            : num_users_);
-  }
-  for (size_t l : worker_lanes_[worker]) {
-    lanes_[l].ring.Init(config_.queue_capacity);
-  }
-  if (init_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    {
-      MutexLock lock(&init_mu_);
-    }
-    init_cv_.NotifyAll();
-  }
-  // The constructor adopts the staged shards into shards_; do not touch
-  // shards_ (or pop — producers cannot push before the constructor
-  // returns anyway) until it says go.
-  MutexLock lock(&init_mu_);
-  while (!start_) init_cv_.Wait(init_mu_);
 }
 
 void ShardedVosSketch::ApplySyncElement(const stream::Element& e) {
@@ -423,15 +358,10 @@ bool ShardedVosSketch::PushWithBackPressure(
     IngestLane& lane, uint32_t shard, std::vector<stream::Element>& batch) {
   // Bounded spin: the common full-ring stall is the worker being
   // mid-batch for microseconds. Yield each round — with fewer cores than
-  // threads the worker needs this core to make room. The budget is this
-  // lane's adaptive one (see kSpinBudget*).
-  const uint32_t spin_budget =
-      lane.push_spin_budget.load(std::memory_order_relaxed);
-  for (uint32_t spin = 0; spin < spin_budget; ++spin) {
+  // threads the worker needs this core to make room (see kSpinRounds).
+  for (uint32_t spin = 0; spin < kSpinRounds; ++spin) {
     std::this_thread::yield();
     if (lane.ring.TryPush(batch)) {
-      lane.push_spin_budget.store(GrownSpinBudget(spin_budget),
-                                  std::memory_order_relaxed);
       lane.push_spin_saves.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
@@ -439,8 +369,6 @@ bool ShardedVosSketch::PushWithBackPressure(
       return false;
     }
   }
-  lane.push_spin_budget.store(ShrunkSpinBudget(spin_budget),
-                              std::memory_order_relaxed);
   lane.push_parks.fetch_add(1, std::memory_order_relaxed);
   // Park on the lane's condvar. Flag → fence → recheck pairs with the
   // consumer's pop → fence → flag load: either our recheck sees the
@@ -564,7 +492,6 @@ bool ShardedVosSketch::PopNextBatch(unsigned worker, size_t* cursor,
                                     std::vector<stream::Element>* batch) {
   const std::vector<size_t>& my_lanes = worker_lanes_[worker];
   WorkerSlot& slot = worker_slots_[worker];
-  uint32_t idle_budget = slot.idle_spin_budget.load(std::memory_order_relaxed);
   uint32_t idle_rounds = 0;
   for (;;) {
     // Round-robin over the worker's lanes so no producer's ring is
@@ -573,13 +500,6 @@ bool ShardedVosSketch::PopNextBatch(unsigned worker, size_t* cursor,
       const size_t candidate = my_lanes[(*cursor + i) % my_lanes.size()];
       IngestLane& lane = lanes_[candidate];
       if (lane.ring.TryPop(batch)) {
-        if (idle_rounds > 0) {
-          // Idle spinning beat a park: spend a little more next stall.
-          idle_budget = GrownSpinBudget(idle_budget);
-          slot.idle_spin_budget.store(idle_budget,
-                                      std::memory_order_relaxed);
-          slot.idle_spin_saves.fetch_add(1, std::memory_order_relaxed);
-        }
         *cursor = (*cursor + i + 1) % my_lanes.size();
         *lane_index = candidate;
         // Room just opened: unpark the lane's producer NOW, before the
@@ -596,13 +516,11 @@ bool ShardedVosSketch::PopNextBatch(unsigned worker, size_t* cursor,
       }
     }
     if (stopping_.load(std::memory_order_relaxed)) return false;
-    if (++idle_rounds <= idle_budget) {
+    if (++idle_rounds <= kSpinRounds) {
       std::this_thread::yield();
       continue;
     }
     idle_rounds = 0;
-    idle_budget = ShrunkSpinBudget(idle_budget);
-    slot.idle_spin_budget.store(idle_budget, std::memory_order_relaxed);
     slot.idle_parks.fetch_add(1, std::memory_order_relaxed);
     // Park: publish the flag, then re-check under slot.mu — a producer
     // that pushed before seeing the flag is caught by the predicate's
@@ -638,7 +556,6 @@ void ShardedVosSketch::CompleteLaneBatch(IngestLane& lane) {
 }
 
 void ShardedVosSketch::WorkerLoop(unsigned worker) {
-  WorkerInit(worker);
   FaultInjector& injector = FaultInjector::Global();
   size_t cursor = 0;
   size_t lane_index = 0;
@@ -833,29 +750,17 @@ uint64_t ShardedVosSketch::dropped_elements() const {
 
 ShardedVosSketch::SpinStats ShardedVosSketch::IngestSpinStats() const {
   SpinStats stats;
-  if (!async()) return stats;  // no lanes, no budgets
+  if (!async()) return stats;  // no lanes, no workers
   const size_t lane_count =
       static_cast<size_t>(producers_) * router_.num_shards();
   for (size_t l = 0; l < lane_count; ++l) {
     stats.push_parks += lanes_[l].push_parks.load(std::memory_order_relaxed);
     stats.push_spin_saves +=
         lanes_[l].push_spin_saves.load(std::memory_order_relaxed);
-    const uint32_t budget =
-        lanes_[l].push_spin_budget.load(std::memory_order_relaxed);
-    stats.min_push_spin_budget =
-        l == 0 ? budget : std::min(stats.min_push_spin_budget, budget);
-    stats.max_push_spin_budget = std::max(stats.max_push_spin_budget, budget);
   }
   for (size_t w = 0; w < worker_threads_.size(); ++w) {
     stats.idle_parks +=
         worker_slots_[w].idle_parks.load(std::memory_order_relaxed);
-    stats.idle_spin_saves +=
-        worker_slots_[w].idle_spin_saves.load(std::memory_order_relaxed);
-    const uint32_t budget =
-        worker_slots_[w].idle_spin_budget.load(std::memory_order_relaxed);
-    stats.min_idle_spin_budget =
-        w == 0 ? budget : std::min(stats.min_idle_spin_budget, budget);
-    stats.max_idle_spin_budget = std::max(stats.max_idle_spin_budget, budget);
   }
   return stats;
 }

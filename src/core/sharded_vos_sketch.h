@@ -29,9 +29,9 @@
 // own (producer, shard) ring. Every ring has exactly one writer (its
 // producer) and one reader (its shard's worker), so the healthy hot path
 // takes NO lock anywhere: push and pop are single release stores,
-// back-pressure is a bounded spin that parks on a per-lane condvar only
-// when the ring stays full, idle workers park on a per-worker condvar
-// only when every owned ring stays empty, and Flush barriers wait on
+// back-pressure spins a fixed number of yielding rounds and then parks on
+// a per-lane condvar, idle workers spin the same count and then park on
+// a per-worker condvar, and Flush barriers wait on
 // per-lane epoch counters (ring.pushed() vs lane.completed) instead of a
 // global notify_all. Worker w owns shards {s : s mod W == w} and drains
 // their rings round-robin across producers, applying every element of a
@@ -39,14 +39,6 @@
 // ingest bandwidth scales with the producer count instead of being
 // capped by a per-worker whole-batch scan, and with the worker count on
 // the apply side.
-//
-// NUMA placement (pin_numa_workers): shard construction and ring
-// allocation happen ON the owning worker thread, so first-touch places
-// each shard's bit array and each lane's slot array on the worker's
-// node; with pinning enabled each worker additionally sets its affinity
-// to node (w mod num_nodes) (common/numa.h — best-effort, a refused
-// affinity call just runs unpinned, and single-node machines are a
-// no-op).
 //
 // Determinism: each (producer, shard) queue is FIFO and each shard is
 // applied by exactly one worker, so shard s sees producer p's elements in
@@ -110,7 +102,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,13 +159,6 @@ struct ShardedVosConfig {
   /// cross the ceiling is dropped and the sticky ingest status becomes
   /// ResourceExhausted — graceful degradation instead of OOM.
   uint64_t memory_budget_bits = 0;
-  /// Pin each shard worker to NUMA node (w mod num_nodes) so it applies
-  /// updates next to the shard arrays and ring slots it first-touched
-  /// (see file comment). Best-effort and a no-op on single-node
-  /// machines; defaults off so tests and single-socket runs are
-  /// unaffected. Tools and the harness default it from
-  /// numa::DefaultPinThreads() (--pin_threads / VOS_PIN).
-  bool pin_numa_workers = false;
 };
 
 /// S independent VosSketch shards behind one ingest/query facade.
@@ -242,21 +226,14 @@ class ShardedVosSketch {
   /// Zero on a healthy pipeline.
   uint64_t dropped_elements() const;
 
-  /// Observability of the adaptive SPSC spin budgets: counters are sums
-  /// over every producer lane / worker slot since construction, budgets
-  /// are the current per-lane / per-worker values (min/max across them;
-  /// all zero in synchronous mode, which has no lanes). A park/save
-  /// ratio near zero means the budgets have converged on spinning;
-  /// near one means the stalls are long and parking is right.
+  /// Spin/park counters summed over every producer lane / worker slot
+  /// since construction (all zero in synchronous mode, which has no
+  /// lanes). Plain counters held for e2ebench's three spin metrics until
+  /// the metrics registry (ROADMAP item 3) takes them over.
   struct SpinStats {
     uint64_t push_parks = 0;       ///< producer parks on full rings
-    uint64_t push_spin_saves = 0;  ///< pushes that landed within the budget
+    uint64_t push_spin_saves = 0;  ///< full-ring pushes that landed spinning
     uint64_t idle_parks = 0;       ///< worker parks on empty rings
-    uint64_t idle_spin_saves = 0;  ///< pops that landed after ≥ 1 idle round
-    uint32_t min_push_spin_budget = 0;
-    uint32_t max_push_spin_budget = 0;
-    uint32_t min_idle_spin_budget = 0;
-    uint32_t max_idle_spin_budget = 0;
   };
   SpinStats IngestSpinStats() const;
 
@@ -388,11 +365,8 @@ class ShardedVosSketch {
     /// the order is enforced by VOS_EXCLUDES(mu_) on every acquirer).
     Mutex park_mu;
     CondVar park_cv;
-    /// Adaptive spin budget on a full ring before parking (bounds in the
-    /// .cc): grown when spinning made the park unnecessary, halved when
-    /// the producer parked anyway. Written only by the lane's producer;
-    /// atomic so IngestSpinStats() may read it from any thread.
-    std::atomic<uint32_t> push_spin_budget{64};
+    /// Written only by the lane's producer; atomic so IngestSpinStats()
+    /// may read them from any thread.
     std::atomic<uint64_t> push_parks{0};
     std::atomic<uint64_t> push_spin_saves{0};
   };
@@ -407,11 +381,8 @@ class ShardedVosSketch {
     /// Park-path leaf lock, same ordering rule as IngestLane::park_mu.
     Mutex mu;
     CondVar cv;
-    /// Adaptive spin budget on empty rings before parking (twin of
-    /// IngestLane::push_spin_budget; written only by the owning worker).
-    std::atomic<uint32_t> idle_spin_budget{64};
+    /// Written only by the owning worker.
     std::atomic<uint64_t> idle_parks{0};
-    std::atomic<uint64_t> idle_spin_saves{0};
   };
 
   bool async() const { return !worker_threads_.empty(); }
@@ -466,9 +437,6 @@ class ShardedVosSketch {
   /// waiter (fence-paired, notify only when someone waits).
   void CompleteLaneBatch(IngestLane& lane) VOS_EXCLUDES(mu_);
   void WorkerLoop(unsigned worker);
-  /// Worker-thread prologue: optional NUMA pinning, then first-touch
-  /// construction of the worker's own shards and ring slot arrays.
-  void WorkerInit(unsigned worker) VOS_EXCLUDES(mu_);
   /// Pops one batch from the worker's lanes (round-robin), parking when
   /// every owned ring is empty. False = stopping and fully drained.
   bool PopNextBatch(unsigned worker, size_t* cursor, size_t* lane_index,
@@ -521,15 +489,6 @@ class ShardedVosSketch {
   std::atomic<bool> stopping_{false};
   std::vector<std::thread> worker_threads_;
 
-  // --- Worker-side construction hand-off (first-touch; see WorkerInit) --
-  /// Slots the workers construct their owned shards into; drained into
-  /// shards_ by the constructor once every worker finished WorkerInit.
-  std::vector<std::optional<VosSketch>> staged_shards_;
-  std::atomic<unsigned> init_remaining_{0};
-  Mutex init_mu_;
-  bool start_ VOS_GUARDED_BY(init_mu_) = false;
-  CondVar init_cv_;
-
   // --- Flush barrier ----------------------------------------------------
   /// Number of threads inside WaitLanesDrained. Workers check it after
   /// bumping a lane epoch (behind a seq_cst fence) and only then pay for
@@ -576,7 +535,7 @@ class ShardedVosSketch {
   /// PopNextBatch, CompleteLaneBatch, WaitLanesDrained); the statically
   /// nameable peers are pinned here so any future nesting has a declared
   /// direction the analysis can check.
-  mutable Mutex mu_ VOS_ACQUIRED_AFTER(init_mu_, flush_mu_);
+  mutable Mutex mu_ VOS_ACQUIRED_AFTER(flush_mu_);
 };
 
 }  // namespace vos::core

@@ -4,7 +4,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "common/numa.h"
 #include "common/timer.h"
 #include "exact/ground_truth.h"
 #include "hashing/hash64.h"
@@ -153,12 +152,6 @@ StatusOr<double> MeasureUpdateRuntime(const stream::GraphStream& stream,
     threads.reserve(producers);
     for (unsigned p = 0; p < producers; ++p) {
       threads.emplace_back([&, p] {
-        // Mirror the worker-side pinning: producer p lands on the node
-        // whose workers own most of its traffic's shards only by luck,
-        // but round-robin keeps the lanes spread instead of letting the
-        // scheduler stack them on one node. Best-effort, like the
-        // workers' own pinning.
-        if (factory.pin_threads) numa::PinCurrentThreadToNode(p);
         const std::vector<stream::Element>& lane = lanes[p];
         for (size_t t = 0; t < lane.size(); t += batch) {
           method->UpdateBatch(lane.data() + t,

@@ -66,7 +66,6 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     sharded.ingest_threads = config.ingest_threads;
     sharded.ingest_producers = std::max<unsigned>(1, config.ingest_producers);
     sharded.batch_size = std::max<size_t>(1, config.ingest_batch);
-    sharded.pin_numa_workers = config.pin_threads;
     core::VosEstimatorOptions options;
     options.clamp_to_feasible = config.clamp;
     return std::unique_ptr<core::SimilarityMethod>(

@@ -49,12 +49,6 @@ struct MethodFactoryConfig {
   /// Elements per auto-enqueued ingest batch for "VOS-sharded"'s
   /// per-element Update path.
   size_t ingest_batch = 4096;
-  /// Pin "VOS-sharded" shard workers to NUMA nodes (worker w → node
-  /// w mod nodes) and first-touch their shard state there. A performance
-  /// hint only — estimates are bit-identical either way — so the harness
-  /// default comes from numa::DefaultPinThreads() at the tool layer:
-  /// off on single-node machines, on (or VOS_PIN) on multi-node ones.
-  bool pin_threads = false;
 };
 
 /// Recognized names: "VOS", "VOS-sharded", "MinHash", "OPH", "OPH+rot",

@@ -8,12 +8,13 @@ run against the baseline committed under bench/baselines/, flagging any
 row whose throughput — or per-lane producer-scaling efficiency, where a
 row carries one — regressed by more than --max-regression (default 20%).
 
-Rows are keyed by every identity column (bench, phase, engine, shards,
-producers, threads, pinned, unit — whichever are present), so a schema
+Rows are keyed by every identity column (bench, phase, engine, kernel,
+shards, producers, threads, unit — whichever are present), so a schema
 change that adds a column simply widens the key. Metric columns (seconds,
 throughput, speedup, recall, efficiency) never participate in the key.
-The retired "plan" and "cost" columns, which older micro_query_path rows
-still carry, are ignored, so those rows key the same as current ones.
+Retired columns are ignored, so older rows that still carry them key the
+same as current ones: "plan" and "cost" (old micro_query_path rows) and
+"pinned" (micro_ingest_path rows from before NUMA pinning was removed).
 
 Trend mode: pass a DIRECTORY as the baseline to compare against the last
 N (--last, default 5) BENCH_*.json files found in it — e.g. a folder of
@@ -47,8 +48,9 @@ import sys
 METRIC_COLUMNS = frozenset(
     {"seconds", "throughput", "speedup", "recall", "efficiency"})
 
-# Columns of retired query-plan rows: neither identity nor a metric.
-RETIRED_COLUMNS = frozenset({"plan", "cost"})
+# Retired columns (query-plan rows, NUMA pinning): neither identity nor a
+# metric.
+RETIRED_COLUMNS = frozenset({"plan", "cost", "pinned"})
 
 # Metrics where lower-than-baseline means a regression. Efficiency is the
 # micro_ingest_path producer-scaling column: throughput(P) divided by

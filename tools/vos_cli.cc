@@ -15,7 +15,7 @@
 //       Convert a stream file between the text and binary formats.
 //   vos checkpoint [--dataset=<name> | --in=<path>] --ckpt=<path>
 //           [--stop-at=0.5] [--shards=4] [--producers=2] [--threads=2]
-//           [--k=256] [--m=262144] [--seed=99] [--pin_threads=0|1]
+//           [--k=256] [--m=262144] [--seed=99]
 //       Ingest the first stop-at fraction of the stream into a sharded
 //       VOS sketch and atomically checkpoint it (shards, dense remap,
 //       per-lane watermarks).
@@ -37,7 +37,6 @@
 
 #include "common/csv_writer.h"
 #include "common/flags.h"
-#include "common/numa.h"
 #include "common/table_printer.h"
 #include "core/sharded_vos_sketch.h"
 #include "harness/experiment.h"
@@ -272,11 +271,6 @@ core::ShardedVosConfig MakeShardedConfig(const Flags& flags) {
   config.ingest_producers =
       static_cast<unsigned>(flags.GetInt("producers", 2));
   config.batch_size = 512;
-  // Pinning is a performance hint, not part of the sizing contract: the
-  // checkpoint manifest ignores it, so checkpoint and restore may differ.
-  // Default: VOS_PIN if set, else on only for multi-node machines.
-  config.pin_numa_workers =
-      flags.GetInt("pin_threads", numa::DefaultPinThreads() ? 1 : 0) != 0;
   return config;
 }
 
