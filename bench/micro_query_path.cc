@@ -5,22 +5,22 @@
 // The scalar baseline is the seed implementation kept verbatim as
 // SimilarityIndex::AllPairsAboveReference — per-user heap BitVector
 // digests, one Hamming-distance call and one closed-form (log) estimator
-// evaluation per pair, single-threaded. The batch engine packs all
-// digests into one contiguous DigestMatrix (thread-parallel extraction
-// over the cached f-seed table), runs word-wise XOR+popcount row kernels,
-// replaces per-pair logs with a Rebuild-time log table, prefilters on the
-// Hamming bound, and partitions the pair loop across threads. Results are
-// verified bit-identical before any timing is reported.
+// evaluation per pair, single-threaded. The batch engine is
+// QueryPlanner::AllPairsAbove over one shard: all digests packed into one
+// contiguous DigestMatrix (thread-parallel extraction over the cached
+// f-seed table), word-wise XOR+popcount kernels over cache-sized tiles, a
+// log table instead of per-pair logs, the cardinality and Hamming
+// prefilters, and the tiles spread across threads. Results are verified
+// bit-identical before any timing is reported.
 //
 // The "planner" phase measures the shard-aware query tier
 // (core/query_planner.h): AllPairsAbove planned as same-shard passes plus
 // cross-shard blocks, scattered over --planner_threads task workers, at
-// S ∈ {1, 4, 8} shards. The S=1 planner IS the single global index
-// scanned by one task — the baseline the shard-scaling speedup column is
-// measured against. Every planner result is verified bit-identical across
-// planner thread counts, and (for --users ≤ 600) identical to the
-// per-pair ShardedVosSketch::EstimatePair reference, before timing is
-// reported.
+// S ∈ {1, 4, 8} shards. The S=1 planner scans one global snapshot — the
+// baseline the shard-scaling speedup column is measured against. Every
+// planner result is verified bit-identical across planner thread counts,
+// and (for --users ≤ 600) identical to the per-pair
+// ShardedVosSketch::EstimatePair reference, before timing is reported.
 //
 // The "kernel_hamming" / "kernel_extract" phases are the dispatch tier's
 // acceptance signal (common/kernels.h): the 1×8 and 4×4 blocked
@@ -364,21 +364,27 @@ int main(int argc, char** argv) {
   }
 
   // ----------------------------------------------------------- all-pairs
+  // The batch engine is QueryPlanner over one shard, configured exactly as
+  // `sketch` (ShardedVosConfig::base at S = 1); the scalar baseline is the
+  // oracle over that shard's snapshot.
+  ShardedVosConfig one_shard;
+  one_shard.base = config;
+  ShardedVosSketch one_shard_sketch(one_shard, users);
+  one_shard_sketch.UpdateBatch(elements.data(), elements.size());
   QueryOptions query_options;
   query_options.num_threads = threads;
   query_options.tile_rows = tile_rows;
-  SimilarityIndex index(sketch, {}, query_options);
-  index.Rebuild(candidates);
+  QueryPlanner batch(one_shard_sketch, {}, query_options);
+  batch.Rebuild(candidates);
+  const SimilarityIndex& snapshot = batch.shard_index(0);
 
-  const auto reference = index.AllPairsAboveReference(tau);
+  const auto reference = snapshot.AllPairsAboveReference(tau);
   const auto timed_batch = [&](unsigned t) {
-    QueryOptions options = query_options;
-    options.num_threads = t;
-    index.set_query_options(options);
-    (void)index.AllPairsAbove(tau);  // warm caches (evicted by the
+    batch.set_num_threads(t);
+    (void)batch.AllPairsAbove(tau);  // warm caches (evicted by the
                                      // scalar pass's digest copies)
     WallTimer timer;
-    const auto result = index.AllPairsAbove(tau);
+    const auto result = batch.AllPairsAbove(tau);
     const double elapsed = timer.ElapsedSeconds();
     // Verify bit-identical results on every round, not just once.
     VOS_CHECK(result.size() == reference.size())
@@ -398,9 +404,9 @@ int main(int argc, char** argv) {
   // minima.
   double scalar_pairs = 0.0, batch_one = 0.0, batch_many = 0.0;
   for (int r = 0; r < repeats; ++r) {
-    (void)index.AllPairsAboveReference(tau);  // warm caches
+    (void)snapshot.AllPairsAboveReference(tau);  // warm caches
     WallTimer timer;
-    const auto result = index.AllPairsAboveReference(tau);
+    const auto result = snapshot.AllPairsAboveReference(tau);
     const double scalar_elapsed = timer.ElapsedSeconds();
     VOS_CHECK(result.size() == reference.size());
     const double one = timed_batch(1);

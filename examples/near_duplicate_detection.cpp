@@ -28,8 +28,7 @@
 
 #include "baselines/minhash.h"
 #include "common/random.h"
-#include "core/similarity_index.h"
-#include "core/vos_method.h"
+#include "core/sharded_vos_method.h"
 #include "exact/exact_store.h"
 
 namespace {
@@ -91,17 +90,17 @@ Quality Score(const Method& method, const vos::exact::ExactStore& exact) {
   return ScoreFromEstimates(estimate, exact);
 }
 
-/// VOS is scored through the batch query engine: one Rebuild snapshots all
-/// document digests, one thread-partitioned AllPairsAbove sweep yields
-/// every pair's estimate (τ = 0 keeps all pairs, estimates are clamped to
-/// [0, 1]) — no per-pair sketch reconstruction.
-Quality ScoreVosBatch(vos::core::SimilarityIndex& index,
+/// VOS is scored through the batch query engine: PrepareQuery snapshots
+/// all document digests, one tiled, thread-parallel AllPairsAbove sweep
+/// yields every pair's estimate (τ = 0 keeps all pairs, estimates are
+/// clamped to [0, 1]) — no per-pair sketch reconstruction.
+Quality ScoreVosBatch(vos::core::ShardedVosMethod& method,
                       const std::vector<UserId>& docs,
                       const vos::exact::ExactStore& exact) {
-  index.Rebuild(docs);
+  method.PrepareQuery(docs);
   std::vector<std::vector<double>> estimate(kDocs,
                                             std::vector<double>(kDocs, 0.0));
-  for (const auto& pair : index.AllPairsAbove(0.0)) {
+  for (const auto& pair : method.planner()->AllPairsAbove(0.0)) {
     estimate[std::min(pair.u, pair.v)][std::max(pair.u, pair.v)] =
         pair.jaccard;
   }
@@ -113,10 +112,12 @@ Quality ScoreVosBatch(vos::core::SimilarityIndex& index,
 int main() {
   Rng rng(7);
 
-  vos::core::VosConfig vos_config;
-  vos_config.k = 8192;
-  vos_config.m = uint64_t{1} << 21;
-  vos::core::VosMethod vos_method(vos_config, kDocs);
+  // One shard: configured exactly as a standalone VosSketch(base), with
+  // the method's planner answering the batch query.
+  vos::core::ShardedVosConfig vos_config;
+  vos_config.base.k = 8192;
+  vos_config.base.m = uint64_t{1} << 21;
+  vos::core::ShardedVosMethod vos_method(vos_config, kDocs);
 
   // Equal-memory MinHash digest: 2^21 bits / 60 docs / 32-bit registers
   // ≈ 1092 registers per document.
@@ -143,11 +144,9 @@ int main() {
   }
   std::vector<UserId> docs;
   for (UserId doc = 0; doc < kDocs; ++doc) docs.push_back(doc);
-  // MakeIndex builds the same rebuild-only snapshot PrepareQuery caches.
-  const auto vos_index = vos_method.MakeIndex(docs);
 
   auto report = [&](const char* phase) {
-    const Quality vq = ScoreVosBatch(*vos_index, docs, exact);
+    const Quality vq = ScoreVosBatch(vos_method, docs, exact);
     const Quality mq = Score(minhash, exact);
     double true_j = 0;
     for (UserId a = 0; a < kDocs; a += 3) {

@@ -16,19 +16,17 @@
 // Run: ./build/examples/social_recommendation
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
-#include "core/similarity_index.h"
-#include "core/vos_method.h"
+#include "core/sharded_vos_method.h"
 #include "exact/exact_store.h"
 #include "stream/dataset.h"
 
 namespace {
 
-using vos::core::SimilarityIndex;
-using vos::core::VosConfig;
-using vos::core::VosMethod;
+using vos::core::QueryPlanner;
+using vos::core::ShardedVosConfig;
+using vos::core::ShardedVosMethod;
 using vos::stream::UserId;
 
 }  // namespace
@@ -40,23 +38,24 @@ int main() {
   VOS_CHECK(generated.ok()) << generated.status().ToString();
   const vos::stream::GraphStream& stream = *generated;
 
-  VosConfig config;
-  config.k = 6400;
-  config.m = uint64_t{1} << 23;
-  VosMethod method(config, stream.num_users());
+  // One shard: the sketch is configured exactly as a standalone
+  // VosSketch(config.base), and the method's planner answers the queries.
+  ShardedVosConfig config;
+  config.base.k = 6400;
+  config.base.m = uint64_t{1} << 23;
+  ShardedVosMethod method(config, stream.num_users());
   vos::exact::ExactStore exact(stream.num_users());
 
   const UserId focal = 3;  // a high-activity user in this preset
   std::vector<UserId> candidates;
   for (UserId u = 0; u < 64; ++u) candidates.push_back(u);
 
-  // The batch query engine: MakeIndex builds a snapshot configured with
-  // the method's QueryOptions; Rebuild() re-snapshots every candidate
-  // digest once per checkpoint (thread-parallel), then TopK is one
-  // single-threaded pass of row kernels that skips rows unable to beat
-  // the running k-th best, instead of per-pair sketch reconstructions.
-  const std::unique_ptr<SimilarityIndex> index = method.MakeIndex(candidates);
-
+  // The batch query engine: PrepareQuery snapshots every candidate
+  // digest once per checkpoint (the first call extracts them
+  // thread-parallel, later calls patch only the bits that changed), then
+  // the planner's TopK is one single-threaded pass of row kernels that
+  // skips rows unable to beat the running k-th best, instead of per-pair
+  // sketch reconstructions.
   // Replay the stream; at a few checkpoints, surface neighbors and
   // recommendations.
   const size_t checkpoint_every = stream.size() / 4;
@@ -67,9 +66,9 @@ int main() {
 
     std::printf("=== t = %zu (focal user %u follows %u channels) ===\n",
                 t + 1, focal, method.sketch().Cardinality(focal));
-    index->Rebuild(candidates);
-    const auto peers = index->TopK(focal, 3);
-    for (const SimilarityIndex::Entry& peer : peers) {
+    method.PrepareQuery(candidates);
+    const auto peers = method.planner()->TopK(focal, 3);
+    for (const QueryPlanner::Entry& peer : peers) {
       std::printf("  peer %3u: estimated J = %.3f (exact %.3f)\n", peer.user,
                   peer.jaccard, exact.Jaccard(focal, peer.user));
     }
@@ -90,6 +89,6 @@ int main() {
   std::printf("done: %zu stream elements, sketch memory %zu KiB, "
               "beta = %.4f\n",
               stream.size(), method.MemoryBits() / 8192,
-              method.sketch().beta());
+              method.sketch().shard(0).beta());
   return 0;
 }

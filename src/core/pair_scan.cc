@@ -79,7 +79,7 @@ class JaccardBuckets {
 ///     min and too small;
 ///
 /// each clamped to the tile's partner range, so the tiles of one pass
-/// enumerate exactly the pre-tier pair set, each pair once. Without the
+/// enumerate exactly the pass's pair set, each pair once. Without the
 /// prefilter a window is the whole partner range. The window ends are
 /// non-decreasing in p (cards are sorted and CardinalityFail is
 /// monotone), so the windows of four consecutive rows nearly coincide:
@@ -230,7 +230,7 @@ std::vector<scan::Entry> TopK(const TopKQuery& query, size_t k,
     std::push_heap(best.begin(), best.end(), scan::EntryBefore);
     if (best.size() < k) return;
     bound = best.front().jaccard;
-    screen = scan::PrefilterApplies(true, clamped, bound);
+    screen = scan::PrefilterApplies(clamped, bound);
     bound_frac = bound / (1.0 + bound);
     cut_scale = scan::CutScale(bound_frac, estimator.k());
   };

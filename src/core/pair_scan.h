@@ -1,12 +1,7 @@
-// The shared pair-scan tier: tiled enumeration of triangle and rectangle
-// pair spaces over cardinality-sorted DigestMatrix snapshots.
-//
-// Before this tier existed the all-pairs scan lived twice — once in
-// SimilarityIndex::AllPairsAbove (the same-shard/global triangle) and
-// once in QueryPlanner's cross-shard passes (the rectangle) — so every
-// scan improvement had to be implemented and verified twice. Both call
-// sites now describe their work as `Pass`es and hand them to RunPasses,
-// which
+// The pair-scan tier: tiled enumeration of triangle and rectangle pair
+// spaces over cardinality-sorted DigestMatrix snapshots. QueryPlanner
+// describes its AllPairsAbove work as `Pass`es (one triangle per shard,
+// one rectangle per shard pair) and hands them to RunPasses, which
 //
 //   * decomposes every pass into cache-sized row×row tiles
 //     (`QueryOptions::tile_rows` per edge): a tile's two row ranges stay
@@ -32,16 +27,15 @@
 //     slices, and the pool sorts the buckets; small ones take one
 //     std::sort. Callers do not sort again.
 //
-// TopK is the tier's other entry point: one query row against every row
-// of one or more snapshots, on the calling thread, keeping a running
-// k-th best Ĵ and screening rows below it with the same prefilter math
-// (τ = that bound). SimilarityIndex::TopK and QueryPlanner::TopK both
-// call it.
+// TopK is the tier's other entry point, called by QueryPlanner::TopK: one
+// query row against every row of one or more snapshots, on the calling
+// thread, keeping a running k-th best Ĵ and screening rows below it with
+// the same prefilter math (τ = that bound).
 //
-// The exact tiled path is bit-identical to the pre-tier scans for every
-// tile size, thread count and prefilter setting: tiles partition exactly
-// the same pair set, every surviving pair's Hamming distance is the same
-// integer, and the estimate is the same EstimateFromLogTerms call
+// The tiled scan is bit-identical to the scalar references for every
+// tile size and thread count, prefiltered or not: tiles partition
+// exactly the pair set, every surviving pair's Hamming distance is the
+// same integer, and the estimate is the same EstimateFromLogTerms call
 // (tests/pair_scan_test.cc asserts this across the full matrix).
 //
 // Internal to core/; not part of the public query API.
@@ -124,7 +118,7 @@ struct TopKQuery {
 };
 
 /// The `k` rows of `sides` most similar to `query`, in scan::EntryBefore
-/// order — the shared TopK of SimilarityIndex and QueryPlanner. Runs on
+/// order (QueryPlanner::TopK). Runs on
 /// the calling thread: the rows are walked eight at a time
 /// (XorPopcount8) against a running k-th best Ĵ, and once that bound is
 /// positive under clamping each row is screened with the AllPairsAbove

@@ -8,15 +8,6 @@
 #include "core/scan_common.h"
 
 namespace vos::core {
-namespace {
-
-// Result orders, worker pool and prefilter math are shared with
-// SimilarityIndex (core/scan_common.h) — the planner is asserted
-// bit-identical to the single-index path, so none of it may diverge.
-using scan::EntryBefore;
-using scan::PairBefore;
-
-}  // namespace
 
 QueryPlanner::QueryPlanner(const ShardedVosSketch& sketch,
                            VosEstimatorOptions estimator_options,
@@ -85,10 +76,8 @@ UserId QueryPlanner::GlobalOfRow(uint32_t s, size_t p) const {
 
 std::vector<optimizer::PassReport> QueryPlanner::PlanAllPairs(
     double jaccard_threshold) const {
-  const bool prefilter =
-      scan::PrefilterApplies(query_options_.prefilter,
-                             estimator_.options().clamp_to_feasible,
-                             jaccard_threshold);
+  const bool prefilter = scan::PrefilterApplies(
+      estimator_.options().clamp_to_feasible, jaccard_threshold);
   std::vector<optimizer::PassReport> reports;
   const auto report = [&](size_t exact_pairs) {
     optimizer::PassReport r;
@@ -126,10 +115,8 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
   // returns the pairs already in PairBefore order.
   pair_scan::ScanParams params;
   params.jaccard_threshold = jaccard_threshold;
-  params.prefilter =
-      scan::PrefilterApplies(query_options_.prefilter,
-                             estimator_.options().clamp_to_feasible,
-                             jaccard_threshold);
+  params.prefilter = scan::PrefilterApplies(
+      estimator_.options().clamp_to_feasible, jaccard_threshold);
   params.estimator = &estimator_;
   params.log_alpha_table = &log_alpha_table_;
 
@@ -251,7 +238,7 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAboveReference(
       }
     }
   }
-  std::sort(pairs.begin(), pairs.end(), PairBefore);
+  std::sort(pairs.begin(), pairs.end(), scan::PairBefore);
   return pairs;
 }
 
@@ -267,7 +254,7 @@ std::vector<QueryPlanner::Entry> QueryPlanner::TopKReference(
   const size_t take = std::min(k, entries.size());
   std::partial_sort(entries.begin(),
                     entries.begin() + static_cast<ptrdiff_t>(take),
-                    entries.end(), EntryBefore);
+                    entries.end(), scan::EntryBefore);
   entries.resize(take);
   return entries;
 }

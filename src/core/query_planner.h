@@ -1,11 +1,10 @@
-// QueryPlanner: shard-aware batch similarity queries over a
-// ShardedVosSketch — the query tier that scales with shard count.
+// QueryPlanner: the batch query surface — TopK and AllPairsAbove over a
+// ShardedVosSketch, at any shard count (S = 1 is one global snapshot).
 //
-// PR 2 sharded the write path; this class shards the read path to match.
-// It owns one SimilarityIndex per shard, each built over that shard's
-// VosSketch in shard-local id space (the dense remap of
+// It owns one SimilarityIndex snapshot per shard, each built over that
+// shard's VosSketch in shard-local id space (the dense remap of
 // core/sharded_vos_sketch.h), and plans queries as a scatter–gather over
-// those indexes:
+// those snapshots:
 //
 //   * Rebuild(candidates) partitions the global candidate set by shard,
 //     translates ids to dense locals, and (re)builds every shard index —
@@ -19,7 +18,7 @@
 //   * AllPairsAbove(τ) decomposes the pair space exactly: S same-shard
 //     triangle passes plus S·(S−1)/2 cross-shard rectangle passes that
 //     scan one shard's DigestMatrix against another's, all described as
-//     pair_scan::Passes and run on the shared tiled scan tier
+//     pair_scan::Passes and run on the tiled scan tier
 //     (core/pair_scan.h) — every pass is decomposed into cache-sized
 //     row×row tiles dispatched to ONE worker pool, so a skewed ("hot")
 //     shard's triangle parallelizes across tiles instead of serializing
@@ -32,18 +31,18 @@
 //     window over the partner shard's sorted rows (both matrices are
 //     cardinality-sorted, so both window ends are partition points), and
 //     the exact log-alpha screen runs with the combined
-//     ln|1−2β_A| + ln|1−2β_B| cut. Estimates are
-//     bit-identical to ShardedVosSketch::EstimatePair on the same
-//     quiesced state: the same log-alpha table, the same mean-log-beta
-//     combination.
+//     ln|1−2β_A| + ln|1−2β_B| cut. They apply whenever the estimator
+//     clamps to the feasible range and τ > 0 (scan::PrefilterApplies).
+//     Estimates are bit-identical to ShardedVosSketch::EstimatePair on
+//     the same quiesced state: the same log-alpha table, the same
+//     mean-log-beta combination.
 //
 //   * TopK(u, k) scans every shard index's rows against the query digest
-//     on the calling thread (pair_scan::TopK, shared with
-//     SimilarityIndex::TopK), with each shard's mean log-beta term and one
-//     running k-th best Ĵ across all shards. Rows that provably fall
-//     strictly below that bound are screened out before the estimator;
-//     ties with it survive to the user-id tie-break, so the answer is
-//     bit-identical to TopKReference.
+//     on the calling thread (pair_scan::TopK), with each shard's mean
+//     log-beta term and one running k-th best Ĵ across all shards. Rows
+//     that provably fall strictly below that bound are screened out
+//     before the estimator; ties with it survive to the user-id
+//     tie-break, so the answer is bit-identical to TopKReference.
 //
 // Parallelism model: only AllPairsAbove and snapshots use threads. With
 // T = QueryOptions::num_threads workers, AllPairsAbove parallelizes
@@ -55,20 +54,16 @@
 // S == 1 the one index uses all of them, and refreshes on its task's
 // thread (a refresh costs what changed). TopK spawns no thread: a call
 // is about one popcount per candidate row, less than starting a worker.
-// With S == 1 the planner degenerates to the single global index — tiled
-// exactly as SimilarityIndex::AllPairsAbove tiles it — which is what
-// bench/micro_query_path.cc measures shard scaling against.
 //
 // Results are global: pairs/entries carry global user ids (canonically
-// oriented u < v), merged across tasks in deterministic task order and
-// sorted with the same total orders SimilarityIndex uses — the output is
-// independent of thread count and schedule.
+// oriented u < v) in the scan::PairBefore / scan::EntryBefore total
+// orders — the output is independent of thread count and schedule.
 //
 // Thread-safety contract: Rebuild()/Refresh() mutate the planner and must
 // not run concurrently with queries or each other, and they require a
-// quiesced ingest pipeline — call ShardedVosSketch::Flush() first, as for
-// any SimilarityIndex snapshot. Between snapshots TopK/AllPairsAbove and
-// the *Reference twins are const and concurrent-safe.
+// quiesced ingest pipeline — call ShardedVosSketch::Flush() first. Between
+// snapshots TopK/AllPairsAbove and the *Reference twins are const and
+// concurrent-safe.
 //
 // The *Reference implementations answer from per-pair
 // ShardedVosSketch::EstimatePair calls — the ground truth the planner is
@@ -90,14 +85,13 @@ namespace vos::core {
 /// Scatter–gather query planner over per-shard SimilarityIndex snapshots.
 class QueryPlanner {
  public:
-  using Entry = SimilarityIndex::Entry;
-  using Pair = SimilarityIndex::Pair;
+  using Entry = scan::Entry;
+  using Pair = scan::Pair;
 
   /// Binds to `sketch` (not owned; must outlive the planner).
   /// QueryOptions::num_threads is the worker count of AllPairsAbove and
-  /// of snapshots;
-  /// QueryOptions::incremental enables Refresh() (requires the shards to
-  /// track dirty users, VosConfig::track_dirty).
+  /// of snapshots; QueryOptions::incremental enables Refresh() (requires
+  /// the shards to track dirty users, VosConfig::track_dirty).
   explicit QueryPlanner(const ShardedVosSketch& sketch,
                         VosEstimatorOptions estimator_options = {},
                         QueryOptions query_options = {});
@@ -174,8 +168,8 @@ class QueryPlanner {
   std::vector<UserId> candidates_;
   /// One snapshot index per shard, over that shard's candidate locals.
   std::vector<std::unique_ptr<SimilarityIndex>> indexes_;
-  /// ln|1−2·d/k| per Hamming distance d — shared by every cross-shard
-  /// task (identical by construction to each index's internal table).
+  /// ln|1−2·d/k| per Hamming distance d ∈ [0, k] — shared by every pass
+  /// and every TopK side.
   std::vector<double> log_alpha_table_;
 };
 

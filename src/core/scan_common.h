@@ -1,18 +1,14 @@
-// Shared building blocks of the pair-scan engines: SimilarityIndex's
-// same-shard sorted sweep and QueryPlanner's cross-shard passes, both of
-// which now run on the tiled scan tier in core/pair_scan.h.
-//
-// The planner's output is asserted bit-identical to the single-index
-// path, so everything both sweeps must agree on lives here exactly once:
-// the result record types and their total orders, the dynamic worker
-// pool, and the conservative prefilter math (the cardinality window and
-// the slacked log-alpha cut). Tuning any of these in one sweep but not
-// the other would silently diverge results under specific cardinality
-// distributions — keeping them in one header makes the lockstep
-// structural.
+// Shared building blocks of the pair-scan tier (core/pair_scan.h) and of
+// the query planner and snapshot oracles around it: the result record
+// types and their total orders, the dynamic worker pool, and the
+// conservative prefilter math (the cardinality window and the slacked
+// log-alpha cut). The scan, the planner's references and
+// SimilarityIndex::AllPairsAboveReference must all sort to the same
+// orders, and TopK and AllPairsAbove screen with the same bounds, so each
+// of these lives here exactly once.
 //
 // Internal to core/; not part of the public query API (callers see the
-// records as SimilarityIndex::Entry / SimilarityIndex::Pair aliases).
+// records as QueryPlanner::Entry / QueryPlanner::Pair aliases).
 
 #pragma once
 
@@ -28,14 +24,14 @@
 
 namespace vos::core::scan {
 
-/// One TopK answer (aliased as SimilarityIndex::Entry).
+/// One TopK answer (aliased as QueryPlanner::Entry).
 struct Entry {
   stream::UserId user = 0;  ///< the matched candidate
   double common = 0.0;      ///< ŝ (estimated common items with the query)
   double jaccard = 0.0;     ///< Ĵ
 };
 
-/// One thresholded pair (aliased as SimilarityIndex::Pair).
+/// One thresholded pair (aliased as QueryPlanner::Pair).
 struct Pair {
   stream::UserId u = 0;
   stream::UserId v = 0;
@@ -44,7 +40,7 @@ struct Pair {
 };
 
 /// Total order on TopK entries: Ĵ descending, then user ascending —
-/// batch, planner and scalar-reference results all sort to this.
+/// scan and scalar-reference results both sort to this.
 inline bool EntryBefore(const Entry& a, const Entry& b) {
   return a.jaccard != b.jaccard ? a.jaccard > b.jaccard : a.user < b.user;
 }
@@ -90,13 +86,11 @@ void RunIndexed(unsigned threads, size_t count, const Work& work) {
 // the full derivation; every slack is orders above FP rounding so no
 // boundary pair the estimator would keep is ever dropped) --------------
 
-/// The prefilter's gating condition, resolved identically by every scan
-/// engine: the cardinality/alpha bounds are sound only where Ĵ is
-/// monotone in the clamped ŝ (clamp_to_feasible) and τ is meaningfully
-/// positive.
-inline bool PrefilterApplies(bool prefilter_requested, bool clamped,
-                             double jaccard_threshold) {
-  return prefilter_requested && clamped && jaccard_threshold > 1e-5;
+/// The prefilter's gating condition, resolved identically by every scan:
+/// the cardinality/alpha bounds are sound only where Ĵ is monotone in the
+/// clamped ŝ (clamp_to_feasible) and τ is meaningfully positive.
+inline bool PrefilterApplies(bool clamped, double jaccard_threshold) {
+  return clamped && jaccard_threshold > 1e-5;
 }
 
 /// The cardinality-bound fail test: a pair whose smaller (clamp-limited)

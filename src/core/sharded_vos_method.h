@@ -103,7 +103,7 @@ class ShardedVosMethod : public SimilarityMethod {
 
  private:
   ShardedVosSketch sketch_;
-  /// ln|1−2·d/k| per Hamming distance d (see SimilarityIndex).
+  /// ln|1−2·d/k| per Hamming distance d ∈ [0, k].
   std::vector<double> log_alpha_table_;
   std::unique_ptr<QueryPlanner> planner_;
   /// The tracked set the planner snapshots cover; a different set at

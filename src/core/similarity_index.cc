@@ -4,16 +4,10 @@
 #include <bit>
 #include <cstring>
 
-#include "core/pair_scan.h"
 #include "core/scan_common.h"
 
 namespace vos::core {
 namespace {
-
-// Result orders and the dynamic worker pool are shared with the planner
-// (core/scan_common.h) — both paths must sort and schedule identically.
-using scan::EntryBefore;
-using scan::PairBefore;
 
 // The incremental Rebuild sorts its inverse-index entries by cell word in
 // two levels: a coarse scatter into partitions of 2^16 cells (1,024 array
@@ -31,8 +25,7 @@ SimilarityIndex::SimilarityIndex(const VosSketch& sketch,
                                  QueryOptions query_options)
     : sketch_(&sketch),
       estimator_(sketch.config().k, options),
-      query_options_(query_options),
-      log_alpha_table_(estimator_.BuildLogAlphaTable()) {}
+      query_options_(query_options) {}
 
 void SimilarityIndex::SortRowsAndMaps() {
   const size_t n = candidates_.size();
@@ -297,108 +290,9 @@ void SimilarityIndex::RefreshDirty() {
              : static_cast<double>(affected_count) / static_cast<double>(n);
 }
 
-size_t SimilarityIndex::RowOf(UserId user) const {
+size_t SimilarityIndex::RowIndexOf(UserId user) const {
   const auto it = candidate_of_.find(user);
-  return it == candidate_of_.end() ? kNpos : row_of_orig_[it->second];
-}
-
-PairEstimate SimilarityIndex::EstimateFromDigests(const BitVector& a,
-                                                  uint32_t card_a,
-                                                  const BitVector& b,
-                                                  uint32_t card_b) const {
-  const double alpha = static_cast<double>(a.HammingDistance(b)) /
-                       sketch_->config().k;
-  return estimator_.Estimate(card_a, card_b, alpha, beta_);
-}
-
-// ----------------------------------------------------------------- TopK
-
-std::vector<SimilarityIndex::Entry> SimilarityIndex::TopK(UserId query,
-                                                          size_t k) const {
-  VOS_CHECK(query < sketch_->num_users())
-      << "TopK query user" << query << "is not below num_users"
-      << sketch_->num_users();
-  if (candidates_.empty()) return {};
-  const std::vector<pair_scan::TopKSide> side = {
-      {pair_scan::MatrixView{&matrix_, cards_by_row_.data()}, log_beta_term_,
-       [this](size_t p) { return candidates_[sorted_rows_[p]]; }}};
-  const size_t row = RowOf(query);
-  if (row != kNpos) {
-    // Snapshot reuse: the query's digest and cardinality were captured at
-    // Rebuild; no per-call re-extraction.
-    return pair_scan::TopK({query, matrix_.Row(row), cards_by_row_[row]}, k,
-                           side, estimator_, log_alpha_table_);
-  }
-  std::vector<uint64_t> query_row(matrix_.words_per_row());
-  DigestMatrix::ExtractRow(*sketch_, query, query_row.data());
-  return pair_scan::TopK({query, query_row.data(), sketch_->Cardinality(query)},
-                         k, side, estimator_, log_alpha_table_);
-}
-
-std::vector<SimilarityIndex::Entry> SimilarityIndex::TopKReference(
-    UserId query, size_t k) const {
-  if (candidates_.empty()) return {};
-  BitVector query_digest;
-  uint32_t query_card = 0;
-  const size_t row = RowOf(query);
-  if (row != kNpos) {
-    query_digest = matrix_.RowAsBitVector(row);
-    query_card = cards_by_row_[row];
-  } else {
-    query_digest = sketch_->ExtractUserSketch(query);
-    query_card = sketch_->Cardinality(query);
-  }
-  std::vector<Entry> entries;
-  entries.reserve(candidates_.size());
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    if (candidates_[i] == query) continue;
-    const PairEstimate est = EstimateFromDigests(
-        query_digest, query_card, matrix_.RowAsBitVector(row_of_orig_[i]),
-        cardinalities_[i]);
-    entries.push_back({candidates_[i], est.common, est.jaccard});
-  }
-  const size_t take = std::min(k, entries.size());
-  std::partial_sort(entries.begin(), entries.begin() + take, entries.end(),
-                    EntryBefore);
-  entries.resize(take);
-  return entries;
-}
-
-// ----------------------------------------------------------- AllPairsAbove
-
-std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAbove(
-    double jaccard_threshold) const {
-  if (matrix_.rows() < 2) return {};
-  // One triangle pass on the shared tiled scan tier; the prefilter is
-  // sound only where Ĵ is monotone in ŝ over the clamped feasible range,
-  // so the gate resolves here (scan::PrefilterApplies) exactly as the
-  // planner resolves it.
-  pair_scan::ScanParams params;
-  params.jaccard_threshold = jaccard_threshold;
-  params.prefilter =
-      scan::PrefilterApplies(query_options_.prefilter,
-                             estimator_.options().clamp_to_feasible,
-                             jaccard_threshold);
-  params.estimator = &estimator_;
-  params.log_alpha_table = &log_alpha_table_;
-
-  pair_scan::Pass pass;
-  pass.a = pass.b = pair_scan::MatrixView{&matrix_, cards_by_row_.data()};
-  pass.triangle = true;
-  pass.log_beta_pair = log_beta_term_;
-  pass.emit = [this](size_t p, size_t q, const PairEstimate& est,
-                     std::vector<Pair>& out) {
-    // Canonical orientation: smaller candidate index first, as the
-    // reference loop emits.
-    const uint32_t oi = sorted_rows_[p];
-    const uint32_t oj = sorted_rows_[q];
-    const uint32_t u = std::min(oi, oj);
-    const uint32_t v = std::max(oi, oj);
-    out.push_back({candidates_[u], candidates_[v], est.common, est.jaccard});
-  };
-
-  return pair_scan::RunPasses({pass}, params, query_options_.tile_rows,
-                              query_options_.num_threads);
+  return it == candidate_of_.end() ? npos : row_of_orig_[it->second];
 }
 
 std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAboveReference(
@@ -409,18 +303,21 @@ std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAboveReference(
   for (size_t i = 0; i < n; ++i) {
     digests.push_back(matrix_.RowAsBitVector(row_of_orig_[i]));
   }
+  const double k = sketch_->config().k;
   std::vector<Pair> pairs;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      const PairEstimate est = EstimateFromDigests(
-          digests[i], cardinalities_[i], digests[j], cardinalities_[j]);
+      const double alpha =
+          static_cast<double>(digests[i].HammingDistance(digests[j])) / k;
+      const PairEstimate est = estimator_.Estimate(
+          cardinalities_[i], cardinalities_[j], alpha, beta_);
       if (est.jaccard >= jaccard_threshold) {
         pairs.push_back({candidates_[i], candidates_[j], est.common,
                          est.jaccard});
       }
     }
   }
-  std::sort(pairs.begin(), pairs.end(), PairBefore);
+  std::sort(pairs.begin(), pairs.end(), scan::PairBefore);
   return pairs;
 }
 

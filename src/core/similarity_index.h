@@ -1,55 +1,36 @@
-// SimilarityIndex: batched, parallel similarity queries over a VOS sketch.
+// SimilarityIndex: the per-shard digest snapshot that QueryPlanner scans.
 //
 // The sketch answers one pair in O(k); applications usually want "who is
 // most similar to u?" or "all pairs above J ≥ τ" over a candidate set
 // (e.g. the currently active users). Rebuild() snapshots every candidate's
 // reconstructed digest into a DigestMatrix — one contiguous packed buffer,
 // filled by a thread-parallel extraction pass over the sketch's cached
-// f-seed table — after which a pair estimate is one word-wise XOR+popcount
-// row kernel (common/popcount.h) plus a table lookup:
+// f-seed table — with its cardinality and the sketch's β, so a pair
+// estimate is one word-wise XOR+popcount row kernel (common/popcount.h)
+// plus a log-table lookup. Rows are stored in cardinality-sorted order:
+// the pair scan (core/pair_scan.h) turns the τ cardinality bound into a
+// contiguous window over them.
 //
-//   * ŝ depends on the Hamming distance d only through ln|1−2·d/k|, which
-//     takes k+1 values; Rebuild-time tabulation removes every log/divide
-//     from the O(U²) loop (bit-identical by construction — see
-//     VosEstimator::EstimateFromLogTerms).
-//   * AllPairsAbove runs on the shared tiled pair-scan tier
-//     (core/pair_scan.h): the triangle is decomposed into cache-sized
-//     row×row tiles, each an independent work unit with its own result
-//     buffer, merged and canonically sorted at the end; results are
-//     bit-identical for every thread count and tile size.
-//   * A conservative prefilter converts the Jaccard threshold into
-//     cardinality and alpha (log-term) bounds. Because Ĵ ≥ τ forces
-//     min(n_u,n_v) ≥ τ/(1+τ)·(n_u+n_v), the all-pairs sweep runs in
-//     cardinality-sorted order: the admissible partners of each row form a
-//     contiguous window, and the inner loop breaks at its end — hopeless
-//     pairs are never enumerated, let alone popcounted. Pairs inside the
-//     window whose Hamming distance rules τ out are skipped before the
-//     estimator. All slacks are chosen so the filter never drops a pair
-//     the full estimator would keep; prefilter on/off is asserted
-//     identical in tests.
+// The index runs no query of its own. QueryPlanner (core/query_planner.h)
+// holds one index per shard and answers TopK and AllPairsAbove over them;
+// VosMethod and ShardedVosMethod read snapshot rows for per-pair
+// estimates. AllPairsAboveReference is the scalar oracle over this one
+// snapshot (per-user BitVector digests, one estimator call per pair): the
+// ground truth the planner's scan is asserted bit-identical against, and
+// the baseline bench/micro_query_path.cc measures speedups over.
 //
-// TopKReference / AllPairsAboveReference keep the original scalar
-// implementation (per-user BitVector digests, one estimator call per
-// pair). They are the ground truth the batch engine is asserted
-// bit-identical against, and the baseline bench/micro_query_path.cc
-// measures speedups over.
-//
-// The index is a *snapshot*: estimates reflect the sketch state at the
-// last Rebuild(). This includes the TopK query user whenever it is among
-// the candidates — its stored row and cardinality are reused instead of
-// re-extracting per call. Rebuild after ingesting more stream (cheap
-// relative to re-scanning pairs).
+// The index is a *snapshot*: rows reflect the sketch state at the last
+// Rebuild() or RefreshDirty(). Re-snapshot after ingesting more stream
+// (cheap relative to re-scanning pairs).
 //
 // Thread-safety contract: Rebuild() and RefreshDirty() mutate the index
-// and must not run concurrently with queries (or each other). Between
-// snapshots the index is immutable; TopK, AllPairsAbove and their
-// *Reference twins are const and safe to call concurrently from any
-// number of threads (an AllPairsAbove call may itself spawn
-// QueryOptions::num_threads workers; TopK runs on the calling thread).
-// Snapshot calls additionally read — and, under QueryOptions::incremental,
-// consume — the bound sketch's dirty set, so they must not race with
-// sketch Updates either; quiesce the ingest pipeline
-// (ShardedVosSketch::Flush) before snapshotting.
+// and must not run concurrently with readers (or each other). Between
+// snapshots the index is immutable and its accessors are safe to call
+// concurrently from any number of threads. Snapshot calls additionally
+// read — and, under QueryOptions::incremental, consume — the bound
+// sketch's dirty set, so they must not race with sketch Updates either;
+// quiesce the ingest pipeline (ShardedVosSketch::Flush) before
+// snapshotting.
 
 #pragma once
 
@@ -58,32 +39,28 @@
 
 #include "common/bit_vector.h"
 #include "core/digest_matrix.h"
-#include "core/pair_scan.h"
 #include "core/scan_common.h"
 #include "core/vos_estimator.h"
 #include "core/vos_sketch.h"
 
 namespace vos::core {
 
-/// Tunables of the batch query engine.
+/// Tunables of the snapshot and of the planner's queries.
 struct QueryOptions {
-  /// Worker threads of AllPairsAbove and Rebuild; TopK and RefreshDirty
-  /// run on the calling thread (0 = std::thread::hardware_concurrency()).
+  /// Worker threads of Rebuild and of QueryPlanner::AllPairsAbove;
+  /// RefreshDirty and TopK run on the calling thread
+  /// (0 = std::thread::hardware_concurrency()).
   unsigned num_threads = 0;
-  /// Rows per tile edge of the all-pairs pair scan (core/pair_scan.h):
-  /// every triangle/rectangle pass is decomposed into tile_rows ×
-  /// tile_rows row tiles, each one work unit on the pool, so a hot
-  /// shard's triangle parallelizes and candidate sets beyond the LLC
-  /// stay cache-resident per tile. 0 = optimizer::AdaptiveTileRows,
+  /// Rows per tile edge of the planner's all-pairs scan
+  /// (core/pair_scan.h): every triangle/rectangle pass is decomposed into
+  /// tile_rows × tile_rows row tiles, each one work unit on the pool, so
+  /// a hot shard's triangle parallelizes and candidate sets beyond the
+  /// LLC stay cache-resident per tile. 0 = optimizer::AdaptiveTileRows,
   /// sized from the digest row width and the detected per-core cache
   /// (648 rows at k = 6400 with a 2 MiB L2); any value ≥ the candidate
   /// count degenerates to one tile per pass. Results are bit-identical
   /// for every value.
   size_t tile_rows = 0;
-  /// Enable the cardinality + Hamming-distance prescreen in
-  /// AllPairsAbove. Only applied when the estimator clamps to the
-  /// feasible range (the default); results are identical either way.
-  bool prefilter = true;
   /// Retain incremental-maintenance state at Rebuild so RefreshDirty()
   /// can run: a copy of the sketch array (m bits, plus 4 bytes per array
   /// word of inverse-index offsets) and a cell-word → digest-bit inverse
@@ -99,11 +76,8 @@ struct QueryOptions {
 /// Snapshot index over a candidate set of users.
 class SimilarityIndex {
  public:
-  /// One query answer (record shared with the scan tier,
-  /// core/scan_common.h: user / common / jaccard).
-  using Entry = scan::Entry;
-
-  /// One thresholded pair from AllPairsAbove (u / v / common / jaccard).
+  /// One thresholded pair (record shared with the scan tier,
+  /// core/scan_common.h: u / v / common / jaccard).
   using Pair = scan::Pair;
 
   /// Binds to `sketch` (not owned; must outlive the index).
@@ -128,14 +102,13 @@ class SimilarityIndex {
   /// copied into the new cardinality-sorted order, the changed bits are
   /// flipped in that copy (the published snapshot is never written), and
   /// β is recaptured. The result is bit-identical to
-  /// Rebuild(candidates) at any delta size, asserted in tests. The
-  /// log-alpha table depends only on k and is never rebuilt (k is fixed
-  /// for the sketch's lifetime). Requires QueryOptions::incremental and a
-  /// prior Rebuild(); consumes the sketch's dirty set. A sketch has at
-  /// most one incremental consumer (VosSketch's dirty-tracking contract):
-  /// when anyone else cleared the dirty set since this index's last
-  /// snapshot, the cardinality changes it held are lost to this index,
-  /// so RefreshDirty aborts instead of returning a stale snapshot.
+  /// Rebuild(candidates) at any delta size, asserted in tests. Requires
+  /// QueryOptions::incremental and a prior Rebuild(); consumes the
+  /// sketch's dirty set. A sketch has at most one incremental consumer
+  /// (VosSketch's dirty-tracking contract): when anyone else cleared the
+  /// dirty set since this index's last snapshot, the cardinality changes
+  /// it held are lost to this index, so RefreshDirty aborts instead of
+  /// returning a stale snapshot.
   ///
   /// Cost: O(changed words + their inverse-index entries) — the sketch's
   /// changed-word summary (VosSketch::changed_words(), m/4096 words) names
@@ -153,26 +126,11 @@ class SimilarityIndex {
     return query_options_.incremental && !snapshot_words_.empty();
   }
 
-  /// The `k` candidates most similar to `query` (by Ĵ, descending, ties
-  /// by user; excluding the query itself if present among candidates).
-  /// When the query is a candidate its snapshot row is reused; otherwise
-  /// its digest is extracted from the live sketch. One single-threaded
-  /// scan with running-bound screens (pair_scan::TopK, shared with
-  /// QueryPlanner::TopK); aborts when `query` is not below the sketch's
-  /// num_users.
-  std::vector<Entry> TopK(UserId query, size_t k) const;
-
-  /// All unordered candidate pairs with Ĵ ≥ `jaccard_threshold`,
-  /// descending by Ĵ (ties by (u, v)). Runs on the tiled pair-scan tier
-  /// (core/pair_scan.h).
-  std::vector<Pair> AllPairsAbove(double jaccard_threshold) const;
-
-  /// Scalar reference implementation of TopK: single-threaded, per-user
-  /// BitVector digests, one estimator (log) call per pair. Kept as the
-  /// ground truth for bit-identity tests and as the bench baseline.
-  std::vector<Entry> TopKReference(UserId query, size_t k) const;
-
-  /// Scalar reference implementation of AllPairsAbove (see TopKReference).
+  /// Scalar oracle over this snapshot: every unordered candidate pair
+  /// with Ĵ ≥ `jaccard_threshold`, from per-user BitVector digests and one
+  /// estimator (log) call per pair, single-threaded, in scan::PairBefore
+  /// order. The ground truth for bit-identity tests and the bench
+  /// baseline.
   std::vector<Pair> AllPairsAboveReference(double jaccard_threshold) const;
 
   size_t candidate_count() const { return candidates_.size(); }
@@ -189,8 +147,8 @@ class SimilarityIndex {
   double log_beta_term() const { return log_beta_term_; }
 
   /// Matrix row of `user` (first occurrence among candidates), or npos.
-  /// The planner reads snapshot rows by user through this.
-  size_t RowIndexOf(UserId user) const { return RowOf(user); }
+  /// The planner and the methods read snapshot rows by user through this.
+  size_t RowIndexOf(UserId user) const;
 
   /// Cardinality snapshot of matrix row p (rows are cardinality-sorted).
   uint32_t row_cardinality(size_t p) const { return cards_by_row_[p]; }
@@ -203,10 +161,9 @@ class SimilarityIndex {
 
   static constexpr size_t npos = static_cast<size_t>(-1);
 
-  /// The packed digest snapshot (exposed for tests and diagnostics).
-  /// Rows are stored in cardinality-sorted order — row p belongs to
-  /// candidate sorted_to_candidate(p) — so the all-pairs sweep streams
-  /// contiguous memory.
+  /// The packed digest snapshot. Rows are stored in cardinality-sorted
+  /// order — row p belongs to candidate sorted_to_candidate(p) — so the
+  /// all-pairs sweep streams contiguous memory.
   const DigestMatrix& matrix() const { return matrix_; }
 
   /// The candidate-list index owning matrix row p.
@@ -247,15 +204,6 @@ class SimilarityIndex {
   /// RefreshDirty, so both produce the identical deterministic order).
   void SortRowsAndMaps();
 
-  /// Reference-path estimate from two BitVector digests.
-  PairEstimate EstimateFromDigests(const BitVector& a, uint32_t card_a,
-                                   const BitVector& b, uint32_t card_b) const;
-
-  /// Row index of `user` among the candidates, or npos.
-  size_t RowOf(UserId user) const;
-
-  static constexpr size_t kNpos = npos;
-
   const VosSketch* sketch_;
   VosEstimator estimator_;
   QueryOptions query_options_;
@@ -275,10 +223,6 @@ class SimilarityIndex {
   /// user → candidate index (first occurrence). Built by Rebuild only:
   /// RefreshDirty keeps the candidate list, so the map stays valid.
   std::unordered_map<UserId, size_t> candidate_of_;
-  /// log_alpha_table_[d] = VosEstimator::LogAlphaTerm(d / k) for every
-  /// Hamming distance d in [0, k]; built once in the constructor (it
-  /// depends only on k, so neither Rebuild nor RefreshDirty touches it).
-  std::vector<double> log_alpha_table_;
   double beta_ = 0.0;
   /// VosEstimator::LogBetaTerm(beta_), captured at Rebuild.
   double log_beta_term_ = 0.0;

@@ -10,18 +10,12 @@ VosMethod::VosMethod(const VosConfig& config, UserId num_users,
       estimator_(config.k, options),
       log_alpha_table_(estimator_.BuildLogAlphaTable()) {}
 
-std::unique_ptr<SimilarityIndex> VosMethod::MakeIndex(
-    std::vector<UserId> candidates) const {
+void VosMethod::PrepareQuery(const std::vector<UserId>& users) {
   QueryOptions options;
   options.num_threads = query_threads_;
-  auto index = std::make_unique<SimilarityIndex>(sketch_, estimator_.options(),
-                                                 options);
-  index->Rebuild(std::move(candidates));
-  return index;
-}
-
-void VosMethod::PrepareQuery(const std::vector<UserId>& users) {
-  index_ = MakeIndex(users);
+  index_ = std::make_unique<SimilarityIndex>(sketch_, estimator_.options(),
+                                             options);
+  index_->Rebuild(users);
 }
 
 PairEstimate VosMethod::EstimatePair(UserId u, UserId v) const {

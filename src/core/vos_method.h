@@ -3,14 +3,15 @@
 // EstimatePair on raw VosSketch costs O(k) hash evaluations per user; with
 // hundreds of tracked users and tens of thousands of tracked pairs per
 // checkpoint that work is quadratic in pairs. PrepareQuery snapshots the
-// tracked users once into a rebuild-only SimilarityIndex (built by
-// MakeIndex: digests extracted thread-parallel into one DigestMatrix,
-// cardinalities and β captured with them), so a pair estimate is a single
-// word-wise XOR+popcount row kernel plus a log-table lookup (no
-// transcendental calls on the pair loop; see
-// VosEstimator::EstimateFromLogTerms for the bit-identity argument). The
-// index needs no dirty tracking, so the Figure-2 update path stays the
-// paper's bare O(1) update.
+// tracked users once into a rebuild-only SimilarityIndex (digests
+// extracted thread-parallel into one DigestMatrix, cardinalities and β
+// captured with them), so a pair estimate is a single word-wise
+// XOR+popcount row kernel plus a log-table lookup (no transcendental calls
+// on the pair loop; see VosEstimator::EstimateFromLogTerms for the
+// bit-identity argument). The index needs no dirty tracking, so the
+// Figure-2 update path stays the paper's bare O(1) update. Batch queries
+// (TopK, AllPairsAbove) over one sketch are QueryPlanner's: use
+// ShardedVosMethod with one shard and its planner().
 
 #pragma once
 
@@ -47,17 +48,10 @@ class VosMethod : public SimilarityMethod {
   const VosSketch& sketch() const { return sketch_; }
   const VosEstimator& estimator() const { return estimator_; }
 
-  /// A rebuild-only snapshot SimilarityIndex over `candidates`, built on
-  /// the last SetQueryThreads worker count. The returned index follows
-  /// the usual snapshot semantics (core/similarity_index.h); callers
-  /// drive TopK/AllPairsAbove on it directly.
-  std::unique_ptr<SimilarityIndex> MakeIndex(
-      std::vector<UserId> candidates) const;
-
  private:
   VosSketch sketch_;
   VosEstimator estimator_;
-  /// ln|1−2·d/k| per Hamming distance d ∈ [0, k] (see SimilarityIndex).
+  /// ln|1−2·d/k| per Hamming distance d ∈ [0, k].
   std::vector<double> log_alpha_table_;
   /// The PrepareQuery snapshot (null until then and after
   /// InvalidateQueryCache).

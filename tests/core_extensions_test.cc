@@ -1,6 +1,7 @@
 // Unit tests for the core extensions: sketch serialization (VosSketchIo),
 // distributed merge (VosSketch::MergeFrom), confidence intervals
-// (EstimateWithConfidence), the SimilarityIndex, and VosDrift.
+// (EstimateWithConfidence), and VosDrift. The batch queries are tested
+// in query_engine_test.cc and query_planner_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,6 @@
 #include <unordered_set>
 
 #include "common/random.h"
-#include "core/similarity_index.h"
 #include "core/vos_drift.h"
 #include "core/vos_io.h"
 #include "core/vos_method.h"
@@ -301,92 +301,6 @@ TEST(ConfidenceIntervalTest, CoverageIsApproximatelyNominal) {
   const double coverage = static_cast<double>(covered) / kTrials;
   EXPECT_GE(coverage, 0.90);
   EXPECT_LE(coverage, 0.995);
-}
-
-// ----------------------------------------------------------- SimilarityIndex
-
-TEST(SimilarityIndexTest, TopKFindsPlantedNeighbor) {
-  VosSketch sketch(TestConfig(4096, 1 << 18, 21), 30);
-  // User 0 and user 1 share 90 of 100 items; everyone else is disjoint.
-  for (ItemId i = 0; i < 100; ++i) {
-    sketch.Update({0, i, Action::kInsert});
-    sketch.Update({1, i < 90 ? i : i + 5000, Action::kInsert});
-  }
-  for (UserId u = 2; u < 30; ++u) {
-    for (ItemId i = 0; i < 100; ++i) {
-      sketch.Update({u, 100000 + u * 1000 + i, Action::kInsert});
-    }
-  }
-  SimilarityIndex index(sketch);
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < 30; ++u) candidates.push_back(u);
-  index.Rebuild(candidates);
-  EXPECT_EQ(index.candidate_count(), 30u);
-
-  const auto top = index.TopK(0, 3);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].user, 1u);
-  EXPECT_GT(top[0].jaccard, 0.6);
-  EXPECT_LT(top[1].jaccard, 0.2);  // everyone else is dissimilar
-  EXPECT_NEAR(top[0].common, 90.0, 12.0);
-}
-
-TEST(SimilarityIndexTest, TopKExcludesQueryAndCapsK) {
-  VosSketch sketch(TestConfig(), 5);
-  for (UserId u = 0; u < 5; ++u) {
-    sketch.Update({u, 7, Action::kInsert});
-  }
-  SimilarityIndex index(sketch);
-  index.Rebuild({0, 1, 2, 3, 4});
-  const auto top = index.TopK(2, 100);
-  EXPECT_EQ(top.size(), 4u);  // 5 candidates minus the query
-  for (const auto& entry : top) EXPECT_NE(entry.user, 2u);
-}
-
-TEST(SimilarityIndexTest, AllPairsAboveThreshold) {
-  VosSketch sketch(TestConfig(4096, 1 << 18, 23), 6);
-  // Two planted near-duplicate clusters: {0,1} and {2,3}; 4, 5 singletons.
-  for (ItemId i = 0; i < 80; ++i) {
-    sketch.Update({0, i, Action::kInsert});
-    sketch.Update({1, i, Action::kInsert});
-    sketch.Update({2, 1000 + i, Action::kInsert});
-    sketch.Update({3, 1000 + (i < 60 ? i : i + 500), Action::kInsert});
-    sketch.Update({4, 2000 + i, Action::kInsert});
-    sketch.Update({5, 3000 + i, Action::kInsert});
-  }
-  SimilarityIndex index(sketch);
-  index.Rebuild({0, 1, 2, 3, 4, 5});
-  const auto pairs = index.AllPairsAbove(0.5);
-  ASSERT_EQ(pairs.size(), 2u);
-  EXPECT_EQ(pairs[0].u, 0u);  // J≈1 sorts first
-  EXPECT_EQ(pairs[0].v, 1u);
-  EXPECT_EQ(pairs[1].u, 2u);
-  EXPECT_EQ(pairs[1].v, 3u);
-  EXPECT_GT(pairs[0].jaccard, pairs[1].jaccard);
-}
-
-TEST(SimilarityIndexTest, SnapshotSemantics) {
-  VosSketch sketch(TestConfig(2048, 1 << 16, 29), 4);
-  for (ItemId i = 0; i < 50; ++i) {
-    sketch.Update({0, i, Action::kInsert});
-    sketch.Update({1, i, Action::kInsert});
-  }
-  SimilarityIndex index(sketch);
-  index.Rebuild({0, 1});
-  const double before = index.TopK(0, 1)[0].jaccard;
-
-  // Mutate the sketch: user 1 unsubscribes everything. The snapshot must
-  // keep answering from the old state until Rebuild.
-  for (ItemId i = 0; i < 50; ++i) sketch.Update({1, i, Action::kDelete});
-  const double stale = index.TopK(0, 1)[0].jaccard;
-  // The query digest is extracted live, so the estimate can move, but the
-  // candidate digest must be the snapshot; after Rebuild the pair reads
-  // near zero.
-  index.Rebuild({0, 1});
-  const double after = index.TopK(0, 1)[0].jaccard;
-  EXPECT_GT(before, 0.8);
-  EXPECT_LT(after, 0.25);
-  (void)stale;
 }
 
 // ------------------------------------------------------------------ VosDrift

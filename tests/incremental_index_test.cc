@@ -88,8 +88,8 @@ void ExpectIndexesIdentical(const SimilarityIndex& refreshed,
         << context;
   }
   // End-to-end: identical snapshots answer identically.
-  const auto pairs_a = refreshed.AllPairsAbove(0.2);
-  const auto pairs_b = rebuilt.AllPairsAbove(0.2);
+  const auto pairs_a = refreshed.AllPairsAboveReference(0.2);
+  const auto pairs_b = rebuilt.AllPairsAboveReference(0.2);
   ASSERT_EQ(pairs_a.size(), pairs_b.size()) << context;
   for (size_t i = 0; i < pairs_a.size(); ++i) {
     EXPECT_EQ(pairs_a[i].u, pairs_b[i].u) << context;
@@ -324,9 +324,9 @@ TEST(RefreshDirtyTest, NoChangesIsANoOpSnapshot) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 40, 50, 9);
   SimilarityIndex index(sketch, {}, IncrementalOptions(1));
   index.Rebuild(FirstUsers(40));
-  const auto before = index.AllPairsAbove(0.1);
+  const auto before = index.AllPairsAboveReference(0.1);
   index.RefreshDirty();  // nothing changed since Rebuild
-  const auto after = index.AllPairsAbove(0.1);
+  const auto after = index.AllPairsAboveReference(0.1);
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i].u, after[i].u);

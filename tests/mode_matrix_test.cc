@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "baselines/bbit_minwise.h"
@@ -181,8 +182,11 @@ INSTANTIATE_TEST_SUITE_P(
     ShardThreadMatrix, ShardedModeMatrixTest,
     ::testing::Combine(::testing::Values(1u, 4u), ::testing::Values(0u, 2u)),
     [](const auto& info) {
-      return "s" + std::to_string(std::get<0>(info.param)) + "_t" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "s";
+      name.append(std::to_string(std::get<0>(info.param)))
+          .append("_t")
+          .append(std::to_string(std::get<1>(info.param)));
+      return name;
     });
 
 }  // namespace

@@ -1,15 +1,14 @@
 // Tests for the shared tiled pair-scan tier (core/pair_scan.h).
 //
-// The tier's contract: the tiled scan is bit-identical to the scalar
-// references in both call sites — SimilarityIndex::AllPairsAbove and
-// QueryPlanner::AllPairsAbove — for every tile size (1 row, the default,
-// whole-pass), thread count, shard count and prefilter setting. Tiles
-// repartition the enumeration; they must never change a single bit of
-// the output. Result order under heavy Ĵ ties is covered too, as are
-// the 4×4 blocks' edges: tile sizes and candidate counts that are not
-// multiples of 4, and windows whose ends differ between adjacent rows,
-// where the scan must screen exactly the window pairs the optimizer
-// counts.
+// The tier's contract: QueryPlanner::AllPairsAbove, which runs every
+// pass on the tier, is bit-identical to the scalar references for every
+// tile size (1 row, the default, whole-pass), thread count and shard
+// count, prefiltered (τ > 0 under clamping) or not. Tiles repartition
+// the enumeration; they must never change a single bit of the output.
+// Result order under heavy Ĵ ties is covered too, as are the 4×4 blocks'
+// edges: tile sizes and candidate counts that are not multiples of 4,
+// and windows whose ends differ between adjacent rows, where the scan
+// must screen exactly the window pairs the optimizer counts.
 
 #include <gtest/gtest.h>
 
@@ -90,47 +89,12 @@ void ExpectPairsIdentical(const std::vector<PairT>& got,
   }
 }
 
-/// The acceptance matrix on the single global index: tile sizes
-/// {1 row, tier default, whole-pass} × threads {1, 8} × prefilter
-/// {on, off}, all bit-identical to the scalar reference.
-TEST(PairScanTest, IndexBitIdenticalAcrossTileSizesThreadsPrefilter) {
-  const UserId users = 90;
-  const std::vector<Element> elements = CommunityStream(users, 60, 3);
-  VosSketch sketch(IndexConfig(), users);
-  for (const Element& e : elements) sketch.Update(e);
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
-
-  std::vector<SimilarityIndex::Pair> reference;
-  {
-    SimilarityIndex probe(sketch);
-    probe.Rebuild(candidates);
-    reference = probe.AllPairsAboveReference(0.4);
-  }
-  ASSERT_FALSE(reference.empty()) << "stream must plant pairs above τ";
-
-  for (const size_t tile_rows : {size_t{1}, size_t{0}, size_t{1} << 20}) {
-    for (const unsigned threads : {1u, 8u}) {
-      for (const bool prefilter : {true, false}) {
-        QueryOptions options;
-        options.tile_rows = tile_rows;
-        options.num_threads = threads;
-        options.prefilter = prefilter;
-        SimilarityIndex index(sketch, {}, options);
-        index.Rebuild(candidates);
-        ExpectPairsIdentical(index.AllPairsAbove(0.4), reference,
-                             "tile_rows=" + std::to_string(tile_rows) +
-                                 " threads=" + std::to_string(threads) +
-                                 " prefilter=" + std::to_string(prefilter));
-      }
-    }
-  }
-}
-
-/// The acceptance matrix on the planner: tile sizes {1 row, default,
-/// whole-pass} × threads {1, 8} × S ∈ {1, 4}, bit-identical to the
-/// per-pair EstimatePair reference (same-shard AND cross-shard passes go
-/// through the tier's triangle and rectangle tiles respectively).
+/// The acceptance matrix: tile sizes {1 row, default, whole-pass} ×
+/// threads {1, 8} × S ∈ {1, 4} × τ ∈ {0.4 (prefiltered), 0 (the
+/// unprefiltered windows: every partner)}, bit-identical to the per-pair
+/// EstimatePair reference (same-shard AND cross-shard passes go through
+/// the tier's triangle and rectangle tiles respectively). At S = 1 the
+/// one snapshot's own scalar oracle must agree as well.
 TEST(PairScanTest, PlannerBitIdenticalAcrossTileSizesThreadsShards) {
   const UserId users = 72;
   const std::vector<Element> elements = CommunityStream(users, 60, 5);
@@ -140,25 +104,33 @@ TEST(PairScanTest, PlannerBitIdenticalAcrossTileSizesThreadsShards) {
   for (const uint32_t shards : {1u, 4u}) {
     ShardedVosSketch sketch(PlannerConfig(shards), users);
     sketch.UpdateBatch(elements.data(), elements.size());
-    std::vector<QueryPlanner::Pair> reference;
-    {
-      QueryPlanner probe(sketch);
-      probe.Rebuild(candidates);
-      reference = probe.AllPairsAboveReference(0.4);
-    }
-    ASSERT_FALSE(reference.empty()) << "shards=" << shards;
+    for (const double tau : {0.4, 0.0}) {
+      const std::string at = "shards=" + std::to_string(shards) +
+                             " tau=" + std::to_string(tau);
+      std::vector<QueryPlanner::Pair> reference;
+      {
+        QueryPlanner probe(sketch);
+        probe.Rebuild(candidates);
+        reference = probe.AllPairsAboveReference(tau);
+        if (shards == 1) {
+          ExpectPairsIdentical(
+              probe.shard_index(0).AllPairsAboveReference(tau), reference,
+              at + " snapshot oracle");
+        }
+      }
+      ASSERT_FALSE(reference.empty()) << at;
 
-    for (const size_t tile_rows : {size_t{1}, size_t{0}, size_t{1} << 20}) {
-      for (const unsigned threads : {1u, 8u}) {
-        QueryOptions options;
-        options.tile_rows = tile_rows;
-        options.num_threads = threads;
-        QueryPlanner planner(sketch, {}, options);
-        planner.Rebuild(candidates);
-        ExpectPairsIdentical(planner.AllPairsAbove(0.4), reference,
-                             "shards=" + std::to_string(shards) +
-                                 " tile_rows=" + std::to_string(tile_rows) +
-                                 " threads=" + std::to_string(threads));
+      for (const size_t tile_rows : {size_t{1}, size_t{0}, size_t{1} << 20}) {
+        for (const unsigned threads : {1u, 8u}) {
+          QueryOptions options;
+          options.tile_rows = tile_rows;
+          options.num_threads = threads;
+          QueryPlanner planner(sketch, {}, options);
+          planner.Rebuild(candidates);
+          ExpectPairsIdentical(planner.AllPairsAbove(tau), reference,
+                               at + " tile_rows=" + std::to_string(tile_rows) +
+                                   " threads=" + std::to_string(threads));
+        }
       }
     }
   }
@@ -188,22 +160,20 @@ std::vector<Element> TieStream(UserId users, uint64_t seed) {
   return elements;
 }
 
-/// One result-order case: threshold, estimator clamp and prefilter.
+/// One result-order case: threshold and estimator clamp.
 struct TieCase {
   double tau;
   bool clamp;
-  bool prefilter;
   std::string Name() const {
-    return "tau=" + std::to_string(tau) + " clamp=" + std::to_string(clamp) +
-           " prefilter=" + std::to_string(prefilter);
+    return "tau=" + std::to_string(tau) + " clamp=" + std::to_string(clamp);
   }
 };
 
 const TieCase kTieCases[] = {
-    {0.3, true, true},     // range buckets, prefiltered
-    {0.0, true, false},    // τ ≤ 0: the Ĵ = 0 tie group
-    {-1.0, false, false},  // Ĵ < 0 and Ĵ > 1 fill both end buckets
-    {0.3, false, true},    // unclamped: prefilter gated off, Ĵ > 1 kept
+    {0.3, true},    // range buckets, prefiltered
+    {0.0, true},    // τ ≤ 0: the Ĵ = 0 tie group, unprefiltered
+    {-1.0, false},  // Ĵ < 0 and Ĵ > 1 fill both end buckets
+    {0.3, false},   // unclamped: prefilter gated off, Ĵ > 1 kept
 };
 
 /// Checks that a reference result is large, heavily tied, and (for the
@@ -226,10 +196,10 @@ void ExpectHeavyTies(const std::vector<PairT>& reference, const TieCase& c) {
   }
 }
 
-/// The result order under heavy Ĵ ties, on both surfaces: identical to
-/// the references — same pairs, same order, same bits — across threads
-/// {1, 2, 8} × tile_rows {1, adaptive} × S {1, 4} (planner).
-TEST(PairScanTest, HeavyTieOrderBitIdenticalOnBothSurfaces) {
+/// The result order under heavy Ĵ ties: identical to the reference —
+/// same pairs, same order, same bits — across threads {1, 2, 8} ×
+/// tile_rows {1, adaptive} × S {1, 4}.
+TEST(PairScanTest, HeavyTieOrderBitIdentical) {
   const UserId users = 240;
   const std::vector<Element> elements = TieStream(users, 17);
   std::vector<UserId> candidates;
@@ -238,55 +208,29 @@ TEST(PairScanTest, HeavyTieOrderBitIdenticalOnBothSurfaces) {
   for (const TieCase& c : kTieCases) {
     VosEstimatorOptions estimator;
     estimator.clamp_to_feasible = c.clamp;
-
-    VosSketch sketch(IndexConfig(64, 1 << 14), users);
-    for (const Element& e : elements) sketch.Update(e);
-    std::vector<SimilarityIndex::Pair> reference;
-    {
-      SimilarityIndex probe(sketch, estimator);
-      probe.Rebuild(candidates);
-      reference = probe.AllPairsAboveReference(c.tau);
-    }
-    ExpectHeavyTies(reference, c);
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      for (const size_t tile_rows : {size_t{1}, size_t{0}}) {
-        QueryOptions options;
-        options.num_threads = threads;
-        options.tile_rows = tile_rows;
-        options.prefilter = c.prefilter;
-        SimilarityIndex index(sketch, estimator, options);
-        index.Rebuild(candidates);
-        ExpectPairsIdentical(index.AllPairsAbove(c.tau), reference,
-                             "index " + c.Name() +
-                                 " threads=" + std::to_string(threads) +
-                                 " tile_rows=" + std::to_string(tile_rows));
-      }
-    }
-
     for (const uint32_t shards : {1u, 4u}) {
       ShardedVosConfig config = PlannerConfig(shards);
       config.base.k = 64;
       config.base.m = 1 << 14;
       ShardedVosSketch sharded(config, users, estimator);
       sharded.UpdateBatch(elements.data(), elements.size());
-      std::vector<QueryPlanner::Pair> planner_reference;
+      std::vector<QueryPlanner::Pair> reference;
       {
         QueryPlanner probe(sharded, estimator);
         probe.Rebuild(candidates);
-        planner_reference = probe.AllPairsAboveReference(c.tau);
+        reference = probe.AllPairsAboveReference(c.tau);
       }
-      ExpectHeavyTies(planner_reference, c);
+      ExpectHeavyTies(reference, c);
       for (const unsigned threads : {1u, 2u, 8u}) {
         for (const size_t tile_rows : {size_t{1}, size_t{0}}) {
           QueryOptions options;
           options.num_threads = threads;
           options.tile_rows = tile_rows;
-          options.prefilter = c.prefilter;
           QueryPlanner planner(sharded, estimator, options);
           planner.Rebuild(candidates);
           ExpectPairsIdentical(
-              planner.AllPairsAbove(c.tau), planner_reference,
-              "planner shards=" + std::to_string(shards) + " " + c.Name() +
+              planner.AllPairsAbove(c.tau), reference,
+              "shards=" + std::to_string(shards) + " " + c.Name() +
                   " threads=" + std::to_string(threads) +
                   " tile_rows=" + std::to_string(tile_rows));
         }
@@ -320,50 +264,39 @@ constexpr double kSpreadTau = 0.5;
 /// Candidate counts 1, 2 and 3 above a multiple of 4 (leftover rows
 /// after the last 4-row block) × tile edges 5, 6, 7 (blocks straddle
 /// tile edges and diagonal tiles) plus 1 row and the adaptive default,
-/// at 1 and 2 threads: both surfaces bit-identical to their references.
-TEST(PairScanTest, BlockEdgesBitIdenticalOnBothSurfaces) {
+/// at 1 and 2 threads and S ∈ {1, 4} (the single triangle, and triangles
+/// plus cross-shard rectangles): bit-identical to the reference.
+TEST(PairScanTest, BlockEdgesBitIdentical) {
   const UserId users = 67;
   const std::vector<Element> elements = SpreadStream(users);
-  VosSketch sketch(IndexConfig(), users);
-  for (const Element& e : elements) sketch.Update(e);
-  ShardedVosSketch sharded(PlannerConfig(4), users);
-  sharded.UpdateBatch(elements.data(), elements.size());
+  for (const uint32_t shards : {1u, 4u}) {
+    ShardedVosSketch sharded(PlannerConfig(shards), users);
+    sharded.UpdateBatch(elements.data(), elements.size());
+    for (const UserId n : {UserId{65}, UserId{66}, UserId{67}}) {
+      std::vector<UserId> candidates;
+      for (UserId u = 0; u < n; ++u) candidates.push_back(u);
+      std::vector<QueryPlanner::Pair> reference;
+      {
+        QueryPlanner probe(sharded);
+        probe.Rebuild(candidates);
+        reference = probe.AllPairsAboveReference(kSpreadTau);
+      }
+      ASSERT_GT(reference.size(), 50u) << "S=" << shards << " n=" << n;
 
-  for (const UserId n : {UserId{65}, UserId{66}, UserId{67}}) {
-    std::vector<UserId> candidates;
-    for (UserId u = 0; u < n; ++u) candidates.push_back(u);
-    std::vector<SimilarityIndex::Pair> reference;
-    {
-      SimilarityIndex probe(sketch);
-      probe.Rebuild(candidates);
-      reference = probe.AllPairsAboveReference(kSpreadTau);
-    }
-    std::vector<QueryPlanner::Pair> planner_reference;
-    {
-      QueryPlanner probe(sharded);
-      probe.Rebuild(candidates);
-      planner_reference = probe.AllPairsAboveReference(kSpreadTau);
-    }
-    ASSERT_GT(reference.size(), 50u) << "n=" << n;
-    ASSERT_GT(planner_reference.size(), 50u) << "n=" << n;
-
-    for (const size_t tile_rows :
-         {size_t{1}, size_t{5}, size_t{6}, size_t{7}, size_t{0}}) {
-      for (const unsigned threads : {1u, 2u}) {
-        QueryOptions options;
-        options.tile_rows = tile_rows;
-        options.num_threads = threads;
-        const std::string context = "n=" + std::to_string(n) +
-                                    " tile_rows=" + std::to_string(tile_rows) +
-                                    " threads=" + std::to_string(threads);
-        SimilarityIndex index(sketch, {}, options);
-        index.Rebuild(candidates);
-        ExpectPairsIdentical(index.AllPairsAbove(kSpreadTau), reference,
-                             "index " + context);
-        QueryPlanner planner(sharded, {}, options);
-        planner.Rebuild(candidates);
-        ExpectPairsIdentical(planner.AllPairsAbove(kSpreadTau),
-                             planner_reference, "planner " + context);
+      for (const size_t tile_rows :
+           {size_t{1}, size_t{5}, size_t{6}, size_t{7}, size_t{0}}) {
+        for (const unsigned threads : {1u, 2u}) {
+          QueryOptions options;
+          options.tile_rows = tile_rows;
+          options.num_threads = threads;
+          QueryPlanner planner(sharded, {}, options);
+          planner.Rebuild(candidates);
+          ExpectPairsIdentical(
+              planner.AllPairsAbove(kSpreadTau), reference,
+              "S=" + std::to_string(shards) + " n=" + std::to_string(n) +
+                  " tile_rows=" + std::to_string(tile_rows) +
+                  " threads=" + std::to_string(threads));
+        }
       }
     }
   }

@@ -1,17 +1,20 @@
 // Tests for the batch query engine: the word-span popcount kernels,
-// DigestMatrix extraction, and the SimilarityIndex batch paths, which must
-// be bit-identical to the scalar reference implementation for every thread
-// count, tile size, and prefilter setting.
+// DigestMatrix extraction, and QueryPlanner's TopK and AllPairsAbove at
+// one shard and at four, which must be bit-identical to the per-pair
+// references for every thread count and tile size, prefiltered (τ > 0)
+// or not (τ = 0), boundary thresholds included.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "common/popcount.h"
 #include "common/random.h"
 #include "core/digest_matrix.h"
-#include "core/similarity_index.h"
+#include "core/query_planner.h"
+#include "core/sharded_vos_sketch.h"
 #include "core/vos_method.h"
 #include "core/vos_sketch.h"
 
@@ -33,24 +36,36 @@ VosConfig TestConfig(uint32_t k = 512, uint64_t m = 1 << 14,
 }
 
 /// A feasible insertion-only workload with planted near-duplicate pairs
-/// so thresholded queries return hits. (`seed` reserved for future
-/// workload variants; the layout itself is deterministic.)
-VosSketch PopulatedSketch(const VosConfig& config, UserId users,
-                          size_t edges_per_user, uint64_t seed) {
-  (void)seed;
-  VosSketch sketch(config, users);
+/// so thresholded queries return hits: users 4t and 4t+1 share ~80% of
+/// their items, everyone else is essentially disjoint.
+std::vector<Element> PlantedElements(UserId users, size_t edges_per_user) {
+  std::vector<Element> elements;
   for (UserId u = 0; u < users; ++u) {
-    // Users 4t and 4t+1 share ~80% of their items (near-duplicates);
-    // everyone else is essentially disjoint.
     const uint64_t base = (u % 4 <= 1) ? (u / 4) * 1000000 : u * 1000000;
     for (size_t i = 0; i < edges_per_user; ++i) {
       const bool shared = (u % 4 <= 1) && i < edges_per_user * 8 / 10;
       const ItemId item = static_cast<ItemId>(
           shared ? base + i : base + 500000 + (u % 4) * 100000 + i);
-      sketch.Update({u, item, Action::kInsert});
+      elements.push_back({u, item, Action::kInsert});
     }
   }
+  return elements;
+}
+
+VosSketch PopulatedSketch(const VosConfig& config, UserId users,
+                          size_t edges_per_user) {
+  VosSketch sketch(config, users);
+  for (const Element& e : PlantedElements(users, edges_per_user)) {
+    sketch.Update(e);
+  }
   return sketch;
+}
+
+ShardedVosConfig ShardedConfig(uint32_t shards, const VosConfig& base) {
+  ShardedVosConfig config;
+  config.base = base;
+  config.num_shards = shards;
+  return config;
 }
 
 std::vector<UserId> AllUsers(UserId count) {
@@ -109,7 +124,7 @@ TEST(FSeedCacheTest, TableMatchesCellOfAndIsDeterministic) {
 TEST(DigestMatrixTest, RowsBitIdenticalToExtractUserSketch) {
   for (uint32_t k : {64u, 100u, 512u}) {  // word-aligned and padded rows
     const VosSketch sketch =
-        PopulatedSketch(TestConfig(k, 1 << 14, 5), 24, 50, 3);
+        PopulatedSketch(TestConfig(k, 1 << 14, 5), 24, 50);
     const auto users = AllUsers(24);
     for (unsigned threads : {1u, 2u, 8u}) {
       const DigestMatrix matrix = DigestMatrix::Build(sketch, users, threads);
@@ -125,7 +140,7 @@ TEST(DigestMatrixTest, RowsBitIdenticalToExtractUserSketch) {
 }
 
 TEST(DigestMatrixTest, SingleRowExtractionMatchesBuild) {
-  const VosSketch sketch = PopulatedSketch(TestConfig(200), 8, 40, 11);
+  const VosSketch sketch = PopulatedSketch(TestConfig(200), 8, 40);
   const auto users = AllUsers(8);
   const DigestMatrix matrix = DigestMatrix::Build(sketch, users, 1);
   std::vector<uint64_t> row(DigestMatrix::WordsPerRow(200), ~uint64_t{0});
@@ -146,129 +161,213 @@ TEST(DigestMatrixTest, EmptyAndClear) {
   EXPECT_EQ(matrix.MemoryBytes(), 0u);
 }
 
-// ----------------------------------------------------- batch vs reference
+// ------------------------------------------- planner batch vs reference
 
-void ExpectEntriesIdentical(const std::vector<SimilarityIndex::Entry>& a,
-                            const std::vector<SimilarityIndex::Entry>& b) {
-  ASSERT_EQ(a.size(), b.size());
+void ExpectEntriesIdentical(const std::vector<QueryPlanner::Entry>& a,
+                            const std::vector<QueryPlanner::Entry>& b,
+                            const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].user, b[i].user) << "entry " << i;
-    EXPECT_EQ(a[i].common, b[i].common) << "entry " << i;  // bit-identical
-    EXPECT_EQ(a[i].jaccard, b[i].jaccard) << "entry " << i;
+    EXPECT_EQ(a[i].user, b[i].user) << context << " entry " << i;
+    EXPECT_EQ(a[i].common, b[i].common) << context << " entry " << i;
+    EXPECT_EQ(a[i].jaccard, b[i].jaccard) << context << " entry " << i;
   }
 }
 
-void ExpectPairsIdentical(const std::vector<SimilarityIndex::Pair>& a,
-                          const std::vector<SimilarityIndex::Pair>& b) {
-  ASSERT_EQ(a.size(), b.size());
+void ExpectPairsIdentical(const std::vector<QueryPlanner::Pair>& a,
+                          const std::vector<QueryPlanner::Pair>& b,
+                          const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].u, b[i].u) << "pair " << i;
-    EXPECT_EQ(a[i].v, b[i].v) << "pair " << i;
-    EXPECT_EQ(a[i].common, b[i].common) << "pair " << i;  // bit-identical
-    EXPECT_EQ(a[i].jaccard, b[i].jaccard) << "pair " << i;
+    EXPECT_EQ(a[i].u, b[i].u) << context << " pair " << i;
+    EXPECT_EQ(a[i].v, b[i].v) << context << " pair " << i;
+    EXPECT_EQ(a[i].common, b[i].common) << context << " pair " << i;
+    EXPECT_EQ(a[i].jaccard, b[i].jaccard) << context << " pair " << i;
   }
 }
 
-TEST(SimilarityIndexBatchTest, TopKIdenticalToReferenceAcrossThreadCounts) {
-  const VosSketch sketch =
-      PopulatedSketch(TestConfig(512, 1 << 15, 17), 60, 80, 21);
-  for (unsigned threads : {1u, 2u, 8u}) {  // snapshot threads; TopK has one
-    QueryOptions options;
-    options.num_threads = threads;
-    SimilarityIndex index(sketch, {}, options);
-    index.Rebuild(AllUsers(60));
-    for (UserId query : {0u, 1u, 59u}) {  // candidates
-      for (size_t k : {size_t{1}, size_t{10}}) {
-        ExpectEntriesIdentical(index.TopK(query, k),
-                               index.TopKReference(query, k));
+/// The pairs of a reference result at or above `tau`: the reference at
+/// `tau` itself, since filtering keeps its PairBefore order.
+std::vector<QueryPlanner::Pair> Above(
+    const std::vector<QueryPlanner::Pair>& reference, double tau) {
+  std::vector<QueryPlanner::Pair> kept;
+  for (const QueryPlanner::Pair& pair : reference) {
+    if (pair.jaccard >= tau) kept.push_back(pair);
+  }
+  return kept;
+}
+
+const uint32_t kShardCounts[] = {1, 4};
+
+TEST(PlannerBatchTest, TopKIdenticalToReferenceAcrossThreadCounts) {
+  const std::vector<Element> elements = PlantedElements(60, 80);
+  for (const uint32_t shards : kShardCounts) {
+    ShardedVosSketch sketch(
+        ShardedConfig(shards, TestConfig(512, 1 << 15, 17)), 60);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    for (unsigned threads : {1u, 2u, 8u}) {  // snapshot threads; TopK has one
+      QueryOptions options;
+      options.num_threads = threads;
+      QueryPlanner planner(sketch, {}, options);
+      planner.Rebuild(AllUsers(60));
+      const std::string context = "S=" + std::to_string(shards) +
+                                  " threads=" + std::to_string(threads);
+      for (UserId query : {0u, 1u, 59u}) {  // candidates
+        for (size_t k : {size_t{1}, size_t{10}}) {
+          ExpectEntriesIdentical(planner.TopK(query, k),
+                                 planner.TopKReference(query, k), context);
+        }
       }
+      // Full ranking, and k beyond the candidate count.
+      ExpectEntriesIdentical(planner.TopK(0, 1000),
+                             planner.TopKReference(0, 1000), context);
     }
-    // Full ranking, and k beyond the candidate count.
-    ExpectEntriesIdentical(index.TopK(0, 1000), index.TopKReference(0, 1000));
   }
 }
 
-TEST(SimilarityIndexBatchTest, TopKNonCandidateQueryExtractsLive) {
-  const VosSketch sketch =
-      PopulatedSketch(TestConfig(512, 1 << 15, 19), 40, 60, 23);
-  SimilarityIndex index(sketch);
-  index.Rebuild(AllUsers(20));  // users 20..39 are not candidates
-  ExpectEntriesIdentical(index.TopK(25, 8), index.TopKReference(25, 8));
-  EXPECT_EQ(index.TopK(25, 8).size(), 8u);
-}
-
-TEST(SimilarityIndexBatchTest, TopKReusesSnapshotRowForCandidateQuery) {
-  VosSketch sketch(TestConfig(2048, 1 << 16, 29), 4);
-  for (ItemId i = 0; i < 50; ++i) {
-    sketch.Update({0, i, Action::kInsert});
-    sketch.Update({1, i, Action::kInsert});
+TEST(PlannerBatchTest, TopKNonCandidateQueryExtractsLive) {
+  const std::vector<Element> elements = PlantedElements(40, 60);
+  for (const uint32_t shards : kShardCounts) {
+    ShardedVosSketch sketch(
+        ShardedConfig(shards, TestConfig(512, 1 << 15, 19)), 40);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    QueryPlanner planner(sketch);
+    planner.Rebuild(AllUsers(20));  // users 20..39 are not candidates
+    const std::string context = "S=" + std::to_string(shards);
+    ExpectEntriesIdentical(planner.TopK(25, 8), planner.TopKReference(25, 8),
+                           context);
+    EXPECT_EQ(planner.TopK(25, 8).size(), 8u) << context;
   }
-  SimilarityIndex index(sketch);
-  index.Rebuild({0, 1});
-  const double before = index.TopK(0, 1)[0].jaccard;
-  EXPECT_GT(before, 0.8);
-
-  // Mutate the sketch: user 0 (the query!) unsubscribes everything. With
-  // snapshot row reuse the answer must not move until Rebuild.
-  for (ItemId i = 0; i < 50; ++i) sketch.Update({0, i, Action::kDelete});
-  EXPECT_EQ(index.TopK(0, 1)[0].jaccard, before);
-  index.Rebuild({0, 1});
-  EXPECT_LT(index.TopK(0, 1)[0].jaccard, 0.25);
 }
 
-TEST(SimilarityIndexBatchTest, AllPairsIdenticalAcrossThreadsAndBlocks) {
-  const VosSketch sketch =
-      PopulatedSketch(TestConfig(512, 1 << 15, 31), 60, 80, 37);
-  QueryOptions reference_options;
-  reference_options.num_threads = 1;
-  SimilarityIndex reference_index(sketch, {}, reference_options);
-  reference_index.Rebuild(AllUsers(60));
+/// Snapshot semantics: candidate rows — the query's own included — are
+/// the ones captured at Rebuild, so answers do not move until the next
+/// Rebuild, whichever side of the pair changed.
+TEST(PlannerBatchTest, TopKAnswersFromTheSnapshotUntilRebuild) {
+  for (const uint32_t shards : kShardCounts) {
+    for (const UserId mutated : {UserId{0}, UserId{1}}) {
+      const std::string context = "S=" + std::to_string(shards) +
+                                  " mutated=" + std::to_string(mutated);
+      ShardedVosSketch sketch(
+          ShardedConfig(shards, TestConfig(2048, 1 << 16, 29)), 4);
+      for (ItemId i = 0; i < 50; ++i) {
+        sketch.Update({0, i, Action::kInsert});
+        sketch.Update({1, i, Action::kInsert});
+      }
+      QueryPlanner planner(sketch);
+      planner.Rebuild({0, 1});
+      const double before = planner.TopK(0, 1)[0].jaccard;
+      EXPECT_GT(before, 0.8) << context;
 
-  for (double tau : {0.0, 0.2, 0.5, 0.9}) {
-    const auto expected = reference_index.AllPairsAboveReference(tau);
+      // One side of the pair unsubscribes everything; the query (user 0)
+      // is a candidate, so even its own row is the snapshot's.
+      for (ItemId i = 0; i < 50; ++i) {
+        sketch.Update({mutated, i, Action::kDelete});
+      }
+      EXPECT_EQ(planner.TopK(0, 1)[0].jaccard, before) << context;
+      planner.Rebuild({0, 1});
+      EXPECT_LT(planner.TopK(0, 1)[0].jaccard, 0.25) << context;
+    }
+  }
+}
+
+TEST(PlannerBatchTest, TopKFindsPlantedNeighborAndCapsK) {
+  const UserId users = 30;
+  std::vector<Element> elements;
+  // User 0 and user 1 share 90 of 100 items; everyone else is disjoint.
+  for (ItemId i = 0; i < 100; ++i) {
+    elements.push_back({0, i, Action::kInsert});
+    elements.push_back({1, i < 90 ? i : i + 5000, Action::kInsert});
+  }
+  for (UserId u = 2; u < users; ++u) {
+    for (ItemId i = 0; i < 100; ++i) {
+      elements.push_back({u, 100000 + u * 1000 + i, Action::kInsert});
+    }
+  }
+  for (const uint32_t shards : kShardCounts) {
+    const std::string context = "S=" + std::to_string(shards);
+    ShardedVosSketch sketch(
+        ShardedConfig(shards, TestConfig(4096, 1 << 18, 21)), users);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    QueryPlanner planner(sketch);
+    planner.Rebuild(AllUsers(users));
+    EXPECT_EQ(planner.candidate_count(), size_t{users}) << context;
+
+    const auto top = planner.TopK(0, 3);
+    ASSERT_EQ(top.size(), 3u) << context;
+    EXPECT_EQ(top[0].user, 1u) << context;
+    EXPECT_GT(top[0].jaccard, 0.6) << context;
+    EXPECT_LT(top[1].jaccard, 0.2) << context;  // everyone else dissimilar
+    EXPECT_NEAR(top[0].common, 90.0, 12.0) << context;
+
+    // k beyond the candidate count returns every candidate but the query.
+    const auto all = planner.TopK(2, 100);
+    EXPECT_EQ(all.size(), size_t{users - 1}) << context;
+    for (const auto& entry : all) EXPECT_NE(entry.user, 2u) << context;
+  }
+}
+
+/// τ = 0 runs the unprefiltered scan (scan::PrefilterApplies needs τ > 0);
+/// the other thresholds run the prefiltered one. Both are bit-identical
+/// to the per-pair reference for every thread count and tile size.
+TEST(PlannerBatchTest, AllPairsIdenticalAcrossThreadsAndTiles) {
+  const std::vector<Element> elements = PlantedElements(60, 80);
+  for (const uint32_t shards : kShardCounts) {
+    ShardedVosSketch sketch(
+        ShardedConfig(shards, TestConfig(512, 1 << 15, 31)), 60);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    QueryPlanner probe(sketch);
+    probe.Rebuild(AllUsers(60));
+    const auto reference = probe.AllPairsAboveReference(0.0);
     for (unsigned threads : {1u, 2u, 8u}) {
       for (size_t tile_rows : {1u, 7u, 64u, 0u}) {  // 0 = adaptive
         QueryOptions options;
         options.num_threads = threads;
         options.tile_rows = tile_rows;
-        SimilarityIndex index(sketch, {}, options);
-        index.Rebuild(AllUsers(60));
-        ExpectPairsIdentical(index.AllPairsAbove(tau), expected);
+        QueryPlanner planner(sketch, {}, options);
+        planner.Rebuild(AllUsers(60));
+        for (double tau : {0.0, 0.2, 0.5, 0.9}) {
+          ExpectPairsIdentical(planner.AllPairsAbove(tau),
+                               Above(reference, tau),
+                               "S=" + std::to_string(shards) +
+                                   " threads=" + std::to_string(threads) +
+                                   " tile_rows=" + std::to_string(tile_rows) +
+                                   " tau=" + std::to_string(tau));
+        }
       }
     }
   }
 }
 
-TEST(SimilarityIndexBatchTest, PrefilterOnOffIdenticalIncludingBoundary) {
-  const VosSketch sketch =
-      PopulatedSketch(TestConfig(1024, 1 << 16, 41), 48, 100, 43);
-  QueryOptions with, without;
-  with.prefilter = true;
-  without.prefilter = false;
-  SimilarityIndex filtered(sketch, {}, with);
-  SimilarityIndex unfiltered(sketch, {}, without);
-  filtered.Rebuild(AllUsers(48));
-  unfiltered.Rebuild(AllUsers(48));
-
-  std::vector<double> thresholds = {0.0, 0.1, 0.3, 0.6, 0.95};
-  // Exact-boundary thresholds: re-query at every returned Ĵ value; each
-  // pair sits exactly on τ and must survive both engines.
-  for (const auto& pair : unfiltered.AllPairsAbove(0.05)) {
-    thresholds.push_back(pair.jaccard);
-  }
-  for (double tau : thresholds) {
-    ExpectPairsIdentical(filtered.AllPairsAbove(tau),
-                         unfiltered.AllPairsAbove(tau));
-    ExpectPairsIdentical(filtered.AllPairsAbove(tau),
-                         filtered.AllPairsAboveReference(tau));
+/// Exact-boundary thresholds: re-query at every Ĵ the reference returns,
+/// so each of those pairs sits exactly on τ and must survive the
+/// prefilter's slacked bounds.
+TEST(PlannerBatchTest, PrefilterKeepsBoundaryPairs) {
+  const std::vector<Element> elements = PlantedElements(48, 100);
+  for (const uint32_t shards : kShardCounts) {
+    ShardedVosSketch sketch(
+        ShardedConfig(shards, TestConfig(1024, 1 << 16, 41)), 48);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    QueryPlanner planner(sketch);
+    planner.Rebuild(AllUsers(48));
+    const auto reference = planner.AllPairsAboveReference(0.0);
+    std::vector<double> thresholds = {0.0, 0.1, 0.3, 0.6, 0.95};
+    for (const auto& pair : Above(reference, 0.05)) {
+      thresholds.push_back(pair.jaccard);
+    }
+    for (double tau : thresholds) {
+      ExpectPairsIdentical(planner.AllPairsAbove(tau), Above(reference, tau),
+                           "S=" + std::to_string(shards) +
+                               " tau=" + std::to_string(tau));
+    }
   }
 }
 
-TEST(SimilarityIndexBatchTest, SortedSweepIdenticalOnSkewedCardinalities) {
+TEST(PlannerBatchTest, SortedSweepIdenticalOnSkewedCardinalities) {
   // Heavy-tailed set sizes exercise the cardinality-sorted window break:
   // most pairs are skipped before the popcount, and none of the skips may
   // change the result.
-  VosSketch sketch(TestConfig(1024, 1 << 16, 73), 50);
+  std::vector<Element> elements;
   for (UserId u = 0; u < 50; ++u) {
     const size_t edges = 5 + 500 / (1 + u % 17);  // sizes 5..505, repeated
     for (size_t i = 0; i < edges; ++i) {
@@ -276,62 +375,86 @@ TEST(SimilarityIndexBatchTest, SortedSweepIdenticalOnSkewedCardinalities) {
       // pairs really are similar and some boundary pairs have min ≈ τ·max.
       const ItemId item = static_cast<ItemId>(
           i < edges / 2 ? (u % 17) * 100000 + i : u * 100000 + 50000 + i);
-      sketch.Update({u, item, Action::kInsert});
+      elements.push_back({u, item, Action::kInsert});
     }
   }
-  QueryOptions without;
-  without.prefilter = false;
-  without.num_threads = 1;
-  SimilarityIndex unfiltered(sketch, {}, without);
-  unfiltered.Rebuild(AllUsers(50));
-  std::vector<double> thresholds = {0.05, 0.3, 0.5, 0.8};
-  for (const auto& pair : unfiltered.AllPairsAbove(0.01)) {
-    thresholds.push_back(pair.jaccard);  // exact boundaries
-  }
-  for (size_t tile_rows : {1u, 7u, 64u, 0u}) {  // 0 = adaptive
-    QueryOptions with;
-    with.prefilter = true;
-    with.num_threads = 4;
-    with.tile_rows = tile_rows;
-    SimilarityIndex filtered(sketch, {}, with);
-    filtered.Rebuild(AllUsers(50));
-    for (double tau : thresholds) {
-      ExpectPairsIdentical(filtered.AllPairsAbove(tau),
-                           unfiltered.AllPairsAbove(tau));
-      ExpectPairsIdentical(filtered.AllPairsAbove(tau),
-                           unfiltered.AllPairsAboveReference(tau));
+  for (const uint32_t shards : kShardCounts) {
+    ShardedVosSketch sketch(
+        ShardedConfig(shards, TestConfig(1024, 1 << 16, 73)), 50);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    QueryPlanner probe(sketch);
+    probe.Rebuild(AllUsers(50));
+    const auto reference = probe.AllPairsAboveReference(0.0);
+    std::vector<double> thresholds = {0.05, 0.3, 0.5, 0.8};
+    for (const auto& pair : Above(reference, 0.01)) {
+      thresholds.push_back(pair.jaccard);  // exact boundaries
+    }
+    for (size_t tile_rows : {1u, 7u, 64u, 0u}) {  // 0 = adaptive
+      QueryOptions options;
+      options.num_threads = 4;
+      options.tile_rows = tile_rows;
+      QueryPlanner planner(sketch, {}, options);
+      planner.Rebuild(AllUsers(50));
+      for (double tau : thresholds) {
+        ExpectPairsIdentical(planner.AllPairsAbove(tau),
+                             Above(reference, tau),
+                             "S=" + std::to_string(shards) +
+                                 " tile_rows=" + std::to_string(tile_rows) +
+                                 " tau=" + std::to_string(tau));
+      }
     }
   }
 }
 
-TEST(SimilarityIndexBatchTest, AllPairsFindsPlantedDuplicates) {
-  const VosSketch sketch =
-      PopulatedSketch(TestConfig(4096, 1 << 18, 47), 40, 100, 51);
-  SimilarityIndex index(sketch);
-  index.Rebuild(AllUsers(40));
-  const auto pairs = index.AllPairsAbove(0.5);
-  // Ten planted clusters {4t, 4t+1} with true J = 0.8/1.2 ≈ 0.67.
-  ASSERT_EQ(pairs.size(), 10u);
-  std::unordered_set<UserId> seen;
-  for (const auto& pair : pairs) {
-    EXPECT_EQ(pair.u % 4, 0u);
-    EXPECT_EQ(pair.v, pair.u + 1);
-    EXPECT_GT(pair.jaccard, 0.5);
-    seen.insert(pair.u);
+TEST(PlannerBatchTest, AllPairsFindsPlantedDuplicates) {
+  const std::vector<Element> elements = PlantedElements(40, 100);
+  for (const uint32_t shards : kShardCounts) {
+    const std::string context = "S=" + std::to_string(shards);
+    ShardedVosSketch sketch(
+        ShardedConfig(shards, TestConfig(4096, 1 << 18, 47)), 40);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    QueryPlanner planner(sketch);
+    planner.Rebuild(AllUsers(40));
+    const auto pairs = planner.AllPairsAbove(0.5);
+    // Ten planted clusters {4t, 4t+1} with true J = 0.8/1.2 ≈ 0.67.
+    ASSERT_EQ(pairs.size(), 10u) << context;
+    std::unordered_set<UserId> seen;
+    for (const auto& pair : pairs) {
+      EXPECT_EQ(pair.u % 4, 0u) << context;
+      EXPECT_EQ(pair.v, pair.u + 1) << context;
+      EXPECT_GT(pair.jaccard, 0.5) << context;
+      seen.insert(pair.u);
+    }
+    EXPECT_EQ(seen.size(), 10u) << context;
   }
-  EXPECT_EQ(seen.size(), 10u);
 }
 
-TEST(SimilarityIndexBatchTest, EmptyAndSingletonCandidateSets) {
-  const VosSketch sketch = PopulatedSketch(TestConfig(), 8, 20, 53);
-  SimilarityIndex index(sketch);
-  EXPECT_TRUE(index.TopK(0, 5).empty());  // before any Rebuild
-  index.Rebuild({});
-  EXPECT_TRUE(index.TopK(0, 5).empty());
-  EXPECT_TRUE(index.AllPairsAbove(0.0).empty());
-  index.Rebuild({3});
-  EXPECT_TRUE(index.AllPairsAbove(0.0).empty());
-  EXPECT_TRUE(index.TopK(3, 5).empty());  // only candidate is the query
+TEST(PlannerBatchTest, AllPairsAboveThresholdOrdersByJaccard) {
+  // Two planted near-duplicate clusters: {0,1} and {2,3}; 4, 5 singletons.
+  std::vector<Element> elements;
+  for (ItemId i = 0; i < 80; ++i) {
+    elements.push_back({0, i, Action::kInsert});
+    elements.push_back({1, i, Action::kInsert});
+    elements.push_back({2, 1000 + i, Action::kInsert});
+    elements.push_back({3, 1000 + (i < 60 ? i : i + 500), Action::kInsert});
+    elements.push_back({4, 2000 + i, Action::kInsert});
+    elements.push_back({5, 3000 + i, Action::kInsert});
+  }
+  for (const uint32_t shards : kShardCounts) {
+    const std::string context = "S=" + std::to_string(shards);
+    ShardedVosSketch sketch(
+        ShardedConfig(shards, TestConfig(4096, 1 << 18, 23)), 6);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    QueryPlanner planner(sketch);
+    planner.Rebuild({0, 1, 2, 3, 4, 5});
+    const auto pairs = planner.AllPairsAbove(0.5);
+    ASSERT_EQ(pairs.size(), 2u) << context;
+    EXPECT_EQ(pairs[0].u, 0u) << context;  // J≈1 sorts first
+    EXPECT_EQ(pairs[0].v, 1u) << context;
+    EXPECT_EQ(pairs[1].u, 2u) << context;
+    EXPECT_EQ(pairs[1].v, 3u) << context;
+    EXPECT_GT(pairs[0].jaccard, pairs[1].jaccard) << context;
+  }
 }
 
 // ------------------------------------------------------- VosMethod fast path

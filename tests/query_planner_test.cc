@@ -2,12 +2,12 @@
 // the pair set of the per-pair ShardedVosSketch::EstimatePair reference —
 // bit-identical estimates on same-shard AND cross-shard pairs (the §IV
 // correction generalized to (1−2β_A)(1−2β_B)) — for every shard count,
-// planner thread count, tile size, threshold and prefilter setting; TopK
-// must match its brute-force reference under the running-bound screens,
-// ties at the cut included, and equal SimilarityIndex::TopK at S = 1; a
-// query id beyond num_users must abort; the incremental Refresh path must
-// land on the same snapshots as a fresh Rebuild; and PlanAllPairs must
-// report each pass's window pair count.
+// planner thread count, tile size and threshold, and at S = 1 the shard
+// snapshot's own scalar oracle; TopK must match its brute-force reference
+// under the running-bound screens, ties at the cut included; a query id
+// beyond num_users must abort; the incremental Refresh path must land on
+// the same snapshots as a fresh Rebuild; and PlanAllPairs must report
+// each pass's window pair count.
 
 #include <gtest/gtest.h>
 
@@ -91,8 +91,7 @@ void ExpectEntriesIdentical(const std::vector<QueryPlanner::Entry>& got,
 
 /// The acceptance matrix: same pair set and bit-identical estimates as
 /// the per-pair reference for S ∈ {1, 2, 4} × planner threads ∈ {1, 8} ×
-/// τ ∈ {0.2, 0.5} × tile_rows ∈ {1, 7, 64, adaptive}, with and without
-/// the prefilter.
+/// τ ∈ {0.2, 0.5} × tile_rows ∈ {1, 7, 64, adaptive}.
 TEST(QueryPlannerTest, AllPairsMatchesReferenceAcrossShardsAndThreads) {
   const UserId users = 72;
   const std::vector<Element> elements = CommunityStream(users, 60, 7);
@@ -103,7 +102,7 @@ TEST(QueryPlannerTest, AllPairsMatchesReferenceAcrossShardsAndThreads) {
     ShardedVosSketch sketch(PlannerConfig(shards), users);
     sketch.UpdateBatch(elements.data(), elements.size());
 
-    // Reference once per (shards, τ): it is thread- and prefilter-free.
+    // Reference once per (shards, τ): it is thread-free.
     for (const double tau : {0.2, 0.5}) {
       std::vector<QueryPlanner::Pair> reference;
       {
@@ -124,64 +123,43 @@ TEST(QueryPlannerTest, AllPairsMatchesReferenceAcrossShardsAndThreads) {
         EXPECT_TRUE(has_cross) << "shards=" << shards << " tau=" << tau;
       }
       for (const unsigned threads : {1u, 8u}) {
-        for (const bool prefilter : {true, false}) {
-          // 0 = adaptive (one tile per pass here); the others split every
-          // pass into several tiles, down to single rows.
-          for (const size_t tile_rows : {1u, 7u, 64u, 0u}) {
-            QueryOptions options;
-            options.num_threads = threads;
-            options.prefilter = prefilter;
-            options.tile_rows = tile_rows;
-            QueryPlanner planner(sketch, {}, options);
-            planner.Rebuild(candidates);
-            ExpectPairsIdentical(
-                planner.AllPairsAbove(tau), reference,
-                "shards=" + std::to_string(shards) +
-                    " threads=" + std::to_string(threads) +
-                    " tau=" + std::to_string(tau) +
-                    " prefilter=" + std::to_string(prefilter) +
-                    " tile_rows=" + std::to_string(tile_rows));
-          }
+        // 0 = adaptive (one tile per pass here); the others split every
+        // pass into several tiles, down to single rows.
+        for (const size_t tile_rows : {1u, 7u, 64u, 0u}) {
+          QueryOptions options;
+          options.num_threads = threads;
+          options.tile_rows = tile_rows;
+          QueryPlanner planner(sketch, {}, options);
+          planner.Rebuild(candidates);
+          ExpectPairsIdentical(planner.AllPairsAbove(tau), reference,
+                               "shards=" + std::to_string(shards) +
+                                   " threads=" + std::to_string(threads) +
+                                   " tau=" + std::to_string(tau) +
+                                   " tile_rows=" + std::to_string(tile_rows));
         }
       }
     }
   }
 }
 
-/// With one shard the planner IS the single global index: same pair set
-/// and bit-identical estimates as SimilarityIndex over an equivalent
-/// standalone VosSketch.
-TEST(QueryPlannerTest, SingleShardEqualsGlobalSimilarityIndex) {
+/// With one shard the planner's scan answers exactly as the scalar oracle
+/// over its one snapshot: same pairs, same order, same bits, prefiltered
+/// (τ > 0) and not (τ = 0). At S = 1 local ids are the global ids, and
+/// the id-sorted candidate list gives the oracle the planner's u < v
+/// orientation.
+TEST(QueryPlannerTest, SingleShardEqualsShardIndexReference) {
   const UserId users = 64;
   const std::vector<Element> elements = CommunityStream(users, 50, 11);
-  const ShardedVosConfig config = PlannerConfig(1);
-
-  ShardedVosSketch sharded(config, users);
-  VosSketch plain(ShardedVosSketch::ShardConfig(config, 1 - 1), users);
-  for (const Element& e : elements) {
-    sharded.Update(e);
-    plain.Update(e);
-  }
-
+  ShardedVosSketch sketch(PlannerConfig(1), users);
+  sketch.UpdateBatch(elements.data(), elements.size());
   std::vector<UserId> candidates;
   for (UserId u = 0; u < users; ++u) candidates.push_back(u);
-
-  QueryPlanner planner(sharded);
+  QueryPlanner planner(sketch);
   planner.Rebuild(candidates);
-  SimilarityIndex index(plain);
-  index.Rebuild(candidates);
-
-  const double tau = 0.3;
-  const auto from_planner = planner.AllPairsAbove(tau);
-  const auto from_index = index.AllPairsAbove(tau);
-  ASSERT_EQ(from_planner.size(), from_index.size());
-  for (size_t i = 0; i < from_planner.size(); ++i) {
-    // The planner canonicalizes u < v by id; the candidate list is
-    // id-sorted here, so the index emits the same orientation.
-    EXPECT_EQ(from_planner[i].u, from_index[i].u);
-    EXPECT_EQ(from_planner[i].v, from_index[i].v);
-    EXPECT_EQ(from_planner[i].common, from_index[i].common);
-    EXPECT_EQ(from_planner[i].jaccard, from_index[i].jaccard);
+  for (const double tau : {0.0, 0.3}) {
+    ExpectPairsIdentical(planner.AllPairsAbove(tau),
+                         planner.shard_index(0).AllPairsAboveReference(tau),
+                         "tau=" + std::to_string(tau));
   }
 }
 
@@ -256,33 +234,6 @@ TEST(QueryPlannerTest, TopKMatchesReferenceWithRunningBoundScreens) {
   }
 }
 
-/// At S = 1 both TopK surfaces run one scan: the planner answers exactly
-/// as SimilarityIndex over an equivalent standalone VosSketch, for
-/// candidate and non-candidate queries and k up to the full ranking.
-TEST(QueryPlannerTest, SingleShardTopKEqualsGlobalSimilarityIndex) {
-  const UserId users = 64;
-  const std::vector<Element> elements = CommunityStream(users, 50, 29);
-  const ShardedVosConfig config = PlannerConfig(1);
-  ShardedVosSketch sharded(config, users);
-  VosSketch plain(ShardedVosSketch::ShardConfig(config, 0), users);
-  sharded.UpdateBatch(elements.data(), elements.size());
-  for (const Element& e : elements) plain.Update(e);
-
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < users - 4; ++u) candidates.push_back(u);
-  QueryPlanner planner(sharded);
-  planner.Rebuild(candidates);
-  SimilarityIndex index(plain);
-  index.Rebuild(candidates);
-  for (const UserId query : {UserId{0}, UserId{1}, UserId{7}, users - 2}) {
-    for (const size_t k : {size_t{1}, size_t{5}, size_t{20}, size_t{1000}}) {
-      ExpectEntriesIdentical(planner.TopK(query, k), index.TopK(query, k),
-                             "query=" + std::to_string(query) +
-                                 " k=" + std::to_string(k));
-    }
-  }
-}
-
 /// Users 0..23 hold the same 60 items, user 24 holds 30 of them plus 30
 /// of its own, and users 25.. are noise of assorted sizes. The array is
 /// large, so most group members carry no contamination and share one
@@ -325,9 +276,8 @@ size_t CutInsideTie(const std::vector<QueryPlanner::Entry>& ranking) {
 
 /// A tie at the k-th best Ĵ: the screens run with τ = that Ĵ and must
 /// keep every tied row, so only the user-id tie-break decides which
-/// members make the cut. Both surfaces (the planner, and the query's
-/// shard index in local ids), S ∈ {1, 4}, clamping on (screened) and off
-/// (unscreened), against the per-pair references.
+/// members make the cut. S ∈ {1, 4}, clamping on (screened) and off
+/// (unscreened), against the per-pair reference.
 TEST(QueryPlannerTest, TopKTieAtTheCutMatchesReference) {
   const UserId users = 64;
   const std::vector<Element> elements = TieStream(users);
@@ -352,24 +302,14 @@ TEST(QueryPlannerTest, TopKTieAtTheCutMatchesReference) {
         ExpectEntriesIdentical(planner.TopK(query, k),
                                planner.TopKReference(query, k),
                                context + " k=" + std::to_string(k));
-
-        const SimilarityIndex& index =
-            planner.shard_index(sketch.ShardOf(query));
-        const UserId local = sketch.LocalIdOf(query);
-        const size_t k_local =
-            CutInsideTie(index.TopKReference(local, index.candidate_count()));
-        ASSERT_GT(k_local, 0u) << context << ": no tie in the shard index";
-        ExpectEntriesIdentical(index.TopK(local, k_local),
-                               index.TopKReference(local, k_local),
-                               context + " index k=" + std::to_string(k_local));
       }
     }
   }
 }
 
-/// A query id beyond num_users aborts at the entry of both TopK surfaces
-/// with one message at every shard count, instead of reading past the
-/// per-user state (S = 1) or tripping the shard map's check (S > 1).
+/// A query id beyond num_users aborts at TopK's entry with one message at
+/// every shard count, instead of reading past the per-user state (S = 1)
+/// or tripping the shard map's check (S > 1).
 TEST(QueryPlannerDeathTest, TopKQueryBeyondNumUsersAborts) {
   const UserId users = 16;
   for (const uint32_t shards : {1u, 2u}) {
@@ -378,8 +318,6 @@ TEST(QueryPlannerDeathTest, TopKQueryBeyondNumUsersAborts) {
     planner.Rebuild({0, 1, 2, 3});
     EXPECT_DEATH(planner.TopK(users, 1), "TopK query user") << shards;
     EXPECT_DEATH(planner.TopK(400000000, 1), "TopK query user") << shards;
-    EXPECT_DEATH(planner.shard_index(0).TopK(400000000, 1), "TopK query user")
-        << shards;
   }
 }
 
@@ -507,7 +445,7 @@ TEST(QueryPlannerTest, PlanAllPairsReportsWindowPairsPerPass) {
     for (const double tau : {0.25, 0.5}) {
       const std::string context =
           "S=" + std::to_string(shards) + " tau=" + std::to_string(tau);
-      const bool prefilter = scan::PrefilterApplies(true, true, tau);
+      const bool prefilter = scan::PrefilterApplies(true, tau);
       std::vector<size_t> want;
       for (uint32_t s = 0; s < shards; ++s) {
         const auto& cards = planner.shard_index(s).row_cardinalities();
@@ -542,17 +480,30 @@ TEST(QueryPlannerTest, PlanAllPairsReportsWindowPairsPerPass) {
   }
 }
 
+/// Before any Rebuild, after an empty one, and with one candidate (no
+/// pairs; TopK excludes the query itself), at S ∈ {1, 4}.
 TEST(QueryPlannerTest, EmptyAndDegenerateInputs) {
   const UserId users = 16;
-  ShardedVosSketch sketch(PlannerConfig(4), users);
-  QueryPlanner planner(sketch);
-  EXPECT_TRUE(planner.AllPairsAbove(0.5).empty());
-  EXPECT_TRUE(planner.TopK(0, 5).empty());
+  std::vector<Element> elements;
+  for (UserId u = 0; u < users; ++u) {
+    for (ItemId i = 0; i < 20; ++i) elements.push_back({u, i, Action::kInsert});
+  }
+  for (const uint32_t shards : {1u, 4u}) {
+    ShardedVosSketch sketch(PlannerConfig(shards), users);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    QueryPlanner planner(sketch);
+    EXPECT_TRUE(planner.AllPairsAbove(0.5).empty()) << shards;
+    EXPECT_TRUE(planner.TopK(0, 5).empty()) << shards;
 
-  planner.Rebuild({3});  // one candidate: no pairs, TopK excludes self
-  EXPECT_TRUE(planner.AllPairsAbove(0.1).empty());
-  EXPECT_TRUE(planner.TopK(3, 5).empty());
-  EXPECT_TRUE(planner.TopK(3, 0).empty());
+    planner.Rebuild({});
+    EXPECT_TRUE(planner.AllPairsAbove(0.0).empty()) << shards;
+    EXPECT_TRUE(planner.TopK(0, 5).empty()) << shards;
+
+    planner.Rebuild({3});
+    EXPECT_TRUE(planner.AllPairsAbove(0.0).empty()) << shards;
+    EXPECT_TRUE(planner.TopK(3, 5).empty()) << shards;
+    EXPECT_TRUE(planner.TopK(3, 0).empty()) << shards;
+  }
 }
 
 }  // namespace
