@@ -7,7 +7,8 @@
 #include "baselines/minhash.h"
 #include "baselines/oph.h"
 #include "baselines/random_pairing.h"
-#include "core/vos_method.h"
+#include "core/sharded_vos_method.h"
+#include "core/vos_sketch.h"
 #include "stream/dataset.h"
 
 namespace vos {
@@ -42,10 +43,9 @@ void BM_VosUpdate(benchmark::State& state) {
   core::VosConfig config;
   config.k = static_cast<uint32_t>(state.range(0));
   config.m = 1 << 22;
-  // The paper's bare O(1) update: no dirty tracking on the timed path.
-  config.track_dirty = false;
-  core::VosMethod method(config, UnitStream().num_users());
-  DriveUpdates(state, method);
+  // The paper's bare O(1) update: no consumer, so no dirty tracking.
+  core::VosSketch sketch(config, UnitStream().num_users());
+  DriveUpdates(state, sketch);
 }
 BENCHMARK(BM_VosUpdate)->Arg(100)->Arg(6400)->Arg(100000);
 
@@ -76,10 +76,10 @@ void BM_RandomPairingUpdate(benchmark::State& state) {
 BENCHMARK(BM_RandomPairingUpdate)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_VosPairEstimate(benchmark::State& state) {
-  core::VosConfig config;
-  config.k = static_cast<uint32_t>(state.range(0));
-  config.m = 1 << 22;
-  core::VosMethod method(config, UnitStream().num_users());
+  core::ShardedVosConfig config;  // one shard: the paper's VOS
+  config.base.k = static_cast<uint32_t>(state.range(0));
+  config.base.m = 1 << 22;
+  core::ShardedVosMethod method(config, UnitStream().num_users());
   for (const auto& e : UnitStream().elements()) method.Update(e);
   method.PrepareQuery({0, 1});
   for (auto _ : state) {

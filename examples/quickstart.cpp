@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "core/vos_method.h"
+#include "core/sharded_vos_method.h"
 #include "stream/element.h"
 
 int main() {
@@ -15,11 +15,13 @@ int main() {
 
   // A VOS sketch for 1,000 users: each user's virtual odd sketch has
   // k = 6400 bits, all stored in one shared array of 2^22 bits (512 KiB).
-  vos::core::VosConfig config;
-  config.k = 6400;
-  config.m = uint64_t{1} << 22;
-  config.seed = 42;
-  vos::core::VosMethod vos_method(config, /*num_users=*/1000);
+  // One shard with synchronous ingest (the config's defaults) is the
+  // paper's VOS.
+  vos::core::ShardedVosConfig config;
+  config.base.k = 6400;
+  config.base.m = uint64_t{1} << 22;
+  config.base.seed = 42;
+  vos::core::ShardedVosMethod vos_method(config, /*num_users=*/1000);
 
   // Alice (user 0) and Bob (user 1) subscribe to overlapping channels.
   // Channels 0..149 are shared; 150..249 are Alice-only, 300..399 Bob-only.
@@ -50,6 +52,7 @@ int main() {
               after.common, after.jaccard, 75.0 / 325.0);
 
   std::printf("shared array fill beta = %.4f, sketch memory = %zu KiB\n",
-              vos_method.sketch().beta(), vos_method.MemoryBits() / 8192);
+              vos_method.sketch().shard(0).beta(),
+              vos_method.MemoryBits() / 8192);
   return 0;
 }

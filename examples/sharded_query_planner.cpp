@@ -61,18 +61,19 @@ int main() {
   // make every number below meaningless.
   VOS_CHECK(sketch.Flush().ok());
 
-  std::printf("ingested %zu elements into %u shards "
-              "(%.1f bits/user total memory)\n",
-              batch.size(), sketch.num_shards(),
-              static_cast<double>(sketch.MemoryBits()) / kUsers);
-
-  // Snapshot every shard index (incremental mode retains refresh state).
+  // Snapshot every shard index (incremental mode retains refresh state
+  // and starts the shards' dirty tracking).
   std::vector<UserId> candidates;
   for (UserId u = 0; u < kUsers; ++u) candidates.push_back(u);
   QueryOptions options;
   options.incremental = true;
   QueryPlanner planner(sketch, {}, options);
   planner.Rebuild(candidates);
+
+  std::printf("ingested %zu elements into %u shards "
+              "(%.1f bits/user total memory)\n",
+              batch.size(), sketch.num_shards(),
+              static_cast<double>(sketch.MemoryBits()) / kUsers);
 
   const auto pairs = planner.AllPairsAbove(0.5);
   size_t cross_shard = 0;

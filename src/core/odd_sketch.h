@@ -10,13 +10,18 @@
 //
 // VOS differs from this dedicated sketch by storing the k bits virtually in
 // a shared array (core/vos_sketch.h); the dedicated variant is kept both as
-// a building block of the analysis and as an ablation baseline.
+// a building block of the analysis and, as DedicatedOddSketchMethod, as an
+// ablation baseline.
 
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/bit_vector.h"
+#include "core/similarity_method.h"
+#include "core/vos_estimator.h"
 #include "hashing/hash64.h"
 #include "stream/element.h"
 
@@ -65,6 +70,33 @@ class OddSketch {
  private:
   uint64_t seed_;
   BitVector bits_;
+};
+
+/// Ablation baseline: the dedicated (non-virtual) odd sketch of [9], one
+/// private k-bit array per user. Same estimator with β = 0. Under an equal
+/// total memory budget each user gets far fewer bits than VOS's virtual k
+/// (no sharing), which is the design point the paper's virtualization
+/// argument rests on.
+class DedicatedOddSketchMethod : public SimilarityMethod {
+ public:
+  /// `bits_per_user` — k of each private odd sketch.
+  DedicatedOddSketchMethod(uint32_t bits_per_user, UserId num_users,
+                           uint64_t seed, VosEstimatorOptions options = {});
+
+  std::string Name() const override { return "OddSketch"; }
+
+  void Update(const Element& e) override;
+
+  PairEstimate EstimatePair(UserId u, UserId v) const override;
+
+  size_t MemoryBits() const override;
+
+ private:
+  uint32_t bits_per_user_;
+  uint64_t psi_seed_;
+  VosEstimator estimator_;
+  std::vector<BitVector> sketches_;
+  std::vector<uint32_t> cardinality_;
 };
 
 }  // namespace vos::core

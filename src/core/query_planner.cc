@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/popcount.h"
 #include "core/pair_scan.h"
 #include "core/scan_common.h"
 
@@ -222,6 +223,23 @@ std::vector<QueryPlanner::Entry> QueryPlanner::TopK(UserId query,
          [this, s](size_t p) { return GlobalOfRow(s, p); }});
   }
   return pair_scan::TopK(q, k, sides, estimator_, log_alpha_table_);
+}
+
+PairEstimate QueryPlanner::EstimatePair(UserId u, UserId v) const {
+  const SimilarityIndex& iu = *indexes_[sketch_->ShardOf(u)];
+  const SimilarityIndex& iv = *indexes_[sketch_->ShardOf(v)];
+  const size_t pu = iu.RowIndexOf(sketch_->LocalIdOf(u));
+  const size_t pv = iv.RowIndexOf(sketch_->LocalIdOf(v));
+  if (pu == SimilarityIndex::npos || pv == SimilarityIndex::npos) {
+    return sketch_->EstimatePair(u, v);
+  }
+  const size_t d = XorPopcount(iu.matrix().Row(pu), iv.matrix().Row(pv),
+                               iu.matrix().words_per_row());
+  // The cross-shard β combination of ShardedVosSketch::EstimatePair; at
+  // one shard the mean of two equal terms is that term exactly.
+  return estimator_.EstimateFromLogTerms(
+      iu.row_cardinality(pu), iv.row_cardinality(pv), log_alpha_table_[d],
+      0.5 * (iu.log_beta_term() + iv.log_beta_term()));
 }
 
 std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAboveReference(

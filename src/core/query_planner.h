@@ -90,8 +90,9 @@ class QueryPlanner {
 
   /// Binds to `sketch` (not owned; must outlive the planner).
   /// QueryOptions::num_threads is the worker count of AllPairsAbove and
-  /// of snapshots; QueryOptions::incremental enables Refresh() (requires
-  /// the shards to track dirty users, VosConfig::track_dirty).
+  /// of snapshots; QueryOptions::incremental enables Refresh(), and its
+  /// first Rebuild starts the shards' dirty tracking — the planner is
+  /// then the sketch's one incremental consumer.
   explicit QueryPlanner(const ShardedVosSketch& sketch,
                         VosEstimatorOptions estimator_options = {},
                         QueryOptions query_options = {});
@@ -118,6 +119,12 @@ class QueryPlanner {
   /// `query` is not below the sketch's num_users.
   std::vector<Entry> TopK(UserId query, size_t k) const;
 
+  /// (ŝ, Ĵ) for one pair: two snapshot rows (one XOR-popcount and a
+  /// log-table lookup) when both users are candidates, otherwise
+  /// ShardedVosSketch::EstimatePair on the live sketch. Bit-identical to
+  /// ShardedVosSketch::EstimatePair on the snapshot's quiesced state.
+  PairEstimate EstimatePair(UserId u, UserId v) const;
+
   /// Ground truth: one ShardedVosSketch::EstimatePair call per candidate
   /// pair. O(n²·k) — tests and bench baselines only.
   std::vector<Pair> AllPairsAboveReference(double jaccard_threshold) const;
@@ -129,8 +136,7 @@ class QueryPlanner {
   const std::vector<UserId>& candidates() const { return candidates_; }
 
   /// The shard-local index of shard s (snapshot of its candidates in
-  /// dense local ids). Exposed for diagnostics, tests and the method
-  /// adapter's per-pair cache reads.
+  /// dense local ids). Exposed for diagnostics and tests.
   const SimilarityIndex& shard_index(uint32_t s) const {
     return *indexes_[s];
   }

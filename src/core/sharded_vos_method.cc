@@ -1,24 +1,12 @@
 #include "core/sharded_vos_method.h"
 
-#include "common/popcount.h"
-
 namespace vos::core {
-namespace {
-
-/// The planner's incremental shard indexes consume the shards' dirty sets.
-ShardedVosConfig WithDirtyTracking(ShardedVosConfig config) {
-  config.base.track_dirty = true;
-  return config;
-}
-
-}  // namespace
 
 ShardedVosMethod::ShardedVosMethod(const ShardedVosConfig& config,
                                    UserId num_users,
                                    VosEstimatorOptions options,
                                    ShardedQueryConfig /*query_config*/)
-    : sketch_(WithDirtyTracking(config), num_users, options),
-      log_alpha_table_(sketch_.estimator().BuildLogAlphaTable()) {}
+    : sketch_(config, num_users, options) {}
 
 Status ShardedVosMethod::Restore(const std::string& path) {
   VOS_RETURN_IF_ERROR(sketch_.Restore(path));
@@ -60,23 +48,8 @@ void ShardedVosMethod::PrepareQuery(const std::vector<UserId>& users) {
 }
 
 PairEstimate ShardedVosMethod::EstimatePair(UserId u, UserId v) const {
-  if (!planner_ready_) return sketch_.EstimatePair(u, v);
-  const uint32_t su = sketch_.ShardOf(u);
-  const uint32_t sv = sketch_.ShardOf(v);
-  const SimilarityIndex& iu = planner_->shard_index(su);
-  const SimilarityIndex& iv = planner_->shard_index(sv);
-  const size_t pu = iu.RowIndexOf(sketch_.LocalIdOf(u));
-  const size_t pv = iv.RowIndexOf(sketch_.LocalIdOf(v));
-  if (pu == SimilarityIndex::npos || pv == SimilarityIndex::npos) {
-    return sketch_.EstimatePair(u, v);
-  }
-  const size_t d = XorPopcount(iu.matrix().Row(pu), iv.matrix().Row(pv),
-                               iu.matrix().words_per_row());
-  const double log_beta_term =
-      0.5 * (iu.log_beta_term() + iv.log_beta_term());
-  return sketch_.estimator().EstimateFromLogTerms(
-      iu.row_cardinality(pu), iv.row_cardinality(pv), log_alpha_table_[d],
-      log_beta_term);
+  return planner_ready_ ? planner_->EstimatePair(u, v)
+                        : sketch_.EstimatePair(u, v);
 }
 
 }  // namespace vos::core

@@ -1,21 +1,23 @@
 // SimilarityMethod adapter for ShardedVosSketch: the sharded write path
-// behind the same harness interface as every other method.
+// behind the same harness interface as every other method. With one
+// shard and synchronous ingest it is the paper's VOS ("VOS" in the
+// harness): one shared array, the bare O(1) update per element.
 //
-// Update/UpdateBatch feed the concurrent ingest pipeline; FlushIngest
-// quiesces it (the harness calls it at every checkpoint). The query cache
-// is a QueryPlanner holding one incremental SimilarityIndex per shard:
+// Update/UpdateBatch feed the ingest pipeline; FlushIngest quiesces it
+// (the harness calls it at every checkpoint). The query cache is a
+// QueryPlanner holding one incremental SimilarityIndex per shard:
 // PrepareQuery flushes, then snapshots every shard index for a new
 // tracked set (Rebuild), or, over the SAME set as the last call, patches
 // the snapshots incrementally (Refresh → SimilarityIndex::RefreshDirty,
 // shard-locally, flipping only the digest bits whose array cells
-// changed) instead of re-extracting every row. EstimatePair reads two
-// snapshot rows — a word-wise XOR+popcount plus log-table lookups; rows
-// from different shards are directly comparable (shared ψ, equal k) and
-// only the β correction switches to the two-shard form (see
+// changed) instead of re-extracting every row. EstimatePair is the
+// planner's: two snapshot rows — a word-wise XOR+popcount plus log-table
+// lookups; rows from different shards are directly comparable (shared ψ,
+// equal k) and only the β correction switches to the two-shard form (see
 // core/sharded_vos_sketch.h). Estimates are bit-identical to
-// ShardedVosSketch::EstimatePair on quiesced state. The planner consumes
-// the shards' dirty sets, so the method always enables
-// VosConfig::track_dirty on them.
+// ShardedVosSketch::EstimatePair on quiesced state. The planner's first
+// Rebuild starts the shards' dirty tracking, so a method that never
+// answers a PrepareQuery (the Figure-2 update timing) never tracks.
 
 #pragma once
 
@@ -39,14 +41,19 @@ struct ShardedQueryConfig {
   unsigned planner_threads = 0;
 };
 
-/// Sharded VOS as a pluggable SimilarityMethod ("VOS-sharded").
+/// Sharded VOS as a pluggable SimilarityMethod: "VOS" with one shard and
+/// synchronous ingest, "VOS-sharded" otherwise.
 class ShardedVosMethod : public SimilarityMethod {
  public:
   ShardedVosMethod(const ShardedVosConfig& config, UserId num_users,
                    VosEstimatorOptions options = {},
                    ShardedQueryConfig query_config = {});
 
-  std::string Name() const override { return "VOS-sharded"; }
+  std::string Name() const override {
+    return sketch_.num_shards() == 1 && sketch_.config().ingest_threads == 0
+               ? "VOS"
+               : "VOS-sharded";
+  }
 
   void Update(const Element& e) override { sketch_.Update(e); }
   void UpdateBatch(const Element* elements, size_t count) override {
@@ -83,7 +90,12 @@ class ShardedVosMethod : public SimilarityMethod {
 
   PairEstimate EstimatePair(UserId u, UserId v) const override;
 
-  size_t MemoryBits() const override { return sketch_.MemoryBits(); }
+  /// ShardedVosSketch::MemoryBits() without the one cardinality counter
+  /// per user every method keeps (the SimilarityMethod convention): the
+  /// array bits alone for one shard that no planner has consumed.
+  size_t MemoryBits() const override {
+    return sketch_.MemoryBits() - size_t{sketch_.num_users()} * 32;
+  }
 
   void PrepareQuery(const std::vector<UserId>& users) override;
   /// Estimates answer from the live sketch until the next PrepareQuery;
@@ -103,8 +115,6 @@ class ShardedVosMethod : public SimilarityMethod {
 
  private:
   ShardedVosSketch sketch_;
-  /// ln|1−2·d/k| per Hamming distance d ∈ [0, k].
-  std::vector<double> log_alpha_table_;
   std::unique_ptr<QueryPlanner> planner_;
   /// The tracked set the planner snapshots cover; a different set at
   /// PrepareQuery forces a full planner Rebuild.

@@ -27,11 +27,11 @@ constexpr uint64_t kShardFTag = 0x5a4d00;
 /// of its value.
 constexpr uint32_t kSpinRounds = 64;
 
-/// Construction-time footprint for the memory-budget validation: shard
-/// arrays (word-rounded), their changed-word summaries when tracked (one
-/// bit per array word, word-rounded), and per-user state (cardinality
-/// counter, dirty epoch, dense-remap tables). Equals a fresh sketch's
-/// MemoryBits().
+/// The memory-budget floor: shard arrays (word-rounded), per-user state
+/// (cardinality counter, dense-remap tables) and the dirty-tracking state
+/// an incremental planner allocates when it starts (one changed-word
+/// summary bit per array word, word-rounded, and one epoch per user).
+/// Equals MemoryBits() once every shard tracks.
 uint64_t StaticFootprintBits(const ShardedVosConfig& config,
                              stream::UserId num_users) {
   const uint64_t shard_m =
@@ -39,13 +39,10 @@ uint64_t StaticFootprintBits(const ShardedVosConfig& config,
           ? std::max<uint64_t>(1, config.base.m / config.num_shards)
           : config.base.m;
   const uint64_t shard_words = (shard_m + 63) / 64;
-  uint64_t per_shard = shard_words * 64;             // array
-  if (config.base.track_dirty) {
-    per_shard += (shard_words + 63) / 64 * 64;       // changed-word summary
-  }
+  const uint64_t per_shard = shard_words * 64 +      // array
+                             (shard_words + 63) / 64 * 64;  // summary
   uint64_t total = static_cast<uint64_t>(config.num_shards) * per_shard;
-  uint64_t per_user = 32;                            // cardinality counter
-  if (config.base.track_dirty) per_user += 32;       // dirty epoch
+  uint64_t per_user = 32 + 32;                       // cardinality, epoch
   if (config.num_shards > 1) per_user += 64;         // dense remap tables
   total += static_cast<uint64_t>(num_users) * per_user;
   return total;
@@ -109,8 +106,8 @@ Status ShardedVosSketch::ValidateConfig(const ShardedVosConfig& config,
           "memory_budget_bits (" + std::to_string(config.memory_budget_bits) +
           ") is below the config's own static footprint (" +
           std::to_string(static_bits) +
-          " bits: shard arrays + per-user state); no stream could ever be "
-          "ingested under it");
+          " bits: shard arrays + per-user state + dirty tracking); no "
+          "stream could ever be ingested under it");
     }
   }
   return Status::OK();
@@ -175,7 +172,7 @@ ShardedVosSketch::ShardedVosSketch(const ShardedVosConfig& config,
   } else {
     producers_ = 1;  // synchronous ingestion is single-threaded by contract
   }
-  static_memory_bits_ = MemoryBits();
+  static_memory_bits_ = StaticFootprintBits(config, num_users);
 }
 
 ShardedVosSketch::~ShardedVosSketch() {
@@ -186,7 +183,49 @@ ShardedVosSketch::~ShardedVosSketch() {
   for (std::thread& t : worker_threads_) t.join();
 }
 
+void ShardedVosSketch::ApplySyncBatch(const stream::Element* elements,
+                                      size_t count) {
+  // Healthy pipeline, no armed fault (checked once per batch): apply
+  // straight to the shards. ApplySyncElement, with its poison and drop
+  // handling, takes the rest of the batch when the pipeline is degraded,
+  // a fault is armed, or an Update throws.
+  size_t i = 0;
+  if (!degraded_.load(std::memory_order_relaxed) &&
+      !FaultInjector::Global().armed()) {
+    try {
+      if (!dense_remap()) {
+        VosSketch& shard = shards_[0];
+        for (; i < count; ++i) {
+          CheckUserInRange(elements[i].user);
+          shard.Update(elements[i]);
+        }
+      } else {
+        for (; i < count; ++i) {
+          stream::Element local = elements[i];
+          local.user = dense_map_.LocalOf(local.user);  // range-checked
+          shards_[router_.ShardOf(elements[i].user)].Update(local);
+        }
+      }
+    } catch (const std::exception& ex) {
+      PoisonAfterThrow(router_.ShardOf(elements[i].user), ex);
+      ++i;
+    }
+  }
+  for (; i < count; ++i) ApplySyncElement(elements[i]);
+}
+
+void ShardedVosSketch::PoisonAfterThrow(uint32_t shard,
+                                        const std::exception& ex) {
+  {
+    MutexLock lock(&mu_);
+    PoisonShardLocked(shard, Status::Internal(ShardTag(shard) +
+                                              " update failed: " + ex.what()));
+  }
+  dropped_elements_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void ShardedVosSketch::ApplySyncElement(const stream::Element& e) {
+  CheckUserInRange(e.user);
   const uint32_t s = router_.ShardOf(e.user);
   if (degraded_.load(std::memory_order_relaxed)) {
     MutexLock lock(&mu_);
@@ -206,12 +245,7 @@ void ShardedVosSketch::ApplySyncElement(const stream::Element& e) {
     }
     shards_[s].Update(local);
   } catch (const std::exception& ex) {
-    {
-      MutexLock lock(&mu_);
-      PoisonShardLocked(
-          s, Status::Internal(ShardTag(s) + " update failed: " + ex.what()));
-    }
-    dropped_elements_.fetch_add(1, std::memory_order_relaxed);
+    PoisonAfterThrow(s, ex);
   }
 }
 
@@ -232,6 +266,7 @@ void ShardedVosSketch::Update(const stream::Element& e, unsigned producer) {
     ApplySyncElement(e);
     return;
   }
+  CheckUserInRange(e.user);  // here, not when the buffer is routed
   std::vector<stream::Element>& pending = pending_[producer];
   pending.push_back(e);
   if (pending.size() >= config_.batch_size) FlushPendingBuffer(producer);
@@ -246,7 +281,7 @@ void ShardedVosSketch::UpdateBatch(const stream::Element* elements,
       accepted_[producer].load(std::memory_order_relaxed) + count,
       std::memory_order_relaxed);
   if (!async()) {
-    for (size_t i = 0; i < count; ++i) ApplySyncElement(elements[i]);
+    ApplySyncBatch(elements, count);
     return;
   }
   // Keep the lane's per-shard order: anything buffered by Update() on
@@ -270,10 +305,11 @@ void ShardedVosSketch::RoutePartition(
   // carries dense local ids and belongs wholly to one shard, so workers
   // apply it verbatim.
   if (dense_remap()) {
-    dense_map_.Partition(elements, count, per_shard);
-  } else {
-    router_.Partition(elements, count, per_shard);
+    dense_map_.Partition(elements, count, per_shard);  // range-checked
+    return;
   }
+  for (size_t i = 0; i < count; ++i) CheckUserInRange(elements[i].user);
+  router_.Partition(elements, count, per_shard);
 }
 
 void ShardedVosSketch::FlushPendingBuffer(unsigned producer) {
@@ -823,6 +859,8 @@ bool ShardedVosSketch::HasPendingIngest() const {
 PairEstimate ShardedVosSketch::EstimatePair(UserId u, UserId v) const {
   VOS_DCHECK(!HasPendingIngest())
       << "EstimatePair on a non-quiesced pipeline; call Flush() first";
+  CheckUserInRange(u);
+  CheckUserInRange(v);
   const VosSketch& sketch_u = shards_[router_.ShardOf(u)];
   const VosSketch& sketch_v = shards_[router_.ShardOf(v)];
   const UserId lu = LocalIdOf(u);
@@ -848,9 +886,10 @@ PairEstimate ShardedVosSketch::EstimatePair(UserId u, UserId v) const {
 }
 
 size_t ShardedVosSketch::MemoryBits() const {
-  // Arrays plus every per-user structure this facade allocates: honest
-  // accounting for equal-memory comparisons (see header comment). The
-  // dense remap keeps the per-user portion independent of num_shards.
+  // Arrays plus every per-user structure this facade has allocated:
+  // honest accounting for equal-memory comparisons (see header comment).
+  // The dense remap keeps the per-user portion independent of
+  // num_shards.
   size_t total = dense_map_.MemoryBits();
   for (const VosSketch& shard : shards_) {
     total += shard.MemoryBits() + shard.BookkeepingBits();

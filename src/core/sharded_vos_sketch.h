@@ -54,7 +54,9 @@
 //
 // With ingest_threads == 0 the pipeline is synchronous: UpdateBatch
 // routes and applies inline (single-threaded, deterministic) — the
-// reference the equivalence tests compare against.
+// reference the equivalence tests compare against. A healthy batch with
+// no armed fault is applied straight to the shards; at S = 1 that is the
+// paper's bare update loop plus one user-range compare per element.
 //
 // Dense user remap (num_shards > 1): shard s's VosSketch lives entirely
 // in shard-local id space. A construction-time DenseShardMap
@@ -101,6 +103,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
@@ -153,11 +156,13 @@ struct ShardedVosConfig {
   /// poisoning anything — the wait was abandoned, not the data.
   uint64_t flush_timeout_ms = 0;
   /// Optional memory ceiling in bits over the sketch's static footprint
-  /// plus queued-but-unapplied sub-batches (0 = unbounded). A config
-  /// whose static footprint alone exceeds the budget is rejected at
-  /// construction (ValidateConfig); at runtime an enqueue that would
-  /// cross the ceiling is dropped and the sticky ingest status becomes
-  /// ResourceExhausted — graceful degradation instead of OOM.
+  /// (arrays, per-user state and the dirty-tracking state a planner
+  /// allocates when it starts) plus queued-but-unapplied sub-batches
+  /// (0 = unbounded). A config whose static footprint alone exceeds the
+  /// budget is rejected at construction (ValidateConfig); at runtime an
+  /// enqueue that would cross the ceiling is dropped and the sticky
+  /// ingest status becomes ResourceExhausted — graceful degradation
+  /// instead of OOM.
   uint64_t memory_budget_bits = 0;
 };
 
@@ -192,7 +197,8 @@ class ShardedVosSketch {
   /// Processes one element on producer lane `producer`. Synchronous mode
   /// applies it inline; asynchronous mode buffers it in the lane's
   /// pending buffer and enqueues a sub-batch run every `batch_size`
-  /// elements.
+  /// elements. Both Update and UpdateBatch abort on a user id outside
+  /// [0, num_users()), in every mode and at every shard count.
   void Update(const stream::Element& e, unsigned producer = 0);
 
   /// Processes a contiguous batch on producer lane `producer`, preserving
@@ -284,7 +290,8 @@ class ShardedVosSketch {
   /// (ŝ, Ĵ) for a pair at the current (flushed) state. Same-shard pairs
   /// match a standalone VosSketch fed the shard's (locally re-id'd)
   /// sub-stream bit-for-bit; cross-shard pairs use the two-β
-  /// contamination correction (see file comment).
+  /// contamination correction (see file comment). Aborts on a user id
+  /// outside [0, num_users()).
   PairEstimate EstimatePair(UserId u, UserId v) const;
 
   uint32_t ShardOf(UserId user) const { return router_.ShardOf(user); }
@@ -324,16 +331,16 @@ class ShardedVosSketch {
   }
 
   /// Honest total memory: the shard arrays (≈ base.m bits by
-  /// construction) PLUS every structure the sharded facade allocates
-  /// beside them — per-shard cardinality counters, dirty epochs and
-  /// changed-word summaries (VosSketch::BookkeepingBits) and the dense
-  /// remap's forward/inverse tables. Thanks to the dense remap the
-  /// per-user portion is independent of num_shards (~8–16 bytes/user
-  /// total, vs. ~8·S bytes/user without it), and — unlike plain
-  /// VosSketch::MemoryBits(), which excludes the one cardinality counter
-  /// per user every compared method keeps — nothing here is silently
-  /// dropped: duplicated or facade-specific state is exactly the
-  /// overhead a Figure-2-style equal-memory comparison must see.
+  /// construction) PLUS every structure the sharded facade has allocated
+  /// beside them — per-shard cardinality counters, the dense remap's
+  /// forward/inverse tables and, once an incremental planner has started
+  /// tracking, the dirty epochs and changed-word summaries
+  /// (VosSketch::BookkeepingBits). Thanks to the dense remap the per-user
+  /// portion is independent of num_shards (~4–16 bytes/user total, vs.
+  /// ~8·S bytes/user without it). Unlike plain VosSketch::MemoryBits(),
+  /// this counts the one cardinality counter per user every compared
+  /// method keeps; ShardedVosMethod::MemoryBits() leaves it out. The
+  /// memory-budget floor counts the dirty-tracking state from the start.
   size_t MemoryBits() const;
 
   const ShardedVosConfig& config() const { return config_; }
@@ -389,10 +396,27 @@ class ShardedVosSketch {
   size_t LaneIndex(unsigned producer, uint32_t shard) const {
     return static_cast<size_t>(producer) * router_.num_shards() + shard;
   }
+  /// Aborts (VOS_CHECK) on a user id outside [0, num_users()): stream
+  /// corruption must not index past the shard's per-user state. The
+  /// dense remap checks its own lookups; one shard has no remap.
+  void CheckUserInRange(UserId user) const {
+    VOS_CHECK(user < num_users_)
+        << "user" << user << "out of range (num_users " << num_users_ << ")";
+  }
+  /// Applies a batch inline (synchronous mode). Checks pipeline health
+  /// once, applies a healthy batch straight to the shards, and hands the
+  /// rest to ApplySyncElement when degraded, armed or after a throw.
+  void ApplySyncBatch(const stream::Element* elements, size_t count)
+      VOS_EXCLUDES(mu_);
   /// Applies one element inline (synchronous mode), routing through the
-  /// dense remap. Catches worker-model exceptions and poisons the shard,
-  /// exactly like the async apply loop.
+  /// dense remap. Drops it against a poisoned shard; catches
+  /// worker-model exceptions and poisons the shard, exactly like the
+  /// async apply loop.
   void ApplySyncElement(const stream::Element& e) VOS_EXCLUDES(mu_);
+  /// Poisons `shard` with an update failure and counts the one element
+  /// that threw as dropped (synchronous mode).
+  void PoisonAfterThrow(uint32_t shard, const std::exception& ex)
+      VOS_EXCLUDES(mu_);
   /// Marks `shard` failed (first error wins, sticky) and flips the
   /// degraded flag. Does NOT touch rings (the consumer side discards a
   /// poisoned shard's backlog on pop, or the kill / reclaim paths drain
@@ -521,7 +545,8 @@ class ShardedVosSketch {
   /// before the bytes exist in any ring), not from inter-thread
   /// ordering; no other memory is published under this counter.
   std::atomic<size_t> queued_bytes_{0};
-  /// Static (arrays + tables) footprint in bits, computed once.
+  /// Static footprint in bits (arrays, tables, dirty-tracking state),
+  /// computed once.
   size_t static_memory_bits_ = 0;
   /// worker_dead_[w]: the worker thread exited via an injected kill; its
   /// shards cannot ingest again in this process.

@@ -73,12 +73,14 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
   } else {
     const uint64_t m = sketch_->config().m;
     const uint32_t k = sketch_->config().k;
-    VOS_CHECK(sketch_->tracks_dirty())
-        << "incremental index needs a sketch with VosConfig::track_dirty";
     VOS_CHECK(m <= uint64_t{0xffffffff})
         << "incremental index captures cells as uint32; m too large";
     VOS_CHECK(n * static_cast<size_t>(k) <= uint64_t{0xffffffff})
         << "incremental index entries are uint32; candidates*k too large";
+    // This index is the sketch's one incremental consumer: tracking
+    // starts here (a no-op after the first Rebuild), and everything
+    // before it is in the full snapshot below.
+    sketch_->StartDirtyTracking();
     ExtractRowsAndInverseIndex();
     snapshot_words_ = sketch_->array().words();
     sketch_->ClearDirtyUsers();

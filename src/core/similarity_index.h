@@ -12,9 +12,9 @@
 // contiguous window over them.
 //
 // The index runs no query of its own. QueryPlanner (core/query_planner.h)
-// holds one index per shard and answers TopK and AllPairsAbove over them;
-// VosMethod and ShardedVosMethod read snapshot rows for per-pair
-// estimates. AllPairsAboveReference is the scalar oracle over this one
+// holds one index per shard and answers TopK, AllPairsAbove and per-pair
+// estimates (EstimatePair, which ShardedVosMethod delegates to) from
+// their rows. AllPairsAboveReference is the scalar oracle over this one
 // snapshot (per-user BitVector digests, one estimator call per pair): the
 // ground truth the planner's scan is asserted bit-identical against, and
 // the baseline bench/micro_query_path.cc measures speedups over.
@@ -87,7 +87,8 @@ class SimilarityIndex {
 
   /// Snapshots digests, cardinalities and β for `candidates` (extraction
   /// runs on QueryOptions::num_threads workers). With
-  /// QueryOptions::incremental it additionally captures the refresh
+  /// QueryOptions::incremental it additionally starts the sketch's dirty
+  /// tracking (VosSketch::StartDirtyTracking), captures the refresh
   /// state (snapshot array, inverse index) and consumes the sketch's
   /// dirty set.
   void Rebuild(std::vector<UserId> candidates);

@@ -59,9 +59,9 @@ class VosEstimator {
   double LogAlphaTerm(double alpha) const;
 
   /// LogAlphaTerm(d / k) for every Hamming distance d in [0, k] — the
-  /// lookup table the batch engines index by d. Built here (once each by
-  /// QueryPlanner, VosMethod and ShardedVosMethod) so the tabulated values
-  /// can never diverge from the live path.
+  /// lookup table QueryPlanner indexes by d for every batch and per-pair
+  /// estimate. Built here so the tabulated values can never diverge from
+  /// the live path.
   std::vector<double> BuildLogAlphaTable() const;
 
   /// ln(max(|1−2β|, floor)) — the β-dependent log term of ŝ.

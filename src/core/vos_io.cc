@@ -226,8 +226,6 @@ StatusOr<VosSketch> VosSketchIo::ParseFields(const uint8_t* data,
   VosSketch sketch(config, static_cast<stream::UserId>(num_users));
   sketch.array_ = BitVector::FromWords(config.m, std::move(words));
   sketch.cardinality_ = std::move(cards);
-  // The array was written outside Update: flag every word changed.
-  sketch.MarkAllWordsChanged();
   if (consumed != nullptr) *consumed = pos;
   return sketch;
 }

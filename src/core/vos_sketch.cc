@@ -10,10 +10,7 @@ VosSketch::VosSketch(const VosConfig& config, UserId num_users)
       f_seed_(config.f_seed != 0 ? config.f_seed
                                  : hash::DeriveSeed(config.seed, 0xf00d)),
       array_(config.m),
-      cardinality_(num_users, 0),
-      dirty_epoch_(config.track_dirty ? num_users : 0, 0),
-      changed_words_(
-          config.track_dirty ? (array_.words().size() + 63) / 64 : 0, 0) {
+      cardinality_(num_users, 0) {
   VOS_CHECK(config.k >= 1) << "virtual sketch needs at least one bit";
   VOS_CHECK(config.m >= 1) << "shared array must be non-empty";
   {
@@ -54,12 +51,11 @@ void VosSketch::MergeFrom(const VosSketch& other) {
   }
 }
 
-void VosSketch::MarkAllWordsChanged() const {
-  std::fill(changed_words_.begin(), changed_words_.end(), ~uint64_t{0});
-  const size_t tail = array_.words().size() % 64;
-  if (tail != 0 && !changed_words_.empty()) {  // empty: tracking off
-    changed_words_.back() = (uint64_t{1} << tail) - 1;
-  }
+void VosSketch::StartDirtyTracking() const {
+  if (tracks_dirty()) return;
+  dirty_epoch_.assign(cardinality_.size(), 0);
+  changed_words_.assign((array_.words().size() + 63) / 64, 0);
+  dirty_users_.clear();
 }
 
 void VosSketch::ClearDirtyUsers() const {

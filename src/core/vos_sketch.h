@@ -70,13 +70,10 @@ struct VosConfig {
   /// (common items still cancel) while the shards' cell maps stay
   /// independent.
   uint64_t f_seed = 0;
-  /// Maintain the per-user dirty set (see dirty_users()) and the
-  /// changed-word summary (see changed_words()). Costs one extra epoch
-  /// load+compare and one summary-bit OR per Update, plus one bit per
-  /// array word; turn off for sketches that will never be consumed
-  /// incrementally (the harness does, so the Figure-2 update measurement
-  /// stays at the paper's bare O(1) cost).
-  bool track_dirty = true;
+  /// Ignored: dirty tracking starts when an incremental consumer starts
+  /// it (VosSketch::StartDirtyTracking). Held for e2ebench, which still
+  /// writes it, until its next change (ROADMAP item 3).
+  bool track_dirty = false;
 };
 
 /// The VOS sketch: shared array + per-user cardinality counters.
@@ -86,10 +83,11 @@ class VosSketch {
   VosSketch(const VosConfig& config, UserId num_users);
 
   /// Processes one stream element in O(1): flips A[f_ψ(i)(u)] and adjusts
-  /// n_u by ±1. Under VosConfig::track_dirty it also marks the user dirty
-  /// (see dirty_users()) in O(1) amortized — one epoch compare, plus a
-  /// push the first time a user is touched after a snapshot — and flags
-  /// the flipped cell's array word in changed_words().
+  /// n_u by ±1. Once dirty tracking has started (StartDirtyTracking) it
+  /// also marks the user dirty (see dirty_users()) in O(1) amortized — one
+  /// epoch compare, plus a push the first time a user is touched after a
+  /// snapshot — and flags the flipped cell's array word in
+  /// changed_words().
   void Update(const Element& e) {
     const uint64_t cell = CellOf(e.user, BucketOf(e.item));
     array_.Flip(cell);
@@ -160,12 +158,12 @@ class VosSketch {
   /// SimilarityMethod::MemoryBits).
   size_t MemoryBits() const { return array_.MemoryBits(); }
 
-  /// Bookkeeping bits beyond the array: cardinality counters plus, when
-  /// tracked, the dirty epochs and the changed-word summary. Excluded from
-  /// MemoryBits() by the SimilarityMethod convention above, but counted
-  /// by sharded facades — whether this state is allocated once per user
-  /// or once per (user, shard) is real memory the facade is accountable
-  /// for (see ShardedVosSketch::MemoryBits).
+  /// Bookkeeping bits beyond the array: cardinality counters plus, once
+  /// tracking has started, the dirty epochs and the changed-word summary.
+  /// Excluded from MemoryBits() by the SimilarityMethod convention above,
+  /// but counted by sharded facades — whether this state is allocated
+  /// once per user or once per (user, shard) is real memory the facade is
+  /// accountable for (see ShardedVosSketch::MemoryBits).
   size_t BookkeepingBits() const {
     return (cardinality_.size() + dirty_epoch_.size()) * sizeof(uint32_t) * 8 +
            changed_words_.size() * 64;
@@ -214,36 +212,48 @@ class VosSketch {
   // SimilarityIndex::RefreshDirty). The dirty set alone is exact for
   // cardinality changes, which never appear in the array delta.
   //
+  // Tracking is off until its consumer starts it: the incremental
+  // SimilarityIndex::Rebuild calls StartDirtyTracking before it takes its
+  // full snapshot, so a sketch nobody refreshes incrementally (the
+  // Figure-2 update timing) pays one untaken branch per Update and
+  // allocates nothing.
+  //
   // Thread-safety: Update/MarkDirty follow the sketch's single-writer
-  // model. ClearDirtyUsers is logically const (snapshot-consumer
-  // bookkeeping over mutable members) and must not race with Update.
+  // model. StartDirtyTracking and ClearDirtyUsers are logically const
+  // (snapshot-consumer bookkeeping over mutable members) and must not
+  // race with Update.
   // A sketch has at most one incremental consumer: a second one would
   // clear users the first has not yet read. Consumers record
   // dirty_epoch() after they clear and check it before the next read
   // (SimilarityIndex::RefreshDirty aborts when it moved).
 
-  /// True iff this sketch maintains the dirty set
-  /// (VosConfig::track_dirty).
+  /// True iff this sketch maintains the dirty set (StartDirtyTracking has
+  /// run on it or on the sketch it was copied from).
   bool tracks_dirty() const { return !dirty_epoch_.empty(); }
 
-  /// Users touched by Update() since the last ClearDirtyUsers(),
-  /// deduplicated, in first-touch order; MergeFrom additionally marks
-  /// users whose merged cardinality changed (a merge CAN flip a user's
-  /// array bits without a net cardinality change — such users are not
-  /// listed here, by design: digest-level changes are only detectable
-  /// via the array delta over the words changed_words() flags, which is
-  /// exactly how RefreshDirty pairs with this set). Always empty when
-  /// tracking is off.
+  /// Starts maintaining the dirty set and the changed-word summary, both
+  /// empty (a no-op when already tracking). Allocates one epoch per user
+  /// and one summary bit per array word. Changes before this call are not
+  /// recorded, so the caller snapshots the whole sketch after it.
+  void StartDirtyTracking() const;
+
+  /// Users touched by Update() since the last ClearDirtyUsers() (or
+  /// StartDirtyTracking()), deduplicated, in first-touch order; MergeFrom
+  /// additionally marks users whose merged cardinality changed (a merge
+  /// CAN flip a user's array bits without a net cardinality change — such
+  /// users are not listed here, by design: digest-level changes are only
+  /// detectable via the array delta over the words changed_words() flags,
+  /// which is exactly how RefreshDirty pairs with this set). Always empty
+  /// when tracking is off.
   const std::vector<UserId>& dirty_users() const { return dirty_users_; }
 
   /// The changed-word summary: bit w (word w >> 6, bit w & 63) is set iff
   /// array word w may have changed since the last ClearDirtyUsers() — set
-  /// by Update for the word it flips, and conservatively by the writers
-  /// that bypass Update (MergeFrom, the VosSketchIo decoder). A flagged
-  /// word may be back at its old value (a cell flipped twice); an
-  /// unflagged word is unchanged. One bit per array word, no bit at or
-  /// beyond array().words().size() is ever set; empty when tracking is
-  /// off.
+  /// by Update for the word it flips, and conservatively by MergeFrom,
+  /// which bypasses Update. A flagged word may be back at its old value (a
+  /// cell flipped twice); an unflagged word is unchanged. One bit per
+  /// array word, no bit at or beyond array().words().size() is ever set;
+  /// empty when tracking is off.
   const std::vector<uint64_t>& changed_words() const { return changed_words_; }
 
   /// True iff `user` is in dirty_users().
@@ -281,10 +291,6 @@ class VosSketch {
     }
   }
 
-  /// Flags every array word in the summary (a no-op when tracking is
-  /// off): for writers that replace the whole array.
-  void MarkAllWordsChanged() const;
-
   VosConfig config_;
   uint64_t psi_seed_;
   uint64_t f_seed_;
@@ -304,7 +310,7 @@ class VosSketch {
   mutable std::vector<uint32_t> dirty_epoch_;
   mutable std::vector<UserId> dirty_users_;
   // The changed-word summary (see changed_words()): one bit per array
-  // word, allocated only under track_dirty. Mutable for the same reason.
+  // word, allocated by StartDirtyTracking. Mutable for the same reason.
   mutable std::vector<uint64_t> changed_words_;
   mutable uint32_t dirty_current_epoch_ = 1;
 };

@@ -7,8 +7,8 @@
 #include "baselines/minhash.h"
 #include "baselines/oph.h"
 #include "baselines/random_pairing.h"
+#include "core/odd_sketch.h"
 #include "core/sharded_vos_method.h"
-#include "core/vos_method.h"
 #include "hashing/hash64.h"
 #include "hashing/seeds.h"
 
@@ -42,30 +42,23 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
   const MemoryBudget budget(config.base_k, config.num_users);
   const auto num_users = static_cast<stream::UserId>(config.num_users);
 
-  if (name == "VOS") {
-    core::VosConfig vos;
-    vos.k = budget.VosVirtualK(config.lambda);
-    vos.m = budget.VosArrayBits();
-    vos.seed = SeedFor(config, name);
-    // Harness methods are never consumed incrementally; keep the paper's
-    // bare O(1) update on the Figure-2 measurement path.
-    vos.track_dirty = false;
-    core::VosEstimatorOptions options;
-    options.clamp_to_feasible = config.clamp;
-    return std::unique_ptr<core::SimilarityMethod>(
-        std::make_unique<core::VosMethod>(vos, num_users, options));
-  }
-  if (name == "VOS-sharded") {
+  if (name == "VOS" || name == "VOS-sharded") {
+    // "VOS" is the paper's method: one shard, synchronous ingest — one
+    // shared array and the bare O(1) update per element.
     core::ShardedVosConfig sharded;
     sharded.base.k = budget.VosVirtualK(config.lambda);
     sharded.base.m = budget.VosArrayBits();  // total across shards
-    // Same seed as "VOS" so a 1-shard sharded method is the identical
-    // sketch (ShardedVosSketch::ShardConfig keeps the base config then).
+    // One seed for both names, so a 1-shard "VOS-sharded" is the
+    // identical sketch (ShardedVosSketch::ShardConfig keeps the base
+    // config then).
     sharded.base.seed = SeedFor(config, "VOS");
-    sharded.num_shards = std::max<uint32_t>(1, config.vos_shards);
-    sharded.ingest_threads = config.ingest_threads;
-    sharded.ingest_producers = std::max<unsigned>(1, config.ingest_producers);
-    sharded.batch_size = std::max<size_t>(1, config.ingest_batch);
+    if (name == "VOS-sharded") {
+      sharded.num_shards = std::max<uint32_t>(1, config.vos_shards);
+      sharded.ingest_threads = config.ingest_threads;
+      sharded.ingest_producers =
+          std::max<unsigned>(1, config.ingest_producers);
+      sharded.batch_size = std::max<size_t>(1, config.ingest_batch);
+    }
     core::VosEstimatorOptions options;
     options.clamp_to_feasible = config.clamp;
     return std::unique_ptr<core::SimilarityMethod>(

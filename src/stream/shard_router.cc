@@ -38,6 +38,10 @@ void ShardRouter::Partition(const Element* elements, size_t count,
                             std::vector<std::vector<Element>>* per_shard) const {
   VOS_CHECK(per_shard->size() == num_shards_)
       << "per_shard must have one bucket per shard";
+  if (num_shards_ == 1) {
+    (*per_shard)[0].insert((*per_shard)[0].end(), elements, elements + count);
+    return;
+  }
   // Hash routing spreads a batch near-uniformly; reserving the expected
   // bucket size plus slack absorbs almost all growth without a second
   // counting pass over the batch (this is the ingest hot path).

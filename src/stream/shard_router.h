@@ -47,8 +47,10 @@ class ShardRouter {
 
   /// hash(user) % num_shards — the shard owning all of `user`'s state.
   /// One Mix64 + one multiply; cheap enough for the per-element ingest
-  /// path.
+  /// path. One shard answers 0 without hashing (the reduction's answer
+  /// too).
   uint32_t ShardOf(UserId user) const {
+    if (num_shards_ == 1) return 0;
     return static_cast<uint32_t>(hash::ReduceToRange(
         hash::Mix64(user ^ (seed_ * 0x9e3779b97f4a7c15ULL)), num_shards_));
   }
@@ -60,7 +62,7 @@ class ShardRouter {
 
   /// Appends each element to per_shard[ShardOf(user)]; per_shard must have
   /// num_shards() entries (existing content is kept, so callers can
-  /// accumulate across batches).
+  /// accumulate across batches). One shard appends the batch as-is.
   void Partition(const Element* elements, size_t count,
                  std::vector<std::vector<Element>>* per_shard) const;
 

@@ -297,6 +297,59 @@ TEST_F(CheckpointRecoveryTest, UpdateThrowPoisonsShardAndRestoreHeals) {
   }
 }
 
+/// Synchronous ingest checks pipeline health once per UpdateBatch and
+/// then applies a healthy batch straight to the shards; an armed fault
+/// (or a degraded pipeline) sends the batch through the per-element path
+/// instead. Its semantics: the firing element is dropped and poisons its
+/// shard, every later element of that shard is dropped, every other
+/// shard keeps applying.
+TEST_F(CheckpointRecoveryTest, SyncBatchUpdateThrowPoisonsAndDropsExactly) {
+  const std::vector<Element> elements = DynamicStream(300, 4000, 17);
+  const size_t half = elements.size() / 2;
+  constexpr uint64_t kAfterHits = 37;
+  for (const uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const ShardedVosConfig config = TestConfig(shards, 0);
+    ShardedVosSketch victim(config, 300);
+    StreamReplayer::ReplayBatchedFrom(
+        elements.data(), half, 0, kBatch,
+        [&](const Element* e, size_t n) { victim.UpdateBatch(e, n); });
+    ASSERT_TRUE(victim.Flush().ok());
+
+    FaultSpec spec;
+    spec.site = FaultSite::kUpdateThrow;
+    spec.after_hits = kAfterHits;
+    FaultInjector::Global().Arm(spec);
+    StreamReplayer::ReplayBatchedFrom(
+        elements.data(), elements.size(), half, kBatch,
+        [&](const Element* e, size_t n) { victim.UpdateBatch(e, n); });
+
+    // Every element probes until the fault fires, so element
+    // half + kAfterHits throws; its shard takes nothing after it.
+    const size_t fired = half + kAfterHits;
+    const uint32_t poisoned = victim.ShardOf(elements[fired].user);
+    ShardedVosSketch expected(config, 300);
+    uint64_t dropped = 0;
+    for (size_t i = 0; i < elements.size(); ++i) {
+      if (i >= fired && victim.ShardOf(elements[i].user) == poisoned) {
+        ++dropped;
+        continue;
+      }
+      expected.Update(elements[i]);
+    }
+    const Status degraded = victim.Flush();
+    ASSERT_FALSE(degraded.ok());
+    EXPECT_EQ(degraded.code(), StatusCode::kInternal) << degraded;
+    EXPECT_NE(degraded.message().find("shard " + std::to_string(poisoned) +
+                                      " update failed"),
+              std::string::npos)
+        << degraded;
+    EXPECT_EQ(victim.dropped_elements(), dropped);
+    ExpectBitIdentical(victim, expected, "poisoned shard frozen, rest live");
+    FaultInjector::Global().DisarmAll();
+  }
+}
+
 // --------------------------------------------- fault site: worker kill
 
 /// A killed worker thread poisons every shard it owns and stays dead: an
@@ -458,8 +511,11 @@ TEST_F(CheckpointRecoveryTest, MemoryBudgetCrossingRejectsBatches) {
   ShardedVosConfig config = TestConfig(1, 1);
   config.queue_capacity = 64;
   {
-    // Budget: the static footprint plus room for ~1.5 queued batches.
+    // Budget: the static footprint — which counts the dirty-tracking
+    // state a planner allocates when it starts — plus room for ~1.5
+    // queued batches.
     ShardedVosSketch probe(config, 300);
+    probe.shard(0).StartDirtyTracking();
     config.memory_budget_bits =
         probe.MemoryBits() + (kBatch * sizeof(Element) * 8 * 3) / 2;
   }

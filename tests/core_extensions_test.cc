@@ -11,8 +11,9 @@
 
 #include "common/random.h"
 #include "core/vos_drift.h"
+#include "core/vos_estimator.h"
 #include "core/vos_io.h"
-#include "core/vos_method.h"
+#include "core/vos_sketch.h"
 #include "stream/dataset.h"
 
 namespace vos::core {

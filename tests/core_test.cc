@@ -12,7 +12,7 @@
 #include "core/odd_sketch.h"
 #include "core/similarity_method.h"
 #include "core/vos_estimator.h"
-#include "core/vos_method.h"
+#include "core/sharded_vos_method.h"
 #include "core/vos_sketch.h"
 #include "stream/dataset.h"
 
@@ -305,14 +305,21 @@ TEST(VosEstimatorTest, MomentFormulasAreFiniteAndOrdered) {
             est.VarianceCommonEstimate(100, 0.3));
 }
 
-// ------------------------------------------------------------- VosMethod
+// ------------------------------------------- VOS (one-shard ShardedVosMethod)
 
-TEST(VosMethodTest, PrepareQueryCacheMatchesDirectEstimates) {
+/// The paper's VOS as the factory builds it: one shard, synchronous ingest.
+ShardedVosConfig OneShard(const VosConfig& base) {
+  ShardedVosConfig config;
+  config.base = base;
+  return config;
+}
+
+TEST(VosOneShardTest, PrepareQueryCacheMatchesDirectEstimates) {
   auto stream = stream::GenerateDatasetByName("unit");
   ASSERT_TRUE(stream.ok());
-  VosConfig config = SmallVosConfig(512, 1 << 15, 21);
-  VosMethod cached(config, stream->num_users());
-  VosMethod direct(config, stream->num_users());
+  const ShardedVosConfig config = OneShard(SmallVosConfig(512, 1 << 15, 21));
+  ShardedVosMethod cached(config, stream->num_users());
+  ShardedVosMethod direct(config, stream->num_users());
   for (const Element& e : stream->elements()) {
     cached.Update(e);
     direct.Update(e);
@@ -333,17 +340,22 @@ TEST(VosMethodTest, PrepareQueryCacheMatchesDirectEstimates) {
   EXPECT_DOUBLE_EQ(after.common, direct.EstimatePair(0, 1).common);
 }
 
-TEST(VosMethodTest, NameAndMemory) {
-  VosMethod method(SmallVosConfig(64, 2048), 10);
+TEST(VosOneShardTest, NameAndMemory) {
+  ShardedVosConfig config = OneShard(SmallVosConfig(64, 2048));
+  const ShardedVosMethod method(config, 10);
   EXPECT_EQ(method.Name(), "VOS");
-  EXPECT_EQ(method.MemoryBits(), 2048u);
+  EXPECT_EQ(method.MemoryBits(), 2048u);  // the array: no planner, no tracking
+  config.num_shards = 4;
+  EXPECT_EQ(ShardedVosMethod(config, 10).Name(), "VOS-sharded");
+  config.num_shards = 1;
+  config.ingest_threads = 1;
+  EXPECT_EQ(ShardedVosMethod(config, 10).Name(), "VOS-sharded");
 }
 
-TEST(VosMethodTest, AccurateOnDisjointAndIdenticalSets) {
+TEST(VosOneShardTest, AccurateOnDisjointAndIdenticalSets) {
   // Large-ish sketch, two users with known overlap; single instance, so we
   // tolerate sketch noise via wide margins.
-  VosConfig config = SmallVosConfig(4096, 1 << 18, 31);
-  VosMethod method(config, 3);
+  ShardedVosMethod method(OneShard(SmallVosConfig(4096, 1 << 18, 31)), 3);
   // Users 0 and 1 identical (60 items), user 2 disjoint (60 items).
   for (ItemId i = 0; i < 60; ++i) {
     method.Update({0, i, Action::kInsert});

@@ -4,7 +4,8 @@
 // for every delta size (including the shared-cell contamination case,
 // where updates to NON-candidate users flip bits of clean candidates'
 // digests, cells flipped back to their old value, and rows owning one
-// cell twice), every thread count, and across repeated refreshes.
+// cell twice), every thread count, and across repeated refreshes. Dirty
+// tracking itself starts at the first incremental Rebuild, never before.
 
 #include <gtest/gtest.h>
 
@@ -506,6 +507,7 @@ size_t FlaggedWords(const VosSketch& sketch) {
 
 TEST(ChangedWordSummaryTest, UpdateFlagsTheFlippedWordAndClearZeroes) {
   VosSketch sketch(SmallConfig(1 << 13), 20);
+  sketch.StartDirtyTracking();
   ASSERT_EQ(sketch.changed_words().size(),
             (sketch.array().words().size() + 63) / 64);
   EXPECT_EQ(FlaggedWords(sketch), 0u);
@@ -522,26 +524,26 @@ TEST(ChangedWordSummaryTest, UpdateFlagsTheFlippedWordAndClearZeroes) {
   EXPECT_EQ(FlaggedWords(sketch), 0u);
 }
 
-TEST(ChangedWordSummaryTest, TrackingOffAllocatesNoSummary) {
-  VosConfig config = SmallConfig();
-  config.track_dirty = false;
-  VosSketch sketch = PopulatedSketch(config, 30, 20, 71);
+TEST(ChangedWordSummaryTest, TrackingStartsOnlyWhenAsked) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(), 30, 20, 71);
   EXPECT_FALSE(sketch.tracks_dirty());
   EXPECT_TRUE(sketch.changed_words().empty());
   EXPECT_TRUE(sketch.dirty_users().empty());
   EXPECT_EQ(sketch.BookkeepingBits(), 30u * 32u);  // cardinalities only
-  config.track_dirty = true;
-  const VosSketch tracked(config, 30);
-  // Plus epochs and one summary word (64 array words).
-  EXPECT_EQ(tracked.BookkeepingBits(), 30u * 64u + 64u);
+  sketch.StartDirtyTracking();
+  EXPECT_TRUE(sketch.tracks_dirty());
+  // Plus epochs and one summary word (64 array words), nothing flagged:
+  // the updates before the start are not recorded.
+  EXPECT_EQ(sketch.BookkeepingBits(), 30u * 64u + 64u);
+  EXPECT_EQ(FlaggedWords(sketch), 0u);
+  EXPECT_TRUE(sketch.dirty_users().empty());
 }
 
-/// The decoder writes the array outside Update, so a decoded sketch
-/// flags every array word — and no bit past the last word.
-TEST(ChangedWordSummaryTest, DecodedSketchFlagsEveryWord) {
-  // 66 array words: the summary's second word has a two-bit tail.
-  const VosSketch sketch =
-      PopulatedSketch(SmallConfig((1 << 12) + 100), 30, 20, 97);
+/// The decoder writes the array outside Update. A decoded sketch tracks
+/// nothing, so its first incremental consumer takes a full snapshot.
+TEST(ChangedWordSummaryTest, DecodedSketchDoesNotTrack) {
+  VosSketch sketch = PopulatedSketch(SmallConfig((1 << 12) + 100), 30, 20, 97);
+  sketch.StartDirtyTracking();
   std::string fields;
   VosSketchIo::SerializeFields(sketch, &fields);
   size_t consumed = 0;
@@ -550,8 +552,8 @@ TEST(ChangedWordSummaryTest, DecodedSketchFlagsEveryWord) {
       VosSketchIo::kVersion, "decoded", &consumed);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->array().words(), sketch.array().words());
-  EXPECT_EQ(decoded->changed_words(),
-            (std::vector<uint64_t>{~uint64_t{0}, 0b11}));
+  EXPECT_FALSE(decoded->tracks_dirty());
+  EXPECT_TRUE(decoded->changed_words().empty());
 }
 
 /// A copy carries its own summary: clearing the copy (as a reference
@@ -717,6 +719,56 @@ TEST(RefreshDirtyDifferentialTest, RandomOpsAndMergesMatchRebuild) {
               planner, sketch, context + " step=" + std::to_string(step));
         }
       }
+    }
+  }
+}
+
+/// Dirty tracking starts at the planner's first incremental Rebuild, not
+/// at construction: ingest before it is untracked, ingest after it is
+/// tracked, and the Refresh that consumes it lands on a fresh Rebuild's
+/// snapshots — synchronous and pipelined, at one shard and at four.
+TEST(LazyDirtyTrackingTest, FirstIncrementalRebuildStartsTracking) {
+  const UserId users = 96;
+  Rng rng(101);
+  std::vector<Element> elements;
+  for (int i = 0; i < 1600; ++i) {
+    elements.push_back({static_cast<UserId>(rng.NextBounded(users)),
+                        static_cast<ItemId>(i + 1), Action::kInsert});
+  }
+  const size_t half = elements.size() / 2;
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const unsigned ingest_threads : {0u, 2u}) {
+      const std::string context = "S=" + std::to_string(shards) +
+                                  " T=" + std::to_string(ingest_threads);
+      ShardedVosConfig config;
+      config.base = SmallConfig(1 << 12);
+      config.num_shards = shards;
+      config.ingest_threads = ingest_threads;
+      config.batch_size = 64;
+      ShardedVosSketch sketch(config, users);
+      sketch.UpdateBatch(elements.data(), half);
+      ASSERT_TRUE(sketch.Flush().ok()) << context;
+      for (uint32_t s = 0; s < shards; ++s) {
+        ASSERT_FALSE(sketch.shard(s).tracks_dirty()) << context;
+      }
+
+      QueryPlanner planner(sketch, {}, IncrementalOptions(2));
+      planner.Rebuild(FirstUsers(72));
+      for (uint32_t s = 0; s < shards; ++s) {
+        EXPECT_TRUE(sketch.shard(s).tracks_dirty()) << context;
+        EXPECT_TRUE(sketch.shard(s).dirty_users().empty()) << context;
+      }
+      ExpectPlannerMatchesRebuild(planner, sketch, context + " rebuild");
+
+      sketch.UpdateBatch(elements.data() + half, elements.size() - half);
+      ASSERT_TRUE(sketch.Flush().ok()) << context;
+      size_t dirty = 0;
+      for (uint32_t s = 0; s < shards; ++s) {
+        dirty += sketch.shard(s).dirty_users().size();
+      }
+      EXPECT_GT(dirty, 0u) << context;
+      planner.Refresh();
+      ExpectPlannerMatchesRebuild(planner, sketch, context + " refresh");
     }
   }
 }

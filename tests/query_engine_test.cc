@@ -14,8 +14,8 @@
 #include "common/random.h"
 #include "core/digest_matrix.h"
 #include "core/query_planner.h"
+#include "core/sharded_vos_method.h"
 #include "core/sharded_vos_sketch.h"
-#include "core/vos_method.h"
 #include "core/vos_sketch.h"
 
 namespace vos::core {
@@ -457,12 +457,13 @@ TEST(PlannerBatchTest, AllPairsAboveThresholdOrdersByJaccard) {
   }
 }
 
-// ------------------------------------------------------- VosMethod fast path
+// ---------------------------------------- one-shard method cache fast path
 
-TEST(VosMethodBatchCacheTest, MixedCachedAndUncachedPairsMatchDirect) {
-  const VosConfig config = TestConfig(512, 1 << 15, 61);
-  VosMethod cached(config, 30);
-  VosMethod direct(config, 30);
+TEST(OneShardMethodBatchCacheTest, MixedCachedAndUncachedPairsMatchDirect) {
+  const ShardedVosConfig config =
+      ShardedConfig(1, TestConfig(512, 1 << 15, 61));
+  ShardedVosMethod cached(config, 30);
+  ShardedVosMethod direct(config, 30);
   Rng rng(71);
   for (int i = 0; i < 2000; ++i) {
     const Element e{static_cast<UserId>(rng.NextBounded(30)),

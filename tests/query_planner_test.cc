@@ -3,11 +3,13 @@
 // bit-identical estimates on same-shard AND cross-shard pairs (the §IV
 // correction generalized to (1−2β_A)(1−2β_B)) — for every shard count,
 // planner thread count, tile size and threshold, and at S = 1 the shard
-// snapshot's own scalar oracle; TopK must match its brute-force reference
-// under the running-bound screens, ties at the cut included; a query id
-// beyond num_users must abort; the incremental Refresh path must land on
-// the same snapshots as a fresh Rebuild; and PlanAllPairs must report
-// each pass's window pair count.
+// snapshot's own scalar oracle; EstimatePair must equal the sketch's
+// per-pair estimate whether both, one or neither user is a candidate;
+// TopK must match its brute-force reference under the running-bound
+// screens, ties at the cut included; a query id beyond num_users must
+// abort; the incremental Refresh path must land on the same snapshots as
+// a fresh Rebuild; and PlanAllPairs must report each pass's window pair
+// count.
 
 #include <gtest/gtest.h>
 
@@ -202,6 +204,38 @@ TEST(QueryPlannerTest, CrossShardEstimatesMatchTwoBetaModel) {
     EXPECT_EQ(pair.jaccard, expected.jaccard);
   }
   EXPECT_GT(cross_checked, 0u);
+}
+
+/// EstimatePair reads two snapshot rows when both users are candidates
+/// and the live sketch otherwise; either way it is bit-equal to
+/// ShardedVosSketch::EstimatePair, same-shard and cross-shard.
+TEST(QueryPlannerTest, EstimatePairMatchesSketchForEveryPairKind) {
+  const UserId users = 48;
+  const std::vector<Element> elements = CommunityStream(users, 50, 19);
+  for (const uint32_t shards : {1u, 4u}) {
+    ShardedVosSketch sketch(PlannerConfig(shards), users);
+    sketch.UpdateBatch(elements.data(), elements.size());
+    std::vector<UserId> candidates;
+    for (UserId u = 0; u < users; u += 2) candidates.push_back(u);
+    QueryPlanner planner(sketch);
+    planner.Rebuild(candidates);
+    size_t both = 0, mixed = 0, neither = 0;
+    for (UserId u = 0; u < users; ++u) {
+      for (UserId v = u + 1; v < users; ++v) {
+        const PairEstimate got = planner.EstimatePair(u, v);
+        const PairEstimate want = sketch.EstimatePair(u, v);
+        EXPECT_EQ(got.common, want.common)
+            << "S=" << shards << " (" << u << "," << v << ")";
+        EXPECT_EQ(got.jaccard, want.jaccard)
+            << "S=" << shards << " (" << u << "," << v << ")";
+        const int in_set = (u % 2 == 0) + (v % 2 == 0);
+        (in_set == 2 ? both : in_set == 1 ? mixed : neither) += 1;
+      }
+    }
+    EXPECT_GT(both, 0u);
+    EXPECT_GT(mixed, 0u);
+    EXPECT_GT(neither, 0u);
+  }
 }
 
 TEST(QueryPlannerTest, TopKMatchesReferenceWithRunningBoundScreens) {

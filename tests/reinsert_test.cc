@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/vos_method.h"
+#include "core/sharded_vos_method.h"
 #include "harness/experiment.h"
 #include "stream/graph_stream.h"
 
@@ -56,10 +56,10 @@ TEST(ReinsertTest, FullProtocolRunsOnReinsertingStream) {
 }
 
 TEST(ReinsertTest, VosParityHandlesReinsertExactly) {
-  core::VosConfig config;
-  config.k = 1024;
-  config.m = 1 << 14;
-  core::VosMethod a(config, 2), b(config, 2);
+  core::ShardedVosConfig config;  // one shard: the paper's VOS
+  config.base.k = 1024;
+  config.base.m = 1 << 14;
+  core::ShardedVosMethod a(config, 2), b(config, 2);
   // a: plain insert of items 0..49 for both users.
   // b: same, but item 7 is deleted and re-inserted for user 0.
   for (stream::ItemId i = 0; i < 50; ++i) {

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/query_planner.h"
 #include "core/sharded_vos_method.h"
 #include "core/sharded_vos_sketch.h"
-#include "core/vos_method.h"
 #include "core/vos_sketch.h"
 #include "exact/exact_store.h"
 #include "stream/graph_stream.h"
@@ -370,27 +370,34 @@ TEST(ShardedVosSketchTest, MemoryBitsIndependentOfShardCountAndUpdates) {
   EXPECT_GT(before, arrays);
 }
 
-/// The memory-budget validation and MemoryBits() count the same bits —
-/// arrays, changed-word summaries, per-user state, remap tables — so a
-/// budget of exactly a fresh sketch's MemoryBits() is accepted and one
-/// bit less is rejected. m is not a multiple of 64·64·S, so every shard's
+/// The memory-budget floor counts every bit MemoryBits() can report —
+/// arrays, per-user state, remap tables, and the dirty epochs and
+/// changed-word summaries an incremental planner allocates when it starts
+/// tracking — so a budget of exactly the tracked sketch's MemoryBits() is
+/// accepted and one bit less is rejected. A fresh sketch tracks nothing
+/// and reports less. m is not a multiple of 64·64·S, so every shard's
 /// array and summary round up to whole words.
 TEST(ShardedVosSketchTest, MemoryBudgetValidationMatchesMemoryBits) {
   const UserId users = 500;
   for (const uint32_t shards : {1u, 4u}) {
-    for (const bool track_dirty : {true, false}) {
-      ShardedVosConfig config =
-          TestConfig(shards, 0, /*k=*/256, /*m=*/(uint64_t{1} << 16) + 777);
-      config.base.track_dirty = track_dirty;
-      const uint64_t bits = ShardedVosSketch(config, users).MemoryBits();
-      config.memory_budget_bits = bits;
-      EXPECT_TRUE(ShardedVosSketch::ValidateConfig(config, users).ok())
-          << "S=" << shards << " track_dirty=" << track_dirty;
-      config.memory_budget_bits = bits - 1;
-      EXPECT_EQ(ShardedVosSketch::ValidateConfig(config, users).code(),
-                StatusCode::kInvalidArgument)
-          << "S=" << shards << " track_dirty=" << track_dirty;
-    }
+    ShardedVosConfig config =
+        TestConfig(shards, 0, /*k=*/256, /*m=*/(uint64_t{1} << 16) + 777);
+    ShardedVosSketch sketch(config, users);
+    const uint64_t fresh = sketch.MemoryBits();
+    QueryOptions options;
+    options.num_threads = 1;
+    options.incremental = true;
+    QueryPlanner planner(sketch, {}, options);
+    planner.Rebuild({0, 1, 2});
+    const uint64_t bits = sketch.MemoryBits();
+    EXPECT_GT(bits, fresh) << "S=" << shards;
+    config.memory_budget_bits = bits;
+    EXPECT_TRUE(ShardedVosSketch::ValidateConfig(config, users).ok())
+        << "S=" << shards;
+    config.memory_budget_bits = bits - 1;
+    EXPECT_EQ(ShardedVosSketch::ValidateConfig(config, users).code(),
+              StatusCode::kInvalidArgument)
+        << "S=" << shards;
   }
 }
 
@@ -810,6 +817,8 @@ TEST(ShardedVosSketchTest, CapacityOneRingsBackPressureMatchSyncRouting) {
 
 TEST(DirtyTrackingTest, UpdateMarksOnceAndClearResets) {
   VosSketch sketch(ShardedVosSketch::ShardConfig(TestConfig(1, 0), 0), 10);
+  sketch.Update({5, 99, Action::kInsert});  // before tracking: not recorded
+  sketch.StartDirtyTracking();
   EXPECT_TRUE(sketch.dirty_users().empty());
   sketch.Update({3, 100, Action::kInsert});
   sketch.Update({3, 101, Action::kInsert});
@@ -827,11 +836,73 @@ TEST(DirtyTrackingTest, UpdateMarksOnceAndClearResets) {
 TEST(DirtyTrackingTest, MergeFromMarksUsersWithForeignUpdates) {
   const VosConfig config = ShardedVosSketch::ShardConfig(TestConfig(1, 0), 0);
   VosSketch a(config, 10), b(config, 10);
+  a.StartDirtyTracking();
   a.Update({1, 5, Action::kInsert});
   b.Update({2, 6, Action::kInsert});
   a.ClearDirtyUsers();
   a.MergeFrom(b);
   EXPECT_EQ(a.dirty_users(), (std::vector<UserId>{2}));
+}
+
+/// Tracking starts only when an incremental planner starts it: ingest in
+/// every mode, a rebuild-only planner and the method's live estimates
+/// leave every shard untracked, with no summary and no dirty users.
+TEST(DirtyTrackingTest, SketchNoPlannerConsumesNeverTracks) {
+  const std::vector<Element> elements = DynamicStream(80, 3000, 29);
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const unsigned threads : {0u, 2u}) {
+      const std::string label =
+          "S=" + std::to_string(shards) + " T=" + std::to_string(threads);
+      ShardedVosSketch sketch(TestConfig(shards, threads), 80);
+      const size_t fresh = sketch.MemoryBits();
+      for (size_t i = 0; i < elements.size(); i += 100) {
+        sketch.UpdateBatch(elements.data() + i,
+                           std::min<size_t>(100, elements.size() - i));
+      }
+      sketch.Update(elements.front());
+      ASSERT_TRUE(sketch.Flush().ok()) << label;
+      QueryPlanner rebuild_only(sketch);
+      rebuild_only.Rebuild({0, 1, 2, 3});
+      (void)rebuild_only.EstimatePair(0, 1);
+      for (uint32_t s = 0; s < shards; ++s) {
+        EXPECT_FALSE(sketch.shard(s).tracks_dirty()) << label << " s=" << s;
+        EXPECT_TRUE(sketch.shard(s).changed_words().empty()) << label;
+        EXPECT_TRUE(sketch.shard(s).dirty_users().empty()) << label;
+      }
+      EXPECT_EQ(sketch.MemoryBits(), fresh) << label;
+    }
+  }
+}
+
+/// User ids come from the stream or the caller: one beyond num_users
+/// must abort in both ingest calls, synchronous and pipelined, and in
+/// EstimatePair, at one shard (no remap table to catch it) and at four.
+TEST(ShardedVosSketchDeathTest, OutOfRangeUserAbortsInEveryMode) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Element bad{UserId{1} << 30, 1, Action::kInsert};
+  const std::vector<Element> batch = {{3, 1, Action::kInsert}, bad};
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const unsigned threads : {0u, 2u}) {
+      SCOPED_TRACE("S=" + std::to_string(shards) +
+                   " T=" + std::to_string(threads));
+      EXPECT_DEATH(
+          {
+            ShardedVosSketch sketch(TestConfig(shards, threads), 10);
+            sketch.Update(bad);
+            (void)sketch.Flush();
+          },
+          "out of range");
+      EXPECT_DEATH(
+          {
+            ShardedVosSketch sketch(TestConfig(shards, threads), 10);
+            sketch.UpdateBatch(batch.data(), batch.size());
+            (void)sketch.Flush();
+          },
+          "out of range");
+    }
+    const ShardedVosSketch sketch(TestConfig(shards, 0), 10);
+    EXPECT_DEATH((void)sketch.EstimatePair(3, bad.user), "out of range");
+  }
 }
 
 }  // namespace
