@@ -11,11 +11,9 @@ ShardedVosMethod::ShardedVosMethod(const ShardedVosConfig& config,
 Status ShardedVosMethod::Restore(const std::string& path) {
   VOS_RETURN_IF_ERROR(sketch_.Restore(path));
   // The restored shards are a different history than the one the
-  // incremental planner snapshots were built against — drop them; the
-  // next PrepareQuery rebuilds from the restored state.
+  // planner snapshots were built against — drop them; the next
+  // PrepareQuery rebuilds from the restored state.
   planner_.reset();
-  planner_candidates_.clear();
-  planner_ready_ = false;
   return Status::OK();
 }
 
@@ -26,30 +24,33 @@ void ShardedVosMethod::PrepareQuery(const std::vector<UserId>& users) {
     // the failure from FlushIngest, queries keep answering).
     return;
   }
-  if (planner_ == nullptr) {
-    QueryOptions planner_options;
-    planner_options.num_threads = query_threads_;
-    planner_options.incremental = true;
-    planner_ = std::make_unique<QueryPlanner>(
-        sketch_, sketch_.estimator().options(), planner_options);
-  } else {
+  const bool same_set = planner_ != nullptr && !users.empty() &&
+                        planner_->candidates() == users;
+  if (same_set && planner_->query_options().incremental) {
     // Honour a SetQueryThreads issued after the planner was built.
     planner_->set_num_threads(query_threads_);
-  }
-  // The same tracked set refreshes incrementally, draining each shard's
-  // dirty set shard-locally; a new set snapshots every shard index.
-  if (planner_candidates_ == users && planner_->candidate_count() > 0) {
     planner_->Refresh();
-  } else {
-    planner_candidates_ = users;
-    planner_->Rebuild(users);
+    return;
   }
-  planner_ready_ = true;
+  // A set prepared for the first time gets a rebuild-only snapshot (k
+  // bits per candidate, no dirty tracking). Preparing it again means
+  // refreshes follow: the planner then captures incremental state, where
+  // every shard index can hold it (the whole set bounds each share).
+  const VosConfig& shard = sketch_.shard(0).config();  // all shards alike
+  QueryOptions options;
+  options.num_threads = query_threads_;
+  options.incremental =
+      same_set &&
+      SimilarityIndex::IncrementalFits(shard.m, shard.k, users.size());
+  planner_.reset();  // release the old snapshot before building the next
+  planner_ = std::make_unique<QueryPlanner>(
+      sketch_, sketch_.estimator().options(), options);
+  planner_->Rebuild(users);
 }
 
 PairEstimate ShardedVosMethod::EstimatePair(UserId u, UserId v) const {
-  return planner_ready_ ? planner_->EstimatePair(u, v)
-                        : sketch_.EstimatePair(u, v);
+  return planner_ != nullptr ? planner_->EstimatePair(u, v)
+                             : sketch_.EstimatePair(u, v);
 }
 
 }  // namespace vos::core

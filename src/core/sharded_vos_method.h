@@ -5,19 +5,21 @@
 //
 // Update/UpdateBatch feed the ingest pipeline; FlushIngest quiesces it
 // (the harness calls it at every checkpoint). The query cache is a
-// QueryPlanner holding one incremental SimilarityIndex per shard:
-// PrepareQuery flushes, then snapshots every shard index for a new
-// tracked set (Rebuild), or, over the SAME set as the last call, patches
-// the snapshots incrementally (Refresh → SimilarityIndex::RefreshDirty,
-// shard-locally, flipping only the digest bits whose array cells
-// changed) instead of re-extracting every row. EstimatePair is the
-// planner's: two snapshot rows — a word-wise XOR+popcount plus log-table
-// lookups; rows from different shards are directly comparable (shared ψ,
-// equal k) and only the β correction switches to the two-shard form (see
-// core/sharded_vos_sketch.h). Estimates are bit-identical to
-// ShardedVosSketch::EstimatePair on quiesced state. The planner's first
-// Rebuild starts the shards' dirty tracking, so a method that never
-// answers a PrepareQuery (the Figure-2 update timing) never tracks.
+// QueryPlanner holding one SimilarityIndex snapshot per shard.
+// PrepareQuery flushes, then snapshots a new set rebuild-only (k bits
+// per candidate). Preparing the SAME set again rebuilds the planner
+// incremental (where SimilarityIndex::IncrementalFits), and later calls
+// patch its snapshots in place (Refresh → SimilarityIndex::RefreshDirty,
+// flipping only the digest bits whose array cells changed).
+// InvalidateQueryCache drops the planner, so the Figure-3 harness
+// (prepare, estimate, invalidate) holds one rebuild-only snapshot at a
+// time and, like the Figure-2 update timing, never starts dirty tracking.
+// EstimatePair is the planner's: two snapshot rows — a word-wise
+// XOR+popcount plus log-table lookups; rows from different shards are
+// directly comparable (shared ψ, equal k) and only the β correction
+// switches to the two-shard form (see core/sharded_vos_sketch.h).
+// Estimates are bit-identical to ShardedVosSketch::EstimatePair on
+// quiesced state.
 
 #pragma once
 
@@ -81,8 +83,8 @@ class ShardedVosMethod : public SimilarityMethod {
 
   /// Atomic whole-pipeline checkpoint / recovery (forwards to
   /// ShardedVosSketch; see there for the watermark contract). Restore
-  /// additionally drops the planner — its incremental state references
-  /// the pre-restore snapshots.
+  /// additionally drops the planner — its snapshots are of the
+  /// pre-restore state.
   Status Checkpoint(const std::string& path) {
     return sketch_.Checkpoint(path);
   }
@@ -92,15 +94,15 @@ class ShardedVosMethod : public SimilarityMethod {
 
   /// ShardedVosSketch::MemoryBits() without the one cardinality counter
   /// per user every method keeps (the SimilarityMethod convention): the
-  /// array bits alone for one shard that no planner has consumed.
+  /// array bits alone for one shard no incremental planner consumed.
   size_t MemoryBits() const override {
     return sketch_.MemoryBits() - size_t{sketch_.num_users()} * 32;
   }
 
   void PrepareQuery(const std::vector<UserId>& users) override;
-  /// Estimates answer from the live sketch until the next PrepareQuery;
-  /// the planner keeps its incremental state for that call.
-  void InvalidateQueryCache() override { planner_ready_ = false; }
+  /// Drops the planner: estimates answer from the live sketch until the
+  /// next PrepareQuery, which snapshots rebuild-only again.
+  void InvalidateQueryCache() override { planner_.reset(); }
   void SetQueryThreads(unsigned num_threads) override {
     query_threads_ = num_threads;
   }
@@ -108,20 +110,14 @@ class ShardedVosMethod : public SimilarityMethod {
   const ShardedVosSketch& sketch() const { return sketch_; }
   ShardedVosSketch& mutable_sketch() { return sketch_; }
 
-  /// The query cache (nullptr before the first PrepareQuery and after
-  /// Restore). Exposed for tests and for callers that want planner-level
-  /// queries (TopK/AllPairsAbove) over the tracked set.
+  /// The query cache (nullptr until PrepareQuery and after
+  /// InvalidateQueryCache or Restore). Exposed for tests and for callers
+  /// that want planner-level queries (TopK/AllPairsAbove).
   const QueryPlanner* planner() const { return planner_.get(); }
 
  private:
   ShardedVosSketch sketch_;
   std::unique_ptr<QueryPlanner> planner_;
-  /// The tracked set the planner snapshots cover; a different set at
-  /// PrepareQuery forces a full planner Rebuild.
-  std::vector<UserId> planner_candidates_;
-  /// False between InvalidateQueryCache and the next PrepareQuery:
-  /// EstimatePair answers from the live sketch meanwhile.
-  bool planner_ready_ = false;
   unsigned query_threads_ = 0;
 };
 

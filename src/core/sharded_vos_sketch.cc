@@ -185,29 +185,21 @@ ShardedVosSketch::~ShardedVosSketch() {
 
 void ShardedVosSketch::ApplySyncBatch(const stream::Element* elements,
                                       size_t count) {
-  // Healthy pipeline, no armed fault (checked once per batch): apply
-  // straight to the shards. ApplySyncElement, with its poison and drop
-  // handling, takes the rest of the batch when the pipeline is degraded,
-  // a fault is armed, or an Update throws.
+  // One healthy shard, no armed fault (checked once per batch): apply
+  // straight to it. ApplySyncElement, with routing, poison and drop
+  // handling, takes every other batch and the rest of this one after a
+  // throw.
   size_t i = 0;
-  if (!degraded_.load(std::memory_order_relaxed) &&
+  if (!dense_remap() && !degraded_.load(std::memory_order_relaxed) &&
       !FaultInjector::Global().armed()) {
+    VosSketch& shard = shards_[0];
     try {
-      if (!dense_remap()) {
-        VosSketch& shard = shards_[0];
-        for (; i < count; ++i) {
-          CheckUserInRange(elements[i].user);
-          shard.Update(elements[i]);
-        }
-      } else {
-        for (; i < count; ++i) {
-          stream::Element local = elements[i];
-          local.user = dense_map_.LocalOf(local.user);  // range-checked
-          shards_[router_.ShardOf(elements[i].user)].Update(local);
-        }
+      for (; i < count; ++i) {
+        CheckUserInRange(elements[i].user);
+        shard.Update(elements[i]);
       }
     } catch (const std::exception& ex) {
-      PoisonAfterThrow(router_.ShardOf(elements[i].user), ex);
+      PoisonAfterThrow(0, ex);
       ++i;
     }
   }

@@ -54,9 +54,9 @@
 //
 // With ingest_threads == 0 the pipeline is synchronous: UpdateBatch
 // routes and applies inline (single-threaded, deterministic) — the
-// reference the equivalence tests compare against. A healthy batch with
-// no armed fault is applied straight to the shards; at S = 1 that is the
-// paper's bare update loop plus one user-range compare per element.
+// reference the equivalence tests compare against. At S = 1 a healthy
+// batch with no armed fault runs the paper's bare update loop plus one
+// user-range compare per element; the rest goes element by element.
 //
 // Dense user remap (num_shards > 1): shard s's VosSketch lives entirely
 // in shard-local id space. A construction-time DenseShardMap
@@ -403,9 +403,9 @@ class ShardedVosSketch {
     VOS_CHECK(user < num_users_)
         << "user" << user << "out of range (num_users " << num_users_ << ")";
   }
-  /// Applies a batch inline (synchronous mode). Checks pipeline health
-  /// once, applies a healthy batch straight to the shards, and hands the
-  /// rest to ApplySyncElement when degraded, armed or after a throw.
+  /// Applies a batch inline (synchronous mode): a healthy one-shard batch
+  /// straight to the shard (health checked once); ApplySyncElement takes
+  /// multi-shard, degraded or armed batches and the rest after a throw.
   void ApplySyncBatch(const stream::Element* elements, size_t count)
       VOS_EXCLUDES(mu_);
   /// Applies one element inline (synchronous mode), routing through the

@@ -71,12 +71,9 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
     bucket_offsets_.clear();
     bucket_entries_.clear();
   } else {
-    const uint64_t m = sketch_->config().m;
-    const uint32_t k = sketch_->config().k;
-    VOS_CHECK(m <= uint64_t{0xffffffff})
-        << "incremental index captures cells as uint32; m too large";
-    VOS_CHECK(n * static_cast<size_t>(k) <= uint64_t{0xffffffff})
-        << "incremental index entries are uint32; candidates*k too large";
+    VOS_CHECK(IncrementalFits(sketch_->config().m, sketch_->config().k, n))
+        << "incremental index holds cells and candidates*k as uint32; m ="
+        << sketch_->config().m << "candidates =" << n;
     // This index is the sketch's one incremental consumer: tracking
     // starts here (a no-op after the first Rebuild), and everything
     // before it is in the full snapshot below.

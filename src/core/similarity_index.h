@@ -121,6 +121,14 @@ class SimilarityIndex {
   /// calling thread.
   void RefreshDirty();
 
+  /// Whether an incremental Rebuild of `candidates` rows over m cells and
+  /// k-bit digests fits its uint32 cells and flat digest-bit indices
+  /// (m, candidates·k < 2³²); one that does not fit aborts.
+  static bool IncrementalFits(uint64_t m, uint32_t k, size_t candidates) {
+    return m <= uint64_t{0xffffffff} &&
+           candidates * uint64_t{k} <= uint64_t{0xffffffff};
+  }
+
   /// True once Rebuild() has captured incremental state (i.e.
   /// RefreshDirty() may be called).
   bool CanRefresh() const {

@@ -79,7 +79,8 @@ StatusOr<ExperimentResult> RunAccuracyExperiment(
         cp.live_edges = store.TotalEdges();
         const std::vector<exact::PairTruth> truths =
             exact::ComputePairTruths(store, tracked.pairs);
-        for (auto& method : methods) {
+        for (size_t i = 0; i < methods.size(); ++i) {
+          core::SimilarityMethod* method = methods[i].get();
           // Quiesce async pipelines at checkpoints; a degraded pipeline
           // (poisoned shard, starved lane) invalidates the whole
           // accuracy run, so fail loudly instead of scoring bad state.
@@ -94,7 +95,7 @@ StatusOr<ExperimentResult> RunAccuracyExperiment(
           }
           method->InvalidateQueryCache();
           MethodCheckpoint mc;
-          mc.method = method->Name();
+          mc.method = method_names[i];  // the requested name labels rows
           mc.metrics = EvaluatePairs(truths, estimates);
           cp.methods.push_back(std::move(mc));
         }

@@ -51,14 +51,15 @@ struct ExperimentConfig {
   /// identical for every value, since the default UpdateBatch is the
   /// element loop and batched methods quiesce via FlushIngest before
   /// each checkpoint). Each checkpoint's PrepareQuery snapshots the
-  /// tracked users ("VOS-sharded" refreshes its shard-local incremental
-  /// indexes after the first checkpoint); estimates are bit-identical to
-  /// the uncached per-pair path.
+  /// tracked users and InvalidateQueryCache ends the snapshot (the VOS
+  /// methods rebuild a rebuild-only planner at every checkpoint);
+  /// estimates are bit-identical to the uncached per-pair path.
   MethodFactoryConfig factory;
 };
 
 /// One method's metrics at one checkpoint.
 struct MethodCheckpoint {
+  /// The requested name (a one-shard sync "VOS-sharded" is Name() "VOS").
   std::string method;
   PairMetrics metrics;
 };

@@ -452,6 +452,18 @@ TEST(IncrementalRebuildTest, PartitionEdgesAndThreadCounts) {
   }
 }
 
+/// The incremental index holds cells and flat digest-bit indices as
+/// uint32: it fits up to m = 2³²−1 cells and candidates·k = 2³²−1 bits.
+TEST(IncrementalRebuildTest, FitsAtTheUint32Limits) {
+  constexpr uint64_t kMax = 0xffffffff;
+  EXPECT_TRUE(SimilarityIndex::IncrementalFits(kMax, 1, kMax));
+  EXPECT_FALSE(SimilarityIndex::IncrementalFits(kMax + 1, 1, 1));
+  EXPECT_FALSE(SimilarityIndex::IncrementalFits(1 << 16, 1, kMax + 1));
+  EXPECT_TRUE(SimilarityIndex::IncrementalFits(1 << 16, 65535, 65537));
+  EXPECT_FALSE(SimilarityIndex::IncrementalFits(1 << 16, 65536, 65536));
+  EXPECT_TRUE(SimilarityIndex::IncrementalFits(0, 0, 0));
+}
+
 TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 10, 10, 17);
   SimilarityIndex index(sketch, {}, IncrementalOptions(0));

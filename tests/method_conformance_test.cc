@@ -5,7 +5,7 @@
 // "VOS-sharded" configuration matrix (shards × ingest threads), so the
 // sharded engine honours the contract in every pipeline mode, not just
 // the factory default. Every sharded case caches through the planner's
-// incremental shard indexes, its only PrepareQuery cache.
+// shard indexes, its only PrepareQuery cache.
 
 #include <gtest/gtest.h>
 

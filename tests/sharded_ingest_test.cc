@@ -673,15 +673,17 @@ std::vector<Element> TogglingPoolStream(UserId users, size_t elements,
   return stream;
 }
 
-/// The planner is the method's only query cache: PrepareQuery over the
-/// last set refreshes it incrementally, a new set rebuilds it, and
-/// Restore drops it. After every step the cached estimates over A ∪ B
-/// plus one user outside both must equal ShardedVosSketch::EstimatePair
-/// bit for bit, and the planner's AllPairsAbove its scalar reference.
+/// The planner is the method's only query cache: the first PrepareQuery
+/// of a set snapshots it rebuild-only, the second rebuilds the planner
+/// incremental, later ones refresh it in place, a new set starts over
+/// rebuild-only, and Restore drops it. After every step the cached
+/// estimates over A ∪ B plus one user outside both must equal
+/// ShardedVosSketch::EstimatePair bit for bit, and the planner's
+/// AllPairsAbove its scalar reference.
 TEST(ShardedVosMethodTest, PrepareQueryRefreshesSameSetRebuildsNewSet) {
   const UserId users = 40;
   const std::vector<Element> elements = TogglingPoolStream(users, 6000, 83);
-  const size_t half = elements.size() / 2;
+  const size_t third = elements.size() / 3;
   const std::vector<UserId> a = {0, 1, 5, 6, 10, 11, 15, 16, 20, 21};
   const std::vector<UserId> b = {10, 11, 12, 15, 16, 17, 25, 26, 27, 30};
   std::vector<UserId> probed = a;
@@ -693,7 +695,7 @@ TEST(ShardedVosMethodTest, PrepareQueryRefreshesSameSetRebuildsNewSet) {
                    " threads=" + std::to_string(threads));
       ShardedVosMethod method(TestConfig(shards, threads), users);
       method.SetQueryThreads(2);
-      const auto check = [&](const std::string& step) {
+      const auto check = [&](const std::string& step, bool incremental) {
         SCOPED_TRACE(step);
         for (UserId u : probed) {
           for (UserId v : probed) {
@@ -705,6 +707,7 @@ TEST(ShardedVosMethodTest, PrepareQueryRefreshesSameSetRebuildsNewSet) {
           }
         }
         ASSERT_NE(method.planner(), nullptr);
+        EXPECT_EQ(method.planner()->query_options().incremental, incremental);
         for (const double tau : {0.05, 0.2}) {
           const auto got = method.planner()->AllPairsAbove(tau);
           const auto want = method.planner()->AllPairsAboveReference(tau);
@@ -717,27 +720,79 @@ TEST(ShardedVosMethodTest, PrepareQueryRefreshesSameSetRebuildsNewSet) {
           }
         }
       };
+      const auto ingest = [&](size_t begin, size_t end) {
+        method.UpdateBatch(elements.data() + begin, end - begin);
+        ASSERT_TRUE(method.FlushIngest().ok());
+      };
 
       const std::string path = ::testing::TempDir() +
                                "/sharded_method_refresh_" +
                                std::to_string(shards) + "_" +
                                std::to_string(threads);
-      method.UpdateBatch(elements.data(), half);
+      ingest(0, third);
       ASSERT_TRUE(method.Checkpoint(path).ok());
       method.PrepareQuery(a);
-      check("first PrepareQuery(A)");
+      check("first PrepareQuery(A)", false);
       ASSERT_FALSE(method.planner()->AllPairsAbove(0.2).empty());
-      method.UpdateBatch(elements.data() + half, elements.size() - half);
-      ASSERT_TRUE(method.FlushIngest().ok());
+      ingest(third, 2 * third);
       method.PrepareQuery(a);
-      check("PrepareQuery(A) after ingest");
+      check("second PrepareQuery(A)", true);
+      ingest(2 * third, elements.size());
+      method.PrepareQuery(a);
+      check("PrepareQuery(A) refresh", true);
+      method.PrepareQuery(a);  // nothing changed: a refresh touches no row
+      check("PrepareQuery(A) empty refresh", true);
+      for (uint32_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(
+            method.planner()->shard_index(s).last_refresh_dirty_fraction(),
+            0.0);
+      }
       method.PrepareQuery(b);
-      check("PrepareQuery(B)");
+      check("PrepareQuery(B)", false);
       ASSERT_TRUE(method.Restore(path).ok());
+      EXPECT_EQ(method.planner(), nullptr);
       method.PrepareQuery(b);
-      check("PrepareQuery(B) after Restore");
+      check("PrepareQuery(B) after Restore", false);
       std::remove(path.c_str());
     }
+  }
+}
+
+/// Incremental state and dirty tracking are paid only by a caller that
+/// prepares the same set twice: prepare–estimate–invalidate cycles (the
+/// Figure-3 harness) keep one rebuild-only snapshot and never track, and
+/// InvalidateQueryCache drops the planner.
+TEST(ShardedVosMethodTest, OnlyARepeatedSetBuildsIncrementalState) {
+  const UserId users = 40;
+  const std::vector<Element> elements = TogglingPoolStream(users, 3000, 7);
+  const std::vector<UserId> tracked = {0, 2, 4, 6, 8, 10, 12, 14};
+  for (const uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedVosMethod method(TestConfig(shards, 0), users);
+    const auto tracks = [&] {
+      bool any = false;
+      for (uint32_t s = 0; s < shards; ++s) {
+        any = any || method.sketch().shard(s).tracks_dirty();
+      }
+      return any;
+    };
+    const size_t chunk = elements.size() / 4;
+    for (size_t c = 0; c < 4; ++c) {
+      method.UpdateBatch(elements.data() + c * chunk, chunk);
+      ASSERT_TRUE(method.FlushIngest().ok());
+      method.PrepareQuery(tracked);
+      ASSERT_NE(method.planner(), nullptr);
+      EXPECT_FALSE(method.planner()->query_options().incremental);
+      EXPECT_EQ(method.EstimatePair(0, 2).common,
+                method.sketch().EstimatePair(0, 2).common);
+      method.InvalidateQueryCache();
+      EXPECT_EQ(method.planner(), nullptr);
+    }
+    EXPECT_FALSE(tracks());
+    method.PrepareQuery(tracked);
+    method.PrepareQuery(tracked);
+    EXPECT_TRUE(method.planner()->query_options().incremental);
+    EXPECT_TRUE(tracks());
   }
 }
 
