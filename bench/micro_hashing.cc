@@ -1,13 +1,12 @@
 // Micro-benchmarks (M1) for the hashing substrate: the per-element cost of
-// every hash family available to the sketches. VOS's O(1) update is two
-// Hash64 evaluations plus a bit flip, so these numbers bound its
-// throughput.
+// the mixer behind VOS's ψ and f (Hash64), the 2-universal family behind
+// OPH, and the Feistel permutation. VOS's O(1) update is two Hash64
+// evaluations plus a bit flip, so these numbers bound its throughput.
 
 #include <benchmark/benchmark.h>
 
 #include "hashing/feistel_permutation.h"
 #include "hashing/hash64.h"
-#include "hashing/tabulation.h"
 #include "hashing/two_universal.h"
 
 namespace vos::hash {
@@ -40,16 +39,6 @@ void BM_TwoUniversal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TwoUniversal);
-
-void BM_Tabulation(benchmark::State& state) {
-  TabulationHash h(7);
-  uint64_t x = 0x1234;
-  for (auto _ : state) {
-    x += h(x);
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_Tabulation);
 
 void BM_FeistelApply(benchmark::State& state) {
   FeistelPermutation perm(7, static_cast<uint64_t>(state.range(0)));

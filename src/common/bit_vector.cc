@@ -27,13 +27,4 @@ BitVector BitVector::FromWords(size_t num_bits,
   return out;
 }
 
-void BitVector::XorWith(const BitVector& other) {
-  VOS_CHECK(num_bits_ == other.num_bits_)
-      << "size mismatch:" << num_bits_ << "vs" << other.num_bits_;
-  for (size_t w = 0; w < words_.size(); ++w) {
-    words_[w] ^= other.words_[w];
-  }
-  ones_ = PopcountWords(words_.data(), words_.size());
-}
-
 }  // namespace vos

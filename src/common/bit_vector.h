@@ -86,10 +86,6 @@ class BitVector {
   /// Both vectors must have the same size. O(size/64).
   size_t HammingDistance(const BitVector& other) const;
 
-  /// XORs `other` into this vector (bitwise, sizes must match); updates the
-  /// 1-bit count. O(size/64).
-  void XorWith(const BitVector& other);
-
   /// Memory footprint of the payload in bits (excluding object header); this
   /// is what the equal-memory harness accounts for.
   size_t MemoryBits() const { return words_.size() * 64; }

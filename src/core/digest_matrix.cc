@@ -39,11 +39,9 @@ void DigestMatrix::ExtractRow(const VosSketch& sketch, UserId user,
   ExtractRowFromArray(sketch.array(), sketch, user, dst);
 }
 
-/// Shared thread-parallel fill over disjoint row ranges.
-DigestMatrix DigestMatrix::BuildImpl(const BitVector& array,
-                                     const VosSketch& sketch,
-                                     const std::vector<stream::UserId>& users,
-                                     unsigned num_threads) {
+DigestMatrix DigestMatrix::Build(const VosSketch& sketch,
+                                 const std::vector<UserId>& users,
+                                 unsigned num_threads) {
   DigestMatrix matrix;
   matrix.k_ = sketch.config().k;
   matrix.num_rows_ = users.size();
@@ -53,9 +51,8 @@ DigestMatrix DigestMatrix::BuildImpl(const BitVector& array,
 
   const auto extract_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      DigestMatrix::ExtractRowFromArray(
-          array, sketch, users[i],
-          matrix.words_.data() + i * matrix.words_per_row_);
+      DigestMatrix::ExtractRow(
+          sketch, users[i], matrix.words_.data() + i * matrix.words_per_row_);
     }
   };
 
@@ -75,21 +72,6 @@ DigestMatrix DigestMatrix::BuildImpl(const BitVector& array,
   }
   for (std::thread& worker : workers) worker.join();
   return matrix;
-}
-
-DigestMatrix DigestMatrix::Build(const VosSketch& sketch,
-                                 const std::vector<UserId>& users,
-                                 unsigned num_threads) {
-  return BuildImpl(sketch.array(), sketch, users, num_threads);
-}
-
-DigestMatrix DigestMatrix::BuildFromArray(const BitVector& array,
-                                          const VosSketch& sketch,
-                                          const std::vector<UserId>& users,
-                                          unsigned num_threads) {
-  VOS_CHECK(array.size() == sketch.config().m)
-      << "array/geometry size mismatch";
-  return BuildImpl(array, sketch, users, num_threads);
 }
 
 BitVector DigestMatrix::RowAsBitVector(size_t i) const {

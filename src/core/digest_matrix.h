@@ -49,22 +49,12 @@ class DigestMatrix {
                             const std::vector<UserId>& users,
                             unsigned num_threads = 0);
 
-  /// Like Build, but reads bits from `array` instead of sketch.array();
-  /// the geometry (k, m, f seeds) still comes from `sketch`. This serves
-  /// any derived array that shares the sketch's cell map — e.g. VosDrift's
-  /// XOR-delta array, whose per-user reconstruction is exactly a row
-  /// extraction against A(t1) ⊕ A(t2). `array` must have sketch.config().m
-  /// bits.
-  static DigestMatrix BuildFromArray(const BitVector& array,
-                                     const VosSketch& sketch,
-                                     const std::vector<UserId>& users,
-                                     unsigned num_threads = 0);
-
   /// Extracts user `user`'s digest into dst[0 .. WordsPerRow(k)), packing
   /// the same bits as sketch.ExtractUserSketch(user); pad bits are zeroed.
   static void ExtractRow(const VosSketch& sketch, UserId user, uint64_t* dst);
 
-  /// ExtractRow against an alternate `array` (see BuildFromArray). When
+  /// ExtractRow reading bits from `array`, which must have the sketch's
+  /// geometry (m bits; k and the f seeds come from `sketch`). When
   /// `cells` is non-null it additionally records the k cell indices
   /// f_j(user) into cells[0..k) — the incremental index captures them at
   /// Rebuild to map each changed array cell to the digest bits it owns
@@ -110,11 +100,6 @@ class DigestMatrix {
   }
 
  private:
-  static DigestMatrix BuildImpl(const BitVector& array,
-                                const VosSketch& sketch,
-                                const std::vector<UserId>& users,
-                                unsigned num_threads);
-
   uint32_t k_ = 0;
   size_t num_rows_ = 0;
   size_t words_per_row_ = 0;

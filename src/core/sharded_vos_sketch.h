@@ -323,7 +323,6 @@ class ShardedVosSketch {
   }
 
   const VosSketch& shard(uint32_t s) const { return shards_[s]; }
-  VosSketch& mutable_shard(uint32_t s) { return shards_[s]; }
 
   /// n_u, read from the user's owning shard.
   uint32_t Cardinality(UserId user) const {

@@ -82,21 +82,6 @@ double VosEstimator::JaccardFromCommon(double common, double n_u,
   return j;
 }
 
-double VosEstimator::ContainmentFromCommon(double common, double n_u) const {
-  if (n_u <= 0.0) return 0.0;
-  const double c = common / n_u;
-  return options_.clamp_to_feasible ? std::clamp(c, 0.0, 1.0) : c;
-}
-
-double VosEstimator::OverlapFromCommon(double common, double n_u,
-                                       double n_v) const {
-  const double denom = std::min(n_u, n_v);
-  if (denom <= 0.0) return 0.0;
-  const double overlap = common / denom;
-  return options_.clamp_to_feasible ? std::clamp(overlap, 0.0, 1.0)
-                                    : overlap;
-}
-
 PairEstimate VosEstimator::Estimate(double n_u, double n_v, double alpha,
                                     double beta) const {
   PairEstimate est;

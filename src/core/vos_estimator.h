@@ -80,15 +80,6 @@ class VosEstimator {
   /// Ĵ from a ŝ estimate (the paper computes Ĵ = ŝ/(n_u+n_v−ŝ)).
   double JaccardFromCommon(double common, double n_u, double n_v) const;
 
-  /// Containment Ĉ(u→v) = ŝ/n_u — the fraction of u's items v also holds
-  /// (asymmetric; the measure behind "is u's set a subset of v's?").
-  /// Returns 0 when n_u = 0; clamped to [0, 1] when clamping is enabled.
-  double ContainmentFromCommon(double common, double n_u) const;
-
-  /// Szymkiewicz–Simpson overlap coefficient ŝ/min(n_u, n_v); 0 when
-  /// either set is empty.
-  double OverlapFromCommon(double common, double n_u, double n_v) const;
-
   /// Convenience: both estimates at once.
   PairEstimate Estimate(double n_u, double n_v, double alpha,
                         double beta) const;

@@ -148,7 +148,7 @@ void VosSketchIo::SerializeFields(const VosSketch& sketch,
   AppendPod(out, sketch.config_.k);
   AppendPod(out, sketch.config_.m);
   AppendPod(out, sketch.config_.seed);
-  AppendPod(out, static_cast<uint8_t>(sketch.config_.psi_kind));
+  AppendPod(out, kPsiMixer);
   // The *resolved* f seed, so sketches built with a per-shard override
   // (VosConfig::f_seed) restore to the identical f family.
   AppendPod(out, sketch.f_seed_);
@@ -162,7 +162,7 @@ void VosSketchIo::SerializeFields(const VosSketch& sketch,
 }
 
 StatusOr<VosSketch> VosSketchIo::ParseFields(const uint8_t* data,
-                                             size_t size, uint32_t version,
+                                             size_t size,
                                              const std::string& context,
                                              size_t* consumed) {
   size_t pos = 0;
@@ -173,29 +173,16 @@ StatusOr<VosSketch> VosSketchIo::ParseFields(const uint8_t* data,
   if (!ReadPodAt(data, size, &pos, &config.k) ||
       !ReadPodAt(data, size, &pos, &config.m) ||
       !ReadPodAt(data, size, &pos, &config.seed) ||
-      !ReadPodAt(data, size, &pos, &psi_kind)) {
-    return Status::Corruption(context + ": truncated header");
-  }
-  if (version >= 2) {
-    // v2 carries the resolved f-family seed (VosConfig::f_seed override).
-    if (!ReadPodAt(data, size, &pos, &config.f_seed)) {
-      return Status::Corruption(context + ": truncated header");
-    }
-  } else {
-    // v1 predates the f_seed field: those sketches could only have been
-    // written with the legacy default family, which f_seed == 0 makes
-    // VosSketch re-derive from `seed` — the identical f cells.
-    config.f_seed = 0;
-  }
-  if (!ReadPodAt(data, size, &pos, &num_users) ||
+      !ReadPodAt(data, size, &pos, &psi_kind) ||
+      !ReadPodAt(data, size, &pos, &config.f_seed) ||
+      !ReadPodAt(data, size, &pos, &num_users) ||
       !ReadPodAt(data, size, &pos, &num_words)) {
     return Status::Corruption(context + ": truncated header");
   }
-  if (psi_kind > static_cast<uint8_t>(PsiKind::kTabulation)) {
+  if (psi_kind != kPsiMixer) {
     return Status::Corruption(context + ": unknown psi kind " +
                               std::to_string(psi_kind));
   }
-  config.psi_kind = static_cast<PsiKind>(psi_kind);
   if (config.k == 0 || config.m == 0 || config.m > (uint64_t{1} << 48) ||
       num_words != (config.m + 63) / 64) {
     return Status::Corruption(context + ": inconsistent geometry");
@@ -259,14 +246,14 @@ StatusOr<VosSketch> VosSketchIo::Load(const std::string& path) {
   }
   uint32_t version = 0;
   std::memcpy(&version, data + 8, sizeof(version));
-  if (version < kMinVersion || version > kVersion) {
+  if (version != kVersion) {
     return Status::Corruption(path + ": unsupported version " +
                               std::to_string(version));
   }
   size_t consumed = 0;
   VOS_ASSIGN_OR_RETURN(
       VosSketch sketch,
-      ParseFields(data + 12, size - 12, version, path, &consumed));
+      ParseFields(data + 12, size - 12, path, &consumed));
   const size_t tail = 12 + consumed;
   if (size - tail < sizeof(uint64_t)) {
     return Status::Corruption(path + ": truncated payload (checksum missing)");
@@ -323,7 +310,7 @@ Status ShardedCheckpointIo::Save(const ShardedVosSketch& sketch,
     AppendPod(&payload, sketch.config_.base.k);
     AppendPod(&payload, sketch.config_.base.m);
     AppendPod(&payload, sketch.config_.base.seed);
-    AppendPod(&payload, static_cast<uint8_t>(sketch.config_.base.psi_kind));
+    AppendPod(&payload, VosSketchIo::kPsiMixer);
     AppendPod(&payload, static_cast<uint32_t>(sketch.num_users_));
     AppendSection(&file, kSectionManifest, 0, payload);
   }
@@ -470,11 +457,9 @@ Status ShardedCheckpointIo::Restore(ShardedVosSketch* sketch,
         if (seed != sketch->config_.base.seed) {
           return mismatch("seed", seed, sketch->config_.base.seed);
         }
-        if (psi_kind !=
-            static_cast<uint8_t>(sketch->config_.base.psi_kind)) {
-          return mismatch(
-              "psi_kind", psi_kind,
-              static_cast<uint8_t>(sketch->config_.base.psi_kind));
+        if (psi_kind != VosSketchIo::kPsiMixer) {
+          return Status::Corruption(path + ": manifest has unknown psi kind " +
+                                    std::to_string(psi_kind));
         }
         if (num_users != sketch->num_users_) {
           return mismatch("num_users", num_users, sketch->num_users_);
@@ -541,8 +526,7 @@ Status ShardedCheckpointIo::Restore(ShardedVosSketch* sketch,
         }
         size_t consumed = 0;
         StatusOr<VosSketch> parsed = VosSketchIo::ParseFields(
-            payload, payload_size, /*version=*/2,
-            path + " section " + tag, &consumed);
+            payload, payload_size, path + " section " + tag, &consumed);
         if (!parsed.ok()) return parsed.status();
         if (consumed != payload_size) {
           return Status::Corruption(path + ": section " + tag + " has " +

@@ -1,18 +1,15 @@
 // Binary serialization of VOS sketches: snapshot a live sketch to disk and
-// restore it later (checkpoint/restore, shipping shard sketches to a
-// merger, offline analysis of an online sketch).
+// restore it later (checkpoint/restore, offline analysis of an online
+// sketch).
 //
 // Single-sketch format (little-endian, versioned):
-//   magic "VOSSKTCH" | u32 version | u32 k | u64 m | u64 seed
-//   | u8 psi_kind | u64 f_seed (v2+ only: resolved f-family seed; see
-//   VosConfig::f_seed) | u32 num_users | u64 num_array_words | array words
-//   | cardinalities (u32 × num_users) | u64 xor-checksum
+//   magic "VOSSKTCH" | u32 version = 2 | u32 k | u64 m | u64 seed
+//   | u8 psi (always 0: the seeded mixer) | u64 f_seed (resolved f-family
+//   seed; see VosConfig::f_seed) | u32 num_users | u64 num_array_words
+//   | array words | cardinalities (u32 × num_users) | u64 xor-checksum
 //
-// VosSketchIo::Save always writes the current single-sketch version (v2).
-// Load accepts every version in [kMinVersion, kVersion]: v1 files predate
-// the f_seed field, and were therefore necessarily written with the legacy
-// default f family — Load restores them with f_seed = 0, which makes
-// VosSketch re-derive exactly that family from `seed`. Every read is
+// VosSketchIo::Save writes version 2 and Load reads only version 2. A
+// psi byte other than 0 is Corruption ("unknown psi kind"). Every read is
 // bounds-checked against the actual file size BEFORE anything is
 // allocated: a truncated, oversized or size-lying file fails with a
 // Corruption status naming what was expected, never with a wild
@@ -65,18 +62,18 @@ class VosSketchIo {
   static void SerializeFields(const VosSketch& sketch, std::string* out);
 
   /// Bounds-checked inverse of SerializeFields over [data, data + size):
-  /// parses one sketch in `version` (1 or 2) layout. `context` prefixes
-  /// error messages; `*consumed` receives the bytes read on success.
+  /// parses one sketch in the v2 layout. `context` prefixes error
+  /// messages; `*consumed` receives the bytes read on success.
   static StatusOr<VosSketch> ParseFields(const uint8_t* data, size_t size,
-                                         uint32_t version,
                                          const std::string& context,
                                          size_t* consumed);
 
   static constexpr char kMagic[9] = "VOSSKTCH";
-  /// The version Save writes.
+  /// The version Save writes and Load reads.
   static constexpr uint32_t kVersion = 2;
-  /// The oldest version Load still reads (v1: no f_seed field).
-  static constexpr uint32_t kMinVersion = 1;
+  /// The psi byte every file carries: ψ is the seeded mixer
+  /// (VosSketch::BucketOf). Loaders reject any other value.
+  static constexpr uint8_t kPsiMixer = 0;
 };
 
 /// Atomic, CRC-checked whole-pipeline checkpoints of a ShardedVosSketch

@@ -20,35 +20,6 @@ VosSketch::VosSketch(const VosConfig& config, UserId num_users)
     }
     f_seeds_ = std::make_shared<const std::vector<uint64_t>>(std::move(seeds));
   }
-  switch (config.psi_kind) {
-    case PsiKind::kTwoUniversal:
-      psi_two_universal_ = std::make_shared<hash::TwoUniversalHash>(
-          psi_seed_, config.k);
-      break;
-    case PsiKind::kTabulation:
-      psi_tabulation_ = std::make_shared<hash::TabulationHash>(psi_seed_);
-      break;
-    case PsiKind::kMixer:
-      break;
-  }
-}
-
-void VosSketch::MergeFrom(const VosSketch& other) {
-  VOS_CHECK(IsCompatibleWith(other))
-      << "merging incompatible VOS sketches (config/user-count mismatch)";
-  array_.XorWith(other.array_);
-  for (size_t u = 0; u < cardinality_.size(); ++u) {
-    if (other.cardinality_[u] != 0) {
-      cardinality_[u] += other.cardinality_[u];
-      if (tracks_dirty()) MarkUserDirty(static_cast<UserId>(u));
-    }
-  }
-  if (changed_words_.empty()) return;  // tracking off
-  // The XOR bypassed Update: flag every word it can have changed.
-  const std::vector<uint64_t>& words = other.array_.words();
-  for (size_t w = 0; w < words.size(); ++w) {
-    if (words[w] != 0) changed_words_[w >> 6] |= uint64_t{1} << (w & 63);
-  }
 }
 
 void VosSketch::StartDirtyTracking() const {

@@ -16,16 +16,13 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "common/bit_vector.h"
 #include "common/logging.h"
 #include "hashing/hash64.h"
 #include "hashing/seeds.h"
-#include "hashing/tabulation.h"
-#include "hashing/two_universal.h"
 #include "stream/element.h"
 
 namespace vos::core {
@@ -34,21 +31,6 @@ using stream::Action;
 using stream::Element;
 using stream::ItemId;
 using stream::UserId;
-
-/// Which hash family implements ψ (item → virtual bit).
-///
-/// The odd-sketch analysis ([9], and §IV's P(O_uv[j] = 1) derivation)
-/// assumes ψ is drawn from a 2-universal family; kMixer is the fast
-/// default with empirically equivalent behaviour, kTwoUniversal gives the
-/// provable guarantee (Carter–Wegman over 2^61−1), and kTabulation gives
-/// 3-independence with Patrascu–Thorup's stronger-than-pairwise behaviour.
-/// All three are deterministic in the sketch seed; accuracy is
-/// indistinguishable in the test-suite sweeps.
-enum class PsiKind : uint8_t {
-  kMixer = 0,
-  kTwoUniversal = 1,
-  kTabulation = 2,
-};
 
 /// Sizing and seeding of a VOS sketch.
 struct VosConfig {
@@ -61,8 +43,6 @@ struct VosConfig {
   uint64_t m = 1 << 22;
   /// Master seed; ψ and f_1..f_k are derived from it.
   uint64_t seed = 42;
-  /// Hash family for ψ (see PsiKind).
-  PsiKind psi_kind = PsiKind::kMixer;
   /// Optional override for the f-family master seed (0 = derive from
   /// `seed` as usual). Sharded deployments (core/sharded_vos_sketch.h)
   /// give each shard its own f family while sharing `seed` — and hence ψ —
@@ -101,16 +81,10 @@ class VosSketch {
   }
 
   /// ψ(item) ∈ [0, k) — which virtual bit of its user an item toggles.
+  /// A seeded 64-bit mixer reduced to [0, k): the odd-sketch analysis
+  /// ([9], §IV) assumes a 2-universal ψ, and the mixer is its fast
+  /// stand-in.
   uint32_t BucketOf(ItemId item) const {
-    switch (config_.psi_kind) {
-      case PsiKind::kTwoUniversal:
-        return static_cast<uint32_t>((*psi_two_universal_)(item));
-      case PsiKind::kTabulation:
-        return static_cast<uint32_t>(
-            hash::ReduceToRange((*psi_tabulation_)(item), config_.k));
-      case PsiKind::kMixer:
-        break;
-    }
     return static_cast<uint32_t>(
         hash::ReduceToRange(hash::Hash64(item, psi_seed_), config_.k));
   }
@@ -169,27 +143,11 @@ class VosSketch {
            changed_words_.size() * 64;
   }
 
-  /// Merges another shard's sketch into this one (distributed ingestion).
-  ///
-  /// If the stream is partitioned across shards — every element processed
-  /// by exactly one shard — then XOR-ing the arrays and summing the
-  /// cardinality counters yields exactly the sketch of the whole stream,
-  /// because both are element-wise sums (mod 2 / over ℤ) of per-element
-  /// contributions. Partition by *user* (e.g. hash(u) % shards) so each
-  /// shard's sub-stream stays locally feasible; splitting one user across
-  /// shards still merges correctly but trips the debug-build feasibility
-  /// check on deletion-before-insertion shards. Both sketches must have
-  /// identical configs (same k, m and seed ⇒ same ψ and f_j) and user
-  /// counts; aborts otherwise.
-  void MergeFrom(const VosSketch& other);
-
-  /// True iff `other` was built with an identical configuration (and is
-  /// therefore mergeable/comparable).
+  /// True iff `other` was built with an identical configuration (same k,
+  /// m, ψ, f family and user count).
   bool IsCompatibleWith(const VosSketch& other) const {
     return config_.k == other.config_.k && config_.m == other.config_.m &&
-           config_.seed == other.config_.seed &&
-           config_.psi_kind == other.config_.psi_kind &&
-           f_seed_ == other.f_seed_ &&
+           config_.seed == other.config_.seed && f_seed_ == other.f_seed_ &&
            cardinality_.size() == other.cardinality_.size();
   }
 
@@ -238,22 +196,16 @@ class VosSketch {
   void StartDirtyTracking() const;
 
   /// Users touched by Update() since the last ClearDirtyUsers() (or
-  /// StartDirtyTracking()), deduplicated, in first-touch order; MergeFrom
-  /// additionally marks users whose merged cardinality changed (a merge
-  /// CAN flip a user's array bits without a net cardinality change — such
-  /// users are not listed here, by design: digest-level changes are only
-  /// detectable via the array delta over the words changed_words() flags,
-  /// which is exactly how RefreshDirty pairs with this set). Always empty
-  /// when tracking is off.
+  /// StartDirtyTracking()), deduplicated, in first-touch order. Always
+  /// empty when tracking is off.
   const std::vector<UserId>& dirty_users() const { return dirty_users_; }
 
   /// The changed-word summary: bit w (word w >> 6, bit w & 63) is set iff
   /// array word w may have changed since the last ClearDirtyUsers() — set
-  /// by Update for the word it flips, and conservatively by MergeFrom,
-  /// which bypasses Update. A flagged word may be back at its old value (a
-  /// cell flipped twice); an unflagged word is unchanged. One bit per
-  /// array word, no bit at or beyond array().words().size() is ever set;
-  /// empty when tracking is off.
+  /// by Update for the word it flips. A flagged word may be back at its
+  /// old value (a cell flipped twice); an unflagged word is unchanged.
+  /// One bit per array word, no bit at or beyond array().words().size()
+  /// is ever set; empty when tracking is off.
   const std::vector<uint64_t>& changed_words() const { return changed_words_; }
 
   /// True iff `user` is in dirty_users().
@@ -279,11 +231,6 @@ class VosSketch {
   void MarkDirty(UserId user, uint64_t word) const {
     if (dirty_epoch_.empty()) return;  // tracking off
     changed_words_[word >> 6] |= uint64_t{1} << (word & 63);
-    MarkUserDirty(user);
-  }
-
-  /// Adds `user` to the dirty set; tracking must be on.
-  void MarkUserDirty(UserId user) const {
     uint32_t& epoch = dirty_epoch_[user];
     if (epoch != dirty_current_epoch_) {
       epoch = dirty_current_epoch_;
@@ -294,10 +241,6 @@ class VosSketch {
   VosConfig config_;
   uint64_t psi_seed_;
   uint64_t f_seed_;
-  // Engaged per config_.psi_kind; shared_ptr so sketches stay copyable
-  // (snapshots!) without duplicating the 16 KiB tabulation tables.
-  std::shared_ptr<const hash::TwoUniversalHash> psi_two_universal_;
-  std::shared_ptr<const hash::TabulationHash> psi_tabulation_;
   // Cached f_seeds_[j] = DeriveSeed(f_seed_, j); immutable after
   // construction and shared across snapshot copies (k entries, 8k bytes).
   std::shared_ptr<const std::vector<uint64_t>> f_seeds_;

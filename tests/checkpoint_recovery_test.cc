@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/fault_injector.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -777,7 +778,44 @@ TEST_F(CheckpointRecoveryTest, ManifestMismatchIsRefused) {
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
 }
 
-// ----------------------------------- satellite (a): v1/v2 file bounds
+/// The manifest's psi byte comes from outside the program: a value other
+/// than 0 (the seeded mixer, the only ψ) is Corruption naming psi, even
+/// when the section's CRC is intact and the live sketch is untouched.
+TEST_F(CheckpointRecoveryTest, ManifestUnknownPsiIsCorruption) {
+  const ShardedVosConfig config = TestConfig(4, 2, 2);
+  ShardedVosSketch sketch(config, 300);
+  const std::string path = TempPath("manifest_psi");
+  MakeCheckpoint(config, &sketch, path, 43);
+  ASSERT_TRUE(sketch.Flush().ok());
+
+  std::string bytes = ReadFileBytes(path);
+  const std::vector<SectionSpan> sections = WalkSections(bytes);
+  ASSERT_FALSE(sections.empty());
+  const SectionSpan& manifest = sections[0];
+  ASSERT_EQ(manifest.type, ShardedCheckpointIo::kSectionManifest);
+  // Manifest payload: u32 shards | u32 lanes | u32 k | u64 m | u64 seed |
+  // u8 psi | u32 num_users.
+  constexpr size_t kPsiOffset = 4 + 4 + 4 + 8 + 8;
+  ASSERT_EQ(static_cast<uint8_t>(bytes[manifest.payload_pos + kPsiOffset]),
+            VosSketchIo::kPsiMixer);
+  bytes[manifest.payload_pos + kPsiOffset] = 1;
+  const size_t header_pos = manifest.payload_pos - 16;
+  const uint32_t crc = Crc32(bytes.data() + header_pos,
+                             manifest.end_pos - 4 - header_pos);
+  std::memcpy(bytes.data() + manifest.end_pos - 4, &crc, sizeof(crc));
+  const std::string damaged = TempPath("manifest_psi_damaged");
+  WriteFileBytes(damaged, bytes);
+
+  ShardedVosSketch reference(config, 300);
+  ASSERT_TRUE(reference.Restore(path).ok());
+  const Status rejected = sketch.Restore(damaged);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.code(), StatusCode::kCorruption) << rejected;
+  EXPECT_NE(rejected.message().find("psi"), std::string::npos) << rejected;
+  ExpectBitIdentical(sketch, reference, "after rejected psi byte");
+}
+
+// ---------------------------------------- single-sketch (v2) file bounds
 
 /// Every truncation of a v2 single-sketch file fails with Corruption —
 /// no allocation from a size field that the bytes on disk cannot back.

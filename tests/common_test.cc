@@ -156,21 +156,6 @@ TEST(BitVectorTest, HammingDistance) {
   EXPECT_EQ(a.HammingDistance(a), 0u);
 }
 
-TEST(BitVectorTest, XorWithUpdatesOnesExactly) {
-  Rng rng(5);
-  BitVector a(200), b(200);
-  for (int i = 0; i < 300; ++i) {
-    a.Set(rng.NextBounded(200), rng.NextBernoulli(0.5));
-    b.Set(rng.NextBounded(200), rng.NextBernoulli(0.5));
-  }
-  const size_t expected = a.HammingDistance(b);
-  a.XorWith(b);
-  EXPECT_EQ(a.ones(), expected);
-  size_t brute = 0;
-  for (size_t i = 0; i < a.size(); ++i) brute += a.Get(i);
-  EXPECT_EQ(brute, expected);
-}
-
 TEST(BitVectorTest, EqualityAndMemory) {
   BitVector a(65), b(65);
   EXPECT_TRUE(a == b);

@@ -81,17 +81,6 @@ TEST(ContractDeathTest, OddSketchSeedMismatchAborts) {
                "different");
 }
 
-TEST(ContractDeathTest, IncompatibleMergeAborts) {
-  core::VosConfig small;
-  small.k = 64;
-  small.m = 1 << 10;
-  core::VosConfig big = small;
-  big.m = 1 << 12;
-  core::VosSketch a(small, 4);
-  core::VosSketch b(big, 4);
-  EXPECT_DEATH(a.MergeFrom(b), "incompatible");
-}
-
 TEST(ContractDeathTest, ZeroSizedSketchAborts) {
   core::VosConfig config;
   config.k = 0;

@@ -208,6 +208,27 @@ TEST(VosSketchTest, MemoryBitsIsArrayOnly) {
   EXPECT_EQ(sketch.MemoryBits(), 4096u);
 }
 
+TEST(VosSketchTest, BucketsStayInRangeAndAreDeterministic) {
+  // Odd k exercises the range mapping.
+  VosSketch a(SmallVosConfig(257, 1 << 12, 91), 4);
+  VosSketch b(SmallVosConfig(257, 1 << 12, 91), 4);
+  for (ItemId i = 0; i < 5000; ++i) {
+    ASSERT_LT(a.BucketOf(i), 257u);
+    ASSERT_EQ(a.BucketOf(i), b.BucketOf(i));
+  }
+}
+
+TEST(VosSketchTest, BucketsAreRoughlyUniform) {
+  VosSketch sketch(SmallVosConfig(16, 1 << 12, 91), 1);
+  int counts[16] = {0};
+  constexpr int kSamples = 64000;
+  for (ItemId i = 0; i < kSamples; ++i) ++counts[sketch.BucketOf(i)];
+  const double expected = kSamples / 16.0;
+  double chi2 = 0;
+  for (int c : counts) chi2 += (c - expected) * (c - expected) / expected;
+  EXPECT_LT(chi2, 37.7);  // chi2(15 dof, 99.9%)
+}
+
 // -------------------------------------------------------------- VosEstimator
 
 TEST(VosEstimatorTest, ZeroAlphaZeroBetaGivesFullOverlap) {

@@ -1,5 +1,5 @@
-// Unit tests for src/hashing: mixers, seed derivation, 2-universal hashing,
-// tabulation hashing, and Feistel format-preserving permutations.
+// Unit tests for src/hashing: mixers, seed derivation, 2-universal hashing
+// and Feistel format-preserving permutations.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "hashing/feistel_permutation.h"
 #include "hashing/hash64.h"
 #include "hashing/seeds.h"
-#include "hashing/tabulation.h"
 #include "hashing/two_universal.h"
 
 namespace vos::hash {
@@ -135,34 +134,6 @@ TEST(TwoUniversalTest, MarginalRoughlyUniform) {
   double chi2 = 0;
   for (int c : counts) chi2 += (c - expected) * (c - expected) / expected;
   EXPECT_LT(chi2, 27.9);  // chi2(9 dof, 99.9%)
-}
-
-// -------------------------------------------------------------- Tabulation
-
-TEST(TabulationTest, DeterministicPerSeed) {
-  TabulationHash a(3), b(3), c(4);
-  int diff = 0;
-  for (uint64_t x = 0; x < 500; ++x) {
-    EXPECT_EQ(a(x), b(x));
-    diff += (a(x) != c(x));
-  }
-  EXPECT_GT(diff, 490);
-}
-
-TEST(TabulationTest, NoCollisionsOnSmallSample) {
-  TabulationHash h(11);
-  std::unordered_set<uint64_t> seen;
-  for (uint64_t x = 0; x < 20000; ++x) seen.insert(h(x));
-  // 64-bit outputs: expect zero collisions on 20k keys.
-  EXPECT_EQ(seen.size(), 20000u);
-}
-
-TEST(TabulationTest, OutputBitsBalanced) {
-  TabulationHash h(13);
-  int ones = 0;
-  constexpr int kTrials = 4000;
-  for (uint64_t x = 0; x < kTrials; ++x) ones += std::popcount(h(x));
-  EXPECT_NEAR(ones / static_cast<double>(kTrials), 32.0, 1.0);
 }
 
 // ----------------------------------------------------- FeistelPermutation

@@ -888,17 +888,6 @@ TEST(DirtyTrackingTest, UpdateMarksOnceAndClearResets) {
   EXPECT_EQ(sketch.dirty_users(), (std::vector<UserId>{3}));
 }
 
-TEST(DirtyTrackingTest, MergeFromMarksUsersWithForeignUpdates) {
-  const VosConfig config = ShardedVosSketch::ShardConfig(TestConfig(1, 0), 0);
-  VosSketch a(config, 10), b(config, 10);
-  a.StartDirtyTracking();
-  a.Update({1, 5, Action::kInsert});
-  b.Update({2, 6, Action::kInsert});
-  a.ClearDirtyUsers();
-  a.MergeFrom(b);
-  EXPECT_EQ(a.dirty_users(), (std::vector<UserId>{2}));
-}
-
 /// Tracking starts only when an incremental planner starts it: ingest in
 /// every mode, a rebuild-only planner and the method's live estimates
 /// leave every shard untracked, with no summary and no dirty users.
