@@ -1,4 +1,4 @@
-// BitVector: a fixed-size bit array with O(1) flip/set/get and an exact,
+// BitVector: a fixed-size bit array with O(1) flip/get and an exact,
 // incrementally maintained count of 1-bits.
 //
 // This is the storage substrate for odd sketches and the shared VOS array A.
@@ -59,26 +59,9 @@ class BitVector {
     return now_set;
   }
 
-  /// Sets bit `pos` to `value`.
-  void Set(size_t pos, bool value) {
-    if (Get(pos) != value) Flip(pos);
-  }
-
-  /// XORs bit `pos` with `bit` (no-op when bit == false).
-  void Xor(size_t pos, bool bit) {
-    if (bit) Flip(pos);
-  }
-
   /// Resets all bits to zero, keeping the size.
   void Clear() {
     std::fill(words_.begin(), words_.end(), 0);
-    ones_ = 0;
-  }
-
-  /// Resizes to `num_bits`, zeroing all content.
-  void Reset(size_t num_bits) {
-    num_bits_ = num_bits;
-    words_.assign((num_bits + 63) / 64, 0);
     ones_ = 0;
   }
 

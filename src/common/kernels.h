@@ -81,7 +81,7 @@ struct KernelTable {
   /// popcount(a[i]) summed over i in [0, n).
   size_t (*popcount_words)(const uint64_t* a, size_t n);
 
-  /// Digest extraction (DigestMatrix::ExtractRowFromArray's hot loop):
+  /// Digest extraction (DigestMatrix::ExtractRow's hot loop):
   /// for j in [0, k), cell_j = ReduceToRange(Hash64(user, seeds[j]), m);
   /// bit j of dst = array_words[cell_j >> 6] >> (cell_j & 63) & 1. dst
   /// holds ceil(k/64) words; pad bits are zeroed. When `cells` is

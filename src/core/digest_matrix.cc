@@ -17,42 +17,28 @@ unsigned ResolveThreadCount(unsigned requested, size_t work_items) {
   return std::max(threads, 1u);
 }
 
-void DigestMatrix::ExtractRowFromArray(const BitVector& array,
-                                       const VosSketch& sketch, UserId user,
-                                       uint64_t* dst, uint32_t* cells) {
-  VOS_DCHECK(array.size() == sketch.config().m)
-      << "array/geometry size mismatch";
-  const std::vector<uint64_t>& seeds = sketch.f_seed_table();
+void DigestMatrix::ExtractRow(const VosSketch& sketch, UserId user,
+                              uint64_t* dst, uint32_t* cells) {
   const uint64_t m = sketch.config().m;
-  const uint32_t k = sketch.config().k;
   VOS_DCHECK(cells == nullptr || m <= uint64_t{0xffffffff})
       << "cell capture stores cells as uint32; m too large";
   // The per-j hash/gather/pack loop is the extraction kernel —
   // runtime-dispatched (4- or 8-lane hashing on AVX2/AVX-512),
   // bit-identical to scalar at every level.
-  kernels::Active().extract_bits(array.words().data(), seeds.data(), k, user,
-                                 m, dst, cells);
-}
-
-void DigestMatrix::ExtractRow(const VosSketch& sketch, UserId user,
-                              uint64_t* dst) {
-  ExtractRowFromArray(sketch.array(), sketch, user, dst);
+  kernels::Active().extract_bits(sketch.array().words().data(),
+                                 sketch.f_seed_table().data(),
+                                 sketch.config().k, user, m, dst, cells);
 }
 
 DigestMatrix DigestMatrix::Build(const VosSketch& sketch,
                                  const std::vector<UserId>& users,
                                  unsigned num_threads) {
-  DigestMatrix matrix;
-  matrix.k_ = sketch.config().k;
-  matrix.num_rows_ = users.size();
-  matrix.words_per_row_ = DigestMatrix::WordsPerRow(matrix.k_);
-  matrix.words_.assign(matrix.num_rows_ * matrix.words_per_row_, 0);
+  DigestMatrix matrix(sketch.config().k, users.size());
   if (matrix.num_rows_ == 0) return matrix;
 
   const auto extract_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      DigestMatrix::ExtractRow(
-          sketch, users[i], matrix.words_.data() + i * matrix.words_per_row_);
+      DigestMatrix::ExtractRow(sketch, users[i], matrix.MutableRow(i));
     }
   };
 

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bit_vector.h"
@@ -34,14 +35,16 @@ class DigestMatrix {
   /// An empty matrix (rows() == 0).
   DigestMatrix() = default;
 
-  /// An all-zero matrix with `rows` k-bit rows; callers fill rows in
-  /// place via MutableRow (the incremental index permutes the previous
+  /// A matrix of `rows` k-bit rows whose words are left uninitialized:
+  /// callers write every word of every row via MutableRow (ExtractRow
+  /// writes the pad bits too; the incremental index permutes the previous
   /// snapshot's rows into it, then flips the changed bits).
   DigestMatrix(uint32_t k, size_t rows)
       : k_(k),
         num_rows_(rows),
         words_per_row_(WordsPerRow(k)),
-        words_(rows * WordsPerRow(k), 0) {}
+        words_(std::make_unique_for_overwrite<uint64_t[]>(rows *
+                                                          words_per_row_)) {}
 
   /// Extracts one row per user in `users`, in order, using `num_threads`
   /// worker threads (0 = std::thread::hardware_concurrency()).
@@ -51,17 +54,11 @@ class DigestMatrix {
 
   /// Extracts user `user`'s digest into dst[0 .. WordsPerRow(k)), packing
   /// the same bits as sketch.ExtractUserSketch(user); pad bits are zeroed.
-  static void ExtractRow(const VosSketch& sketch, UserId user, uint64_t* dst);
-
-  /// ExtractRow reading bits from `array`, which must have the sketch's
-  /// geometry (m bits; k and the f seeds come from `sketch`). When
-  /// `cells` is non-null it additionally records the k cell indices
-  /// f_j(user) into cells[0..k) — the incremental index captures them at
-  /// Rebuild to map each changed array cell to the digest bits it owns
-  /// (cells depend only on the user, never on the array).
-  static void ExtractRowFromArray(const BitVector& array,
-                                  const VosSketch& sketch, UserId user,
-                                  uint64_t* dst, uint32_t* cells = nullptr);
+  /// When `cells` is non-null it additionally records the k cell indices
+  /// f_j(user) into cells[0..k) (m must fit uint32) — the incremental
+  /// index counts them at Rebuild to size its inverse-index partitions.
+  static void ExtractRow(const VosSketch& sketch, UserId user, uint64_t* dst,
+                         uint32_t* cells = nullptr);
 
   /// Words needed for one k-bit row.
   static size_t WordsPerRow(uint32_t k) {
@@ -76,34 +73,30 @@ class DigestMatrix {
   /// Raw words of row i (words_per_row() of them).
   const uint64_t* Row(size_t i) const {
     VOS_DCHECK(i < num_rows_) << "row" << i << "of" << num_rows_;
-    return words_.data() + i * words_per_row_;
+    return words_.get() + i * words_per_row_;
   }
 
   /// Writable words of row i (distinct rows may be filled concurrently).
   uint64_t* MutableRow(size_t i) {
     VOS_DCHECK(i < num_rows_) << "row" << i << "of" << num_rows_;
-    return words_.data() + i * words_per_row_;
+    return words_.get() + i * words_per_row_;
   }
 
   /// Row i as a standalone BitVector (reference/test path; copies).
   BitVector RowAsBitVector(size_t i) const;
 
   /// Payload bytes (diagnostics).
-  size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
-
-  void Clear() {
-    k_ = 0;
-    num_rows_ = 0;
-    words_per_row_ = 0;
-    words_.clear();
-    words_.shrink_to_fit();
+  size_t MemoryBytes() const {
+    return num_rows_ * words_per_row_ * sizeof(uint64_t);
   }
+
+  void Clear() { *this = DigestMatrix(); }
 
  private:
   uint32_t k_ = 0;
   size_t num_rows_ = 0;
   size_t words_per_row_ = 0;
-  std::vector<uint64_t> words_;
+  std::unique_ptr<uint64_t[]> words_;
 };
 
 /// Resolves a thread-count request: 0 means hardware concurrency; the

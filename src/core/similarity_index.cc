@@ -18,6 +18,25 @@ constexpr uint32_t kPartitionWordsLog2 = 10;
 constexpr uint32_t kPartitionCellsLog2 = kPartitionWordsLog2 + 6;
 constexpr size_t kPartitionWords = size_t{1} << kPartitionWordsLog2;
 
+constexpr uint32_t kFlatMask =
+    (uint32_t{1} << SimilarityIndex::kEntryOffsetShift) - 1;
+
+// floor(flat / k) for flat < 2^26 with one multiply and one shift instead
+// of a divide. With s = 26 + ceil(log2 k) and mul = floor(2^s / k) + 1,
+// mul·k − 2^s ≤ k ≤ 2^(s−26), so the rounding error flat·(mul·k − 2^s)/
+// (k·2^s) stays below 1/k and never crosses an integer; flat·mul < 2^54.
+struct DivideByK {
+  explicit DivideByK(uint32_t k)
+      : shift(SimilarityIndex::kEntryOffsetShift +
+              static_cast<uint32_t>(std::bit_width(k - 1))),
+        mul((uint64_t{1} << shift) / k + 1) {}
+  uint32_t operator()(uint32_t flat) const {
+    return static_cast<uint32_t>((flat * mul) >> shift);
+  }
+  uint32_t shift;
+  uint64_t mul;
+};
+
 }  // namespace
 
 SimilarityIndex::SimilarityIndex(const VosSketch& sketch,
@@ -27,16 +46,23 @@ SimilarityIndex::SimilarityIndex(const VosSketch& sketch,
       estimator_(sketch.config().k, options),
       query_options_(query_options) {}
 
+bool SimilarityIndex::RowBefore(uint32_t a, uint32_t b) const {
+  return cardinalities_[a] != cardinalities_[b]
+             ? cardinalities_[a] < cardinalities_[b]
+             : a < b;
+}
+
 void SimilarityIndex::SortRowsAndMaps() {
   const size_t n = candidates_.size();
   sorted_rows_.resize(n);
   for (size_t i = 0; i < n; ++i) sorted_rows_[i] = static_cast<uint32_t>(i);
   std::sort(sorted_rows_.begin(), sorted_rows_.end(),
-            [this](uint32_t a, uint32_t b) {
-              return cardinalities_[a] != cardinalities_[b]
-                         ? cardinalities_[a] < cardinalities_[b]
-                         : a < b;
-            });
+            [this](uint32_t a, uint32_t b) { return RowBefore(a, b); });
+  UpdateRowMaps();
+}
+
+void SimilarityIndex::UpdateRowMaps() {
+  const size_t n = candidates_.size();
   row_of_orig_.resize(n);
   cards_by_row_.resize(n);
   for (size_t p = 0; p < n; ++p) {
@@ -44,6 +70,38 @@ void SimilarityIndex::SortRowsAndMaps() {
     row_of_orig_[i] = static_cast<uint32_t>(p);
     cards_by_row_[p] = cardinalities_[i];
   }
+}
+
+std::vector<uint32_t> SimilarityIndex::MergeMovedRows(
+    std::vector<uint32_t> moved, const std::vector<uint8_t>& is_moved) {
+  // The rows that kept their cardinality keep their relative order, and
+  // RowBefore is a strict total order, so merging them with the sorted
+  // moved rows gives exactly the order a full sort would.
+  std::sort(moved.begin(), moved.end(),
+            [this](uint32_t a, uint32_t b) { return RowBefore(a, b); });
+  const size_t n = candidates_.size();
+  std::vector<uint32_t> sorted;
+  std::vector<uint32_t> source;
+  sorted.reserve(n);
+  source.reserve(n);
+  const auto take_moved = [&](uint32_t i) {
+    sorted.push_back(i);
+    source.push_back(row_of_orig_[i]);
+  };
+  size_t next = 0;
+  for (uint32_t q = 0; q < n; ++q) {
+    const uint32_t i = sorted_rows_[q];
+    if (is_moved[i] != 0) continue;
+    for (; next < moved.size() && RowBefore(moved[next], i); ++next) {
+      take_moved(moved[next]);
+    }
+    sorted.push_back(i);
+    source.push_back(q);
+  }
+  for (; next < moved.size(); ++next) take_moved(moved[next]);
+  sorted_rows_ = std::move(sorted);
+  UpdateRowMaps();
+  return source;
 }
 
 void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
@@ -72,7 +130,8 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
     bucket_entries_.clear();
   } else {
     VOS_CHECK(IncrementalFits(sketch_->config().m, sketch_->config().k, n))
-        << "incremental index holds cells and candidates*k as uint32; m ="
+        << "incremental index holds cells as uint32 and candidates*k in 26 "
+           "bits; m ="
         << sketch_->config().m << "candidates =" << n;
     // This index is the sketch's one incremental consumer: tracking
     // starts here (a no-op after the first Rebuild), and everything
@@ -91,11 +150,12 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
 void SimilarityIndex::ExtractRowsAndInverseIndex() {
   // Counting-sorted inverse index, bucketed by cell *word* (so the
   // refresh scan jumps from a changed word straight to its owners). Each
-  // entry is the flat digest-bit index i·k + j, so a changed cell names
-  // exactly the bits it flips: bit j of candidate i. Every bucket lists
-  // its entries in ascending flat order. Cells depend only on the user,
-  // so the sort passes re-hash them (VosSketch::CellOf, no array read)
-  // instead of storing n·k of them.
+  // entry is the flat digest-bit index i·k + j tagged with its cell's
+  // in-word bit offset, so a changed cell names exactly the bits it
+  // flips: bit j of candidate i. Every bucket lists its entries in
+  // ascending flat order. Cells depend only on the user, so the sort
+  // passes re-hash them (VosSketch::CellOf, no array read) instead of
+  // storing n·k of them.
   const size_t n = candidates_.size();
   const uint32_t k = sketch_->config().k;
   const size_t num_words = (sketch_->config().m + 63) / 64;
@@ -115,9 +175,9 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
     uint32_t* counts = cursors.data() + c * num_parts;
     std::vector<uint32_t> cells(k);
     for (size_t i = range_begin(c); i < range_begin(c + 1); ++i) {
-      DigestMatrix::ExtractRowFromArray(
-          sketch_->array(), *sketch_, candidates_[i],
-          matrix_.MutableRow(row_of_orig_[i]), cells.data());
+      DigestMatrix::ExtractRow(*sketch_, candidates_[i],
+                               matrix_.MutableRow(row_of_orig_[i]),
+                               cells.data());
       for (uint32_t j = 0; j < k; ++j) {
         ++counts[cells[j] >> kPartitionCellsLog2];
       }
@@ -149,7 +209,9 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
       const uint32_t row_base = static_cast<uint32_t>(i * k);
       for (uint32_t j = 0; j < k; ++j) {
         const uint64_t cell = sketch_->CellOf(user, j);
-        entries[part_cursor[cell >> kPartitionCellsLog2]++] = row_base + j;
+        entries[part_cursor[cell >> kPartitionCellsLog2]++] =
+            static_cast<uint32_t>(cell & 63) << kEntryOffsetShift |
+            (row_base + j);
       }
     }
   });
@@ -167,6 +229,7 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
   const unsigned sort_workers =
       ResolveThreadCount(query_options_.num_threads, num_parts);
   std::vector<Scratch> scratch(sort_workers);
+  const DivideByK divide(k);
   scan::RunIndexed(sort_workers, num_parts, [&](size_t p, unsigned w) {
     Scratch& s = scratch[w];
     uint32_t* const part = entries + part_begin[p];
@@ -179,8 +242,9 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
     }
     std::fill(s.offsets.begin(), s.offsets.begin() + words + 1, 0);
     for (size_t e = 0; e < count; ++e) {
-      const uint32_t i = part[e] / k;
-      const uint64_t cell = sketch_->CellOf(candidates_[i], part[e] - i * k);
+      const uint32_t flat = part[e] & kFlatMask;
+      const uint32_t i = divide(flat);
+      const uint64_t cell = sketch_->CellOf(candidates_[i], flat - i * k);
       const auto word = static_cast<uint16_t>((cell >> 6) - first_word);
       s.word[e] = word;
       ++s.offsets[word + 1];
@@ -210,8 +274,9 @@ void SimilarityIndex::RefreshDirty() {
 
   // Affected candidates = rows whose cardinality or digest changed.
   // Cardinality changes never show in the array delta, but every one is
-  // a dirty user's.
+  // a dirty user's; only those rows move in the sorted order.
   std::vector<uint8_t> affected(n, 0);
+  std::vector<uint32_t> moved;
   if (!sketch_->dirty_users().empty()) {
     for (size_t i = 0; i < n; ++i) {
       if (!sketch_->IsDirty(candidates_[i])) continue;
@@ -219,20 +284,24 @@ void SimilarityIndex::RefreshDirty() {
       if (card != cardinalities_[i]) {
         cardinalities_[i] = card;
         affected[i] = 1;
+        moved.push_back(static_cast<uint32_t>(i));
       }
     }
   }
-  const std::vector<uint32_t> old_row_of_orig = std::move(row_of_orig_);
-  SortRowsAndMaps();
+  const std::vector<uint32_t> source =
+      MergeMovedRows(std::move(moved), affected);
 
   // The next snapshot starts as the old rows permuted into the new
-  // cardinality order; the published matrix_ is never written. One
-  // n·k/8-byte copy, on the calling thread.
+  // cardinality order, one uninitialized matrix written once; the
+  // published matrix_ is never written. Runs of rows that keep their
+  // neighbours (all of them when no cardinality changed) go in one copy.
   DigestMatrix next(k, n);
   const size_t row_bytes = next.words_per_row() * sizeof(uint64_t);
-  for (size_t p = 0; p < n; ++p) {
-    std::memcpy(next.MutableRow(p),
-                matrix_.Row(old_row_of_orig[sorted_rows_[p]]), row_bytes);
+  for (size_t p = 0; p < n;) {
+    size_t run = 1;
+    while (p + run < n && source[p + run] == source[p] + run) ++run;
+    std::memcpy(next.MutableRow(p), matrix_.Row(source[p]), run * row_bytes);
+    p += run;
   }
 
   // Digest bit j of candidate i is A[f_j(u_i)], so each changed array bit
@@ -254,10 +323,12 @@ void SimilarityIndex::RefreshDirty() {
           {mask, bucket_offsets_[w], bucket_offsets_[w + 1]});
     }
   }
-  // Pass 2 tests each bucket entry against its owner's exact bit-in-word
-  // (f_j(u_i) & 63, one hash) and flips the matching digest bits. The
-  // buckets are scattered over the inverse index, so the walk prefetches
-  // a few words ahead.
+  // Pass 2 tests each bucket entry's tag — its owner's exact bit-in-word
+  // f_j(u_i) & 63 — against the mask with one shift, and splits the flat
+  // index into (i, j) only for the owners of a changed bit. The buckets
+  // are scattered over the inverse index, so the walk prefetches a few
+  // words ahead.
+  const DivideByK divide(k);
   constexpr size_t kPrefetchWords = 4;
   for (size_t c = 0; c < refresh_words_.size(); ++c) {
     if (c + kPrefetchWords < refresh_words_.size()) {
@@ -266,13 +337,11 @@ void SimilarityIndex::RefreshDirty() {
     }
     const ChangedWord& word = refresh_words_[c];
     for (uint32_t idx = word.begin; idx < word.end; ++idx) {
-      const uint32_t flat = bucket_entries_[idx];
-      const uint32_t i = flat / k;
+      const uint32_t entry = bucket_entries_[idx];
+      if (((word.mask >> (entry >> kEntryOffsetShift)) & 1) == 0) continue;
+      const uint32_t flat = entry & kFlatMask;
+      const uint32_t i = divide(flat);
       const uint32_t j = flat - i * k;
-      if (((word.mask >> (sketch_->CellOf(candidates_[i], j) & 63)) & 1) ==
-          0) {
-        continue;
-      }
       next.MutableRow(row_of_orig_[i])[j >> 6] ^= uint64_t{1} << (j & 63);
       affected[i] = 1;
     }

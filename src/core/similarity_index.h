@@ -68,8 +68,9 @@ struct QueryOptions {
   /// 49 MiB). Each RefreshDirty additionally holds the old and the next
   /// digest matrix (k/8 bytes per candidate each) until it returns.
   /// Rebuild extracts each row once, recording its cells, and builds the
-  /// inverse index with a two-level counting sort that re-hashes every
-  /// cell twice (no array reads); leave off for rebuild-only indexes.
+  /// inverse index with a two-level counting sort whose two passes
+  /// re-hash every cell (no array reads); RefreshDirty hashes nothing.
+  /// Leave off for rebuild-only indexes.
   bool incremental = false;
 };
 
@@ -99,10 +100,11 @@ class SimilarityIndex {
   /// that changed since the last snapshot flips exactly the digest bits
   /// of its owners — including shared-cell contamination flips caused by
   /// OTHER users' updates. Cardinalities are re-read for dirty users only
-  /// (every cardinality change is a dirty user's). The old rows are
-  /// copied into the new cardinality-sorted order, the changed bits are
-  /// flipped in that copy (the published snapshot is never written), and
-  /// β is recaptured. The result is bit-identical to
+  /// (every cardinality change is a dirty user's); only the rows whose
+  /// cardinality changed are re-sorted, then merged into the old order.
+  /// The old rows are copied once into a fresh matrix in the new order,
+  /// the changed bits are flipped in that copy (the published snapshot is
+  /// never written), and β is recaptured. The result is bit-identical to
   /// Rebuild(candidates) at any delta size, asserted in tests. Requires
   /// QueryOptions::incremental and a prior Rebuild(); consumes the
   /// sketch's dirty set. A sketch has at most one incremental consumer
@@ -113,20 +115,28 @@ class SimilarityIndex {
   ///
   /// Cost: O(changed words + their inverse-index entries) — the sketch's
   /// changed-word summary (VosSketch::changed_words(), m/4096 words) names
-  /// the words to compare, and each entry costs one f_j hash — plus the
-  /// n·k/64-word row-permute copy and an O(n) pass over the candidates.
-  /// No row is re-read in O(k) and no array word outside the summary is
-  /// read, whatever the delta size (bench/micro_ingest_path.cc times it
-  /// against Rebuild up to a delta larger than the stream). Runs on the
-  /// calling thread.
+  /// the words to compare, and each entry costs one shift-and-test of its
+  /// bit-offset tag (no hash; a divide-free split into row and bit only
+  /// for a changed bit's owners) — plus the n·k/64-word row-permute copy,
+  /// an O(n) pass over the candidates and an O(c log c) sort of the c
+  /// rows whose cardinality changed. No row is re-read in O(k) and no
+  /// array word outside the summary is read, whatever the delta size
+  /// (bench/micro_ingest_path.cc times it against Rebuild up to a delta
+  /// larger than the stream). Runs on the calling thread.
   void RefreshDirty();
 
+  /// Bit position of the offset tag in an inverse-index entry: the low
+  /// 26 bits hold the flat digest-bit index i·k + j, the top 6 bits the
+  /// owning cell's in-word bit offset f_j(u_i) & 63.
+  static constexpr uint32_t kEntryOffsetShift = 26;
+
   /// Whether an incremental Rebuild of `candidates` rows over m cells and
-  /// k-bit digests fits its uint32 cells and flat digest-bit indices
-  /// (m, candidates·k < 2³²); one that does not fit aborts.
+  /// k-bit digests fits its uint32 cells (m < 2³²) and its 26-bit flat
+  /// digest-bit indices (candidates·k ≤ 2²⁶); one that does not fit
+  /// aborts. The one size predicate: past it, callers stay rebuild-only.
   static bool IncrementalFits(uint64_t m, uint32_t k, size_t candidates) {
     return m <= uint64_t{0xffffffff} &&
-           candidates * uint64_t{k} <= uint64_t{0xffffffff};
+           candidates * uint64_t{k} <= uint64_t{1} << kEntryOffsetShift;
   }
 
   /// True once Rebuild() has captured incremental state (i.e.
@@ -179,10 +189,11 @@ class SimilarityIndex {
   size_t sorted_to_candidate(size_t p) const { return sorted_rows_[p]; }
 
   /// The incremental inverse index (both empty unless CanRefresh()): the
-  /// digest bits backed by cells in array word w are the flat indices
-  /// i·k + j (bit j of candidate i) in inverse_index_entries()
-  /// [inverse_index_offsets()[w] .. inverse_index_offsets()[w + 1]),
-  /// ascending. Exposed for tests and diagnostics.
+  /// digest bits backed by cells in array word w are the entries
+  /// inverse_index_entries()[inverse_index_offsets()[w] ..
+  /// inverse_index_offsets()[w + 1]), in ascending flat index; each is
+  /// (f_j(u_i) & 63) << kEntryOffsetShift | (i·k + j) for bit j of
+  /// candidate i. Exposed for tests and diagnostics.
   const std::vector<uint32_t>& inverse_index_offsets() const {
     return bucket_offsets_;
   }
@@ -208,10 +219,23 @@ class SimilarityIndex {
   /// workers. Results are identical for every thread count.
   void ExtractRowsAndInverseIndex();
 
-  /// Recomputes the cardinality-sorted order, the row ↔ candidate maps
-  /// and cards_by_row_ from cardinalities_ (shared by Rebuild and
-  /// RefreshDirty, so both produce the identical deterministic order).
+  /// The row order: ascending cardinality, ties by candidate index.
+  bool RowBefore(uint32_t a, uint32_t b) const;
+
+  /// Rebuild's full sort: the cardinality-sorted order from
+  /// cardinalities_, then UpdateRowMaps.
   void SortRowsAndMaps();
+
+  /// Recomputes row_of_orig_ and cards_by_row_ from sorted_rows_.
+  void UpdateRowMaps();
+
+  /// RefreshDirty's re-sort, after the candidates in `moved` (ascending;
+  /// flagged in `is_moved`) changed cardinality: sorts only those and
+  /// merges them into the old order of the others — the order
+  /// SortRowsAndMaps gives — then UpdateRowMaps. Returns each new row's
+  /// old row.
+  std::vector<uint32_t> MergeMovedRows(std::vector<uint32_t> moved,
+                                       const std::vector<uint8_t>& is_moved);
 
   const VosSketch* sketch_;
   VosEstimator estimator_;
@@ -250,10 +274,11 @@ class SimilarityIndex {
   /// Counting-sorted inverse index over cell words: the digest bits owned
   /// by a cell in array word w are bucket_entries_[bucket_offsets_[w] ..
   /// bucket_offsets_[w+1]), each entry the flat index i·k + j (bit j of
-  /// candidate i; fits 32 bits since n·k < 2³² is checked at Rebuild).
-  /// The refresh tests the exact changed bit, f_j(u_i) & 63, so a
-  /// change flips only true cell owners (expected n·k/m per cell), not
-  /// every bit sharing the 64-bit word.
+  /// candidate i; fits 26 bits since n·k ≤ 2²⁶ is checked at Rebuild)
+  /// tagged in its top 6 bits with the cell's in-word offset
+  /// f_j(u_i) & 63. The refresh tests that tag against the changed bits,
+  /// so a change flips only true cell owners (expected n·k/m per cell),
+  /// not every bit sharing the 64-bit word.
   std::vector<uint32_t> bucket_offsets_;
   std::vector<uint32_t> bucket_entries_;
   /// RefreshDirty scratch, kept across refreshes: each changed word's XOR

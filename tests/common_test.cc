@@ -113,18 +113,6 @@ TEST(BitVectorTest, FlipTogglesAndTracksOnes) {
   EXPECT_FALSE(bits.Get(3));
 }
 
-TEST(BitVectorTest, SetAndXor) {
-  BitVector bits(10);
-  bits.Set(4, true);
-  bits.Set(4, true);  // idempotent
-  EXPECT_EQ(bits.ones(), 1u);
-  bits.Xor(4, false);  // no-op
-  EXPECT_TRUE(bits.Get(4));
-  bits.Xor(4, true);
-  EXPECT_FALSE(bits.Get(4));
-  EXPECT_EQ(bits.ones(), 0u);
-}
-
 TEST(BitVectorTest, FractionOnes) {
   BitVector bits(8);
   EXPECT_DOUBLE_EQ(bits.FractionOnes(), 0.0);
@@ -134,16 +122,13 @@ TEST(BitVectorTest, FractionOnes) {
   EXPECT_DOUBLE_EQ(BitVector(0).FractionOnes(), 0.0);
 }
 
-TEST(BitVectorTest, ClearAndReset) {
+TEST(BitVectorTest, ClearKeepsTheSize) {
   BitVector bits(50);
   bits.Flip(10);
   bits.Flip(20);
   bits.Clear();
   EXPECT_EQ(bits.ones(), 0u);
   EXPECT_EQ(bits.size(), 50u);
-  bits.Reset(8);
-  EXPECT_EQ(bits.size(), 8u);
-  EXPECT_EQ(bits.ones(), 0u);
 }
 
 TEST(BitVectorTest, HammingDistance) {

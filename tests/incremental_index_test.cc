@@ -349,8 +349,131 @@ TEST(RefreshDirtyTest, CardinalityOnlyChangesReorderCorrectly) {
   RefreshAndCheck(refreshed, sketch, "cardinality jump");
 }
 
+// RefreshDirty re-sorts only the rows whose cardinality changed and merges
+// them into the old order. Each case below is checked against a fresh
+// Rebuild (a full sort) by RefreshAndCheck.
+
+/// Gives `user` `count` fresh items (count > 0) or deletes its last
+/// -count ones.
+void AddItems(VosSketch* sketch, std::vector<std::vector<ItemId>>* items,
+              UserId user, int count, ItemId* next_item) {
+  for (; count > 0; --count) {
+    (*items)[user].push_back((*next_item)++);
+    sketch->Update({user, (*items)[user].back(), Action::kInsert});
+  }
+  for (; count < 0; ++count) {
+    sketch->Update({user, (*items)[user].back(), Action::kDelete});
+    (*items)[user].pop_back();
+  }
+}
+
+/// The candidate users in matrix-row order.
+std::vector<UserId> RowOrder(const SimilarityIndex& index) {
+  std::vector<UserId> order;
+  for (size_t p = 0; p < index.candidate_count(); ++p) {
+    order.push_back(index.candidates()[index.sorted_to_candidate(p)]);
+  }
+  return order;
+}
+
+TEST(RefreshDirtyTest, MergedRowsBreakCardinalityTiesByCandidateIndex) {
+  VosSketch sketch(SmallConfig(), 12);
+  std::vector<std::vector<ItemId>> items(12);
+  ItemId next_item = 1;
+  for (UserId u = 0; u < 10; ++u) AddItems(&sketch, &items, u, 5, &next_item);
+  // Candidate index i holds user 9 − i, so index order is not user order.
+  const std::vector<UserId> candidates = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
+  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
+  index.Rebuild(candidates);
+  EXPECT_EQ(RowOrder(index), candidates);  // all tie at 5
+
+  // Users 3 and 7 tie at 6 with each other, user 8 drops to 4.
+  AddItems(&sketch, &items, 3, 1, &next_item);
+  AddItems(&sketch, &items, 7, 1, &next_item);
+  AddItems(&sketch, &items, 8, -1, &next_item);
+  RefreshAndCheck(index, sketch, "moved rows tie with each other");
+  EXPECT_EQ(RowOrder(index),
+            (std::vector<UserId>{8, 9, 6, 5, 4, 2, 1, 0, 7, 3}));
+
+  // User 3 rejoins the tie at 5 between users 4 and 2, user 8 too (after
+  // user 9, by its index 1); user 0 moves up to tie with 7, after it.
+  AddItems(&sketch, &items, 3, -1, &next_item);
+  AddItems(&sketch, &items, 8, 1, &next_item);
+  AddItems(&sketch, &items, 0, 1, &next_item);
+  RefreshAndCheck(index, sketch, "moved rows tie with unmoved rows");
+  EXPECT_EQ(RowOrder(index),
+            (std::vector<UserId>{9, 8, 6, 5, 4, 3, 2, 1, 7, 0}));
+}
+
+TEST(RefreshDirtyTest, RowMovesFromFirstToLastAndBack) {
+  VosSketch sketch(SmallConfig(), 24);
+  std::vector<std::vector<ItemId>> items(24);
+  ItemId next_item = 1;
+  for (UserId u = 0; u < 20; ++u) {
+    AddItems(&sketch, &items, u, 3 + static_cast<int>(u), &next_item);
+  }
+  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
+  index.Rebuild(FirstUsers(20));
+  ASSERT_EQ(RowOrder(index).front(), 0u);
+  AddItems(&sketch, &items, 0, 40, &next_item);
+  RefreshAndCheck(index, sketch, "first row to last");
+  EXPECT_EQ(RowOrder(index).back(), 0u);
+  EXPECT_EQ(RowOrder(index).front(), 1u);
+  AddItems(&sketch, &items, 0, -40, &next_item);
+  RefreshAndCheck(index, sketch, "last row back to first");
+  EXPECT_EQ(RowOrder(index), FirstUsers(20));
+}
+
+TEST(RefreshDirtyTest, EveryRowOrNoRowChangesCardinality) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(), 40, 20, 101);
+  std::vector<std::vector<ItemId>> items(40);
+  ItemId next_item = 1 << 29;
+  const std::vector<UserId> candidates = FirstUsers(30);
+  SimilarityIndex index(sketch, {}, IncrementalOptions(2));
+  index.Rebuild(candidates);
+  // Every candidate gains a different number of items, reversing the
+  // order of the first rows; then all lose them again.
+  for (const int sign : {1, -1}) {
+    for (const UserId u : candidates) {
+      AddItems(&sketch, &items, u, sign * static_cast<int>(30 - u),
+               &next_item);
+    }
+    RefreshAndCheck(index, sketch,
+                    sign > 0 ? "every row gains" : "every row loses");
+    EXPECT_EQ(index.last_refresh_dirty_fraction(), 1.0);
+  }
+  // No cardinality changes: nothing at all, then only a non-candidate's
+  // updates (the digests may change, the order may not).
+  const std::vector<UserId> order = RowOrder(index);
+  RefreshAndCheck(index, sketch, "no change");
+  EXPECT_EQ(index.last_refresh_dirty_fraction(), 0.0);
+  AddItems(&sketch, &items, 35, 25, &next_item);
+  RefreshAndCheck(index, sketch, "non-candidate updates only");
+  EXPECT_EQ(RowOrder(index), order);
+}
+
+TEST(RefreshDirtyTest, ZeroOneAndTwoCandidates) {
+  for (const UserId n : {UserId{0}, UserId{1}, UserId{2}}) {
+    const std::string context = "n=" + std::to_string(n);
+    VosSketch sketch = PopulatedSketch(SmallConfig(), 6, 10, 103 + n);
+    std::vector<std::vector<ItemId>> items(6);
+    ItemId next_item = 1 << 29;
+    SimilarityIndex index(sketch, {}, IncrementalOptions(1));
+    index.Rebuild(FirstUsers(n));
+    RefreshAndCheck(index, sketch, context + " empty delta");
+    // User 0 overtakes user 1 and falls back; user 5 only contaminates.
+    for (const int delta : {30, -30, 1}) {
+      AddItems(&sketch, &items, 0, delta, &next_item);
+      AddItems(&sketch, &items, 5, 3, &next_item);
+      RefreshAndCheck(index, sketch,
+                      context + " delta=" + std::to_string(delta));
+    }
+  }
+}
+
 /// The inverse index recomputed by brute force: every digest bit's flat
-/// index i·k + j under the array word of its cell, ascending per word.
+/// index i·k + j, tagged with its cell's in-word offset (CellOf & 63) in
+/// the top 6 bits, under the array word of its cell, ascending per word.
 void ExpectInverseIndexMatchesOracle(const SimilarityIndex& index,
                                      const VosSketch& sketch,
                                      const std::string& context) {
@@ -358,8 +481,9 @@ void ExpectInverseIndexMatchesOracle(const SimilarityIndex& index,
   std::vector<std::vector<uint32_t>> owners((sketch.config().m + 63) / 64);
   for (size_t i = 0; i < index.candidate_count(); ++i) {
     for (uint32_t j = 0; j < k; ++j) {
-      owners[sketch.CellOf(index.candidates()[i], j) >> 6].push_back(
-          static_cast<uint32_t>(i * k + j));
+      const uint64_t cell = sketch.CellOf(index.candidates()[i], j);
+      owners[cell >> 6].push_back(static_cast<uint32_t>(
+          (cell & 63) << 26 | (i * k + j)));
     }
   }
   std::vector<uint32_t> offsets{0};
@@ -451,16 +575,42 @@ TEST(IncrementalRebuildTest, PartitionEdgesAndThreadCounts) {
   }
 }
 
-/// The incremental index holds cells and flat digest-bit indices as
-/// uint32: it fits up to m = 2³²−1 cells and candidates·k = 2³²−1 bits.
+/// The incremental index holds cells as uint32 and flat digest-bit
+/// indices in the 26 bits below each entry's 6-bit offset tag: it fits up
+/// to m = 2³²−1 cells and candidates·k = 2²⁶ bits.
 TEST(IncrementalRebuildTest, FitsAtTheUint32Limits) {
   constexpr uint64_t kMax = 0xffffffff;
-  EXPECT_TRUE(SimilarityIndex::IncrementalFits(kMax, 1, kMax));
+  constexpr size_t kFlat = size_t{1} << 26;
+  EXPECT_TRUE(SimilarityIndex::IncrementalFits(kMax, 1, kFlat));
   EXPECT_FALSE(SimilarityIndex::IncrementalFits(kMax + 1, 1, 1));
-  EXPECT_FALSE(SimilarityIndex::IncrementalFits(1 << 16, 1, kMax + 1));
-  EXPECT_TRUE(SimilarityIndex::IncrementalFits(1 << 16, 65535, 65537));
+  EXPECT_FALSE(SimilarityIndex::IncrementalFits(1 << 16, 1, kFlat + 1));
+  EXPECT_TRUE(SimilarityIndex::IncrementalFits(1 << 16, 6400, 10485));
+  EXPECT_FALSE(SimilarityIndex::IncrementalFits(1 << 16, 6400, 10486));
+  EXPECT_TRUE(SimilarityIndex::IncrementalFits(1 << 16, 1 << 13, 1 << 13));
   EXPECT_FALSE(SimilarityIndex::IncrementalFits(1 << 16, 65536, 65536));
   EXPECT_TRUE(SimilarityIndex::IncrementalFits(0, 0, 0));
+}
+
+/// The refresh and the Rebuild's fine sort split flat = i·k + j with a
+/// reciprocal, not a divide: digest widths that are not powers of two
+/// (k = 1 included) must still give the brute-force inverse index and
+/// refresh to a fresh Rebuild.
+TEST(RefreshDirtyTest, DigestWidthsOffPowersOfTwo) {
+  for (const uint32_t k : {1u, 63u, 100u, 1000u}) {
+    const std::string context = "k=" + std::to_string(k);
+    VosConfig config = SmallConfig();
+    config.k = k;
+    VosSketch sketch = PopulatedSketch(config, 40, 20, 107);
+    SimilarityIndex index(sketch, {}, IncrementalOptions(2));
+    index.Rebuild(FirstUsers(30));
+    ExpectInverseIndexMatchesOracle(index, sketch, context);
+    ItemId next_item = 1 << 29;
+    for (const double fraction : {0.1, 1.0}) {
+      Churn(&sketch, FirstUsers(30), fraction, &next_item);
+      RefreshAndCheck(index, sketch,
+                      context + " fraction=" + std::to_string(fraction));
+    }
+  }
 }
 
 TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {

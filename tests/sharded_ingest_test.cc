@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -793,6 +794,48 @@ TEST(ShardedVosMethodTest, OnlyARepeatedSetBuildsIncrementalState) {
     method.PrepareQuery(tracked);
     EXPECT_TRUE(method.planner()->query_options().incremental);
     EXPECT_TRUE(tracks());
+  }
+}
+
+/// Past SimilarityIndex::IncrementalFits (here candidates·k = 1025 · 2¹⁶
+/// > 2²⁶) a repeated set stays rebuild-only: every PrepareQuery rebuilds
+/// the planner without incremental state or dirty tracking, none aborts,
+/// and each snapshot equals a fresh Rebuild bit for bit.
+TEST(ShardedVosMethodTest, RepeatedSetPastTheFitBoundStaysRebuildOnly) {
+  const UserId users = 1100;
+  const uint32_t k = 1 << 16;
+  const uint64_t m = 1 << 20;
+  std::vector<UserId> tracked;
+  for (UserId u = 0; u < 1025; ++u) tracked.push_back(u);
+  ASSERT_FALSE(SimilarityIndex::IncrementalFits(m, k, tracked.size()));
+  ASSERT_TRUE(SimilarityIndex::IncrementalFits(m, k, tracked.size() - 1));
+  const std::vector<Element> elements = DynamicStream(users, 6000, 43);
+  const size_t third = elements.size() / 3;
+  ShardedVosMethod method(TestConfig(1, 0, k, m), users);
+  method.SetQueryThreads(2);
+  for (size_t c = 0; c < 3; ++c) {
+    SCOPED_TRACE("PrepareQuery " + std::to_string(c + 1));
+    const size_t end = c == 2 ? elements.size() : (c + 1) * third;
+    method.UpdateBatch(elements.data() + c * third, end - c * third);
+    ASSERT_TRUE(method.FlushIngest().ok());
+    method.PrepareQuery(tracked);
+    ASSERT_NE(method.planner(), nullptr);
+    EXPECT_FALSE(method.planner()->query_options().incremental);
+    EXPECT_FALSE(method.sketch().shard(0).tracks_dirty());
+    const SimilarityIndex& index = method.planner()->shard_index(0);
+    SimilarityIndex fresh(method.sketch().shard(0));
+    fresh.Rebuild(index.candidates());
+    ASSERT_EQ(index.candidate_count(), tracked.size());
+    EXPECT_EQ(index.snapshot_beta(), fresh.snapshot_beta());
+    EXPECT_EQ(index.row_cardinalities(), fresh.row_cardinalities());
+    const size_t row_bytes = index.matrix().words_per_row() * sizeof(uint64_t);
+    for (size_t p = 0; p < index.candidate_count(); ++p) {
+      ASSERT_EQ(index.sorted_to_candidate(p), fresh.sorted_to_candidate(p));
+      ASSERT_EQ(std::memcmp(index.matrix().Row(p), fresh.matrix().Row(p),
+                            row_bytes),
+                0)
+          << "row " << p;
+    }
   }
 }
 
