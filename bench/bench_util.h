@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -15,6 +16,7 @@
 
 #include "common/csv_writer.h"
 #include "common/flags.h"
+#include "common/status.h"
 #include "common/table_printer.h"
 #include "stream/dataset.h"
 
@@ -158,6 +160,38 @@ inline void PrintBanner(const std::string& title, const Flags& flags) {
     std::printf("\n");
   }
   std::printf("\n");
+}
+
+/// A timed bench row: seconds per run, and how many runs that is the
+/// median of (1 when a slow first run is reported alone).
+struct StableTime {
+  double seconds = 0.0;
+  int reps = 0;
+};
+
+/// Times `run` (a callable returning StatusOr<double> seconds, e.g. one
+/// harness::MeasureUpdateRuntime call) so that a row resolves a 10%
+/// change on a shared host. A first run of 0.5 s or more is reported as
+/// is, so slow rows do not multiply the bench's run time. Otherwise the
+/// first run is a warm-up, and `run` repeats until the reps total at least
+/// 0.5 s (at most 21 reps); the median is reported.
+template <typename Run>
+StatusOr<StableTime> TimeUntilStable(const Run& run) {
+  constexpr double kBudgetSeconds = 0.5;
+  constexpr size_t kMaxReps = 21;
+  VOS_ASSIGN_OR_RETURN(const double first, run());
+  if (first >= kBudgetSeconds) return StableTime{first, 1};
+  std::vector<double> times;
+  double total = 0.0;
+  while (total < kBudgetSeconds && times.size() < kMaxReps) {
+    VOS_ASSIGN_OR_RETURN(const double seconds, run());
+    times.push_back(seconds);
+    total += seconds;
+  }
+  std::sort(times.begin(), times.end());
+  const size_t n = times.size();
+  return StableTime{(times[(n - 1) / 2] + times[n / 2]) / 2,
+                    static_cast<int>(n)};
 }
 
 }  // namespace vos::bench

@@ -8,7 +8,9 @@
 // Reproduction notes: the `runtime_s` preset (2,000 users) stands in for the
 // full YouTube crawl so that the O(k)-memory baselines fit in RAM at large
 // k; the default sweep stops at 10^4 to keep the default bench run short.
-// Flags: --dataset --scale --kmax (10000) --lambda (2) --csv.
+// Each row is the median of repeated runs (bench_util.h TimeUntilStable;
+// the `reps` column counts them). Flags: --dataset --scale --kmax (10000)
+// --lambda (2) --csv.
 
 #include <cstdio>
 
@@ -34,7 +36,7 @@ int Run(int argc, char** argv) {
   for (int64_t k = 1; k <= kmax; k *= 10) ks.push_back(static_cast<uint32_t>(k));
 
   const std::vector<std::string> header = {"k", "method", "seconds",
-                                           "ns_per_element"};
+                                           "ns_per_element", "reps"};
   TablePrinter table(header);
   std::vector<std::vector<std::string>> rows;
   for (uint32_t k : ks) {
@@ -43,16 +45,19 @@ int Run(int argc, char** argv) {
       factory.base_k = k;
       factory.lambda = flags.GetDouble("lambda", 2.0);
       factory.seed = 99;
-      auto seconds = harness::MeasureUpdateRuntime(stream, method, factory);
-      if (!seconds.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     seconds.status().ToString().c_str());
+      auto time = TimeUntilStable([&] {
+        return harness::MeasureUpdateRuntime(stream, method, factory);
+      });
+      if (!time.ok()) {
+        std::fprintf(stderr, "error: %s\n", time.status().ToString().c_str());
         return 1;
       }
       std::vector<std::string> row = {
           TablePrinter::FormatInt(k), method,
-          TablePrinter::FormatDouble(*seconds, 4),
-          TablePrinter::FormatDouble(*seconds * 1e9 / stats.num_elements, 4)};
+          TablePrinter::FormatDouble(time->seconds, 4),
+          TablePrinter::FormatDouble(time->seconds * 1e9 / stats.num_elements,
+                                     4),
+          TablePrinter::FormatInt(time->reps)};
       table.AddRow(row);
       rows.push_back(std::move(row));
     }

@@ -8,8 +8,9 @@
 // Reproduction notes: k defaults to 10^4 and the measured stream is capped
 // at --max-elements (default 400,000) so that all four datasets run in
 // minutes on a laptop; the per-element cost (the quantity the figure's
-// shape encodes) is unaffected by the cap. Flags: --k --max-elements
-// --lambda --csv.
+// shape encodes) is unaffected by the cap. Each row is the median of
+// repeated runs (bench_util.h TimeUntilStable; the `reps` column counts
+// them). Flags: --k --max-elements --lambda --csv.
 
 #include <cstdio>
 
@@ -40,8 +41,8 @@ int Run(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("max-elements", 400000));
   const double scale = flags.GetDouble("scale", 1.0);
 
-  const std::vector<std::string> header = {"dataset", "method", "elements",
-                                           "seconds", "ns_per_element"};
+  const std::vector<std::string> header = {
+      "dataset", "method", "elements", "seconds", "ns_per_element", "reps"};
   TablePrinter table(header);
   std::vector<std::vector<std::string>> rows;
   for (const std::string& name : stream::PaperDatasets()) {
@@ -58,16 +59,18 @@ int Run(int argc, char** argv) {
       factory.base_k = k;
       factory.lambda = flags.GetDouble("lambda", 2.0);
       factory.seed = 99;
-      auto seconds = harness::MeasureUpdateRuntime(measured, method, factory);
-      if (!seconds.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     seconds.status().ToString().c_str());
+      auto time = TimeUntilStable([&] {
+        return harness::MeasureUpdateRuntime(measured, method, factory);
+      });
+      if (!time.ok()) {
+        std::fprintf(stderr, "error: %s\n", time.status().ToString().c_str());
         return 1;
       }
       std::vector<std::string> row = {
           name, method, TablePrinter::FormatInt(measured.size()),
-          TablePrinter::FormatDouble(*seconds, 4),
-          TablePrinter::FormatDouble(*seconds * 1e9 / measured.size(), 4)};
+          TablePrinter::FormatDouble(time->seconds, 4),
+          TablePrinter::FormatDouble(time->seconds * 1e9 / measured.size(), 4),
+          TablePrinter::FormatInt(time->reps)};
       table.AddRow(row);
       rows.push_back(std::move(row));
     }

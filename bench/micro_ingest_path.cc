@@ -34,8 +34,9 @@
 // the on-disk bytes / in-memory bytes ratio (MemoryBits / 8) so the
 // serialization overhead is visible next to the timings.
 //
-// Phase "index": SimilarityIndex::Rebuild (full re-extraction, plain and
-// with incremental state captured at 1 and 2 threads — those rows'
+// Phase "index": a full re-extraction (Snapshot::Build, plain, and
+// SimilarityIndex::Rebuild, with incremental state captured at 1 and 2
+// threads — those rows'
 // speedup column is the ratio to the plain row, and every one is
 // VOS_CHECKed bit-identical to it) vs. RefreshDirty (flips only the
 // changed digest bits) at dirty fractions {1%, 10%, 50%} of the candidate
@@ -56,6 +57,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,10 +73,10 @@
 namespace vos::bench {
 namespace {
 
-using core::QueryOptions;
 using core::ShardedVosConfig;
 using core::ShardedVosSketch;
 using core::SimilarityIndex;
+using core::Snapshot;
 using core::VosConfig;
 using core::VosSketch;
 using stream::Action;
@@ -134,10 +136,9 @@ void CheckShardsIdentical(const ShardedVosSketch& a,
 }
 
 /// Bit-identity of two index snapshots: rows, order, β.
-void CheckIndexesIdentical(const SimilarityIndex& a,
-                           const SimilarityIndex& b) {
+void CheckIndexesIdentical(const Snapshot& a, const Snapshot& b) {
   VOS_CHECK(a.candidate_count() == b.candidate_count());
-  VOS_CHECK(a.snapshot_beta() == b.snapshot_beta());
+  VOS_CHECK(a.beta() == b.beta());
   VOS_CHECK(a.row_cardinalities() == b.row_cardinalities());
   const core::DigestMatrix& ma = a.matrix();
   const core::DigestMatrix& mb = b.matrix();
@@ -537,38 +538,30 @@ int main(int argc, char** argv) {
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
 
-  QueryOptions plain_options;
-  plain_options.num_threads = 1;
-  SimilarityIndex full_index(sketch, {}, plain_options);
-
+  std::shared_ptr<const Snapshot> full;
   const double full_rebuild_seconds = BestSeconds(repeats, [&] {
-    full_index.Rebuild(candidates);
+    full = Snapshot::Build(sketch, candidates, {}, 1);
   });
   emit("index", "rebuild", 1, 1, 1, full_rebuild_seconds,
        candidates.size() / full_rebuild_seconds, "rows/s", 1.0);
 
   // Rebuild with incremental state at 1 and 2 workers; the speedup column
   // is the ratio to the plain rebuild above.
-  QueryOptions incremental_options;
-  incremental_options.incremental = true;
-  SimilarityIndex incremental_index(sketch, {}, incremental_options);
+  SimilarityIndex incremental_index(sketch);
+  std::shared_ptr<const Snapshot> incremental;
   double incremental_rebuild_seconds[2] = {};
   for (const unsigned threads : {1u, 2u}) {
-    incremental_options.num_threads = threads;
-    incremental_index.set_query_options(incremental_options);
     const double seconds = BestSeconds(repeats, [&] {
-      incremental_index.Rebuild(candidates);
+      incremental = incremental_index.Rebuild(candidates, threads);
     });
-    CheckIndexesIdentical(incremental_index, full_index);
+    CheckIndexesIdentical(*incremental, *full);
     incremental_rebuild_seconds[threads - 1] = seconds;
     emit("index", "rebuild-incremental", 1, 1, threads, seconds,
          candidates.size() / seconds, "rows/s",
          full_rebuild_seconds / seconds);
   }
-  // The refresh rows below run single-threaded (a snapshot does not
-  // depend on the thread count that built it).
-  incremental_options.num_threads = 1;
-  incremental_index.set_query_options(incremental_options);
+  // The refresh rows below run on the calling thread (a snapshot does
+  // not depend on the thread count that built it).
 
   ItemId next_item = static_cast<ItemId>(elements.size()) + 1000;
   // Applies one delta per repeat, times RefreshDirty over it and checks
@@ -578,11 +571,11 @@ int main(int argc, char** argv) {
     for (int r = 0; r < repeats; ++r) {
       apply_delta();
       WallTimer timer;
-      incremental_index.RefreshDirty();
+      incremental = incremental_index.RefreshDirty();
       const double elapsed = timer.ElapsedSeconds();
       if (r == 0 || elapsed < best) best = elapsed;
-      full_index.Rebuild(candidates);
-      CheckIndexesIdentical(incremental_index, full_index);
+      full = Snapshot::Build(sketch, candidates, {}, 1);
+      CheckIndexesIdentical(*incremental, *full);
     }
     return best;
   };

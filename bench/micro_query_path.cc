@@ -3,7 +3,7 @@
 // scalar seed path vs. the DigestMatrix batch engine.
 //
 // The scalar baseline is the seed implementation kept verbatim as
-// SimilarityIndex::AllPairsAboveReference — per-user heap BitVector
+// Snapshot::AllPairsAboveReference — per-user heap BitVector
 // digests, one Hamming-distance call and one closed-form (log) estimator
 // evaluation per pair, single-threaded. The batch engine is
 // QueryPlanner::AllPairsAbove over one shard: all digests packed into one
@@ -64,7 +64,7 @@ using core::QueryOptions;
 using core::QueryPlanner;
 using core::ShardedVosConfig;
 using core::ShardedVosSketch;
-using core::SimilarityIndex;
+using core::Snapshot;
 using core::VosConfig;
 using core::VosSketch;
 using stream::Action;
@@ -376,7 +376,7 @@ int main(int argc, char** argv) {
   query_options.tile_rows = tile_rows;
   QueryPlanner batch(one_shard_sketch, {}, query_options);
   batch.Rebuild(candidates);
-  const SimilarityIndex& snapshot = batch.shard_index(0);
+  const Snapshot& snapshot = batch.shard_index(0);
 
   const auto reference = snapshot.AllPairsAboveReference(tau);
   const auto timed_batch = [&](unsigned t) {

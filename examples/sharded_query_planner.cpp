@@ -4,7 +4,7 @@
 // The pipeline this example walks through:
 //
 //   stream → ShardedVosSketch (dense user remap, per-shard worker threads)
-//          → QueryPlanner (one SimilarityIndex per shard)
+//          → QueryPlanner (one immutable Snapshot per shard)
 //          → AllPairsAbove (every same- and cross-shard pass, tiled on
 //            one worker pool) and TopK (one scan of every shard index on
 //            the calling thread), cross-shard pairs estimated under the
@@ -22,7 +22,6 @@
 #include "core/sharded_vos_sketch.h"
 
 int main() {
-  using vos::core::QueryOptions;
   using vos::core::QueryPlanner;
   using vos::core::ShardedVosConfig;
   using vos::core::ShardedVosSketch;
@@ -61,14 +60,13 @@ int main() {
   // make every number below meaningless.
   VOS_CHECK(sketch.Flush().ok());
 
-  // Snapshot every shard index (incremental mode retains refresh state
-  // and starts the shards' dirty tracking).
+  // Snapshot every shard, then refresh once: the first Refresh of a set
+  // captures incremental state and starts the shards' dirty tracking.
   std::vector<UserId> candidates;
   for (UserId u = 0; u < kUsers; ++u) candidates.push_back(u);
-  QueryOptions options;
-  options.incremental = true;
-  QueryPlanner planner(sketch, {}, options);
+  QueryPlanner planner(sketch);
   planner.Rebuild(candidates);
+  planner.Refresh();
 
   std::printf("ingested %zu elements into %u shards "
               "(%.1f bits/user total memory)\n",

@@ -37,7 +37,7 @@ class DigestMatrix {
 
   /// A matrix of `rows` k-bit rows whose words are left uninitialized:
   /// callers write every word of every row via MutableRow (ExtractRow
-  /// writes the pad bits too; the incremental index permutes the previous
+  /// writes the pad bits too; the incremental builder permutes the last
   /// snapshot's rows into it, then flips the changed bits).
   DigestMatrix(uint32_t k, size_t rows)
       : k_(k),

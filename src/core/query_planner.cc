@@ -16,62 +16,75 @@ QueryPlanner::QueryPlanner(const ShardedVosSketch& sketch,
     : sketch_(&sketch),
       estimator_(sketch.config().base.k, estimator_options),
       query_options_(query_options),
-      log_alpha_table_(estimator_.BuildLogAlphaTable()) {
-  // One index per shard, bound to the shard's VosSketch (local id
-  // space), with its share of the planner's workers (IndexThreads).
-  QueryOptions per_index = query_options_;
-  per_index.num_threads = IndexThreads();
-  indexes_.reserve(sketch.num_shards());
-  for (uint32_t s = 0; s < sketch.num_shards(); ++s) {
-    indexes_.push_back(std::make_unique<SimilarityIndex>(
-        sketch.shard(s), estimator_options, per_index));
-  }
-}
+      snapshots_(sketch.num_shards(), std::make_shared<const Snapshot>()),
+      log_alpha_table_(estimator_.BuildLogAlphaTable()) {}
 
 unsigned QueryPlanner::IndexThreads() const {
-  // Rebuild/Refresh run min(T, S) shard tasks at a time, so ⌊T/S⌋
-  // workers inside each never exceed T threads in total.
+  // Snapshots run min(T, S) shard tasks at a time, so ⌊T/S⌋ workers
+  // inside each never exceed T threads in total.
   const unsigned total = ResolveThreadCount(query_options_.num_threads,
                                             std::numeric_limits<size_t>::max());
   return std::max(1u, total / sketch_->num_shards());
 }
 
-void QueryPlanner::set_num_threads(unsigned num_threads) {
-  query_options_.num_threads = num_threads;
-  for (const std::unique_ptr<SimilarityIndex>& index : indexes_) {
-    QueryOptions options = index->query_options();
-    options.num_threads = IndexThreads();
-    index->set_query_options(options);
-  }
+void QueryPlanner::Rebuild(std::vector<UserId> candidates) {
+  candidates_ = std::move(candidates);
+  ExtractShards(/*incremental=*/false);
 }
 
-void QueryPlanner::Rebuild(std::vector<UserId> candidates) {
+void QueryPlanner::Refresh() {
+  if (builders_.empty()) {
+    // The first refresh of this set: refreshes follow, so capture
+    // incremental state where every shard can hold it (the whole set
+    // bounds each shard's share); otherwise extract again.
+    const VosConfig& shard = sketch_->shard(0).config();  // all alike
+    ExtractShards(
+        SimilarityIndex::IncrementalFits(shard.m, shard.k, candidates_.size()));
+    return;
+  }
   VOS_DCHECK(!sketch_->HasPendingIngest())
-      << "Rebuild on a non-quiesced pipeline; call Flush() first";
-  candidates_ = std::move(candidates);
+      << "Refresh on a non-quiesced pipeline; call Flush() first";
+  const uint32_t num_shards = sketch_->num_shards();
+  scan::RunIndexed(
+      ResolveThreadCount(query_options_.num_threads, num_shards), num_shards,
+      [&](size_t s) { snapshots_[s] = builders_[s]->RefreshDirty(); });
+}
+
+void QueryPlanner::Prepare(const std::vector<UserId>& candidates) {
+  if (!candidates.empty() && candidates == candidates_) return Refresh();
+  Rebuild(candidates);
+}
+
+void QueryPlanner::ExtractShards(bool incremental) {
+  VOS_DCHECK(!sketch_->HasPendingIngest())
+      << "snapshot of a non-quiesced pipeline; call Flush() first";
   const uint32_t num_shards = sketch_->num_shards();
   std::vector<std::vector<UserId>> locals(num_shards);
   for (const UserId user : candidates_) {
     locals[sketch_->ShardOf(user)].push_back(sketch_->LocalIdOf(user));
   }
-  scan::RunIndexed(ResolveThreadCount(query_options_.num_threads, num_shards),
-           num_shards,
-           [&](size_t s) { indexes_[s]->Rebuild(std::move(locals[s])); });
-}
-
-void QueryPlanner::Refresh() {
-  VOS_CHECK(query_options_.incremental)
-      << "Refresh needs QueryOptions::incremental";
-  VOS_DCHECK(!sketch_->HasPendingIngest())
-      << "Refresh on a non-quiesced pipeline; call Flush() first";
-  const uint32_t num_shards = sketch_->num_shards();
-  scan::RunIndexed(ResolveThreadCount(query_options_.num_threads, num_shards),
-           num_shards, [&](size_t s) { indexes_[s]->RefreshDirty(); });
+  // Release the old snapshots and builders before building the next.
+  builders_.clear();
+  snapshots_.assign(num_shards, nullptr);
+  for (uint32_t s = 0; incremental && s < num_shards; ++s) {
+    builders_.push_back(std::make_unique<SimilarityIndex>(
+        sketch_->shard(s), estimator_.options()));
+  }
+  const unsigned index_threads = IndexThreads();
+  scan::RunIndexed(
+      ResolveThreadCount(query_options_.num_threads, num_shards), num_shards,
+      [&](size_t s) {
+        snapshots_[s] =
+            incremental
+                ? builders_[s]->Rebuild(std::move(locals[s]), index_threads)
+                : Snapshot::Build(sketch_->shard(s), std::move(locals[s]),
+                                  estimator_.options(), index_threads);
+      });
 }
 
 UserId QueryPlanner::GlobalOfRow(uint32_t s, size_t p) const {
-  const SimilarityIndex& index = *indexes_[s];
-  const UserId local = index.candidates()[index.sorted_to_candidate(p)];
+  const Snapshot& snapshot = *snapshots_[s];
+  const UserId local = snapshot.candidates()[snapshot.sorted_to_candidate(p)];
   return sketch_->GlobalUserOf(s, local);
 }
 
@@ -87,16 +100,17 @@ std::vector<optimizer::PassReport> QueryPlanner::PlanAllPairs(
   };
   const uint32_t num_shards = sketch_->num_shards();
   for (uint32_t s = 0; s < num_shards; ++s) {
-    const std::vector<uint32_t>& cards = indexes_[s]->row_cardinalities();
+    const std::vector<uint32_t>& cards = snapshots_[s]->row_cardinalities();
     if (cards.size() < 2) continue;
     report(optimizer::TriangleWindowPairs(cards.data(), cards.size(),
                                           jaccard_threshold, prefilter));
   }
   for (uint32_t s = 0; s < num_shards; ++s) {
-    const std::vector<uint32_t>& cards_a = indexes_[s]->row_cardinalities();
+    const std::vector<uint32_t>& cards_a = snapshots_[s]->row_cardinalities();
     if (cards_a.empty()) continue;
     for (uint32_t t = s + 1; t < num_shards; ++t) {
-      const std::vector<uint32_t>& cards_b = indexes_[t]->row_cardinalities();
+      const std::vector<uint32_t>& cards_b =
+          snapshots_[t]->row_cardinalities();
       if (cards_b.empty()) continue;
       report(optimizer::RectangleWindowPairs(
           cards_a.data(), cards_a.size(), cards_b.data(), cards_b.size(),
@@ -125,7 +139,7 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
   // two array slots instead of two GlobalOfRow lookups.
   std::vector<std::vector<UserId>> global_of_row(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    global_of_row[s].resize(indexes_[s]->matrix().rows());
+    global_of_row[s].resize(snapshots_[s]->matrix().rows());
     for (size_t p = 0; p < global_of_row[s].size(); ++p) {
       global_of_row[s][p] = GlobalOfRow(s, p);
     }
@@ -133,7 +147,7 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
 
   std::vector<pair_scan::Pass> passes;
   for (uint32_t s = 0; s < num_shards; ++s) {
-    const SimilarityIndex& index = *indexes_[s];
+    const Snapshot& index = *snapshots_[s];
     if (index.matrix().rows() < 2) continue;
     pair_scan::Pass pass;
     pass.a = pass.b = pair_scan::MatrixView{&index.matrix(),
@@ -151,10 +165,10 @@ std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAbove(
     passes.push_back(std::move(pass));
   }
   for (uint32_t s = 0; s < num_shards; ++s) {
-    const SimilarityIndex& ia = *indexes_[s];
+    const Snapshot& ia = *snapshots_[s];
     if (ia.matrix().rows() == 0) continue;
     for (uint32_t t = s + 1; t < num_shards; ++t) {
-      const SimilarityIndex& ib = *indexes_[t];
+      const Snapshot& ib = *snapshots_[t];
       if (ib.matrix().rows() == 0) continue;
       pair_scan::Pass pass;
       pass.a = pair_scan::MatrixView{&ia.matrix(),
@@ -190,7 +204,7 @@ std::vector<QueryPlanner::Entry> QueryPlanner::TopK(UserId query,
   if (k == 0 || candidates_.empty()) return {};
   const uint32_t query_shard = sketch_->ShardOf(query);
   const UserId query_local = sketch_->LocalIdOf(query);
-  const SimilarityIndex& query_index = *indexes_[query_shard];
+  const Snapshot& query_index = *snapshots_[query_shard];
 
   // Query digest: snapshot row when the query is a candidate, live
   // extraction from its owning shard otherwise.
@@ -198,9 +212,9 @@ std::vector<QueryPlanner::Entry> QueryPlanner::TopK(UserId query,
   pair_scan::TopKQuery q;
   q.user = query;
   const size_t query_pos = query_index.RowIndexOf(query_local);
-  if (query_pos != SimilarityIndex::npos) {
+  if (query_pos != Snapshot::npos) {
     q.row = query_index.matrix().Row(query_pos);
-    q.card = query_index.row_cardinality(query_pos);
+    q.card = query_index.row_cardinalities()[query_pos];
   } else {
     extracted.resize(DigestMatrix::WordsPerRow(sketch_->config().base.k));
     DigestMatrix::ExtractRow(sketch_->shard(query_shard), query_local,
@@ -209,12 +223,12 @@ std::vector<QueryPlanner::Entry> QueryPlanner::TopK(UserId query,
     q.card = sketch_->shard(query_shard).Cardinality(query_local);
   }
 
-  // One side per shard index, scanned in shard order on this thread
+  // One side per shard snapshot, scanned in shard order on this thread
   // against one running k-th best (pair_scan::TopK).
   std::vector<pair_scan::TopKSide> sides;
-  sides.reserve(indexes_.size());
-  for (uint32_t s = 0; s < indexes_.size(); ++s) {
-    const SimilarityIndex& index = *indexes_[s];
+  sides.reserve(snapshots_.size());
+  for (uint32_t s = 0; s < snapshots_.size(); ++s) {
+    const Snapshot& index = *snapshots_[s];
     if (index.matrix().rows() == 0) continue;
     sides.push_back(
         {pair_scan::MatrixView{&index.matrix(),
@@ -226,11 +240,11 @@ std::vector<QueryPlanner::Entry> QueryPlanner::TopK(UserId query,
 }
 
 PairEstimate QueryPlanner::EstimatePair(UserId u, UserId v) const {
-  const SimilarityIndex& iu = *indexes_[sketch_->ShardOf(u)];
-  const SimilarityIndex& iv = *indexes_[sketch_->ShardOf(v)];
+  const Snapshot& iu = *snapshots_[sketch_->ShardOf(u)];
+  const Snapshot& iv = *snapshots_[sketch_->ShardOf(v)];
   const size_t pu = iu.RowIndexOf(sketch_->LocalIdOf(u));
   const size_t pv = iv.RowIndexOf(sketch_->LocalIdOf(v));
-  if (pu == SimilarityIndex::npos || pv == SimilarityIndex::npos) {
+  if (pu == Snapshot::npos || pv == Snapshot::npos) {
     return sketch_->EstimatePair(u, v);
   }
   const size_t d = XorPopcount(iu.matrix().Row(pu), iv.matrix().Row(pv),
@@ -238,8 +252,8 @@ PairEstimate QueryPlanner::EstimatePair(UserId u, UserId v) const {
   // The cross-shard β combination of ShardedVosSketch::EstimatePair; at
   // one shard the mean of two equal terms is that term exactly.
   return estimator_.EstimateFromLogTerms(
-      iu.row_cardinality(pu), iv.row_cardinality(pv), log_alpha_table_[d],
-      0.5 * (iu.log_beta_term() + iv.log_beta_term()));
+      iu.row_cardinalities()[pu], iv.row_cardinalities()[pv],
+      log_alpha_table_[d], 0.5 * (iu.log_beta_term() + iv.log_beta_term()));
 }
 
 std::vector<QueryPlanner::Pair> QueryPlanner::AllPairsAboveReference(

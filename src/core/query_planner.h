@@ -1,41 +1,33 @@
 // QueryPlanner: the batch query surface — TopK and AllPairsAbove over a
 // ShardedVosSketch, at any shard count (S = 1 is one global snapshot).
 //
-// It owns one SimilarityIndex snapshot per shard, each built over that
-// shard's VosSketch in shard-local id space (the dense remap of
-// core/sharded_vos_sketch.h), and plans queries as a scatter–gather over
-// those snapshots:
+// It holds one immutable Snapshot per shard (core/similarity_index.h),
+// built over that shard's VosSketch in shard-local id space (the dense
+// remap of core/sharded_vos_sketch.h), plans queries as a scatter–gather
+// over them, and alone decides how they are built:
 //
-//   * Rebuild(candidates) partitions the global candidate set by shard,
-//     translates ids to dense locals, and (re)builds every shard index —
-//     S independent snapshot builds, run in parallel. With
-//     QueryOptions::incremental each snapshot retains refresh state, and
-//     Refresh() drains each shard's dirty set shard-locally through
-//     SimilarityIndex::RefreshDirty, which patches only the changed
-//     digest bits — incremental maintenance never crosses a shard
-//     boundary.
+//   * Rebuild(candidates) partitions the global candidate set by shard
+//     into dense locals and extracts every shard's snapshot rebuild-only
+//     (Snapshot::Build), S builds in parallel, dropping any incremental
+//     state. The first Refresh() of the same set captures incremental
+//     state (one SimilarityIndex builder per shard, which starts its
+//     dirty tracking) where SimilarityIndex::IncrementalFits, and
+//     extracts again otherwise; later ones patch each shard's changed
+//     digest bits shard-locally (SimilarityIndex::RefreshDirty). Each
+//     publishes new snapshots by swapping pointers, so a caller holding
+//     shard_snapshot(s) keeps reading the moment it got.
 //
 //   * AllPairsAbove(τ) decomposes the pair space exactly: S same-shard
-//     triangle passes plus S·(S−1)/2 cross-shard rectangle passes that
-//     scan one shard's DigestMatrix against another's, all described as
-//     pair_scan::Passes and run on the tiled scan tier
-//     (core/pair_scan.h) — every pass is decomposed into cache-sized
-//     row×row tiles dispatched to ONE worker pool, so a skewed ("hot")
-//     shard's triangle parallelizes across tiles instead of serializing
-//     as a single task. Digests from different shards are XOR-comparable
-//     (shared ψ, equal k); only the β correction changes: each digest
-//     carries its own shard's contamination, so the §IV (1−2β)² factor
-//     generalizes to (1−2β_A)(1−2β_B) and the estimator receives the
-//     mean of the two log-beta terms. The conservative prefilters
-//     generalize too — the τ cardinality bound becomes a two-sided
-//     window over the partner shard's sorted rows (both matrices are
-//     cardinality-sorted, so both window ends are partition points), and
-//     the exact log-alpha screen runs with the combined
-//     ln|1−2β_A| + ln|1−2β_B| cut. They apply whenever the estimator
-//     clamps to the feasible range and τ > 0 (scan::PrefilterApplies).
-//     Estimates are bit-identical to ShardedVosSketch::EstimatePair on
-//     the same quiesced state: the same log-alpha table, the same
-//     mean-log-beta combination.
+//     triangle passes plus S·(S−1)/2 cross-shard rectangle passes, run as
+//     pair_scan::Passes on the tiled scan tier (core/pair_scan.h), whose
+//     cache-sized row×row tiles share ONE worker pool, so a hot shard's
+//     triangle parallelizes across tiles. Digests from different shards
+//     are XOR-comparable (shared ψ, equal k); only the β correction
+//     changes, from the §IV (1−2β)² to (1−2β_A)(1−2β_B): the estimator
+//     gets the mean of the two log-beta terms, and the prefilters use the
+//     partner shard's cardinality window and the combined log-beta cut
+//     (whenever scan::PrefilterApplies). Estimates are bit-identical to
+//     ShardedVosSketch::EstimatePair on the same quiesced state.
 //
 //   * TopK(u, k) scans every shard index's rows against the query digest
 //     on the calling thread (pair_scan::TopK), with each shard's mean
@@ -49,21 +41,21 @@
 // ACROSS scan units (the tiles of every same-shard and cross-shard pass,
 // QueryOptions::tile_rows per tile edge), each unit single-threaded
 // inside. Snapshots (Rebuild/Refresh) run min(T, S) shard tasks at a
-// time; each shard index rebuilds with max(1, ⌊T/S⌋) workers of its own
+// time; each shard's extraction runs max(1, ⌊T/S⌋) workers of its own
 // (IndexThreads), so the nested split never exceeds T threads and at
-// S == 1 the one index uses all of them, and refreshes on its task's
-// thread (a refresh costs what changed). TopK spawns no thread: a call
+// S == 1 the one extraction uses all of them, and a patch runs on its
+// task's thread (a patch costs what changed). TopK spawns no thread: a call
 // is about one popcount per candidate row, less than starting a worker.
 //
 // Results are global: pairs/entries carry global user ids (canonically
 // oriented u < v) in the scan::PairBefore / scan::EntryBefore total
 // orders — the output is independent of thread count and schedule.
 //
-// Thread-safety contract: Rebuild()/Refresh() mutate the planner and must
-// not run concurrently with queries or each other, and they require a
-// quiesced ingest pipeline — call ShardedVosSketch::Flush() first. Between
-// snapshots TopK/AllPairsAbove and the *Reference twins are const and
-// concurrent-safe.
+// Thread-safety contract: Rebuild()/Refresh()/Prepare() swap the snapshot
+// pointers, so they must not run concurrently with queries or each other,
+// and they need a quiesced pipeline (ShardedVosSketch::Flush() first).
+// Between them every query is const and concurrent-safe, and a snapshot
+// taken through shard_snapshot() stays valid and unchanged for good.
 //
 // The *Reference implementations answer from per-pair
 // ShardedVosSketch::EstimatePair calls — the ground truth the planner is
@@ -82,31 +74,55 @@
 
 namespace vos::core {
 
-/// Scatter–gather query planner over per-shard SimilarityIndex snapshots.
+/// Tunables of the planner's snapshots and queries.
+struct QueryOptions {
+  /// Worker threads of snapshot extraction and of AllPairsAbove; a
+  /// patching Refresh and TopK run on the calling thread
+  /// (0 = std::thread::hardware_concurrency()).
+  unsigned num_threads = 0;
+  /// Rows per tile edge of the planner's all-pairs scan
+  /// (core/pair_scan.h): every triangle/rectangle pass is decomposed into
+  /// tile_rows × tile_rows row tiles, each one work unit on the pool, so
+  /// a hot shard's triangle parallelizes and candidate sets beyond the
+  /// LLC stay cache-resident per tile. 0 = optimizer::AdaptiveTileRows,
+  /// sized from the digest row width and the detected per-core cache
+  /// (648 rows at k = 6400 with a 2 MiB L2); any value ≥ the candidate
+  /// count degenerates to one tile per pass. Results are bit-identical
+  /// for every value.
+  size_t tile_rows = 0;
+};
+
+/// Scatter–gather query planner over per-shard Snapshots.
 class QueryPlanner {
  public:
   using Entry = scan::Entry;
   using Pair = scan::Pair;
 
-  /// Binds to `sketch` (not owned; must outlive the planner).
-  /// QueryOptions::num_threads is the worker count of AllPairsAbove and
-  /// of snapshots; QueryOptions::incremental enables Refresh(), and its
-  /// first Rebuild starts the shards' dirty tracking — the planner is
-  /// then the sketch's one incremental consumer.
+  /// Binds to `sketch` (not owned; must outlive the planner), with an
+  /// empty snapshot per shard. QueryOptions::num_threads is the worker
+  /// count of AllPairsAbove and of snapshot extraction.
   explicit QueryPlanner(const ShardedVosSketch& sketch,
                         VosEstimatorOptions estimator_options = {},
                         QueryOptions query_options = {});
 
-  /// Snapshots every shard index for the global candidate set.
+  /// Snapshots every shard rebuild-only for the global candidate set.
   /// Candidates must be unique; pairs and entries are reported between
   /// candidates only.
   void Rebuild(std::vector<UserId> candidates);
 
-  /// Incrementally re-snapshots the SAME candidate set, draining each
-  /// shard's dirty set shard-locally (SimilarityIndex::RefreshDirty).
-  /// Requires QueryOptions::incremental and a prior Rebuild(). The result
-  /// is bit-identical to Rebuild() of the same candidates.
+  /// Re-snapshots the SAME candidate set: the first call after Rebuild()
+  /// captures incremental state where it fits (the planner then becomes
+  /// the sketch's one incremental consumer), later calls patch. The
+  /// result is bit-identical to Rebuild() of the same candidates.
   void Refresh();
+
+  /// Refresh() when `candidates` is the non-empty set of the last
+  /// snapshot, Rebuild(candidates) otherwise.
+  void Prepare(const std::vector<UserId>& candidates);
+
+  /// True while the snapshots come from incremental builders (from the
+  /// first Refresh() of a set until the next Rebuild()).
+  bool incremental() const { return !builders_.empty(); }
 
   /// All unordered candidate pairs with Ĵ ≥ `jaccard_threshold`, global
   /// ids, u < v, descending Ĵ (ties by (u, v)) — same pair set and
@@ -135,13 +151,14 @@ class QueryPlanner {
   size_t candidate_count() const { return candidates_.size(); }
   const std::vector<UserId>& candidates() const { return candidates_; }
 
-  /// The shard-local index of shard s (snapshot of its candidates in
-  /// dense local ids). Exposed for diagnostics and tests.
-  const SimilarityIndex& shard_index(uint32_t s) const {
-    return *indexes_[s];
-  }
+  /// The current snapshot of shard s (its candidates in dense local ids).
+  const Snapshot& shard_index(uint32_t s) const { return *snapshots_[s]; }
 
-  const QueryOptions& query_options() const { return query_options_; }
+  /// The same snapshot as a pointer a reader may keep past later
+  /// rebuilds and refreshes.
+  const std::shared_ptr<const Snapshot>& shard_snapshot(uint32_t s) const {
+    return snapshots_[s];
+  }
 
   /// One report per pass AllPairsAbove(τ) runs, in pass order (the S
   /// same-shard triangles with ≥ 2 rows, then the cross-shard rectangles
@@ -152,28 +169,35 @@ class QueryPlanner {
   std::vector<optimizer::PassReport> PlanAllPairs(
       double jaccard_threshold) const;
 
-  /// Worker count for subsequent Rebuild/Refresh/AllPairsAbove
-  /// (0 = hardware concurrency); re-splits the shard indexes' share
-  /// (IndexThreads). Results are bit-identical for every value, so a
-  /// long-lived planner can follow SimilarityMethod::SetQueryThreads
-  /// without invalidating its snapshots. Not concurrent-safe with
-  /// running queries.
-  void set_num_threads(unsigned num_threads);
+  /// Worker count for subsequent snapshots and AllPairsAbove
+  /// (0 = hardware concurrency). Results are bit-identical for every
+  /// value, so a long-lived planner can follow
+  /// SimilarityMethod::SetQueryThreads without invalidating its
+  /// snapshots. Not concurrent-safe with running queries.
+  void set_num_threads(unsigned num_threads) {
+    query_options_.num_threads = num_threads;
+  }
 
-  /// Workers each shard index gets for its own Rebuild: max(1, ⌊T/S⌋)
-  /// for T resolved planner threads and S shards.
+  /// Workers each shard's extraction gets: max(1, ⌊T/S⌋) for T resolved
+  /// planner threads and S shards.
   unsigned IndexThreads() const;
 
  private:
   /// Global id of shard s's matrix row p.
   UserId GlobalOfRow(uint32_t s, size_t p) const;
 
+  /// Extracts every shard's snapshot of candidates_ from scratch: through
+  /// fresh incremental builders, or rebuild-only (dropping the builders).
+  void ExtractShards(bool incremental);
+
   const ShardedVosSketch* sketch_;
   VosEstimator estimator_;
   QueryOptions query_options_;
   std::vector<UserId> candidates_;
-  /// One snapshot index per shard, over that shard's candidate locals.
-  std::vector<std::unique_ptr<SimilarityIndex>> indexes_;
+  /// The published snapshot of each shard, over its candidate locals.
+  std::vector<std::shared_ptr<const Snapshot>> snapshots_;
+  /// One incremental builder per shard while incremental(), else empty.
+  std::vector<std::unique_ptr<SimilarityIndex>> builders_;
   /// ln|1−2·d/k| per Hamming distance d ∈ [0, k] — shared by every pass
   /// and every TopK side.
   std::vector<double> log_alpha_table_;

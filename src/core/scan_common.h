@@ -3,7 +3,7 @@
 // types and their total orders, the dynamic worker pool, and the
 // conservative prefilter math (the cardinality window and the slacked
 // log-alpha cut). The scan, the planner's references and
-// SimilarityIndex::AllPairsAboveReference must all sort to the same
+// Snapshot::AllPairsAboveReference must all sort to the same
 // orders, and TopK and AllPairsAbove screen with the same bounds, so each
 // of these lives here exactly once.
 //

@@ -24,28 +24,13 @@ void ShardedVosMethod::PrepareQuery(const std::vector<UserId>& users) {
     // the failure from FlushIngest, queries keep answering).
     return;
   }
-  const bool same_set = planner_ != nullptr && !users.empty() &&
-                        planner_->candidates() == users;
-  if (same_set && planner_->query_options().incremental) {
-    // Honour a SetQueryThreads issued after the planner was built.
-    planner_->set_num_threads(query_threads_);
-    planner_->Refresh();
-    return;
+  if (planner_ == nullptr) {
+    planner_ = std::make_unique<QueryPlanner>(sketch_,
+                                              sketch_.estimator().options());
   }
-  // A set prepared for the first time gets a rebuild-only snapshot (k
-  // bits per candidate, no dirty tracking). Preparing it again means
-  // refreshes follow: the planner then captures incremental state, where
-  // every shard index can hold it (the whole set bounds each share).
-  const VosConfig& shard = sketch_.shard(0).config();  // all shards alike
-  QueryOptions options;
-  options.num_threads = query_threads_;
-  options.incremental =
-      same_set &&
-      SimilarityIndex::IncrementalFits(shard.m, shard.k, users.size());
-  planner_.reset();  // release the old snapshot before building the next
-  planner_ = std::make_unique<QueryPlanner>(
-      sketch_, sketch_.estimator().options(), options);
-  planner_->Rebuild(users);
+  // Honour a SetQueryThreads issued after the planner was built.
+  planner_->set_num_threads(query_threads_);
+  planner_->Prepare(users);
 }
 
 PairEstimate ShardedVosMethod::EstimatePair(UserId u, UserId v) const {

@@ -5,15 +5,14 @@
 //
 // Update/UpdateBatch feed the ingest pipeline; FlushIngest quiesces it
 // (the harness calls it at every checkpoint). The query cache is a
-// QueryPlanner holding one SimilarityIndex snapshot per shard.
-// PrepareQuery flushes, then snapshots a new set rebuild-only (k bits
-// per candidate). Preparing the SAME set again rebuilds the planner
-// incremental (where SimilarityIndex::IncrementalFits), and later calls
-// patch its snapshots in place (Refresh → SimilarityIndex::RefreshDirty,
-// flipping only the digest bits whose array cells changed).
-// InvalidateQueryCache drops the planner, so the Figure-3 harness
-// (prepare, estimate, invalidate) holds one rebuild-only snapshot at a
-// time and, like the Figure-2 update timing, never starts dirty tracking.
+// QueryPlanner holding one immutable Snapshot per shard. PrepareQuery
+// flushes and hands the set to QueryPlanner::Prepare, which decides how
+// to snapshot it: a new set rebuild-only (k bits per candidate), the same
+// set again by capturing incremental state, and later by patching only
+// the digest bits whose array cells changed. InvalidateQueryCache drops
+// the planner, so the Figure-3 harness (prepare, estimate, invalidate)
+// holds one rebuild-only snapshot at a time and, like the Figure-2
+// update timing, never starts dirty tracking.
 // EstimatePair is the planner's: two snapshot rows — a word-wise
 // XOR+popcount plus log-table lookups; rows from different shards are
 // directly comparable (shared ψ, equal k) and only the β correction

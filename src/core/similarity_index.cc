@@ -37,117 +37,128 @@ struct DivideByK {
   uint64_t mul;
 };
 
+// The row order: ascending cardinality (candidate-order `cards`), ties by
+// candidate index.
+auto RowBefore(const std::vector<uint32_t>& cards) {
+  return [&cards](uint32_t a, uint32_t b) {
+    return cards[a] != cards[b] ? cards[a] < cards[b] : a < b;
+  };
+}
+
 }  // namespace
 
-SimilarityIndex::SimilarityIndex(const VosSketch& sketch,
-                                 VosEstimatorOptions options,
-                                 QueryOptions query_options)
-    : sketch_(&sketch),
-      estimator_(sketch.config().k, options),
-      query_options_(query_options) {}
-
-bool SimilarityIndex::RowBefore(uint32_t a, uint32_t b) const {
-  return cardinalities_[a] != cardinalities_[b]
-             ? cardinalities_[a] < cardinalities_[b]
-             : a < b;
+std::shared_ptr<Snapshot> Snapshot::Start(const VosSketch& sketch,
+                                          std::vector<UserId> candidates,
+                                          VosEstimatorOptions options,
+                                          std::vector<uint32_t>& cards) {
+  auto set = std::make_shared<CandidateSet>();
+  set->users = std::move(candidates);
+  const size_t n = set->users.size();
+  set->index_of.reserve(n);
+  cards.clear();
+  cards.reserve(n);
+  std::vector<uint32_t> sorted(n);
+  for (size_t i = 0; i < n; ++i) {
+    set->index_of.emplace(set->users[i], i);  // first occurrence
+    cards.push_back(sketch.Cardinality(set->users[i]));
+    sorted[i] = static_cast<uint32_t>(i);
+  }
+  std::sort(sorted.begin(), sorted.end(), RowBefore(cards));
+  auto snapshot = std::make_shared<Snapshot>();
+  snapshot->candidates_ = std::move(set);
+  snapshot->estimator_ = VosEstimator(sketch.config().k, options);
+  snapshot->SetRowOrder(std::move(sorted), cards);
+  snapshot->beta_ = sketch.beta();
+  snapshot->log_beta_term_ = snapshot->estimator_.LogBetaTerm(snapshot->beta_);
+  return snapshot;
 }
 
-void SimilarityIndex::SortRowsAndMaps() {
-  const size_t n = candidates_.size();
-  sorted_rows_.resize(n);
-  for (size_t i = 0; i < n; ++i) sorted_rows_[i] = static_cast<uint32_t>(i);
-  std::sort(sorted_rows_.begin(), sorted_rows_.end(),
-            [this](uint32_t a, uint32_t b) { return RowBefore(a, b); });
-  UpdateRowMaps();
+std::shared_ptr<const Snapshot> Snapshot::Build(const VosSketch& sketch,
+                                                std::vector<UserId> candidates,
+                                                VosEstimatorOptions options,
+                                                unsigned num_threads) {
+  std::vector<uint32_t> cards;
+  std::shared_ptr<Snapshot> snapshot =
+      Start(sketch, std::move(candidates), options, cards);
+  std::vector<UserId> ordered_users(cards.size());
+  for (size_t p = 0; p < ordered_users.size(); ++p) {
+    ordered_users[p] = snapshot->candidates()[snapshot->sorted_rows_[p]];
+  }
+  snapshot->matrix_ = DigestMatrix::Build(sketch, ordered_users, num_threads);
+  return snapshot;
 }
 
-void SimilarityIndex::UpdateRowMaps() {
-  const size_t n = candidates_.size();
+void Snapshot::SetRowOrder(std::vector<uint32_t> sorted_rows,
+                           const std::vector<uint32_t>& cards) {
+  const size_t n = sorted_rows.size();
+  sorted_rows_ = std::move(sorted_rows);
   row_of_orig_.resize(n);
   cards_by_row_.resize(n);
   for (size_t p = 0; p < n; ++p) {
     const uint32_t i = sorted_rows_[p];
     row_of_orig_[i] = static_cast<uint32_t>(p);
-    cards_by_row_[p] = cardinalities_[i];
+    cards_by_row_[p] = cards[i];
   }
 }
 
 std::vector<uint32_t> SimilarityIndex::MergeMovedRows(
-    std::vector<uint32_t> moved, const std::vector<uint8_t>& is_moved) {
+    std::vector<uint32_t> moved, const std::vector<uint8_t>& is_moved,
+    Snapshot& next) const {
   // The rows that kept their cardinality keep their relative order, and
   // RowBefore is a strict total order, so merging them with the sorted
   // moved rows gives exactly the order a full sort would.
-  std::sort(moved.begin(), moved.end(),
-            [this](uint32_t a, uint32_t b) { return RowBefore(a, b); });
-  const size_t n = candidates_.size();
+  const auto before = RowBefore(cardinalities_);
+  std::sort(moved.begin(), moved.end(), before);
+  const Snapshot& last = *last_;
+  const size_t n = last.candidate_count();
   std::vector<uint32_t> sorted;
   std::vector<uint32_t> source;
   sorted.reserve(n);
   source.reserve(n);
   const auto take_moved = [&](uint32_t i) {
     sorted.push_back(i);
-    source.push_back(row_of_orig_[i]);
+    source.push_back(last.row_of_orig_[i]);
   };
-  size_t next = 0;
+  size_t next_moved = 0;
   for (uint32_t q = 0; q < n; ++q) {
-    const uint32_t i = sorted_rows_[q];
+    const uint32_t i = last.sorted_rows_[q];
     if (is_moved[i] != 0) continue;
-    for (; next < moved.size() && RowBefore(moved[next], i); ++next) {
-      take_moved(moved[next]);
+    for (; next_moved < moved.size() && before(moved[next_moved], i);
+         ++next_moved) {
+      take_moved(moved[next_moved]);
     }
     sorted.push_back(i);
     source.push_back(q);
   }
-  for (; next < moved.size(); ++next) take_moved(moved[next]);
-  sorted_rows_ = std::move(sorted);
-  UpdateRowMaps();
+  for (; next_moved < moved.size(); ++next_moved) take_moved(moved[next_moved]);
+  next.SetRowOrder(std::move(sorted), cardinalities_);
   return source;
 }
 
-void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
-  candidates_ = std::move(candidates);
-  const size_t n = candidates_.size();
-  candidate_of_.clear();
-  candidate_of_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    candidate_of_.emplace(candidates_[i], i);  // first occurrence
-  }
-  cardinalities_.clear();
-  cardinalities_.reserve(n);
-  for (UserId u : candidates_) {
-    cardinalities_.push_back(sketch_->Cardinality(u));
-  }
-  SortRowsAndMaps();
-  if (!query_options_.incremental) {
-    std::vector<UserId> ordered_users(n);
-    for (size_t p = 0; p < n; ++p) {
-      ordered_users[p] = candidates_[sorted_rows_[p]];
-    }
-    matrix_ = DigestMatrix::Build(*sketch_, ordered_users,
-                                  query_options_.num_threads);
-    snapshot_words_.clear();
-    bucket_offsets_.clear();
-    bucket_entries_.clear();
-  } else {
-    VOS_CHECK(IncrementalFits(sketch_->config().m, sketch_->config().k, n))
-        << "incremental index holds cells as uint32 and candidates*k in 26 "
-           "bits; m ="
-        << sketch_->config().m << "candidates =" << n;
-    // This index is the sketch's one incremental consumer: tracking
-    // starts here (a no-op after the first Rebuild), and everything
-    // before it is in the full snapshot below.
-    sketch_->StartDirtyTracking();
-    ExtractRowsAndInverseIndex();
-    snapshot_words_ = sketch_->array().words();
-    sketch_->ClearDirtyUsers();
-    dirty_epoch_ = sketch_->dirty_epoch();
-  }
-  beta_ = sketch_->beta();
-  log_beta_term_ = estimator_.LogBetaTerm(beta_);
-  last_refresh_dirty_fraction_ = 1.0;
+std::shared_ptr<const Snapshot> SimilarityIndex::Rebuild(
+    std::vector<UserId> candidates, unsigned num_threads) {
+  VOS_CHECK(IncrementalFits(sketch_->config().m, sketch_->config().k,
+                            candidates.size()))
+      << "incremental index holds cells as uint32 and candidates*k in 26 "
+         "bits; m ="
+      << sketch_->config().m << "candidates =" << candidates.size();
+  // This builder is the sketch's one incremental consumer: tracking
+  // starts here (a no-op after the first Rebuild), and everything before
+  // it is in the full snapshot below.
+  sketch_->StartDirtyTracking();
+  std::shared_ptr<Snapshot> snapshot =
+      Snapshot::Start(*sketch_, std::move(candidates), options_,
+                      cardinalities_);
+  ExtractRowsAndInverseIndex(*snapshot, num_threads);
+  snapshot_words_ = sketch_->array().words();
+  sketch_->ClearDirtyUsers();
+  dirty_epoch_ = sketch_->dirty_epoch();
+  last_ = std::move(snapshot);
+  return last_;
 }
 
-void SimilarityIndex::ExtractRowsAndInverseIndex() {
+void SimilarityIndex::ExtractRowsAndInverseIndex(Snapshot& snapshot,
+                                                 unsigned num_threads) {
   // Counting-sorted inverse index, bucketed by cell *word* (so the
   // refresh scan jumps from a changed word straight to its owners). Each
   // entry is the flat digest-bit index i·k + j tagged with its cell's
@@ -156,17 +167,18 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
   // ascending flat order. Cells depend only on the user, so the sort
   // passes re-hash them (VosSketch::CellOf, no array read) instead of
   // storing n·k of them.
-  const size_t n = candidates_.size();
+  const std::vector<UserId>& candidates = snapshot.candidates();
+  const size_t n = candidates.size();
   const uint32_t k = sketch_->config().k;
   const size_t num_words = (sketch_->config().m + 63) / 64;
   const size_t num_parts =
       (num_words + kPartitionWords - 1) >> kPartitionWordsLog2;
   const size_t total = n * static_cast<size_t>(k);
-  matrix_ = DigestMatrix(k, n);
+  snapshot.matrix_ = DigestMatrix(k, n);
 
   // 1. Each worker extracts a contiguous candidate range straight into
   // its matrix rows and counts the range's cells per partition.
-  const unsigned workers = ResolveThreadCount(query_options_.num_threads, n);
+  const unsigned workers = ResolveThreadCount(num_threads, n);
   const auto range_begin = [&](size_t c) { return c * n / workers; };
   // cursors[c·num_parts + p]: range c's count in partition p, then its
   // next write position there.
@@ -175,9 +187,9 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
     uint32_t* counts = cursors.data() + c * num_parts;
     std::vector<uint32_t> cells(k);
     for (size_t i = range_begin(c); i < range_begin(c + 1); ++i) {
-      DigestMatrix::ExtractRow(*sketch_, candidates_[i],
-                               matrix_.MutableRow(row_of_orig_[i]),
-                               cells.data());
+      DigestMatrix::ExtractRow(
+          *sketch_, candidates[i],
+          snapshot.matrix_.MutableRow(snapshot.row_of_orig_[i]), cells.data());
       for (uint32_t j = 0; j < k; ++j) {
         ++counts[cells[j] >> kPartitionCellsLog2];
       }
@@ -205,7 +217,7 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
   scan::RunIndexed(workers, workers, [&](size_t c) {
     uint32_t* part_cursor = cursors.data() + c * num_parts;
     for (size_t i = range_begin(c); i < range_begin(c + 1); ++i) {
-      const UserId user = candidates_[i];
+      const UserId user = candidates[i];
       const uint32_t row_base = static_cast<uint32_t>(i * k);
       for (uint32_t j = 0; j < k; ++j) {
         const uint64_t cell = sketch_->CellOf(user, j);
@@ -226,8 +238,7 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
     std::vector<uint32_t> sorted;
     std::vector<uint32_t> offsets = std::vector<uint32_t>(kPartitionWords + 1);
   };
-  const unsigned sort_workers =
-      ResolveThreadCount(query_options_.num_threads, num_parts);
+  const unsigned sort_workers = ResolveThreadCount(num_threads, num_parts);
   std::vector<Scratch> scratch(sort_workers);
   const DivideByK divide(k);
   scan::RunIndexed(sort_workers, num_parts, [&](size_t p, unsigned w) {
@@ -244,7 +255,7 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
     for (size_t e = 0; e < count; ++e) {
       const uint32_t flat = part[e] & kFlatMask;
       const uint32_t i = divide(flat);
-      const uint64_t cell = sketch_->CellOf(candidates_[i], flat - i * k);
+      const uint64_t cell = sketch_->CellOf(candidates[i], flat - i * k);
       const auto word = static_cast<uint16_t>((cell >> 6) - first_word);
       s.word[e] = word;
       ++s.offsets[word + 1];
@@ -260,16 +271,15 @@ void SimilarityIndex::ExtractRowsAndInverseIndex() {
   });
 }
 
-void SimilarityIndex::RefreshDirty() {
-  VOS_CHECK(query_options_.incremental)
-      << "RefreshDirty needs QueryOptions::incremental";
-  VOS_CHECK(snapshot_words_.size() == sketch_->array().words().size())
-      << "RefreshDirty before the first incremental Rebuild";
+std::shared_ptr<const Snapshot> SimilarityIndex::RefreshDirty() {
+  VOS_CHECK(last_ != nullptr) << "RefreshDirty before the first Rebuild";
   VOS_CHECK(sketch_->dirty_epoch() == dirty_epoch_)
       << "RefreshDirty: another consumer cleared this sketch's dirty set "
-         "since this index's last snapshot (a sketch allows one "
+         "since this builder's last snapshot (a sketch allows one "
          "incremental index or planner); Rebuild instead";
-  const size_t n = candidates_.size();
+  const Snapshot& last = *last_;
+  const std::vector<UserId>& candidates = last.candidates();
+  const size_t n = candidates.size();
   const uint32_t k = sketch_->config().k;
 
   // Affected candidates = rows whose cardinality or digest changed.
@@ -277,10 +287,10 @@ void SimilarityIndex::RefreshDirty() {
   // a dirty user's; only those rows move in the sorted order.
   std::vector<uint8_t> affected(n, 0);
   std::vector<uint32_t> moved;
-  if (!sketch_->dirty_users().empty()) {
+  if (sketch_->dirty_user_count() != 0) {
     for (size_t i = 0; i < n; ++i) {
-      if (!sketch_->IsDirty(candidates_[i])) continue;
-      const uint32_t card = sketch_->Cardinality(candidates_[i]);
+      if (!sketch_->IsDirty(candidates[i])) continue;
+      const uint32_t card = sketch_->Cardinality(candidates[i]);
       if (card != cardinalities_[i]) {
         cardinalities_[i] = card;
         affected[i] = 1;
@@ -288,19 +298,24 @@ void SimilarityIndex::RefreshDirty() {
       }
     }
   }
+  auto next = std::make_shared<Snapshot>();
+  next->candidates_ = last.candidates_;
+  next->estimator_ = last.estimator_;
   const std::vector<uint32_t> source =
-      MergeMovedRows(std::move(moved), affected);
+      MergeMovedRows(std::move(moved), affected, *next);
 
-  // The next snapshot starts as the old rows permuted into the new
-  // cardinality order, one uninitialized matrix written once; the
-  // published matrix_ is never written. Runs of rows that keep their
-  // neighbours (all of them when no cardinality changed) go in one copy.
-  DigestMatrix next(k, n);
-  const size_t row_bytes = next.words_per_row() * sizeof(uint64_t);
+  // The next matrix starts as the old rows permuted into the new
+  // cardinality order, uninitialized and written once; the last snapshot
+  // is only read. Runs of rows that keep their neighbours (all of them
+  // when no cardinality changed) go in one copy.
+  DigestMatrix& matrix = next->matrix_;
+  matrix = DigestMatrix(k, n);
+  const size_t row_bytes = matrix.words_per_row() * sizeof(uint64_t);
   for (size_t p = 0; p < n;) {
     size_t run = 1;
     while (p + run < n && source[p + run] == source[p] + run) ++run;
-    std::memcpy(next.MutableRow(p), matrix_.Row(source[p]), run * row_bytes);
+    std::memcpy(matrix.MutableRow(p), last.matrix_.Row(source[p]),
+                run * row_bytes);
     p += run;
   }
 
@@ -329,6 +344,7 @@ void SimilarityIndex::RefreshDirty() {
   // are scattered over the inverse index, so the walk prefetches a few
   // words ahead.
   const DivideByK divide(k);
+  const uint32_t* const row_of_orig = next->row_of_orig_.data();
   constexpr size_t kPrefetchWords = 4;
   for (size_t c = 0; c < refresh_words_.size(); ++c) {
     if (c + kPrefetchWords < refresh_words_.size()) {
@@ -342,28 +358,29 @@ void SimilarityIndex::RefreshDirty() {
       const uint32_t flat = entry & kFlatMask;
       const uint32_t i = divide(flat);
       const uint32_t j = flat - i * k;
-      next.MutableRow(row_of_orig_[i])[j >> 6] ^= uint64_t{1} << (j & 63);
+      matrix.MutableRow(row_of_orig[i])[j >> 6] ^= uint64_t{1} << (j & 63);
       affected[i] = 1;
     }
   }
-  matrix_ = std::move(next);
   sketch_->ClearDirtyUsers();
   dirty_epoch_ = sketch_->dirty_epoch();
-  beta_ = sketch_->beta();
-  log_beta_term_ = estimator_.LogBetaTerm(beta_);
+  next->beta_ = sketch_->beta();
+  next->log_beta_term_ = next->estimator_.LogBetaTerm(next->beta_);
   size_t affected_count = 0;
   for (const uint8_t a : affected) affected_count += a;
-  last_refresh_dirty_fraction_ =
+  next->last_refresh_dirty_fraction_ =
       n == 0 ? 0.0
              : static_cast<double>(affected_count) / static_cast<double>(n);
+  last_ = std::move(next);
+  return last_;
 }
 
-size_t SimilarityIndex::RowIndexOf(UserId user) const {
-  const auto it = candidate_of_.find(user);
-  return it == candidate_of_.end() ? npos : row_of_orig_[it->second];
+size_t Snapshot::RowIndexOf(UserId user) const {
+  const auto it = candidates_->index_of.find(user);
+  return it == candidates_->index_of.end() ? npos : row_of_orig_[it->second];
 }
 
-std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAboveReference(
+std::vector<Snapshot::Pair> Snapshot::AllPairsAboveReference(
     double jaccard_threshold) const {
   const size_t n = matrix_.rows();
   std::vector<BitVector> digests;
@@ -371,16 +388,18 @@ std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAboveReference(
   for (size_t i = 0; i < n; ++i) {
     digests.push_back(matrix_.RowAsBitVector(row_of_orig_[i]));
   }
-  const double k = sketch_->config().k;
+  const double k = estimator_.k();
+  const std::vector<UserId>& candidates = candidates_->users;
   std::vector<Pair> pairs;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       const double alpha =
           static_cast<double>(digests[i].HammingDistance(digests[j])) / k;
-      const PairEstimate est = estimator_.Estimate(
-          cardinalities_[i], cardinalities_[j], alpha, beta_);
+      const PairEstimate est =
+          estimator_.Estimate(cards_by_row_[row_of_orig_[i]],
+                              cards_by_row_[row_of_orig_[j]], alpha, beta_);
       if (est.jaccard >= jaccard_threshold) {
-        pairs.push_back({candidates_[i], candidates_[j], est.common,
+        pairs.push_back({candidates[i], candidates[j], est.common,
                          est.jaccard});
       }
     }

@@ -26,11 +26,11 @@ void VosSketch::StartDirtyTracking() const {
   if (tracks_dirty()) return;
   dirty_epoch_.assign(cardinality_.size(), 0);
   changed_words_.assign((array_.words().size() + 63) / 64, 0);
-  dirty_users_.clear();
+  dirty_user_count_ = 0;
 }
 
 void VosSketch::ClearDirtyUsers() const {
-  dirty_users_.clear();
+  dirty_user_count_ = 0;
   std::fill(changed_words_.begin(), changed_words_.end(), 0);
   if (++dirty_current_epoch_ == 0) {
     // uint32 epoch wrapped: reset the per-user epochs so stale entries

@@ -64,8 +64,8 @@ class VosSketch {
 
   /// Processes one stream element in O(1): flips A[f_ψ(i)(u)] and adjusts
   /// n_u by ±1. Once dirty tracking has started (StartDirtyTracking) it
-  /// also marks the user dirty (see dirty_users()) in O(1) amortized — one
-  /// epoch compare, plus a push the first time a user is touched after a
+  /// also marks the user dirty (see IsDirty()) in O(1) — one epoch
+  /// compare, plus a count the first time a user is touched after a
   /// snapshot — and flags the flipped cell's array word in
   /// changed_words().
   void Update(const Element& e) {
@@ -154,34 +154,24 @@ class VosSketch {
   // --- Dirty tracking (incremental index maintenance) -------------------
   //
   // The sketch records which users received updates since the last
-  // ClearDirtyUsers(), so a snapshot consumer (SimilarityIndex) can
-  // refresh only what may have changed instead of re-extracting every
-  // candidate. Maintenance is O(1) amortized per Update: an epoch
-  // compare, plus one push_back the first time a user is touched in the
-  // current epoch.
+  // ClearDirtyUsers(), so a snapshot builder (SimilarityIndex) refreshes
+  // only what may have changed: O(1) per Update, an epoch compare plus one
+  // count the first time a user is touched in the current epoch. Because
+  // array cells are shared, an update for user v can still flip a bit of a
+  // clean user u's digest, so the builder pairs the dirty set (exact for
+  // cardinality changes) with the changed-word summary (changed_words()),
+  // which flags every array word written since the last clear.
   //
-  // Contract: the dirty set covers *which users were updated* — because
-  // array cells are shared, an update for user v can still flip a bit of
-  // a clean user u's reconstructed digest. Incremental consumers must
-  // therefore pair the dirty set with the changed-word summary
-  // (changed_words()): every array word written since the last clear is
-  // flagged there, so a consumer compares only the flagged words against
-  // its snapshot instead of the whole array (see
-  // SimilarityIndex::RefreshDirty). The dirty set alone is exact for
-  // cardinality changes, which never appear in the array delta.
-  //
-  // Tracking is off until its consumer starts it: the incremental
-  // SimilarityIndex::Rebuild calls StartDirtyTracking before it takes its
-  // full snapshot, so a sketch nobody refreshes incrementally (the
-  // Figure-2 update timing) pays one untaken branch per Update and
-  // allocates nothing.
+  // Tracking is off until its consumer starts it: SimilarityIndex::Rebuild
+  // calls StartDirtyTracking before its full snapshot, so a sketch nobody
+  // refreshes incrementally (the Figure-2 update timing) pays one untaken
+  // branch per Update and allocates nothing.
   //
   // Thread-safety: Update/MarkDirty follow the sketch's single-writer
   // model. StartDirtyTracking and ClearDirtyUsers are logically const
-  // (snapshot-consumer bookkeeping over mutable members) and must not
-  // race with Update.
-  // A sketch has at most one incremental consumer: a second one would
-  // clear users the first has not yet read. Consumers record
+  // (consumer bookkeeping over mutable members) and must not race with
+  // Update. A sketch has at most one incremental consumer: a second one
+  // would clear users the first has not yet read. Consumers record
   // dirty_epoch() after they clear and check it before the next read
   // (SimilarityIndex::RefreshDirty aborts when it moved).
 
@@ -195,10 +185,9 @@ class VosSketch {
   /// recorded, so the caller snapshots the whole sketch after it.
   void StartDirtyTracking() const;
 
-  /// Users touched by Update() since the last ClearDirtyUsers() (or
-  /// StartDirtyTracking()), deduplicated, in first-touch order. Always
-  /// empty when tracking is off.
-  const std::vector<UserId>& dirty_users() const { return dirty_users_; }
+  /// Number of distinct users touched by Update() since the last
+  /// ClearDirtyUsers() (or StartDirtyTracking()); 0 when tracking is off.
+  size_t dirty_user_count() const { return dirty_user_count_; }
 
   /// The changed-word summary: bit w (word w >> 6, bit w & 63) is set iff
   /// array word w may have changed since the last ClearDirtyUsers() — set
@@ -208,7 +197,7 @@ class VosSketch {
   /// is ever set; empty when tracking is off.
   const std::vector<uint64_t>& changed_words() const { return changed_words_; }
 
-  /// True iff `user` is in dirty_users().
+  /// True iff Update() touched `user` since the last ClearDirtyUsers().
   bool IsDirty(UserId user) const {
     return tracks_dirty() && dirty_epoch_[user] == dirty_current_epoch_;
   }
@@ -234,7 +223,7 @@ class VosSketch {
     uint32_t& epoch = dirty_epoch_[user];
     if (epoch != dirty_current_epoch_) {
       epoch = dirty_current_epoch_;
-      dirty_users_.push_back(user);
+      ++dirty_user_count_;
     }
   }
 
@@ -251,7 +240,7 @@ class VosSketch {
   // of touching the per-user array. Mutable: the set is snapshot-consumer
   // bookkeeping, not sketch state — a cleared sketch is the same sketch.
   mutable std::vector<uint32_t> dirty_epoch_;
-  mutable std::vector<UserId> dirty_users_;
+  mutable size_t dirty_user_count_ = 0;
   // The changed-word summary (see changed_words()): one bit per array
   // word, allocated by StartDirtyTracking. Mutable for the same reason.
   mutable std::vector<uint64_t> changed_words_;

@@ -1,19 +1,24 @@
 // Tests for incremental index maintenance: SimilarityIndex::RefreshDirty
-// patches the snapshot by flipping the digest bits of changed array cells
-// and must be bit-identical to a full Rebuild on the same sketch state —
+// returns the next snapshot by flipping the digest bits of changed array
+// cells in a copy of the last one, and must be bit-identical to a
+// rebuild-only Snapshot::Build on the same sketch state —
 // for every delta size (including the shared-cell contamination case,
 // where updates to NON-candidate users flip bits of clean candidates'
 // digests, cells flipped back to their old value, and rows owning one
 // cell twice), every thread count, and across repeated refreshes. Dirty
-// tracking itself starts at the first incremental Rebuild, never before.
+// tracking itself starts at the first incremental Rebuild, never before,
+// and a snapshot held past later epochs keeps answering as it did at its
+// own epoch.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -56,15 +61,29 @@ VosSketch PopulatedSketch(const VosConfig& config, UserId users,
   return sketch;
 }
 
-/// Full bit-level equality of two index snapshots: candidate order,
-/// per-row digests, cardinality order, β, the inverse index when both
-/// are incremental, and the query results built from them.
-void ExpectIndexesIdentical(const SimilarityIndex& refreshed,
-                            const SimilarityIndex& rebuilt,
+using SnapshotPtr = std::shared_ptr<const Snapshot>;
+
+/// Whether two pair lists match entry for entry, estimates bit for bit.
+bool SamePairs(const std::vector<Snapshot::Pair>& a,
+               const std::vector<Snapshot::Pair>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].u != b[i].u || a[i].v != b[i].v || a[i].common != b[i].common ||
+        a[i].jaccard != b[i].jaccard) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Full bit-level equality of two snapshots: candidate order, per-row
+/// digests, cardinality order, β, and the query results built from them.
+void ExpectIndexesIdentical(const Snapshot& refreshed,
+                            const Snapshot& rebuilt,
                             const std::string& context) {
   ASSERT_EQ(refreshed.candidate_count(), rebuilt.candidate_count())
       << context;
-  EXPECT_EQ(refreshed.snapshot_beta(), rebuilt.snapshot_beta()) << context;
+  EXPECT_EQ(refreshed.beta(), rebuilt.beta()) << context;
   EXPECT_EQ(refreshed.row_cardinalities(), rebuilt.row_cardinalities())
       << context;
   const DigestMatrix& ma = refreshed.matrix();
@@ -79,24 +98,10 @@ void ExpectIndexesIdentical(const SimilarityIndex& refreshed,
               0)
         << context << " digest row at sorted position " << p;
   }
-  if (refreshed.CanRefresh() && rebuilt.CanRefresh()) {
-    EXPECT_EQ(refreshed.inverse_index_offsets(),
-              rebuilt.inverse_index_offsets())
-        << context;
-    EXPECT_EQ(refreshed.inverse_index_entries(),
-              rebuilt.inverse_index_entries())
-        << context;
-  }
   // End-to-end: identical snapshots answer identically.
-  const auto pairs_a = refreshed.AllPairsAboveReference(0.2);
-  const auto pairs_b = rebuilt.AllPairsAboveReference(0.2);
-  ASSERT_EQ(pairs_a.size(), pairs_b.size()) << context;
-  for (size_t i = 0; i < pairs_a.size(); ++i) {
-    EXPECT_EQ(pairs_a[i].u, pairs_b[i].u) << context;
-    EXPECT_EQ(pairs_a[i].v, pairs_b[i].v) << context;
-    EXPECT_EQ(pairs_a[i].common, pairs_b[i].common) << context;
-    EXPECT_EQ(pairs_a[i].jaccard, pairs_b[i].jaccard) << context;
-  }
+  EXPECT_TRUE(SamePairs(refreshed.AllPairsAboveReference(0.2),
+                        rebuilt.AllPairsAboveReference(0.2)))
+      << context;
 }
 
 /// Applies `dirty_fraction` of the candidates a few fresh inserts (and a
@@ -127,38 +132,29 @@ std::vector<UserId> FirstUsers(UserId count) {
   return users;
 }
 
-QueryOptions IncrementalOptions(unsigned threads) {
-  QueryOptions options;
-  options.num_threads = threads;
-  options.incremental = true;
-  return options;
+/// A rebuild-only snapshot of `candidates` at the sketch's state.
+SnapshotPtr Fresh(const VosSketch& sketch,
+                  const std::vector<UserId>& candidates) {
+  return Snapshot::Build(sketch, candidates);
 }
 
-/// A non-incremental snapshot of `candidates` at the sketch's state.
-std::unique_ptr<SimilarityIndex> Fresh(const VosSketch& sketch,
-                                       const std::vector<UserId>& candidates) {
-  auto index = std::make_unique<SimilarityIndex>(sketch);
-  index->Rebuild(candidates);
-  return index;
-}
-
-/// Refreshes `index`, checks it against a fresh Rebuild and returns that.
-std::unique_ptr<SimilarityIndex> RefreshAndCheck(SimilarityIndex& index,
-                                                 const VosSketch& sketch,
-                                                 const std::string& context) {
-  index.RefreshDirty();
-  auto fresh = Fresh(sketch, index.candidates());
-  ExpectIndexesIdentical(index, *fresh, context);
-  return fresh;
+/// Refreshes `index`, checks the result against a fresh rebuild-only
+/// snapshot and returns it.
+SnapshotPtr RefreshAndCheck(SimilarityIndex& index, const VosSketch& sketch,
+                            const std::string& context) {
+  SnapshotPtr refreshed = index.RefreshDirty();
+  ExpectIndexesIdentical(*refreshed, *Fresh(sketch, refreshed->candidates()),
+                         context);
+  return refreshed;
 }
 
 /// Number of candidates whose digest row or cardinality differs.
-size_t ChangedRows(const SimilarityIndex& a, const SimilarityIndex& b) {
+size_t ChangedRows(const Snapshot& a, const Snapshot& b) {
   size_t changed = 0;
   for (const UserId u : a.candidates()) {
     const size_t p = a.RowIndexOf(u);
     const size_t q = b.RowIndexOf(u);
-    if (a.row_cardinality(p) != b.row_cardinality(q) ||
+    if (a.row_cardinalities()[p] != b.row_cardinalities()[q] ||
         std::memcmp(a.matrix().Row(p), b.matrix().Row(q),
                     a.matrix().words_per_row() * sizeof(uint64_t)) != 0) {
       ++changed;
@@ -171,19 +167,19 @@ TEST(RefreshDirtyTest, BitIdenticalToRebuildAcrossDirtyFractionsAndThreads) {
   const std::vector<UserId> candidates = FirstUsers(80);  // 80..119: background
   for (const unsigned threads : {1u, 2u, 8u}) {
     VosSketch sketch = PopulatedSketch(SmallConfig(), 120, 60, 5);
-    SimilarityIndex refreshed(sketch, {}, IncrementalOptions(threads));
-    refreshed.Rebuild(candidates);
-    EXPECT_TRUE(refreshed.CanRefresh());
+    SimilarityIndex refreshed(sketch);
+    refreshed.Rebuild(candidates, threads);
     ItemId next_item = 1 << 29;
     // Up to full churn (every candidate dirty) and back: the patch covers
     // every delta size, with no fallback to a rebuild.
     for (const double fraction : {0.0, 0.01, 0.5, 1.0, 0.01}) {
       Churn(&sketch, candidates, fraction, &next_item);
-      RefreshAndCheck(refreshed, sketch,
-                      "threads=" + std::to_string(threads) +
-                          " fraction=" + std::to_string(fraction));
+      const SnapshotPtr snapshot =
+          RefreshAndCheck(refreshed, sketch,
+                          "threads=" + std::to_string(threads) +
+                              " fraction=" + std::to_string(fraction));
       if (fraction == 1.0) {
-        EXPECT_EQ(refreshed.last_refresh_dirty_fraction(), 1.0);
+        EXPECT_EQ(snapshot->last_refresh_dirty_fraction(), 1.0);
       }
     }
   }
@@ -191,8 +187,8 @@ TEST(RefreshDirtyTest, BitIdenticalToRebuildAcrossDirtyFractionsAndThreads) {
 
 TEST(RefreshDirtyTest, CellFlippedBackLeavesRowsUntouched) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 40, 30, 47);
-  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
-  index.Rebuild(FirstUsers(30));
+  SimilarityIndex index(sketch);
+  index.Rebuild(FirstUsers(30), 1);
   // Insert then delete the same element (candidate and non-candidate):
   // each cell flips twice, so the array, every digest and every
   // cardinality end where they started although both users are dirty.
@@ -201,8 +197,9 @@ TEST(RefreshDirtyTest, CellFlippedBackLeavesRowsUntouched) {
     sketch.Update({u, ItemId{1} << 29, Action::kDelete});
   }
   ASSERT_TRUE(sketch.IsDirty(4));
-  RefreshAndCheck(index, sketch, "net-zero cell flips");
-  EXPECT_EQ(index.last_refresh_dirty_fraction(), 0.0);
+  EXPECT_EQ(RefreshAndCheck(index, sketch, "net-zero cell flips")
+                ->last_refresh_dirty_fraction(),
+            0.0);
 }
 
 TEST(RefreshDirtyTest, RowsOwningOneCellTwice) {
@@ -214,8 +211,8 @@ TEST(RefreshDirtyTest, RowsOwningOneCellTwice) {
     cells_of_zero.insert(sketch.CellOf(0, j));
   }
   ASSERT_LT(cells_of_zero.size(), sketch.config().k);
-  SimilarityIndex index(sketch, {}, IncrementalOptions(2));
-  index.Rebuild(FirstUsers(24));
+  SimilarityIndex index(sketch);
+  index.Rebuild(FirstUsers(24), 2);
   ItemId next_item = 1 << 29;
   for (UserId u = 0; u < 20; ++u) {
     sketch.Update({u, next_item++, Action::kInsert});
@@ -238,15 +235,16 @@ TEST(RefreshDirtyTest, NonCandidateUpdateFlipsCandidateBit) {
          0) {
     ++item;
   }
-  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
-  index.Rebuild(candidates);
-  const auto before = Fresh(sketch, candidates);
+  SimilarityIndex index(sketch);
+  index.Rebuild(candidates, 1);
+  const SnapshotPtr before = Fresh(sketch, candidates);
   sketch.Update({30, item, Action::kInsert});
   for (const UserId u : candidates) ASSERT_FALSE(sketch.IsDirty(u));
-  const auto after = RefreshAndCheck(index, sketch, "contamination flip");
+  const SnapshotPtr after =
+      RefreshAndCheck(index, sketch, "contamination flip");
   const size_t changed = ChangedRows(*before, *after);
   EXPECT_GT(changed, 0u);
-  EXPECT_EQ(index.last_refresh_dirty_fraction(), changed / 20.0);
+  EXPECT_EQ(after->last_refresh_dirty_fraction(), changed / 20.0);
 }
 
 TEST(RefreshDirtyTest, DeletionsDownToZeroCardinality) {
@@ -259,8 +257,8 @@ TEST(RefreshDirtyTest, DeletionsDownToZeroCardinality) {
       sketch.Update({u, items[u].back(), Action::kInsert});
     }
   }
-  SimilarityIndex index(sketch, {}, IncrementalOptions(2));
-  index.Rebuild(FirstUsers(30));
+  SimilarityIndex index(sketch);
+  SnapshotPtr snapshot = index.Rebuild(FirstUsers(30), 2);
   // Empty users 0..9 in two steps; a zero-cardinality row sorts first.
   for (const size_t keep : {size_t{10}, size_t{0}}) {
     for (UserId u = 0; u < 10; ++u) {
@@ -268,15 +266,16 @@ TEST(RefreshDirtyTest, DeletionsDownToZeroCardinality) {
         sketch.Update({u, items[u].back(), Action::kDelete});
       }
     }
-    RefreshAndCheck(index, sketch, "deletions to " + std::to_string(keep));
+    snapshot =
+        RefreshAndCheck(index, sketch, "deletions to " + std::to_string(keep));
   }
-  EXPECT_EQ(index.row_cardinality(0), 0u);
+  EXPECT_EQ(snapshot->row_cardinalities()[0], 0u);
 }
 
 /// Seeded operation sequence: many refreshes whose deltas range from one
 /// element to more than the whole stream, mixing inserts and deletes of
 /// live elements from candidates and non-candidates. After every refresh
-/// the patched index must equal a fresh non-incremental Rebuild, and its
+/// the patched snapshot must equal a fresh rebuild-only one, and its
 /// dirty fraction must count exactly the rows whose digest or
 /// cardinality changed.
 TEST(RefreshDirtyTest, SeededDeltaSizesFromOneElementToBeyondTheStream) {
@@ -293,9 +292,8 @@ TEST(RefreshDirtyTest, SeededDeltaSizesFromOneElementToBeyondTheStream) {
   };
   for (int i = 0; i < 1500; ++i) insert();
   const size_t stream = live.size();
-  SimilarityIndex index(sketch, {}, IncrementalOptions(2));
-  index.Rebuild(candidates);
-  auto previous = Fresh(sketch, candidates);
+  SimilarityIndex index(sketch);
+  SnapshotPtr previous = index.Rebuild(candidates, 2);
   for (const size_t delta : {size_t{1}, size_t{1}, size_t{2}, size_t{7},
                              size_t{30}, size_t{150}, size_t{600}, stream,
                              2 * stream + 1, size_t{3}, size_t{0},
@@ -311,22 +309,22 @@ TEST(RefreshDirtyTest, SeededDeltaSizesFromOneElementToBeyondTheStream) {
       live.pop_back();
     }
     const std::string context = "delta=" + std::to_string(delta);
-    auto fresh = RefreshAndCheck(index, sketch, context);
-    EXPECT_EQ(index.last_refresh_dirty_fraction(),
-              static_cast<double>(ChangedRows(*previous, *fresh)) /
+    SnapshotPtr next = RefreshAndCheck(index, sketch, context);
+    EXPECT_EQ(next->last_refresh_dirty_fraction(),
+              static_cast<double>(ChangedRows(*previous, *next)) /
                   candidates.size())
         << context;
-    previous = std::move(fresh);
+    previous = std::move(next);
   }
 }
 
 TEST(RefreshDirtyTest, NoChangesIsANoOpSnapshot) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 40, 50, 9);
-  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
-  index.Rebuild(FirstUsers(40));
-  const auto before = index.AllPairsAboveReference(0.1);
-  index.RefreshDirty();  // nothing changed since Rebuild
-  const auto after = index.AllPairsAboveReference(0.1);
+  SimilarityIndex index(sketch);
+  const auto before =
+      index.Rebuild(FirstUsers(40), 1)->AllPairsAboveReference(0.1);
+  // Nothing changed since Rebuild.
+  const auto after = index.RefreshDirty()->AllPairsAboveReference(0.1);
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i].u, after[i].u);
@@ -340,8 +338,8 @@ TEST(RefreshDirtyTest, CardinalityOnlyChangesReorderCorrectly) {
   // candidate a big cardinality jump so the sorted window order changes,
   // and verify refresh tracks the re-sort exactly.
   VosSketch sketch = PopulatedSketch(SmallConfig(1 << 14), 30, 20, 13);
-  SimilarityIndex refreshed(sketch, {}, IncrementalOptions(1));
-  refreshed.Rebuild(FirstUsers(30));
+  SimilarityIndex refreshed(sketch);
+  refreshed.Rebuild(FirstUsers(30), 1);
   for (ItemId item = 0; item < 500; ++item) {
     sketch.Update({7, static_cast<ItemId>((1 << 27) + item),
                    Action::kInsert});
@@ -368,10 +366,10 @@ void AddItems(VosSketch* sketch, std::vector<std::vector<ItemId>>* items,
 }
 
 /// The candidate users in matrix-row order.
-std::vector<UserId> RowOrder(const SimilarityIndex& index) {
+std::vector<UserId> RowOrder(const SnapshotPtr& index) {
   std::vector<UserId> order;
-  for (size_t p = 0; p < index.candidate_count(); ++p) {
-    order.push_back(index.candidates()[index.sorted_to_candidate(p)]);
+  for (size_t p = 0; p < index->candidate_count(); ++p) {
+    order.push_back(index->candidates()[index->sorted_to_candidate(p)]);
   }
   return order;
 }
@@ -383,16 +381,15 @@ TEST(RefreshDirtyTest, MergedRowsBreakCardinalityTiesByCandidateIndex) {
   for (UserId u = 0; u < 10; ++u) AddItems(&sketch, &items, u, 5, &next_item);
   // Candidate index i holds user 9 − i, so index order is not user order.
   const std::vector<UserId> candidates = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
-  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
-  index.Rebuild(candidates);
-  EXPECT_EQ(RowOrder(index), candidates);  // all tie at 5
+  SimilarityIndex index(sketch);
+  EXPECT_EQ(RowOrder(index.Rebuild(candidates, 1)), candidates);  // all tie
 
   // Users 3 and 7 tie at 6 with each other, user 8 drops to 4.
   AddItems(&sketch, &items, 3, 1, &next_item);
   AddItems(&sketch, &items, 7, 1, &next_item);
   AddItems(&sketch, &items, 8, -1, &next_item);
-  RefreshAndCheck(index, sketch, "moved rows tie with each other");
-  EXPECT_EQ(RowOrder(index),
+  EXPECT_EQ(RowOrder(RefreshAndCheck(index, sketch,
+                                     "moved rows tie with each other")),
             (std::vector<UserId>{8, 9, 6, 5, 4, 2, 1, 0, 7, 3}));
 
   // User 3 rejoins the tie at 5 between users 4 and 2, user 8 too (after
@@ -400,8 +397,8 @@ TEST(RefreshDirtyTest, MergedRowsBreakCardinalityTiesByCandidateIndex) {
   AddItems(&sketch, &items, 3, -1, &next_item);
   AddItems(&sketch, &items, 8, 1, &next_item);
   AddItems(&sketch, &items, 0, 1, &next_item);
-  RefreshAndCheck(index, sketch, "moved rows tie with unmoved rows");
-  EXPECT_EQ(RowOrder(index),
+  EXPECT_EQ(RowOrder(RefreshAndCheck(index, sketch,
+                                     "moved rows tie with unmoved rows")),
             (std::vector<UserId>{9, 8, 6, 5, 4, 3, 2, 1, 7, 0}));
 }
 
@@ -412,16 +409,16 @@ TEST(RefreshDirtyTest, RowMovesFromFirstToLastAndBack) {
   for (UserId u = 0; u < 20; ++u) {
     AddItems(&sketch, &items, u, 3 + static_cast<int>(u), &next_item);
   }
-  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
-  index.Rebuild(FirstUsers(20));
-  ASSERT_EQ(RowOrder(index).front(), 0u);
+  SimilarityIndex index(sketch);
+  ASSERT_EQ(RowOrder(index.Rebuild(FirstUsers(20), 1)).front(), 0u);
   AddItems(&sketch, &items, 0, 40, &next_item);
-  RefreshAndCheck(index, sketch, "first row to last");
-  EXPECT_EQ(RowOrder(index).back(), 0u);
-  EXPECT_EQ(RowOrder(index).front(), 1u);
+  const std::vector<UserId> order =
+      RowOrder(RefreshAndCheck(index, sketch, "first row to last"));
+  EXPECT_EQ(order.back(), 0u);
+  EXPECT_EQ(order.front(), 1u);
   AddItems(&sketch, &items, 0, -40, &next_item);
-  RefreshAndCheck(index, sketch, "last row back to first");
-  EXPECT_EQ(RowOrder(index), FirstUsers(20));
+  EXPECT_EQ(RowOrder(RefreshAndCheck(index, sketch, "last row back to first")),
+            FirstUsers(20));
 }
 
 TEST(RefreshDirtyTest, EveryRowOrNoRowChangesCardinality) {
@@ -429,8 +426,8 @@ TEST(RefreshDirtyTest, EveryRowOrNoRowChangesCardinality) {
   std::vector<std::vector<ItemId>> items(40);
   ItemId next_item = 1 << 29;
   const std::vector<UserId> candidates = FirstUsers(30);
-  SimilarityIndex index(sketch, {}, IncrementalOptions(2));
-  index.Rebuild(candidates);
+  SimilarityIndex index(sketch);
+  SnapshotPtr snapshot = index.Rebuild(candidates, 2);
   // Every candidate gains a different number of items, reversing the
   // order of the first rows; then all lose them again.
   for (const int sign : {1, -1}) {
@@ -438,18 +435,20 @@ TEST(RefreshDirtyTest, EveryRowOrNoRowChangesCardinality) {
       AddItems(&sketch, &items, u, sign * static_cast<int>(30 - u),
                &next_item);
     }
-    RefreshAndCheck(index, sketch,
-                    sign > 0 ? "every row gains" : "every row loses");
-    EXPECT_EQ(index.last_refresh_dirty_fraction(), 1.0);
+    snapshot = RefreshAndCheck(
+        index, sketch, sign > 0 ? "every row gains" : "every row loses");
+    EXPECT_EQ(snapshot->last_refresh_dirty_fraction(), 1.0);
   }
   // No cardinality changes: nothing at all, then only a non-candidate's
   // updates (the digests may change, the order may not).
-  const std::vector<UserId> order = RowOrder(index);
-  RefreshAndCheck(index, sketch, "no change");
-  EXPECT_EQ(index.last_refresh_dirty_fraction(), 0.0);
+  const std::vector<UserId> order = RowOrder(snapshot);
+  EXPECT_EQ(RefreshAndCheck(index, sketch, "no change")
+                ->last_refresh_dirty_fraction(),
+            0.0);
   AddItems(&sketch, &items, 35, 25, &next_item);
-  RefreshAndCheck(index, sketch, "non-candidate updates only");
-  EXPECT_EQ(RowOrder(index), order);
+  EXPECT_EQ(RowOrder(RefreshAndCheck(index, sketch,
+                                     "non-candidate updates only")),
+            order);
 }
 
 TEST(RefreshDirtyTest, ZeroOneAndTwoCandidates) {
@@ -458,8 +457,8 @@ TEST(RefreshDirtyTest, ZeroOneAndTwoCandidates) {
     VosSketch sketch = PopulatedSketch(SmallConfig(), 6, 10, 103 + n);
     std::vector<std::vector<ItemId>> items(6);
     ItemId next_item = 1 << 29;
-    SimilarityIndex index(sketch, {}, IncrementalOptions(1));
-    index.Rebuild(FirstUsers(n));
+    SimilarityIndex index(sketch);
+    index.Rebuild(FirstUsers(n), 1);
     RefreshAndCheck(index, sketch, context + " empty delta");
     // User 0 overtakes user 1 and falls back; user 5 only contaminates.
     for (const int delta : {30, -30, 1}) {
@@ -475,13 +474,14 @@ TEST(RefreshDirtyTest, ZeroOneAndTwoCandidates) {
 /// index i·k + j, tagged with its cell's in-word offset (CellOf & 63) in
 /// the top 6 bits, under the array word of its cell, ascending per word.
 void ExpectInverseIndexMatchesOracle(const SimilarityIndex& index,
+                                     const std::vector<UserId>& candidates,
                                      const VosSketch& sketch,
                                      const std::string& context) {
   const uint32_t k = sketch.config().k;
   std::vector<std::vector<uint32_t>> owners((sketch.config().m + 63) / 64);
-  for (size_t i = 0; i < index.candidate_count(); ++i) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
     for (uint32_t j = 0; j < k; ++j) {
-      const uint64_t cell = sketch.CellOf(index.candidates()[i], j);
+      const uint64_t cell = sketch.CellOf(candidates[i], j);
       owners[cell >> 6].push_back(static_cast<uint32_t>(
           (cell & 63) << 26 | (i * k + j)));
     }
@@ -527,8 +527,8 @@ std::vector<UserId> BoundaryOwnersFirst(const VosSketch& sketch, size_t n) {
 /// fourth (whose last word is partial too) and arrays below one
 /// partition, candidate counts from 0 to 200, and 1, 2 or 8 workers must
 /// all give the brute-force inverse index, and every snapshot of a seeded
-/// refresh sequence must equal a fresh single-threaded Rebuild — inverse
-/// index included.
+/// refresh sequence must equal a fresh single-threaded incremental
+/// Rebuild — inverse index included.
 TEST(IncrementalRebuildTest, PartitionEdgesAndThreadCounts) {
   const UserId users = 6000;  // enough to own every boundary cell
   for (const uint64_t m : {uint64_t{3} * (1 << 16) + 777, uint64_t{1} << 12}) {
@@ -549,9 +549,9 @@ TEST(IncrementalRebuildTest, PartitionEdgesAndThreadCounts) {
             sketch.Update({u, next_item++, Action::kInsert});
           }
         }
-        SimilarityIndex index(sketch, {}, IncrementalOptions(threads));
-        index.Rebuild(candidates);
-        ExpectInverseIndexMatchesOracle(index, sketch, context);
+        SimilarityIndex index(sketch);
+        SnapshotPtr snapshot = index.Rebuild(candidates, threads);
+        ExpectInverseIndexMatchesOracle(index, candidates, sketch, context);
         for (int step = 0; step <= 4; ++step) {
           if (step > 0) {
             for (int e = 0; e < 40 * step; ++e) {
@@ -560,15 +560,20 @@ TEST(IncrementalRebuildTest, PartitionEdgesAndThreadCounts) {
               sketch.Update({user, item, Action::kInsert});
               if (e % 4 == 0) sketch.Update({user, item, Action::kDelete});
             }
-            index.RefreshDirty();
+            snapshot = index.RefreshDirty();
           }
           // The reference reads a copy: its Rebuild must not consume the
           // dirty set the refreshed index drains next.
           const VosSketch copy = sketch;
-          SimilarityIndex fresh(copy, {}, IncrementalOptions(1));
-          fresh.Rebuild(candidates);
-          ExpectIndexesIdentical(index, fresh,
-                                 context + " step=" + std::to_string(step));
+          SimilarityIndex fresh(copy);
+          const std::string at = context + " step=" + std::to_string(step);
+          ExpectIndexesIdentical(*snapshot, *fresh.Rebuild(candidates, 1), at);
+          EXPECT_EQ(index.inverse_index_offsets(),
+                    fresh.inverse_index_offsets())
+              << at;
+          EXPECT_EQ(index.inverse_index_entries(),
+                    fresh.inverse_index_entries())
+              << at;
         }
       }
     }
@@ -601,9 +606,9 @@ TEST(RefreshDirtyTest, DigestWidthsOffPowersOfTwo) {
     VosConfig config = SmallConfig();
     config.k = k;
     VosSketch sketch = PopulatedSketch(config, 40, 20, 107);
-    SimilarityIndex index(sketch, {}, IncrementalOptions(2));
-    index.Rebuild(FirstUsers(30));
-    ExpectInverseIndexMatchesOracle(index, sketch, context);
+    SimilarityIndex index(sketch);
+    index.Rebuild(FirstUsers(30), 2);
+    ExpectInverseIndexMatchesOracle(index, FirstUsers(30), sketch, context);
     ItemId next_item = 1 << 29;
     for (const double fraction : {0.1, 1.0}) {
       Churn(&sketch, FirstUsers(30), fraction, &next_item);
@@ -613,11 +618,11 @@ TEST(RefreshDirtyTest, DigestWidthsOffPowersOfTwo) {
   }
 }
 
-TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {
+/// A builder has nothing to patch before its first Rebuild.
+TEST(RefreshDirtyDeathTest, RefreshBeforeRebuildAborts) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 10, 10, 17);
-  SimilarityIndex index(sketch, {}, IncrementalOptions(0));
-  EXPECT_FALSE(index.CanRefresh());  // no Rebuild yet
-  EXPECT_FALSE(Fresh(sketch, {0, 1, 2})->CanRefresh());  // incremental off
+  SimilarityIndex index(sketch);
+  EXPECT_DEATH(index.RefreshDirty(), "before the first Rebuild");
 }
 
 /// A sketch has one incremental consumer. Two incremental indexes on it
@@ -628,10 +633,10 @@ TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {
 TEST(RefreshDirtyDeathTest, SecondIncrementalConsumerAborts) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 10, 10, 17);
   const std::vector<UserId> candidates = FirstUsers(8);
-  SimilarityIndex first(sketch, {}, IncrementalOptions(1));
-  first.Rebuild(candidates);
-  SimilarityIndex second(sketch, {}, IncrementalOptions(1));
-  second.Rebuild(candidates);
+  SimilarityIndex first(sketch);
+  first.Rebuild(candidates, 1);
+  SimilarityIndex second(sketch);
+  second.Rebuild(candidates, 1);
 
   const ItemId a = 1 << 29;
   ItemId b = a + 1;
@@ -648,8 +653,8 @@ TEST(RefreshDirtyDeathTest, SecondIncrementalConsumerAborts) {
       },
       "another consumer cleared");
   // One consumer alone refreshes fine and sees the change.
-  SimilarityIndex only(sketch, {}, IncrementalOptions(1));
-  only.Rebuild(candidates);
+  SimilarityIndex only(sketch);
+  only.Rebuild(candidates, 1);
   sketch.Update({4, a, Action::kDelete});
   sketch.Update({4, b, Action::kDelete});
   RefreshAndCheck(only, sketch, "single consumer");
@@ -689,7 +694,7 @@ TEST(ChangedWordSummaryTest, TrackingStartsOnlyWhenAsked) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 30, 20, 71);
   EXPECT_FALSE(sketch.tracks_dirty());
   EXPECT_TRUE(sketch.changed_words().empty());
-  EXPECT_TRUE(sketch.dirty_users().empty());
+  EXPECT_EQ(sketch.dirty_user_count(), 0u);
   EXPECT_EQ(sketch.BookkeepingBits(), 30u * 32u);  // cardinalities only
   sketch.StartDirtyTracking();
   EXPECT_TRUE(sketch.tracks_dirty());
@@ -697,7 +702,7 @@ TEST(ChangedWordSummaryTest, TrackingStartsOnlyWhenAsked) {
   // the updates before the start are not recorded.
   EXPECT_EQ(sketch.BookkeepingBits(), 30u * 64u + 64u);
   EXPECT_EQ(FlaggedWords(sketch), 0u);
-  EXPECT_TRUE(sketch.dirty_users().empty());
+  EXPECT_EQ(sketch.dirty_user_count(), 0u);
 }
 
 /// The decoder writes the array outside Update. A decoded sketch tracks
@@ -723,8 +728,8 @@ TEST(ChangedWordSummaryTest, DecodedSketchDoesNotTrack) {
 TEST(ChangedWordSummaryTest, CopiedSketchKeepsItsSummary) {
   VosSketch sketch = PopulatedSketch(SmallConfig(), 40, 30, 73);
   const std::vector<UserId> candidates = FirstUsers(30);
-  SimilarityIndex index(sketch, {}, IncrementalOptions(1));
-  index.Rebuild(candidates);
+  SimilarityIndex index(sketch);
+  index.Rebuild(candidates, 1);
   ItemId next_item = 1 << 29;
   for (const UserId u : {UserId{1}, UserId{12}, UserId{35}}) {
     sketch.Update({u, next_item++, Action::kInsert});
@@ -733,22 +738,22 @@ TEST(ChangedWordSummaryTest, CopiedSketchKeepsItsSummary) {
   EXPECT_EQ(copy.changed_words(), sketch.changed_words());
   EXPECT_EQ(FlaggedWords(copy), FlaggedWords(sketch));
   EXPECT_GT(FlaggedWords(copy), 0u);
-  SimilarityIndex on_copy(copy, {}, IncrementalOptions(1));
-  on_copy.Rebuild(candidates);  // clears the copy's dirty set and summary
+  SimilarityIndex on_copy(copy);
+  on_copy.Rebuild(candidates, 1);  // clears the copy's dirty set and summary
   EXPECT_EQ(FlaggedWords(copy), 0u);
   EXPECT_GT(FlaggedWords(sketch), 0u);
   RefreshAndCheck(index, sketch, "original after the copy was cleared");
 }
 
-/// Checks every shard index of `planner` against a fresh non-incremental
-/// Rebuild of its candidates: matrix rows, row cardinalities, β (all via
+/// Checks every shard snapshot of `planner` against a fresh rebuild-only
+/// snapshot of its candidates: matrix rows, row cardinalities, β (all via
 /// ExpectIndexesIdentical) and RowIndexOf for every candidate.
 void ExpectPlannerMatchesRebuild(const QueryPlanner& planner,
                                  const ShardedVosSketch& sketch,
                                  const std::string& context) {
   for (uint32_t s = 0; s < sketch.num_shards(); ++s) {
-    const SimilarityIndex& index = planner.shard_index(s);
-    const auto fresh = Fresh(sketch.shard(s), index.candidates());
+    const Snapshot& index = planner.shard_index(s);
+    const SnapshotPtr fresh = Fresh(sketch.shard(s), index.candidates());
     const std::string where = context + " shard " + std::to_string(s);
     ExpectIndexesIdentical(index, *fresh, where);
     for (const UserId u : index.candidates()) {
@@ -761,8 +766,9 @@ void ExpectPlannerMatchesRebuild(const QueryPlanner& planner,
 /// Randomized differential test of the refresh path: seeded sequences
 /// of inserts, deletes of live elements and insert-delete pairs (cells
 /// flipped back), in stretches of 0 to a few hundred operations between
-/// QueryPlanner::Refresh calls. After every refresh each shard snapshot
-/// must equal a fresh Rebuild.
+/// QueryPlanner::Refresh calls (the first one captures, every later one
+/// patches). After every refresh each shard snapshot must equal a fresh
+/// rebuild-only one.
 TEST(RefreshDirtyDifferentialTest, RandomOpsMatchRebuild) {
   const UserId users = 96;
   for (const uint32_t shards : {1u, 4u}) {
@@ -786,8 +792,10 @@ TEST(RefreshDirtyDifferentialTest, RandomOpsMatchRebuild) {
         for (int i = 0; i < 800; ++i) insert();
         ASSERT_TRUE(sketch.Flush().ok()) << context;
         // Users 0..71 are candidates; 72..95 only contaminate.
-        QueryPlanner planner(sketch, {}, IncrementalOptions(threads));
+        QueryPlanner planner(sketch, {}, QueryOptions{threads});
         planner.Rebuild(FirstUsers(72));
+        planner.Refresh();
+        ASSERT_TRUE(planner.incremental()) << context;
 
         for (int step = 0; step < 24; ++step) {
           const size_t ops = rng.NextBounded(4) == 0 ? rng.NextBounded(300)
@@ -829,9 +837,10 @@ TEST(RefreshDirtyDifferentialTest, RandomOpsMatchRebuild) {
   }
 }
 
-/// Dirty tracking starts at the planner's first incremental Rebuild, not
-/// at construction: ingest before it is untracked, ingest after it is
-/// tracked, and the Refresh that consumes it lands on a fresh Rebuild's
+/// Dirty tracking starts at the first incremental Rebuild — the one the
+/// planner's first Refresh of a set runs — not at construction or at the
+/// planner's rebuild-only Rebuild: ingest before it is untracked, ingest
+/// after it is tracked, and the Refresh that consumes it lands on fresh
 /// snapshots — synchronous and pipelined, at one shard and at four.
 TEST(LazyDirtyTrackingTest, FirstIncrementalRebuildStartsTracking) {
   const UserId users = 96;
@@ -858,24 +867,172 @@ TEST(LazyDirtyTrackingTest, FirstIncrementalRebuildStartsTracking) {
         ASSERT_FALSE(sketch.shard(s).tracks_dirty()) << context;
       }
 
-      QueryPlanner planner(sketch, {}, IncrementalOptions(2));
+      QueryPlanner planner(sketch, {}, QueryOptions{2});
       planner.Rebuild(FirstUsers(72));
       for (uint32_t s = 0; s < shards; ++s) {
-        EXPECT_TRUE(sketch.shard(s).tracks_dirty()) << context;
-        EXPECT_TRUE(sketch.shard(s).dirty_users().empty()) << context;
+        EXPECT_FALSE(sketch.shard(s).tracks_dirty()) << context;
       }
-      ExpectPlannerMatchesRebuild(planner, sketch, context + " rebuild");
+      planner.Refresh();
+      for (uint32_t s = 0; s < shards; ++s) {
+        EXPECT_TRUE(sketch.shard(s).tracks_dirty()) << context;
+        EXPECT_EQ(sketch.shard(s).dirty_user_count(), 0u) << context;
+      }
+      ExpectPlannerMatchesRebuild(planner, sketch, context + " capture");
 
       sketch.UpdateBatch(elements.data() + half, elements.size() - half);
       ASSERT_TRUE(sketch.Flush().ok()) << context;
       size_t dirty = 0;
       for (uint32_t s = 0; s < shards; ++s) {
-        dirty += sketch.shard(s).dirty_users().size();
+        dirty += sketch.shard(s).dirty_user_count();
       }
       EXPECT_GT(dirty, 0u) << context;
       planner.Refresh();
       ExpectPlannerMatchesRebuild(planner, sketch, context + " refresh");
     }
+  }
+}
+
+// ------------------------------------------------------- held snapshots
+
+/// `count` elements over `users` users: inserts of fresh items, and every
+/// fourth one deletes an item inserted earlier, so epochs churn both ways.
+std::vector<Element> ChurnStream(UserId users, size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Element> elements;
+  std::vector<Element> live;
+  for (ItemId item = 1; elements.size() < count; ++item) {
+    if (item % 4 == 0 && !live.empty()) {
+      const size_t victim = rng.NextBounded(live.size());
+      elements.push_back({live[victim].user, live[victim].item,
+                          Action::kDelete});
+      live[victim] = live.back();
+      live.pop_back();
+      continue;
+    }
+    live.push_back({static_cast<UserId>(rng.NextBounded(users)), item,
+                    Action::kInsert});
+    elements.push_back(live.back());
+  }
+  return elements;
+}
+
+/// A published snapshot is never written. The planner's snapshots of
+/// four epochs — a new set's rebuild-only one, the first Refresh's
+/// capture and two patching Refreshes, with ingest before each — are all
+/// held to the end. Each must then still give the β, row cardinalities
+/// and AllPairsAboveReference recorded at its own epoch, and equal a
+/// rebuild-only snapshot taken at that epoch.
+TEST(HeldSnapshotTest, SnapshotsOfEarlierEpochsSurviveLaterOnes) {
+  const UserId users = 96;
+  const std::vector<Element> elements = ChurnStream(users, 3200, 113);
+  const size_t quarter = elements.size() / 4;
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const unsigned ingest_threads : {0u, 2u}) {
+      const std::string context = "S=" + std::to_string(shards) +
+                                  " T=" + std::to_string(ingest_threads);
+      ShardedVosConfig config;
+      config.base = SmallConfig(1 << 12);
+      config.num_shards = shards;
+      config.ingest_threads = ingest_threads;
+      config.batch_size = 64;
+      ShardedVosSketch sketch(config, users);
+      QueryPlanner planner(sketch, {}, QueryOptions{2});
+      struct Held {
+        SnapshotPtr snapshot;
+        double beta;
+        std::vector<uint32_t> cards;
+        std::vector<Snapshot::Pair> pairs;
+        SnapshotPtr fresh;
+      };
+      std::vector<Held> held;  // (epoch, shard), epoch-major
+      for (size_t epoch = 0; epoch < 4; ++epoch) {
+        sketch.UpdateBatch(elements.data() + epoch * quarter, quarter);
+        ASSERT_TRUE(sketch.Flush().ok()) << context;
+        if (epoch == 0) {
+          planner.Rebuild(FirstUsers(72));
+        } else {
+          planner.Refresh();
+        }
+        ASSERT_EQ(planner.incremental(), epoch > 0) << context;
+        for (uint32_t s = 0; s < shards; ++s) {
+          const SnapshotPtr& snapshot = planner.shard_snapshot(s);
+          held.push_back({snapshot, snapshot->beta(),
+                          snapshot->row_cardinalities(),
+                          snapshot->AllPairsAboveReference(0.1),
+                          Fresh(sketch.shard(s), snapshot->candidates())});
+        }
+      }
+      // The epochs differ, so an overwritten snapshot would show.
+      EXPECT_NE(held.front().beta, held[3 * shards].beta) << context;
+      for (size_t h = 0; h < held.size(); ++h) {
+        const std::string at = context + " epoch " +
+                               std::to_string(h / shards) + " shard " +
+                               std::to_string(h % shards);
+        const Snapshot& snapshot = *held[h].snapshot;
+        EXPECT_EQ(snapshot.beta(), held[h].beta) << at;
+        EXPECT_EQ(snapshot.row_cardinalities(), held[h].cards) << at;
+        EXPECT_TRUE(SamePairs(snapshot.AllPairsAboveReference(0.1),
+                              held[h].pairs))
+            << at;
+        ExpectIndexesIdentical(snapshot, *held[h].fresh, at);
+      }
+    }
+  }
+}
+
+/// A reader thread holds the planner's snapshots of one epoch and keeps
+/// recomputing their AllPairsAboveReference while the main thread
+/// ingests through the shard workers, flushes and Refreshes, publishing
+/// new snapshots. The reader's answers stay those recorded before the
+/// ingest. Runs under TSan in CI.
+TEST(HeldSnapshotTest, ReaderKeepsItsSnapshotWhileRefreshPublishes) {
+  const UserId users = 96;
+  const std::vector<Element> elements = ChurnStream(users, 3200, 127);
+  const size_t quarter = elements.size() / 4;
+  for (const uint32_t shards : {1u, 4u}) {
+    const std::string context = "S=" + std::to_string(shards);
+    ShardedVosConfig config;
+    config.base = SmallConfig(1 << 12);
+    config.num_shards = shards;
+    config.ingest_threads = 2;
+    config.batch_size = 64;
+    ShardedVosSketch sketch(config, users);
+    sketch.UpdateBatch(elements.data(), quarter);
+    ASSERT_TRUE(sketch.Flush().ok()) << context;
+    QueryPlanner planner(sketch, {}, QueryOptions{2});
+    planner.Rebuild(FirstUsers(72));
+    planner.Refresh();  // capture: the next Refreshes patch
+    std::vector<SnapshotPtr> held;
+    std::vector<std::vector<Snapshot::Pair>> expected;
+    for (uint32_t s = 0; s < shards; ++s) {
+      held.push_back(planner.shard_snapshot(s));
+      expected.push_back(held.back()->AllPairsAboveReference(0.1));
+    }
+
+    std::atomic<bool> done{false};
+    std::atomic<bool> mismatch{false};
+    std::atomic<size_t> rounds{0};
+    std::thread reader([&] {
+      do {
+        for (size_t s = 0; s < held.size(); ++s) {
+          if (!SamePairs(held[s]->AllPairsAboveReference(0.1), expected[s])) {
+            mismatch.store(true, std::memory_order_relaxed);
+          }
+        }
+        rounds.fetch_add(1, std::memory_order_relaxed);
+      } while (!done.load(std::memory_order_acquire));
+    });
+    for (size_t epoch = 1; epoch < 4; ++epoch) {
+      sketch.UpdateBatch(elements.data() + epoch * quarter, quarter);
+      EXPECT_TRUE(sketch.Flush().ok()) << context;  // the reader is live
+      planner.Refresh();
+      EXPECT_NE(planner.shard_snapshot(0), held[0]) << context;
+    }
+    done.store(true, std::memory_order_release);
+    reader.join();
+    EXPECT_FALSE(mismatch.load(std::memory_order_relaxed)) << context;
+    EXPECT_GT(rounds.load(std::memory_order_relaxed), 0u) << context;
+    ExpectPlannerMatchesRebuild(planner, sketch, context + " final");
   }
 }
 

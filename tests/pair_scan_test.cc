@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -316,8 +317,9 @@ TEST(PairScanTest, ScreensExactlyTheWindowPairs) {
   for (const Element& e : elements) sketch.Update(e);
   std::vector<UserId> candidates;
   for (UserId u = 0; u < users; ++u) candidates.push_back(u);
-  SimilarityIndex index(sketch);
-  index.Rebuild(candidates);
+  const std::shared_ptr<const Snapshot> snapshot =
+      Snapshot::Build(sketch, candidates);
+  const Snapshot& index = *snapshot;
   const std::vector<uint32_t>& cards = index.row_cardinalities();
   const size_t n = cards.size();
 

@@ -359,10 +359,12 @@ TEST(QueryPlannerDeathTest, TopKQueryBeyondNumUsersAborts) {
 /// the snapshots a fresh Rebuild would produce — across churn rounds and
 /// including a round where every candidate is dirty.
 /// Incremental Refresh against a fresh Rebuild for S ∈ {1, 2, 4} ×
-/// planner threads T ∈ {1, 2, 4}: each shard index builds its snapshot
-/// with max(1, ⌊T/S⌋) workers of its own. The thread count also changes
-/// between Rebuild and Refresh, as ShardedVosMethod::SetQueryThreads
-/// does through set_num_threads; the split must follow it.
+/// planner threads T ∈ {1, 2, 4}: each shard's extraction runs with
+/// max(1, ⌊T/S⌋) workers of its own. The first Refresh after a Rebuild
+/// captures incremental state, the later ones patch. The thread count
+/// also changes between Rebuild and Refresh, as
+/// ShardedVosMethod::SetQueryThreads does through set_num_threads; the
+/// split must follow it.
 TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
   const UserId users = 56;
   const std::vector<Element> elements = CommunityStream(users, 40, 19);
@@ -372,11 +374,6 @@ TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
                                uint32_t shards, const std::string& context) {
     EXPECT_EQ(planner.IndexThreads(), std::max(1u, threads / shards))
         << context;
-    for (uint32_t s = 0; s < shards; ++s) {
-      EXPECT_EQ(planner.shard_index(s).query_options().num_threads,
-                planner.IndexThreads())
-          << context << " shard " << s;
-    }
   };
 
   for (const uint32_t shards : {1u, 2u, 4u}) {
@@ -385,12 +382,12 @@ TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
           "S=" + std::to_string(shards) + " T=" + std::to_string(threads);
       ShardedVosSketch sketch(PlannerConfig(shards, 512, 1 << 14), users);
       sketch.UpdateBatch(elements.data(), elements.size());
-      QueryOptions incremental;
-      incremental.num_threads = threads;
-      incremental.incremental = true;
-      QueryPlanner refreshed(sketch, {}, incremental);
+      QueryPlanner refreshed(sketch, {}, QueryOptions{threads});
       expect_split(refreshed, threads, shards, context);
       refreshed.Rebuild(candidates);
+      EXPECT_FALSE(refreshed.incremental()) << context;
+      refreshed.Refresh();  // captures: the Refreshes below patch
+      EXPECT_TRUE(refreshed.incremental()) << context;
 
       ItemId next_item = 1 << 29;
       for (const UserId touched : {UserId{2}, UserId{33}}) {
@@ -425,8 +422,10 @@ TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
                            rebuilt.AllPairsAbove(0.25),
                            context + " full churn");
 
-      // A Rebuild under the new split, then one more refresh.
+      // A Rebuild and a capture under the new split, then one more patch.
       refreshed.Rebuild(candidates);
+      EXPECT_FALSE(refreshed.incremental()) << context;
+      refreshed.Refresh();
       for (UserId u = 0; u < users; u += 3) {
         sketch.Update({u, next_item++, Action::kInsert});
       }

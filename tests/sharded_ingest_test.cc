@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -385,11 +386,9 @@ TEST(ShardedVosSketchTest, MemoryBudgetValidationMatchesMemoryBits) {
         TestConfig(shards, 0, /*k=*/256, /*m=*/(uint64_t{1} << 16) + 777);
     ShardedVosSketch sketch(config, users);
     const uint64_t fresh = sketch.MemoryBits();
-    QueryOptions options;
-    options.num_threads = 1;
-    options.incremental = true;
-    QueryPlanner planner(sketch, {}, options);
+    QueryPlanner planner(sketch, {}, QueryOptions{1});
     planner.Rebuild({0, 1, 2});
+    planner.Refresh();  // captures incremental state: tracking starts
     const uint64_t bits = sketch.MemoryBits();
     EXPECT_GT(bits, fresh) << "S=" << shards;
     config.memory_budget_bits = bits;
@@ -675,9 +674,9 @@ std::vector<Element> TogglingPoolStream(UserId users, size_t elements,
 }
 
 /// The planner is the method's only query cache: the first PrepareQuery
-/// of a set snapshots it rebuild-only, the second rebuilds the planner
-/// incremental, later ones refresh it in place, a new set starts over
-/// rebuild-only, and Restore drops it. After every step the cached
+/// of a set snapshots it rebuild-only, the second captures incremental
+/// state, later ones patch, a new set starts over rebuild-only, and
+/// Restore drops the planner. After every step the cached
 /// estimates over A ∪ B plus one user outside both must equal
 /// ShardedVosSketch::EstimatePair bit for bit, and the planner's
 /// AllPairsAbove its scalar reference.
@@ -708,7 +707,7 @@ TEST(ShardedVosMethodTest, PrepareQueryRefreshesSameSetRebuildsNewSet) {
           }
         }
         ASSERT_NE(method.planner(), nullptr);
-        EXPECT_EQ(method.planner()->query_options().incremental, incremental);
+        EXPECT_EQ(method.planner()->incremental(), incremental);
         for (const double tau : {0.05, 0.2}) {
           const auto got = method.planner()->AllPairsAbove(tau);
           const auto want = method.planner()->AllPairsAboveReference(tau);
@@ -783,7 +782,7 @@ TEST(ShardedVosMethodTest, OnlyARepeatedSetBuildsIncrementalState) {
       ASSERT_TRUE(method.FlushIngest().ok());
       method.PrepareQuery(tracked);
       ASSERT_NE(method.planner(), nullptr);
-      EXPECT_FALSE(method.planner()->query_options().incremental);
+      EXPECT_FALSE(method.planner()->incremental());
       EXPECT_EQ(method.EstimatePair(0, 2).common,
                 method.sketch().EstimatePair(0, 2).common);
       method.InvalidateQueryCache();
@@ -792,15 +791,15 @@ TEST(ShardedVosMethodTest, OnlyARepeatedSetBuildsIncrementalState) {
     EXPECT_FALSE(tracks());
     method.PrepareQuery(tracked);
     method.PrepareQuery(tracked);
-    EXPECT_TRUE(method.planner()->query_options().incremental);
+    EXPECT_TRUE(method.planner()->incremental());
     EXPECT_TRUE(tracks());
   }
 }
 
 /// Past SimilarityIndex::IncrementalFits (here candidates·k = 1025 · 2¹⁶
-/// > 2²⁶) a repeated set stays rebuild-only: every PrepareQuery rebuilds
-/// the planner without incremental state or dirty tracking, none aborts,
-/// and each snapshot equals a fresh Rebuild bit for bit.
+/// > 2²⁶) a repeated set stays rebuild-only: every PrepareQuery extracts
+/// the snapshots again without incremental state or dirty tracking, none
+/// aborts, and each snapshot equals a fresh rebuild-only one bit for bit.
 TEST(ShardedVosMethodTest, RepeatedSetPastTheFitBoundStaysRebuildOnly) {
   const UserId users = 1100;
   const uint32_t k = 1 << 16;
@@ -820,18 +819,18 @@ TEST(ShardedVosMethodTest, RepeatedSetPastTheFitBoundStaysRebuildOnly) {
     ASSERT_TRUE(method.FlushIngest().ok());
     method.PrepareQuery(tracked);
     ASSERT_NE(method.planner(), nullptr);
-    EXPECT_FALSE(method.planner()->query_options().incremental);
+    EXPECT_FALSE(method.planner()->incremental());
     EXPECT_FALSE(method.sketch().shard(0).tracks_dirty());
-    const SimilarityIndex& index = method.planner()->shard_index(0);
-    SimilarityIndex fresh(method.sketch().shard(0));
-    fresh.Rebuild(index.candidates());
+    const Snapshot& index = method.planner()->shard_index(0);
+    const std::shared_ptr<const Snapshot> fresh =
+        Snapshot::Build(method.sketch().shard(0), index.candidates());
     ASSERT_EQ(index.candidate_count(), tracked.size());
-    EXPECT_EQ(index.snapshot_beta(), fresh.snapshot_beta());
-    EXPECT_EQ(index.row_cardinalities(), fresh.row_cardinalities());
+    EXPECT_EQ(index.beta(), fresh->beta());
+    EXPECT_EQ(index.row_cardinalities(), fresh->row_cardinalities());
     const size_t row_bytes = index.matrix().words_per_row() * sizeof(uint64_t);
     for (size_t p = 0; p < index.candidate_count(); ++p) {
-      ASSERT_EQ(index.sorted_to_candidate(p), fresh.sorted_to_candidate(p));
-      ASSERT_EQ(std::memcmp(index.matrix().Row(p), fresh.matrix().Row(p),
+      ASSERT_EQ(index.sorted_to_candidate(p), fresh->sorted_to_candidate(p));
+      ASSERT_EQ(std::memcmp(index.matrix().Row(p), fresh->matrix().Row(p),
                             row_bytes),
                 0)
           << "row " << p;
@@ -917,18 +916,22 @@ TEST(DirtyTrackingTest, UpdateMarksOnceAndClearResets) {
   VosSketch sketch(ShardedVosSketch::ShardConfig(TestConfig(1, 0), 0), 10);
   sketch.Update({5, 99, Action::kInsert});  // before tracking: not recorded
   sketch.StartDirtyTracking();
-  EXPECT_TRUE(sketch.dirty_users().empty());
+  EXPECT_EQ(sketch.dirty_user_count(), 0u);
   sketch.Update({3, 100, Action::kInsert});
   sketch.Update({3, 101, Action::kInsert});
   sketch.Update({7, 102, Action::kInsert});
-  EXPECT_EQ(sketch.dirty_users(), (std::vector<UserId>{3, 7}));
+  EXPECT_EQ(sketch.dirty_user_count(), 2u);  // users 3 and 7, each once
   EXPECT_TRUE(sketch.IsDirty(3));
+  EXPECT_TRUE(sketch.IsDirty(7));
   EXPECT_FALSE(sketch.IsDirty(4));
+  EXPECT_FALSE(sketch.IsDirty(5));
   sketch.ClearDirtyUsers();
-  EXPECT_TRUE(sketch.dirty_users().empty());
+  EXPECT_EQ(sketch.dirty_user_count(), 0u);
   EXPECT_FALSE(sketch.IsDirty(3));
   sketch.Update({3, 100, Action::kDelete});
-  EXPECT_EQ(sketch.dirty_users(), (std::vector<UserId>{3}));
+  EXPECT_EQ(sketch.dirty_user_count(), 1u);
+  EXPECT_TRUE(sketch.IsDirty(3));
+  EXPECT_FALSE(sketch.IsDirty(7));
 }
 
 /// Tracking starts only when an incremental planner starts it: ingest in
@@ -954,7 +957,7 @@ TEST(DirtyTrackingTest, SketchNoPlannerConsumesNeverTracks) {
       for (uint32_t s = 0; s < shards; ++s) {
         EXPECT_FALSE(sketch.shard(s).tracks_dirty()) << label << " s=" << s;
         EXPECT_TRUE(sketch.shard(s).changed_words().empty()) << label;
-        EXPECT_TRUE(sketch.shard(s).dirty_users().empty()) << label;
+        EXPECT_EQ(sketch.shard(s).dirty_user_count(), 0u) << label;
       }
       EXPECT_EQ(sketch.MemoryBits(), fresh) << label;
     }
