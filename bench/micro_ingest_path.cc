@@ -268,7 +268,6 @@ int main(int argc, char** argv) {
     ShardedVosConfig sharded;
     sharded.base = config;
     sharded.num_shards = shards;
-    sharded.batch_size = batch;
 
     // Reference state: synchronous routing (single thread, inline).
     ShardedVosSketch reference(sharded, users);
@@ -333,7 +332,6 @@ int main(int argc, char** argv) {
     ShardedVosConfig sharded;
     sharded.base = config;
     sharded.num_shards = max_shards;
-    sharded.batch_size = batch;
     sharded.ingest_threads = max_shards;
     sharded.ingest_producers = producers;
     sharded.queue_capacity = queue_capacity;
@@ -475,7 +473,6 @@ int main(int argc, char** argv) {
     ShardedVosConfig sharded;
     sharded.base = config;
     sharded.num_shards = max_shards;
-    sharded.batch_size = batch;
     sharded.ingest_threads = max_shards;
     ShardedVosSketch full_state(sharded, users);
     for (size_t t = 0; t < elements.size(); t += batch) {

@@ -89,11 +89,6 @@ Status ShardedVosSketch::ValidateConfig(const ShardedVosConfig& config,
         "ring can never accept a sub-batch, so the first back-pressured "
         "enqueue would deadlock");
   }
-  if (config.batch_size < 1) {
-    return Status::InvalidArgument(
-        "batch_size must be >= 1: a zero batch size can never trigger the "
-        "Update() auto-enqueue");
-  }
   if (config.ingest_producers < 1) {
     return Status::InvalidArgument(
         "ingest_producers must be >= 1: producer ids are validated "
@@ -132,7 +127,6 @@ ShardedVosSketch::ShardedVosSketch(const ShardedVosConfig& config,
   }
   shard_status_.resize(config.num_shards);
   accepted_ = std::vector<std::atomic<uint64_t>>(config.ingest_producers);
-  dispatched_ = std::vector<std::atomic<uint64_t>>(config.ingest_producers);
   // Every shard and ring exists before any worker starts: thread
   // creation publishes them to the workers, and producers cannot push
   // before the constructor returns.
@@ -150,7 +144,6 @@ ShardedVosSketch::ShardedVosSketch(const ShardedVosConfig& config,
     for (uint32_t s = 0; s < config.num_shards; ++s) {
       owner_[s] = static_cast<uint8_t>(s % workers);
     }
-    pending_.resize(producers_);
     // One SPSC ring per (producer, shard): producer p publishes shard
     // s's sub-batches to lanes_[p·S + s] and only its owner pops it, so
     // every ring has exactly one writer and one reader.
@@ -183,65 +176,9 @@ ShardedVosSketch::~ShardedVosSketch() {
   for (std::thread& t : worker_threads_) t.join();
 }
 
-void ShardedVosSketch::ApplySyncBatch(const stream::Element* elements,
-                                      size_t count) {
-  // One healthy shard, no armed fault (checked once per batch): apply
-  // straight to it. ApplySyncElement, with routing, poison and drop
-  // handling, takes every other batch and the rest of this one after a
-  // throw.
-  size_t i = 0;
-  if (!dense_remap() && !degraded_.load(std::memory_order_relaxed) &&
-      !FaultInjector::Global().armed()) {
-    VosSketch& shard = shards_[0];
-    try {
-      for (; i < count; ++i) {
-        CheckUserInRange(elements[i].user);
-        shard.Update(elements[i]);
-      }
-    } catch (const std::exception& ex) {
-      PoisonAfterThrow(0, ex);
-      ++i;
-    }
-  }
-  for (; i < count; ++i) ApplySyncElement(elements[i]);
-}
-
-void ShardedVosSketch::PoisonAfterThrow(uint32_t shard,
-                                        const std::exception& ex) {
-  {
-    MutexLock lock(&mu_);
-    PoisonShardLocked(shard, Status::Internal(ShardTag(shard) +
-                                              " update failed: " + ex.what()));
-  }
-  dropped_elements_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ShardedVosSketch::ApplySyncElement(const stream::Element& e) {
-  CheckUserInRange(e.user);
-  const uint32_t s = router_.ShardOf(e.user);
-  if (degraded_.load(std::memory_order_relaxed)) {
-    MutexLock lock(&mu_);
-    if (!shard_status_[s].ok()) {
-      // Poisoned shard: reject instead of corrupting partial state.
-      dropped_elements_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-  stream::Element local = e;
-  if (dense_remap()) local.user = dense_map_.LocalOf(e.user);
-  FaultInjector& injector = FaultInjector::Global();
-  try {
-    if (injector.armed() &&
-        injector.Fire(FaultSite::kUpdateThrow, s, /*producer=*/0)) {
-      throw std::runtime_error("injected update fault");
-    }
-    shards_[s].Update(local);
-  } catch (const std::exception& ex) {
-    PoisonAfterThrow(s, ex);
-  }
-}
-
-void ShardedVosSketch::Update(const stream::Element& e, unsigned producer) {
+void ShardedVosSketch::UpdateBatch(const stream::Element* elements,
+                                   size_t count, unsigned producer) {
+  if (count == 0) return;
   // Validate against the CONFIGURED lane count in both modes, so a
   // miswired lane id fails in the deterministic sync configuration tests
   // run with, not only once the async pipeline is enabled. (Sync mode
@@ -250,44 +187,67 @@ void ShardedVosSketch::Update(const stream::Element& e, unsigned producer) {
   VOS_CHECK(producer < config_.ingest_producers)
       << "producer" << producer << "of" << config_.ingest_producers;
   // Single-writer counter: a plain load+store compiles to one increment,
-  // where a fetch_add would put an atomic RMW on the per-element path.
-  accepted_[producer].store(
-      accepted_[producer].load(std::memory_order_relaxed) + 1,
-      std::memory_order_relaxed);
-  if (!async()) {
-    ApplySyncElement(e);
-    return;
-  }
-  CheckUserInRange(e.user);  // here, not when the buffer is routed
-  std::vector<stream::Element>& pending = pending_[producer];
-  pending.push_back(e);
-  if (pending.size() >= config_.batch_size) FlushPendingBuffer(producer);
-}
-
-void ShardedVosSketch::UpdateBatch(const stream::Element* elements,
-                                   size_t count, unsigned producer) {
-  if (count == 0) return;
-  VOS_CHECK(producer < config_.ingest_producers)
-      << "producer" << producer << "of" << config_.ingest_producers;
+  // where a fetch_add would put an atomic RMW on the per-batch path.
   accepted_[producer].store(
       accepted_[producer].load(std::memory_order_relaxed) + count,
       std::memory_order_relaxed);
-  if (!async()) {
-    ApplySyncBatch(elements, count);
+  if (!async() && !dense_remap()) {
+    // One shard, no remap: the caller's span is already the shard's
+    // sub-batch, and ApplySubBatch's per-element bound is the range check.
+    ApplySubBatch(0, producer, elements, count);
     return;
   }
-  // Keep the lane's per-shard order: anything buffered by Update() on
-  // this lane precedes this batch in the lane's stream order.
-  FlushPendingBuffer(producer);
   std::vector<std::vector<stream::Element>> per_shard(router_.num_shards());
   RoutePartition(elements, count, &per_shard);
   for (uint32_t s = 0; s < router_.num_shards(); ++s) {
     if (per_shard[s].empty()) continue;
-    EnqueueSubBatch(producer, s, std::move(per_shard[s]));
+    if (async()) {
+      EnqueueSubBatch(producer, s, std::move(per_shard[s]));
+    } else {
+      ApplySubBatch(s, producer, per_shard[s].data(), per_shard[s].size());
+    }
   }
-  dispatched_[producer].store(
-      dispatched_[producer].load(std::memory_order_relaxed) + count,
-      std::memory_order_relaxed);
+}
+
+void ShardedVosSketch::ApplySubBatch(uint32_t shard, unsigned producer,
+                                     const stream::Element* elements,
+                                     size_t count) {
+  if (degraded_.load(std::memory_order_relaxed) && ShardPoisoned(shard)) {
+    // Poisoned shard: reject instead of corrupting partial state.
+    dropped_elements_.fetch_add(count, std::memory_order_relaxed);
+    return;
+  }
+  FaultInjector& injector = FaultInjector::Global();
+  const bool armed = injector.armed();
+  VosSketch& sketch = shards_[shard];
+  const UserId users = sketch.num_users();
+  size_t i = 0;
+  // Exceptions are caught here (the library itself never throws; a throw
+  // models a worker crash — fault injection or a genuinely broken
+  // Update) and poison the shard instead of propagating into
+  // std::terminate.
+  try {
+    for (; i < count; ++i) {
+      VOS_CHECK(elements[i].user < users)
+          << "user" << elements[i].user
+          << "out of range (" + ShardTag(shard) + " holds" << users
+          << "users)";
+      if (armed && injector.Fire(FaultSite::kUpdateThrow, shard, producer)) {
+        throw std::runtime_error("injected update fault");
+      }
+      sketch.Update(elements[i]);
+    }
+  } catch (const std::exception& ex) {
+    {
+      MutexLock lock(&mu_);
+      PoisonShardLocked(shard, Status::Internal(ShardTag(shard) +
+                                                " update failed: " +
+                                                ex.what()));
+    }
+    // Elements [0, i) are applied; the throwing one and the rest are not.
+    dropped_elements_.fetch_add(count - i, std::memory_order_relaxed);
+    WakeAllWaiters();
+  }
 }
 
 void ShardedVosSketch::RoutePartition(
@@ -302,25 +262,6 @@ void ShardedVosSketch::RoutePartition(
   }
   for (size_t i = 0; i < count; ++i) CheckUserInRange(elements[i].user);
   router_.Partition(elements, count, per_shard);
-}
-
-void ShardedVosSketch::FlushPendingBuffer(unsigned producer) {
-  std::vector<stream::Element>& pending = pending_[producer];
-  if (pending.empty()) return;
-  const size_t count = pending.size();
-  std::vector<std::vector<stream::Element>> per_shard(router_.num_shards());
-  RoutePartition(pending.data(), count, &per_shard);
-  pending.clear();
-  for (uint32_t s = 0; s < router_.num_shards(); ++s) {
-    if (per_shard[s].empty()) continue;
-    EnqueueSubBatch(producer, s, std::move(per_shard[s]));
-  }
-  // The elements have left the lane's buffer (ringed or dropped); until
-  // here HasPendingIngest kept reporting them as buffered — the safe
-  // transient for a poller, since the ring counters take over below.
-  dispatched_[producer].store(
-      dispatched_[producer].load(std::memory_order_relaxed) + count,
-      std::memory_order_relaxed);
 }
 
 void ShardedVosSketch::PoisonShardLocked(uint32_t shard, Status status) {
@@ -595,18 +536,12 @@ void ShardedVosSketch::WorkerLoop(unsigned worker) {
     const unsigned producer =
         static_cast<unsigned>(lane_index / router_.num_shards());
     const size_t batch_bytes = batch.size() * sizeof(stream::Element);
-    // Poisoned shard: its backlog is discarded on pop, without the stall
-    // probe, so degraded flushes terminate promptly (the pre-ring design
-    // discarded the backlog at poison time; on-pop discard is the SPSC
-    // equivalent — only the consumer may remove values).
-    if (degraded_.load(std::memory_order_relaxed) && ShardPoisoned(shard)) {
-      dropped_elements_.fetch_add(batch.size(), std::memory_order_relaxed);
-      queued_bytes_.fetch_sub(batch_bytes, std::memory_order_relaxed);
-      batch.clear();
-      CompleteLaneBatch(lane);
-      continue;
-    }
-    if (injector.armed()) {
+    // Thread-level probes. A poisoned shard's backlog skips them, so
+    // ApplySubBatch discards it on pop without the stall and degraded
+    // flushes terminate promptly (on-pop discard: only the consumer may
+    // remove values from an SPSC ring).
+    if (injector.armed() &&
+        !(degraded_.load(std::memory_order_relaxed) && ShardPoisoned(shard))) {
       const uint32_t stall = injector.StallMs(shard, producer);
       if (stall > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(stall));
@@ -655,32 +590,7 @@ void ShardedVosSketch::WorkerLoop(unsigned worker) {
     }
     // Every element of the sub-batch belongs to this lane's shard and is
     // already in shard-local coordinates — apply verbatim, no scanning.
-    // Exceptions are caught at this worker boundary (the library itself
-    // never throws; a throw models a worker crash — fault injection or a
-    // genuinely broken Update) and poison the shard instead of
-    // propagating into std::terminate.
-    try {
-      VosSketch& sketch = shards_[shard];
-      for (const stream::Element& e : batch) {
-        if (injector.armed() &&
-            injector.Fire(FaultSite::kUpdateThrow, shard, producer)) {
-          throw std::runtime_error("injected update fault");
-        }
-        sketch.Update(e);
-      }
-    } catch (const std::exception& ex) {
-      {
-        MutexLock lock(&mu_);
-        PoisonShardLocked(shard, Status::Internal(ShardTag(shard) +
-                                                  " update failed: " +
-                                                  ex.what()));
-      }
-      // The batch is partially applied; count it all as affected — the
-      // shard's state is suspect either way and a checkpoint will refuse
-      // to cover it.
-      dropped_elements_.fetch_add(batch.size(), std::memory_order_relaxed);
-      WakeAllWaiters();
-    }
+    ApplySubBatch(shard, producer, batch.data(), batch.size());
     batch.clear();
     batch.shrink_to_fit();  // release before signalling completion
     queued_bytes_.fetch_sub(batch_bytes, std::memory_order_relaxed);
@@ -736,7 +646,6 @@ Status ShardedVosSketch::Flush() {
     MutexLock lock(&mu_);
     return IngestStatusLocked();
   }
-  for (unsigned p = 0; p < producers_; ++p) FlushPendingBuffer(p);
   const Status drained = WaitLanesDrained(
       0, static_cast<size_t>(producers_) * router_.num_shards(),
       /*use_timeout=*/true, "Flush");
@@ -751,7 +660,6 @@ Status ShardedVosSketch::FlushProducer(unsigned producer) {
     MutexLock lock(&mu_);
     return IngestStatusLocked();
   }
-  FlushPendingBuffer(producer);
   const std::string what = "FlushProducer(" + std::to_string(producer) + ")";
   const size_t first = LaneIndex(producer, 0);
   const Status drained = WaitLanesDrained(first, first + router_.num_shards(),
@@ -807,19 +715,9 @@ Status ShardedVosSketch::Checkpoint(const std::string& path) {
 
 Status ShardedVosSketch::Restore(const std::string& path) {
   if (async()) {
-    // Quiesce and DISCARD: whatever is buffered or queued belongs to the
-    // state being thrown away; the restored watermarks say exactly where
-    // each lane resumes.
-    for (unsigned p = 0; p < producers_; ++p) {
-      if (!pending_[p].empty()) {
-        dispatched_[p].store(
-            dispatched_[p].load(std::memory_order_relaxed) +
-                pending_[p].size(),
-            std::memory_order_relaxed);
-        pending_[p].clear();
-      }
-    }
-    // Dead workers' rings were drained at kill time (or reclaimed by
+    // Quiesce: whatever is queued belongs to the state being thrown away;
+    // the restored watermarks say exactly where each lane resumes. Dead
+    // workers' rings were drained at kill time (or reclaimed by
     // their producers); live workers drain or discard the rest, so the
     // barrier terminates even degraded.
     const Status drained = WaitLanesDrained(
@@ -832,12 +730,6 @@ Status ShardedVosSketch::Restore(const std::string& path) {
 
 bool ShardedVosSketch::HasPendingIngest() const {
   if (!async()) return false;
-  for (unsigned p = 0; p < producers_; ++p) {
-    if (accepted_[p].load(std::memory_order_relaxed) !=
-        dispatched_[p].load(std::memory_order_relaxed)) {
-      return true;
-    }
-  }
   const size_t total = static_cast<size_t>(producers_) * router_.num_shards();
   for (size_t l = 0; l < total; ++l) {
     if (lanes_[l].completed.load(std::memory_order_acquire) !=

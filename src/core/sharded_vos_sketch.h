@@ -54,9 +54,13 @@
 //
 // With ingest_threads == 0 the pipeline is synchronous: UpdateBatch
 // routes and applies inline (single-threaded, deterministic) — the
-// reference the equivalence tests compare against. At S = 1 a healthy
-// batch with no armed fault runs the paper's bare update loop plus one
-// user-range compare per element; the rest goes element by element.
+// reference the equivalence tests compare against. Both modes apply a
+// shard's sub-batch through the same loop (ApplySubBatch), so poisoning,
+// fault probes and drop counts cannot differ between them. At S = 1 the
+// synchronous batch is that loop over the caller's span: the paper's
+// bare update per element plus one user-range compare, with no routing
+// or copy. Update(e) is UpdateBatch of one element in both modes;
+// nothing is buffered per lane.
 //
 // Dense user remap (num_shards > 1): shard s's VosSketch lives entirely
 // in shard-local id space. A construction-time DenseShardMap
@@ -103,7 +107,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
@@ -133,14 +136,11 @@ struct ShardedVosConfig {
   /// workers are spawned and each owns a fixed subset of the shards.
   unsigned ingest_threads = 0;
   /// Producer lanes (asynchronous mode only): each lane has its own
-  /// pending buffer and its own bounded queue per shard, and may be
-  /// driven by its own thread concurrently with the other lanes. Clamped
-  /// to ≥ 1; forced to 1 in synchronous mode (inline ingestion is
-  /// single-threaded by contract).
+  /// bounded queue per shard and may be driven by its own thread
+  /// concurrently with the other lanes. Clamped to ≥ 1; forced to 1 in
+  /// synchronous mode (inline ingestion is single-threaded by contract).
   unsigned ingest_producers = 1;
-  /// Elements buffered by Update() before auto-enqueueing one batch
-  /// (asynchronous mode only; UpdateBatch enqueues the caller's batch
-  /// as-is).
+  /// Ignored; held for e2ebench until its next change (ROADMAP item 3).
   size_t batch_size = 4096;
   /// Bounded queue depth, in sub-batches per (producer, shard) queue; a
   /// full queue blocks that producer (back-pressure instead of unbounded
@@ -177,7 +177,7 @@ class ShardedVosSketch {
   ~ShardedVosSketch();
 
   /// Rejects degenerate configurations with a clear InvalidArgument:
-  /// zero shards/queue capacity/batch size/producer lanes, zero k or m,
+  /// zero shards/queue capacity/producer lanes, zero k or m,
   /// and a memory_budget_bits smaller than the config's own static
   /// footprint. The constructor enforces this; callers that would rather
   /// handle the error than abort can pre-validate.
@@ -194,26 +194,27 @@ class ShardedVosSketch {
   static VosConfig ShardConfig(const ShardedVosConfig& config,
                                uint32_t shard);
 
-  /// Processes one element on producer lane `producer`. Synchronous mode
-  /// applies it inline; asynchronous mode buffers it in the lane's
-  /// pending buffer and enqueues a sub-batch run every `batch_size`
-  /// elements. Both Update and UpdateBatch abort on a user id outside
-  /// [0, num_users()), in every mode and at every shard count.
-  void Update(const stream::Element& e, unsigned producer = 0);
+  /// UpdateBatch(&e, 1, producer): one element is a batch of one.
+  void Update(const stream::Element& e, unsigned producer = 0) {
+    UpdateBatch(&e, 1, producer);
+  }
 
   /// Processes a contiguous batch on producer lane `producer`, preserving
-  /// the lane's per-shard element order. Asynchronous mode partitions the
-  /// batch into per-shard sub-batches in one routing pass and enqueues
-  /// them onto the lane's per-shard queues.
+  /// the lane's per-shard element order. The batch is split into
+  /// per-shard sub-batches in one routing pass (none at S = 1 in
+  /// synchronous mode); synchronous mode applies each inline,
+  /// asynchronous mode enqueues each onto the lane's per-shard queue.
+  /// Aborts on a user id outside [0, num_users()), in every mode and at
+  /// every shard count.
   void UpdateBatch(const stream::Element* elements, size_t count,
                    unsigned producer = 0);
 
   /// Blocks until every element accepted on ANY lane is applied to its
-  /// shard (including all Update() buffers) or dropped against a
-  /// poisoned shard, then returns IngestStatus(). Requires that no
-  /// producer is feeding concurrently. With flush_timeout_ms set, an
-  /// expired wait returns DeadlineExceeded (and applies no state
-  /// change). In synchronous mode returns IngestStatus() immediately.
+  /// shard or dropped against a poisoned shard, then returns
+  /// IngestStatus(). Requires that no producer is feeding concurrently.
+  /// With flush_timeout_ms set, an expired wait returns DeadlineExceeded
+  /// (and applies no state change). In synchronous mode returns
+  /// IngestStatus() immediately.
   Status Flush() VOS_EXCLUDES(mu_);
 
   /// Blocks until every element accepted on lane `producer` is applied
@@ -279,12 +280,12 @@ class ShardedVosSketch {
   /// be resurrected in-process; restore into a fresh instance instead.
   Status Restore(const std::string& path) VOS_EXCLUDES(mu_);
 
-  /// True while elements are buffered or queued but not yet applied.
-  /// Lock-free: reads each lane's own atomics — the per-producer
-  /// accepted/dispatched element counters (Update() buffer occupancy)
-  /// and each ring's pushed counter vs its completed epoch — so any
-  /// thread can poll while producer lanes are feeding. A false answer is
-  /// only a stable "quiesced" statement once producers have stopped.
+  /// True while sub-batches are queued but not yet applied (always false
+  /// in synchronous mode, which applies inline). Lock-free: compares each
+  /// ring's pushed counter with its completed epoch, so any thread can
+  /// poll while producer lanes are feeding. A batch a producer is still
+  /// routing is not yet counted; a false answer is only a stable
+  /// "quiesced" statement once producers have stopped.
   bool HasPendingIngest() const;
 
   /// (ŝ, Ĵ) for a pair at the current (flushed) state. Same-shard pairs
@@ -402,19 +403,17 @@ class ShardedVosSketch {
     VOS_CHECK(user < num_users_)
         << "user" << user << "out of range (num_users " << num_users_ << ")";
   }
-  /// Applies a batch inline (synchronous mode): a healthy one-shard batch
-  /// straight to the shard (health checked once); ApplySyncElement takes
-  /// multi-shard, degraded or armed batches and the rest after a throw.
-  void ApplySyncBatch(const stream::Element* elements, size_t count)
-      VOS_EXCLUDES(mu_);
-  /// Applies one element inline (synchronous mode), routing through the
-  /// dense remap. Drops it against a poisoned shard; catches
-  /// worker-model exceptions and poisons the shard, exactly like the
-  /// async apply loop.
-  void ApplySyncElement(const stream::Element& e) VOS_EXCLUDES(mu_);
-  /// Poisons `shard` with an update failure and counts the one element
-  /// that threw as dropped (synchronous mode).
-  void PoisonAfterThrow(uint32_t shard, const std::exception& ex)
+  /// The one apply loop, shared by the synchronous path and the shard
+  /// workers: applies `count` elements, already in shard-local
+  /// coordinates, to `shard`. Drops the whole sub-batch against a
+  /// poisoned shard. Aborts on a user id outside the shard's id space
+  /// (the range check of a one-shard synchronous batch, which skips
+  /// routing). Probes kUpdateThrow at (shard, producer) per element only
+  /// while a fault is armed. A throw (injected, or a genuinely broken
+  /// Update) poisons the shard and drops the elements from the throwing
+  /// one on; those before it stay applied.
+  void ApplySubBatch(uint32_t shard, unsigned producer,
+                     const stream::Element* elements, size_t count)
       VOS_EXCLUDES(mu_);
   /// Marks `shard` failed (first error wins, sticky) and flips the
   /// degraded flag. Does NOT touch rings (the consumer side discards a
@@ -451,7 +450,6 @@ class ShardedVosSketch {
   bool PushWithBackPressure(IngestLane& lane, uint32_t shard,
                             std::vector<stream::Element>& batch)
       VOS_EXCLUDES(mu_);
-  void FlushPendingBuffer(unsigned producer) VOS_EXCLUDES(mu_);
   /// Waits until lanes [first, last) are drained (completed ==
   /// ring.pushed()), with the config flush deadline when `use_timeout`.
   Status WaitLanesDrained(size_t first, size_t last, bool use_timeout,
@@ -477,28 +475,14 @@ class ShardedVosSketch {
   /// owner_[s] = worker that applies shard s's elements.
   std::vector<uint8_t> owner_;
 
-  /// Producer-side Update() buffers, one per lane (async mode); each is
-  /// touched only by its lane's thread (plus Flush on a quiesced
-  /// pipeline).
-  std::vector<std::vector<stream::Element>> pending_;
-
   /// accepted_[p] = elements accepted on lane p since construction (or
   /// the last Restore): the per-lane ingest watermarks. Written only by
-  /// lane p's thread (single-writer by construction); relaxed loads give
-  /// HasPendingIngest an advisory view, stable reads require a quiesced
-  /// pipeline. Ordering: relaxed everywhere — the single writer needs no
-  /// RMW, and every read that must be exact (watermarks at checkpoint)
-  /// is specified only after the Flush barrier, whose seq_cst epoch
-  /// fences already publish these counters.
+  /// lane p's thread (single-writer by construction); stable reads
+  /// require a quiesced pipeline. Ordering: relaxed everywhere — the
+  /// single writer needs no RMW, and every read that must be exact
+  /// (watermarks at checkpoint) is specified only after the Flush
+  /// barrier, whose seq_cst epoch fences already publish these counters.
   std::vector<std::atomic<uint64_t>> accepted_;
-  /// dispatched_[p] = elements that LEFT lane p's pending buffer
-  /// (pushed to rings, applied inline, or dropped). Single-writer like
-  /// accepted_; accepted − dispatched = the lane's buffered backlog, so
-  /// HasPendingIngest needs no mirror counters and no lock. Ordering:
-  /// relaxed for the same reason as accepted_ — a stale read can only
-  /// make HasPendingIngest report a transient "pending", never hide one
-  /// from a quiesced reader.
-  std::vector<std::atomic<uint64_t>> dispatched_;
 
   /// Producer-major: lanes_[LaneIndex(p, s)] is lane p's shard-s ring.
   /// unique_ptr<[]> (not vector): IngestLane holds a mutex and never

@@ -574,10 +574,7 @@ Status ShardedCheckpointIo::Restore(ShardedVosSketch* sketch,
       sketch->shards_[s] = std::move(*staged[s]);
     }
     for (size_t p = 0; p < watermarks.size(); ++p) {
-      // The lane resumes from its watermark with an empty buffer:
-      // accepted == dispatched, nothing pending.
       sketch->accepted_[p].store(watermarks[p], std::memory_order_relaxed);
-      sketch->dispatched_[p].store(watermarks[p], std::memory_order_relaxed);
     }
     for (Status& status : sketch->shard_status_) status = Status::OK();
     sketch->budget_status_ = Status::OK();

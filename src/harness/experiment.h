@@ -45,15 +45,15 @@ struct ExperimentConfig {
   unsigned query_threads = 0;
   /// Method sizing (base_k, λ, seeds, clamping) and ingest knobs
   /// (vos_shards, ingest_threads, ingest_producers — the accuracy replay
-  /// itself stays single-producer so checkpoint cuts are exact —
-  /// ingest_batch, the latter of which also sets
-  /// the replay batch size for both experiment entry points; metrics are
-  /// identical for every value, since the default UpdateBatch is the
-  /// element loop and batched methods quiesce via FlushIngest before
-  /// each checkpoint). Each checkpoint's PrepareQuery snapshots the
-  /// tracked users and InvalidateQueryCache ends the snapshot (the VOS
-  /// methods rebuild a rebuild-only planner at every checkpoint);
-  /// estimates are bit-identical to the uncached per-pair path.
+  /// itself stays single-producer so checkpoint cuts are exact — and
+  /// ingest_batch, the replay batch size of both experiment entry
+  /// points; metrics are identical for every value, since the default
+  /// UpdateBatch is the element loop and batched methods quiesce via
+  /// FlushIngest before each checkpoint). Each checkpoint's PrepareQuery
+  /// snapshots the tracked users and InvalidateQueryCache ends the
+  /// snapshot (the VOS methods rebuild a rebuild-only planner at every
+  /// checkpoint); estimates are bit-identical to the uncached per-pair
+  /// path.
   MethodFactoryConfig factory;
 };
 

@@ -57,7 +57,6 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
       sharded.ingest_threads = config.ingest_threads;
       sharded.ingest_producers =
           std::max<unsigned>(1, config.ingest_producers);
-      sharded.batch_size = std::max<size_t>(1, config.ingest_batch);
     }
     core::VosEstimatorOptions options;
     options.clamp_to_feasible = config.clamp;

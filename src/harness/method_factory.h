@@ -46,8 +46,8 @@ struct MethodFactoryConfig {
   /// one replay thread per lane). Ignored in synchronous mode and by
   /// every other method.
   unsigned ingest_producers = 1;
-  /// Elements per auto-enqueued ingest batch for "VOS-sharded"'s
-  /// per-element Update path.
+  /// Elements per UpdateBatch call in the harness's replays
+  /// (RunExperiment and MeasureUpdateRuntime); no method reads it.
   size_t ingest_batch = 4096;
 };
 

@@ -72,7 +72,6 @@ ShardedVosConfig TestConfig(uint32_t shards, unsigned threads,
   config.num_shards = shards;
   config.ingest_threads = threads;
   config.ingest_producers = producers;
-  config.batch_size = kBatch;
   config.queue_capacity = 4;
   return config;
 }
@@ -298,57 +297,99 @@ TEST_F(CheckpointRecoveryTest, UpdateThrowPoisonsShardAndRestoreHeals) {
   }
 }
 
-/// Synchronous ingest checks pipeline health once per UpdateBatch and
-/// then applies a healthy batch straight to the shards; an armed fault
-/// (or a degraded pipeline) sends the batch through the per-element path
-/// instead. Its semantics: the firing element is dropped and poisons its
-/// shard, every later element of that shard is dropped, every other
-/// shard keeps applying.
-TEST_F(CheckpointRecoveryTest, SyncBatchUpdateThrowPoisonsAndDropsExactly) {
-  const std::vector<Element> elements = DynamicStream(300, 4000, 17);
-  const size_t half = elements.size() / 2;
-  constexpr uint64_t kAfterHits = 37;
-  for (const uint32_t shards : {1u, 4u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const ShardedVosConfig config = TestConfig(shards, 0);
-    ShardedVosSketch victim(config, 300);
+/// Feeds `lanes` one lane after another, in kBatch-sized batches, with
+/// `spec` armed: a kUpdateThrow filtered to one shard (and possibly one
+/// lane), so the element that fires does not depend on the order in
+/// which shards are applied. The contract, identical in every mode: the
+/// firing element poisons its shard, that shard takes nothing from it on
+/// (each such element counts once in dropped_elements()), and every other
+/// shard applies everything.
+void ExpectExactUpdateThrow(const ShardedVosConfig& config,
+                            const std::vector<std::vector<Element>>& lanes,
+                            const FaultSpec& spec) {
+  ASSERT_EQ(spec.site, FaultSite::kUpdateThrow);
+  ASSERT_GE(spec.shard, 0);
+  const auto poisoned = static_cast<uint32_t>(spec.shard);
+  ShardedVosSketch victim(config, 300);
+  const uint64_t fires_before =
+      FaultInjector::Global().fires(FaultSite::kUpdateThrow);
+  FaultInjector::Global().Arm(spec);
+  for (unsigned p = 0; p < lanes.size(); ++p) {
     StreamReplayer::ReplayBatchedFrom(
-        elements.data(), half, 0, kBatch,
-        [&](const Element* e, size_t n) { victim.UpdateBatch(e, n); });
-    ASSERT_TRUE(victim.Flush().ok());
-
-    FaultSpec spec;
-    spec.site = FaultSite::kUpdateThrow;
-    spec.after_hits = kAfterHits;
-    FaultInjector::Global().Arm(spec);
-    StreamReplayer::ReplayBatchedFrom(
-        elements.data(), elements.size(), half, kBatch,
-        [&](const Element* e, size_t n) { victim.UpdateBatch(e, n); });
-
-    // Every element probes until the fault fires, so element
-    // half + kAfterHits throws; its shard takes nothing after it.
-    const size_t fired = half + kAfterHits;
-    const uint32_t poisoned = victim.ShardOf(elements[fired].user);
-    ShardedVosSketch expected(config, 300);
-    uint64_t dropped = 0;
-    for (size_t i = 0; i < elements.size(); ++i) {
-      if (i >= fired && victim.ShardOf(elements[i].user) == poisoned) {
-        ++dropped;
-        continue;
-      }
-      expected.Update(elements[i]);
-    }
-    const Status degraded = victim.Flush();
-    ASSERT_FALSE(degraded.ok());
-    EXPECT_EQ(degraded.code(), StatusCode::kInternal) << degraded;
-    EXPECT_NE(degraded.message().find("shard " + std::to_string(poisoned) +
-                                      " update failed"),
-              std::string::npos)
-        << degraded;
-    EXPECT_EQ(victim.dropped_elements(), dropped);
-    ExpectBitIdentical(victim, expected, "poisoned shard frozen, rest live");
-    FaultInjector::Global().DisarmAll();
+        lanes[p].data(), lanes[p].size(), 0, kBatch,
+        [&](const Element* e, size_t n) { victim.UpdateBatch(e, n, p); });
   }
+  const Status degraded = victim.Flush();
+  FaultInjector::Global().DisarmAll();
+
+  // The same feed order, replayed by hand: the (after_hits + 1)-th
+  // matching element throws.
+  ShardedVosConfig sync_config = config;
+  sync_config.ingest_threads = 0;
+  ShardedVosSketch expected(sync_config, 300);
+  uint64_t hits = 0;
+  bool fired = false;
+  uint64_t dropped = 0;
+  for (unsigned p = 0; p < lanes.size(); ++p) {
+    for (const Element& e : lanes[p]) {
+      if (victim.ShardOf(e.user) == poisoned) {
+        const bool lane_matches =
+            spec.producer < 0 || spec.producer == static_cast<int64_t>(p);
+        if (!fired && lane_matches && hits++ == spec.after_hits) fired = true;
+        if (fired) {
+          ++dropped;
+          continue;
+        }
+      }
+      expected.Update(e);
+    }
+  }
+  ASSERT_TRUE(fired) << "the stream never reaches the armed hit";
+  EXPECT_EQ(FaultInjector::Global().fires(FaultSite::kUpdateThrow),
+            fires_before + 1);
+  ASSERT_FALSE(degraded.ok());
+  EXPECT_EQ(degraded.code(), StatusCode::kInternal) << degraded;
+  EXPECT_NE(degraded.message().find("shard " + std::to_string(poisoned) +
+                                    " update failed"),
+            std::string::npos)
+      << degraded;
+  EXPECT_EQ(victim.dropped_elements(), dropped);
+  ExpectBitIdentical(victim, expected, "poisoned shard frozen, rest live");
+}
+
+/// Synchronous and pipelined ingest apply a sub-batch through the same
+/// loop, so an update throw drops exactly the poisoned shard's elements
+/// from the firing one on: the applied prefix of the firing sub-batch
+/// is kept, not counted as dropped.
+TEST_F(CheckpointRecoveryTest, UpdateThrowPoisonsAndDropsExactlyInEveryMode) {
+  const std::vector<Element> elements = DynamicStream(300, 4000, 17);
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const unsigned threads : {0u, 2u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      FaultSpec spec;
+      spec.site = FaultSite::kUpdateThrow;
+      spec.shard = shards - 1;
+      spec.after_hits = 37;
+      ExpectExactUpdateThrow(TestConfig(shards, threads), {elements}, spec);
+    }
+  }
+}
+
+/// Synchronous fault probes see the lane the caller named: a spec
+/// filtered to producer 1 lets lane 0's whole stream through and fires on
+/// lane 1's batch.
+TEST_F(CheckpointRecoveryTest, SyncUpdateThrowFiltersOnTheCallersLane) {
+  const std::vector<Element> elements = DynamicStream(300, 4000, 19);
+  const std::vector<std::vector<Element>> lanes =
+      StreamReplayer::SplitByUserLane(elements.data(), elements.size(), 2);
+  FaultSpec spec;
+  spec.site = FaultSite::kUpdateThrow;
+  spec.shard = 2;
+  spec.producer = 1;
+  spec.after_hits = 5;
+  ExpectExactUpdateThrow(TestConfig(4, /*threads=*/0, /*producers=*/2), lanes,
+                         spec);
 }
 
 // --------------------------------------------- fault site: worker kill
@@ -556,12 +597,6 @@ TEST_F(CheckpointRecoveryTest, ValidateConfigRejectsDegenerateConfigs) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("queue_capacity"), std::string::npos)
       << status;
-
-  bad = good;
-  bad.batch_size = 0;
-  status = ShardedVosSketch::ValidateConfig(bad, 300);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("batch_size"), std::string::npos) << status;
 
   bad = good;
   bad.ingest_producers = 0;
@@ -886,7 +921,6 @@ TEST_F(CheckpointRecoveryTest, CheckpointUnderLoadStress) {
   }
   ShardedVosConfig config = TestConfig(4, 2, producers);
   config.queue_capacity = 1;  // every sub-batch rides the back-pressure path
-  config.batch_size = 16;
   const std::vector<Element> elements = DynamicStream(300, 6000, 47);
   const std::vector<std::vector<Element>> lanes =
       StreamReplayer::SplitByUserLane(elements.data(), elements.size(),

@@ -859,7 +859,6 @@ TEST(LazyDirtyTrackingTest, FirstIncrementalRebuildStartsTracking) {
       config.base = SmallConfig(1 << 12);
       config.num_shards = shards;
       config.ingest_threads = ingest_threads;
-      config.batch_size = 64;
       ShardedVosSketch sketch(config, users);
       sketch.UpdateBatch(elements.data(), half);
       ASSERT_TRUE(sketch.Flush().ok()) << context;
@@ -934,7 +933,6 @@ TEST(HeldSnapshotTest, SnapshotsOfEarlierEpochsSurviveLaterOnes) {
       config.base = SmallConfig(1 << 12);
       config.num_shards = shards;
       config.ingest_threads = ingest_threads;
-      config.batch_size = 64;
       ShardedVosSketch sketch(config, users);
       QueryPlanner planner(sketch, {}, QueryOptions{2});
       struct Held {
@@ -995,7 +993,6 @@ TEST(HeldSnapshotTest, ReaderKeepsItsSnapshotWhileRefreshPublishes) {
     config.base = SmallConfig(1 << 12);
     config.num_shards = shards;
     config.ingest_threads = 2;
-    config.batch_size = 64;
     ShardedVosSketch sketch(config, users);
     sketch.UpdateBatch(elements.data(), quarter);
     ASSERT_TRUE(sketch.Flush().ok()) << context;

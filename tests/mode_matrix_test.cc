@@ -131,7 +131,6 @@ class ShardedModeMatrixTest
     config.seed = 53;
     config.vos_shards = shards;
     config.ingest_threads = threads;
-    config.ingest_batch = 64;  // many batches through the pipeline
     auto method = CreateMethod("VOS-sharded", config);
     VOS_CHECK(method.ok()) << method.status().ToString();
     return *std::move(method);

@@ -65,7 +65,6 @@ ShardedVosConfig TestConfig(uint32_t shards, unsigned threads,
   config.base.seed = 77;
   config.num_shards = shards;
   config.ingest_threads = threads;
-  config.batch_size = 64;  // small so the pipeline exercises many batches
   config.queue_capacity = 4;  // exercise back-pressure
   return config;
 }
@@ -340,6 +339,84 @@ TEST(ShardedVosSketchTest, ShardsMatchIndependentSketchesOnRoutedSubstreams) {
   }
 }
 
+/// Differential test of the ingest entry points: a seeded random mix of
+/// Update and ragged UpdateBatch calls (1–300 elements) on random lanes,
+/// with Flush in between, lands at every Flush on exactly the state of
+/// per-shard standalone sketches fed the routed sub-streams — in both
+/// modes, at one shard (the caller's span applied as is) and at four.
+/// Each user's history rides one lane, so every lane stays feasible
+/// under any interleaving of the lanes.
+TEST(ShardedVosSketchTest, RandomIngestCallMixMatchesRoutedReferences) {
+  const UserId users = 64;
+  const std::vector<Element> elements = DynamicStream(users, 6000, 71);
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const unsigned threads : {0u, 2u}) {
+      for (const unsigned producers : {1u, 2u}) {
+        const std::string label = "S=" + std::to_string(shards) +
+                                  " T=" + std::to_string(threads) +
+                                  " P=" + std::to_string(producers);
+        ShardedVosConfig config = TestConfig(shards, threads);
+        config.ingest_producers = producers;
+        ShardedVosSketch sketch(config, users);
+        std::vector<VosSketch> references;
+        for (uint32_t s = 0; s < shards; ++s) {
+          references.emplace_back(ShardedVosSketch::ShardConfig(config, s),
+                                  sketch.ShardUserCount(s));
+        }
+        const auto expect_matches = [&](const std::string& when) {
+          ASSERT_TRUE(sketch.Flush().ok()) << label << " " << when;
+          for (uint32_t s = 0; s < shards; ++s) {
+            ASSERT_TRUE(sketch.shard(s).array() == references[s].array())
+                << label << " " << when << " shard=" << s;
+            for (UserId local = 0; local < sketch.ShardUserCount(s);
+                 ++local) {
+              ASSERT_EQ(sketch.shard(s).Cardinality(local),
+                        references[s].Cardinality(local))
+                  << label << " " << when << " shard=" << s;
+            }
+          }
+        };
+
+        const std::vector<std::vector<Element>> lanes =
+            SplitByProducer(elements, producers);
+        std::vector<size_t> cursor(producers, 0);
+        Rng rng(1000 + shards * 10 + threads * 2 + producers);
+        size_t calls = 0;
+        size_t fed = 0;
+        while (fed < elements.size()) {
+          const auto p = static_cast<unsigned>(rng.NextBounded(producers));
+          const std::vector<Element>& lane = lanes[p];
+          if (cursor[p] == lane.size()) continue;
+          const size_t left = lane.size() - cursor[p];
+          const Element* first = lane.data() + cursor[p];
+          size_t n = 1;
+          if (rng.NextBernoulli(0.5)) {
+            sketch.Update(*first, p);
+          } else {
+            n = std::min<size_t>(left, 1 + rng.NextBounded(300));
+            sketch.UpdateBatch(first, n, p);
+          }
+          for (size_t i = 0; i < n; ++i) {
+            Element local = first[i];
+            local.user = sketch.LocalIdOf(first[i].user);
+            references[sketch.ShardOf(first[i].user)].Update(local);
+          }
+          cursor[p] += n;
+          fed += n;
+          if (++calls % 16 == 0) {
+            expect_matches("after call " + std::to_string(calls));
+          }
+        }
+        expect_matches("at the end");
+        EXPECT_FALSE(sketch.HasPendingIngest()) << label;
+        EXPECT_EQ(sketch.ingest_watermarks(),
+                  std::vector<uint64_t>(cursor.begin(), cursor.end()))
+            << label;
+      }
+    }
+  }
+}
+
 TEST(ShardedVosSketchTest, MemoryBitsIndependentOfShardCountAndUpdates) {
   // The dense remap is the point: per-user state must NOT scale with S.
   // m divisible by 64·S so per-shard word rounding cannot differ.
@@ -455,7 +532,6 @@ TEST(ShardedVosSketchTest, MultiProducerMatrixMatchesSynchronousRouting) {
         ShardedVosConfig config = TestConfig(shards, /*threads=*/2);
         config.ingest_producers = producers;
         config.queue_capacity = capacity;
-        config.batch_size = 48;
         ShardedVosSketch sketch(config, users);
         ASSERT_EQ(sketch.num_producers(), producers);
         std::vector<std::thread> threads;
@@ -513,7 +589,6 @@ TEST(ShardedVosSketchTest, FlushProducerUnderBackPressure) {
   ShardedVosConfig config = TestConfig(shards, /*threads=*/2);
   config.ingest_producers = producers;
   config.queue_capacity = 1;  // every second sub-batch blocks the lane
-  config.batch_size = 8;
   ShardedVosSketch sketch(config, users);
   // HasPendingIngest is polled concurrently with the feeding lanes: the
   // answer is advisory mid-ingest, but the read itself must be race-free
@@ -870,7 +945,6 @@ TEST(ShardedVosSketchTest, CapacityOneRingsBackPressureMatchSyncRouting) {
   config.ingest_threads = 2;
   config.ingest_producers = producers;
   config.queue_capacity = 1;  // every second sub-batch stalls its lane
-  config.batch_size = 8;
   ShardedVosSketch sketch(config, users);
 
   std::vector<std::thread> threads;
@@ -886,7 +960,7 @@ TEST(ShardedVosSketchTest, CapacityOneRingsBackPressureMatchSyncRouting) {
   EXPECT_FALSE(sketch.HasPendingIngest());
 
   const ShardedVosSketch::SpinStats spin = sketch.IngestSpinStats();
-  // Capacity-1 rings with 8-element batches guarantee contention
+  // Capacity-1 rings with one-element batches guarantee contention
   // somewhere: at least one park or in-ring save must be observed.
   EXPECT_GT(spin.push_parks + spin.push_spin_saves + spin.idle_parks, 0u);
 

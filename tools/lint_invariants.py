@@ -38,6 +38,14 @@ enforces, so they hold by construction instead of by review:
                      functions with those flags and hand an illegal
                      instruction to a baseline CPU through the ODR.
 
+  one-apply-loop     src/core/sharded_vos_sketch.{h,cc} call
+                     VosSketch::Update exactly once, inside
+                     ShardedVosSketch::ApplySubBatch. Synchronous and
+                     pipelined ingest both apply a shard's sub-batch
+                     through that one loop, so its poison, fault-probe
+                     and drop handling (and any later change to the
+                     update itself) exist in one place.
+
 Usage: lint_invariants.py [--root REPO_ROOT]
 Prints one "path:line: [rule] message" per violation; exit 1 if any.
 Self-test: tools/lint_invariants_test.py (registered with ctest).
@@ -251,6 +259,49 @@ def check_kernel_includes(root, violations):
                      "inline functions would be miscompiled via the ODR)"))
 
 
+APPLY_LOOP_FILES = (
+    "src/core/sharded_vos_sketch.h",
+    "src/core/sharded_vos_sketch.cc",
+)
+APPLY_LOOP_FUNCTION = "ApplySubBatch"
+SHARD_UPDATE_RE = re.compile(r"(?:\.|->)\s*Update\s*\(")
+SHARDED_DEF_RE = re.compile(r"^[^\s#].*?\bShardedVosSketch::(\w+)\s*\(",
+                            re.MULTILINE)
+
+
+def check_one_apply_loop(root, violations):
+    present = [rel for rel in APPLY_LOOP_FILES
+               if os.path.exists(os.path.join(root, rel))]
+    in_loop = 0
+    for rel in present:
+        masked = mask_comments_and_strings(read(root, rel))
+        defs = [(m.start(), m.group(1))
+                for m in SHARDED_DEF_RE.finditer(masked)]
+        for m in SHARD_UPDATE_RE.finditer(masked):
+            enclosing = None
+            for start, name in defs:
+                if start > m.start():
+                    break
+                enclosing = name
+            line = line_of(masked, m.start())
+            if enclosing != APPLY_LOOP_FUNCTION:
+                violations.append(
+                    (rel, line, "one-apply-loop",
+                     f"VosSketch::Update called in {enclosing or 'a header'}"
+                     f" — apply elements only through {APPLY_LOOP_FUNCTION}"))
+                continue
+            in_loop += 1
+            if in_loop > 1:
+                violations.append(
+                    (rel, line, "one-apply-loop",
+                     f"second VosSketch::Update call in {APPLY_LOOP_FUNCTION}"
+                     " — keep one apply loop"))
+    if present and in_loop == 0:
+        violations.append(
+            (present[-1], 1, "one-apply-loop",
+             f"no VosSketch::Update call in {APPLY_LOOP_FUNCTION}"))
+
+
 def run_lint(root):
     """Runs every rule; returns [(relpath, line, rule, message), ...]."""
     violations = []
@@ -258,6 +309,7 @@ def run_lint(root):
     check_raw_sync(root, violations)
     check_raw_new_delete(root, violations)
     check_kernel_includes(root, violations)
+    check_one_apply_loop(root, violations)
     violations.sort()
     return violations
 

@@ -94,6 +94,30 @@ int Fixture() {
 """)
 
 
+APPLY_LOOP_PASS = """\
+#include "core/sharded_vos_sketch.h"
+void ShardedVosSketch::UpdateBatch(const Element* e, size_t n, unsigned p) {
+  ApplySubBatch(0, p, e, n);             // ok: not VosSketch::Update
+}
+void ShardedVosSketch::ApplySubBatch(uint32_t s, unsigned p,
+                                     const Element* e, size_t n) {
+  for (size_t i = 0; i < n; ++i) shards_[s].Update(e[i]);  // the one call
+}
+void ShardedVosSketch::WorkerLoop(unsigned w) {
+  // shards_[0].Update(e) in a comment must not fire.
+  const char* s = "sketch.Update(e)";    // ok: string literal
+}
+"""
+
+
+def apply_loop_violations(source):
+    """one-apply-loop findings for a fixture sharded_vos_sketch.cc."""
+    with tempfile.TemporaryDirectory(prefix="lint_apply_loop_") as fixture:
+        write(fixture, "src/core/sharded_vos_sketch.cc", source)
+        return {(rel, line) for rel, line, rule, _ in lint.run_lint(fixture)
+                if rule == "one-apply-loop"}
+
+
 def main():
     failures = []
 
@@ -122,6 +146,18 @@ def main():
               "fixture violations mismatch:\n"
               f"  unexpected: {sorted(got - expected)}\n"
               f"  missing:    {sorted(expected - got)}")
+
+    # one-apply-loop: the pass fixture's single call inside ApplySubBatch
+    # is clean; a second call, in the worker loop, fires on its line.
+    got = apply_loop_violations(APPLY_LOOP_PASS)
+    check(not got, f"one-apply-loop pass fixture fired: {sorted(got)}")
+    failing = APPLY_LOOP_PASS.replace(
+        "  const char* s",
+        "  shards_[0].Update(batch[0]);        // VIOLATION (line 11)\n"
+        "  const char* s")
+    got = apply_loop_violations(failing)
+    check(got == {("src/core/sharded_vos_sketch.cc", 11)},
+          f"one-apply-loop fail fixture: {sorted(got)}")
 
     real = lint.run_lint(REPO_ROOT)
     check(not real,

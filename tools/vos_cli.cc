@@ -270,7 +270,6 @@ core::ShardedVosConfig MakeShardedConfig(const Flags& flags) {
   config.ingest_threads = static_cast<unsigned>(flags.GetInt("threads", 2));
   config.ingest_producers =
       static_cast<unsigned>(flags.GetInt("producers", 2));
-  config.batch_size = 512;
   return config;
 }
 
