@@ -149,7 +149,7 @@ inline void MaybeEmitJson(const Flags& flags, const std::string& bench_name,
 }
 
 /// Standard experiment banner: what this binary reproduces and with which
-/// configuration, so the raw output is self-describing in EXPERIMENTS.md.
+/// configuration, so a saved log says what produced it.
 inline void PrintBanner(const std::string& title, const Flags& flags) {
   std::printf("=== %s ===\n", title.c_str());
   if (!flags.values().empty()) {

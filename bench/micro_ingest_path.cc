@@ -1,4 +1,4 @@
-// Micro-benchmark (M4) for the sharded ingestion engine and incremental
+// Micro-benchmark for the sharded ingestion engine and incremental
 // index maintenance.
 //
 // Phase "ingest": update throughput (updates/s) of the serial

@@ -1,4 +1,4 @@
-// Micro-benchmark (M3) for the batch query engine: digest-extraction
+// Micro-benchmark for the batch query engine: digest-extraction
 // throughput (users/s) and all-pairs estimate throughput (pairs/s),
 // scalar seed path vs. the DigestMatrix batch engine.
 //

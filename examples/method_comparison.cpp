@@ -1,6 +1,6 @@
 // Side-by-side accuracy comparison of all implemented methods on one fully
 // dynamic stream — a miniature of the paper's Figure 3 plus this library's
-// extensions (densified OPH, b-bit minwise, dedicated odd sketch).
+// extensions (densified OPH, HLL-union, sharded VOS).
 //
 // Run: ./build/examples/method_comparison [--dataset=toy] [--k=100]
 
@@ -25,9 +25,7 @@ int main(int argc, char** argv) {
   }
   // Default to a 40%-scale YouTube stand-in: large enough degrees for the
   // paper's "users with many subscribed items" regime, small enough to run
-  // in seconds. (At very small scales — e.g. --dataset=toy — per-user
-  // degrees are so low that the dedicated OddSketch's zero contamination
-  // beats VOS's pooling; see EXPERIMENTS.md.)
+  // in seconds.
   const vos::stream::DatasetSpec scaled =
       vos::stream::ScaleSpec(*spec, flags->GetDouble("scale", 0.4));
   const vos::stream::GraphStream stream = vos::stream::GenerateDataset(scaled);

@@ -1,13 +1,14 @@
 // Shared estimator plumbing for the sampling baselines (§II–III).
 //
-// MinHash/OPH/b-bit estimate the Jaccard coefficient J first and convert to
+// MinHash/OPH estimate the Jaccard coefficient J first and convert to
 // the number of common items via the identity of §II:
 //   s_uv = J·(n_u + n_v) / (J + 1).
 // RP estimates s_uv directly and converts the other way:
 //   J = s / (n_u + n_v − s).
 // Both conversions live here, with the same feasible-range clamping the VOS
-// estimator applies (DESIGN.md §5.3), so no method gets an unfair numeric
-// advantage.
+// estimator applies (ŝ into [0, min(n_u, n_v)] when
+// BaselineOptions::clamp_to_feasible is set), so no method gets an unfair
+// numeric advantage.
 
 #pragma once
 

@@ -60,7 +60,7 @@ class MinHash : public core::SimilarityMethod {
     return static_cast<size_t>(config_.k) * 32 * num_users_;
   }
 
-  /// Register j of user u (tests & the b-bit digest read these).
+  /// Register j of user u (tests read these).
   const MinRegister& RegisterAt(UserId u, uint32_t j) const {
     return registers_[static_cast<size_t>(u) * config_.k + j];
   }

@@ -11,7 +11,8 @@
 //   P(φ_j(S_u) = φ_j(S_v)) = s_uv / (n_u·n_v),
 //
 // giving the unbiased estimator ŝ = n_u·n_v/k · Σ_j 1(φ_j(S_u) = φ_j(S_v)).
-// (The paper's formula omits the 1/k normalization — see DESIGN.md §2.)
+// (The paper's formula omits the 1/k normalization; without it ŝ would
+// grow with k, since the sum counts up to k matching slots.)
 // Unlike MinHash, matching slots carry no min-wise coordination, hence the
 // much larger variance the paper observes (the match probability has
 // denominator n_u·n_v instead of |S_u ∪ S_v|).

@@ -1,4 +1,4 @@
-// Register storage shared by the min-wise baselines (MinHash, OPH, b-bit).
+// Register storage shared by the min-wise baselines (MinHash, OPH).
 //
 // A register remembers the current minimum-rank item of a sample slot:
 // {rank, item}, with rank == kEmptyRank marking an empty slot. Ranks come
@@ -10,8 +10,7 @@
 //     item domain, matching the formal definition of MinHash/OPH in §III.
 //
 // Matching compares *items*, not ranks, so a rank collision can only affect
-// which item wins a minimum, never create a spurious match (except for the
-// b-bit digest, whose collisions are part of its estimator).
+// which item wins a minimum, never create a spurious match.
 
 #pragma once
 

@@ -1,11 +1,11 @@
 // BitVector: a fixed-size bit array with O(1) flip/get and an exact,
 // incrementally maintained count of 1-bits.
 //
-// This is the storage substrate for odd sketches and the shared VOS array A.
-// The paper tracks the fraction of 1-bits β with a floating-point running
-// update (§IV); we instead maintain an exact integer counter updated on every
-// mutation, so β = ones() / size() is exact at all times (DESIGN.md §2,
-// substitution table).
+// This is the storage substrate for the shared VOS array A and the per-user
+// odd sketches read out of it. The paper tracks the fraction of 1-bits β
+// with a floating-point running update (§IV); we instead maintain an exact
+// integer counter updated on every mutation, so β = ones() / size() is
+// exact at all times, where a floating-point sum drifts with rounding.
 
 #pragma once
 

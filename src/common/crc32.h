@@ -2,10 +2,9 @@
 //
 // Used by the v3 checkpoint container (core/vos_io.h) to checksum each
 // section independently, so a torn or bit-rotted checkpoint names the
-// damaged section instead of failing with a whole-file mismatch. The
-// XOR-fold checksum the v1/v2 sketch files carry stays untouched — CRC32
-// additionally catches the burst errors (torn tail, zero-filled page)
-// that an XOR fold can cancel out.
+// damaged section instead of failing with a whole-file mismatch. CRC32
+// also catches the burst errors (torn tail, zero-filled page) that an
+// XOR fold can cancel out.
 
 #pragma once
 

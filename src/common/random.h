@@ -3,7 +3,7 @@
 // Every stochastic component in the library (generators, samplers, seeds for
 // hash families) draws from Rng, a xoshiro256** generator seeded via
 // SplitMix64. All constructors take explicit 64-bit seeds so experiments are
-// reproducible bit-for-bit (DESIGN.md §5.6). <random> engines are avoided in
+// reproducible bit-for-bit. <random> engines are avoided in
 // library code because their sequences are not portable across standard
 // library implementations.
 
@@ -99,7 +99,7 @@ class Rng {
 /// `alpha`: P(rank = r) ∝ 1 / (r + 1)^alpha.
 ///
 /// Heavy-tailed item popularity / user activity in the synthetic datasets is
-/// generated with this sampler (DESIGN.md §2, dataset substitution). Uses an
+/// generated with this sampler (see stream/dataset.h). Uses an
 /// inverted-CDF table, so construction is O(n) and each sample is
 /// O(log n).
 class ZipfSampler {

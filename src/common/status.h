@@ -1,6 +1,7 @@
 // Status / StatusOr: exception-free error handling for libvos.
 //
-// The library does not throw exceptions (see DESIGN.md §3). Fallible
+// The library does not throw exceptions: a failure is a [[nodiscard]]
+// value its caller must handle, not a jump the caller may not see. Fallible
 // operations — file I/O, configuration parsing, budget validation — return a
 // Status (or StatusOr<T> when they also produce a value). Hot paths (sketch
 // updates, estimators) are infallible by construction and use VOS_DCHECK for

@@ -1,8 +1,7 @@
 // Fixed-width text tables for the benchmark harness output.
 //
 // Every figure-reproduction bench prints its series as an aligned table so
-// the rows can be compared directly against the paper's plots and pasted
-// into EXPERIMENTS.md.
+// the rows can be compared directly against the paper's plots.
 
 #pragma once
 

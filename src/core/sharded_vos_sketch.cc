@@ -164,6 +164,7 @@ ShardedVosSketch::ShardedVosSketch(const ShardedVosConfig& config,
     }
   } else {
     producers_ = 1;  // synchronous ingestion is single-threaded by contract
+    sync_buckets_.resize(config.num_shards);
   }
   static_memory_bits_ = StaticFootprintBits(config, num_users);
 }
@@ -191,21 +192,31 @@ void ShardedVosSketch::UpdateBatch(const stream::Element* elements,
   accepted_[producer].store(
       accepted_[producer].load(std::memory_order_relaxed) + count,
       std::memory_order_relaxed);
-  if (!async() && !dense_remap()) {
-    // One shard, no remap: the caller's span is already the shard's
-    // sub-batch, and ApplySubBatch's per-element bound is the range check.
-    ApplySubBatch(0, producer, elements, count);
+  if (!async()) {
+    if (!dense_remap()) {
+      // One shard, no remap: the caller's span is already the shard's
+      // sub-batch, and ApplySubBatch's per-element bound is the range
+      // check.
+      ApplySubBatch(0, producer, elements, count);
+      return;
+    }
+    // The buckets keep their capacity from call to call, so a steady
+    // stream of small batches (per-element Update) allocates nothing.
+    for (std::vector<stream::Element>& bucket : sync_buckets_) bucket.clear();
+    RoutePartition(elements, count, &sync_buckets_);
+    for (uint32_t s = 0; s < router_.num_shards(); ++s) {
+      if (sync_buckets_[s].empty()) continue;
+      ApplySubBatch(s, producer, sync_buckets_[s].data(),
+                    sync_buckets_[s].size());
+    }
     return;
   }
+  // Each sub-batch moves into a ring, so async buckets are built per call.
   std::vector<std::vector<stream::Element>> per_shard(router_.num_shards());
   RoutePartition(elements, count, &per_shard);
   for (uint32_t s = 0; s < router_.num_shards(); ++s) {
     if (per_shard[s].empty()) continue;
-    if (async()) {
-      EnqueueSubBatch(producer, s, std::move(per_shard[s]));
-    } else {
-      ApplySubBatch(s, producer, per_shard[s].data(), per_shard[s].size());
-    }
+    EnqueueSubBatch(producer, s, std::move(per_shard[s]));
   }
 }
 

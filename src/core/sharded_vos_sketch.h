@@ -472,6 +472,10 @@ class ShardedVosSketch {
   unsigned producers_ = 1;
   VosEstimator estimator_;
   std::vector<VosSketch> shards_;
+  /// Synchronous mode's routing buckets, one per shard, reused by every
+  /// UpdateBatch (sync ingest is single-threaded by contract). Empty in
+  /// async mode.
+  std::vector<std::vector<stream::Element>> sync_buckets_;
   /// owner_[s] = worker that applies shard s's elements.
   std::vector<uint8_t> owner_;
 

@@ -11,8 +11,9 @@
 // plus approximations of E[ŝ] and Var[ŝ]. This header implements all of
 // them, with explicit saturation handling: ln(1−2α) is undefined for
 // α ≥ ½, which the paper sidesteps with |1−2α|; we do the same and
-// optionally clamp ŝ to its feasible range [0, min(n_u, n_v)] (clamping is
-// applied uniformly to every method by the harness, DESIGN.md §5.3).
+// optionally clamp ŝ to its feasible range [0, min(n_u, n_v)] (the harness
+// applies clamping uniformly to every method, MethodFactoryConfig::clamp,
+// so none gains a numeric advantage).
 
 #pragma once
 

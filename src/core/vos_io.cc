@@ -20,17 +20,6 @@
 namespace vos::core {
 namespace {
 
-/// XOR-fold checksum over the serialized payload (array words and
-/// cardinalities), with position mixing so reordering is detected.
-uint64_t Checksum(const std::vector<uint64_t>& words,
-                  const std::vector<uint32_t>& cards) {
-  uint64_t sum = 0x5b5e1ab1eULL;
-  uint64_t index = 0;
-  for (uint64_t w : words) sum ^= hash::Hash64(w, ++index);
-  for (uint32_t c : cards) sum ^= hash::Hash64(c, ++index);
-  return sum;
-}
-
 template <typename T>
 void AppendPod(std::string* out, const T& value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
@@ -214,63 +203,6 @@ StatusOr<VosSketch> VosSketchIo::ParseFields(const uint8_t* data,
   sketch.array_ = BitVector::FromWords(config.m, std::move(words));
   sketch.cardinality_ = std::move(cards);
   if (consumed != nullptr) *consumed = pos;
-  return sketch;
-}
-
-Status VosSketchIo::Save(const VosSketch& sketch, const std::string& path) {
-  std::string buffer;
-  buffer.append(kMagic, 8);
-  AppendPod(&buffer, kVersion);
-  SerializeFields(sketch, &buffer);
-  AppendPod(&buffer, Checksum(sketch.array_.words(), sketch.cardinality_));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  out.flush();
-  if (!out.good()) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-StatusOr<VosSketch> VosSketchIo::Load(const std::string& path) {
-  VOS_ASSIGN_OR_RETURN(const std::string bytes, ReadWholeFile(path));
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  const size_t size = bytes.size();
-  if (size < 12) {
-    return Status::Corruption(path + ": file too short for a header (" +
-                              std::to_string(size) + " bytes)");
-  }
-  if (std::memcmp(data, kMagic, 8) != 0) {
-    return Status::Corruption(path + ": bad magic");
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, data + 8, sizeof(version));
-  if (version != kVersion) {
-    return Status::Corruption(path + ": unsupported version " +
-                              std::to_string(version));
-  }
-  size_t consumed = 0;
-  VOS_ASSIGN_OR_RETURN(
-      VosSketch sketch,
-      ParseFields(data + 12, size - 12, path, &consumed));
-  const size_t tail = 12 + consumed;
-  if (size - tail < sizeof(uint64_t)) {
-    return Status::Corruption(path + ": truncated payload (checksum missing)");
-  }
-  if (size - tail > sizeof(uint64_t)) {
-    // An oversized file is as suspect as a truncated one: some other
-    // writer appended to it, or the header under-declares its payload.
-    return Status::Corruption(
-        path + ": " + std::to_string(size - tail - sizeof(uint64_t)) +
-        " trailing bytes after the checksum (oversized file)");
-  }
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, data + tail, sizeof(stored_checksum));
-  if (stored_checksum !=
-      Checksum(sketch.array_.words(), sketch.cardinality_)) {
-    return Status::Corruption(path + ": checksum mismatch");
-  }
   return sketch;
 }
 

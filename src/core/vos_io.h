@@ -1,37 +1,35 @@
-// Binary serialization of VOS sketches: snapshot a live sketch to disk and
-// restore it later (checkpoint/restore, offline analysis of an online
-// sketch).
-//
-// Single-sketch format (little-endian, versioned):
-//   magic "VOSSKTCH" | u32 version = 2 | u32 k | u64 m | u64 seed
-//   | u8 psi (always 0: the seeded mixer) | u64 f_seed (resolved f-family
-//   seed; see VosConfig::f_seed) | u32 num_users | u64 num_array_words
-//   | array words | cardinalities (u32 × num_users) | u64 xor-checksum
-//
-// VosSketchIo::Save writes version 2 and Load reads only version 2. A
-// psi byte other than 0 is Corruption ("unknown psi kind"). Every read is
-// bounds-checked against the actual file size BEFORE anything is
-// allocated: a truncated, oversized or size-lying file fails with a
-// Corruption status naming what was expected, never with a wild
-// allocation or a silent short read.
-//
-// Sharded checkpoint container (v3, ShardedCheckpointIo): the crash-safe
-// snapshot of a whole ShardedVosSketch — every shard's sketch, the dense
-// user remap and the per-lane ingest watermarks — in one sectioned file:
+// Binary checkpoints of VOS sketches: the crash-safe snapshot of a whole
+// ShardedVosSketch (checkpoint/restore, offline analysis of an online
+// sketch) — every shard's sketch, the dense user remap and the per-lane
+// ingest watermarks — in one sectioned file (little-endian, v3):
 //
 //   magic "VOSSKTCH" | u32 version = 3 | u32 section_count
 //   section := u32 type | u32 id | u64 payload_bytes | payload | u32 crc32
 //
+// A shard section's payload is one sketch's fields (VosSketchIo):
+//
+//   u32 k | u64 m | u64 seed | u8 psi (always 0: the seeded mixer)
+//   | u64 f_seed (resolved f-family seed; see VosConfig::f_seed)
+//   | u32 num_users | u64 num_array_words | array words
+//   | cardinalities (u32 × num_users)
+//
 // The CRC32 (IEEE, common/crc32.h) of each section covers its header AND
 // payload, so a flipped bit anywhere in a section is pinned to that
-// section by name in the error. The manifest (first section, always)
-// records the geometry the checkpoint was taken under; Restore refuses a
-// mismatched live instance instead of guessing. Writing is atomic:
-// everything is serialized to memory, written to `path + ".tmp"`, fsynced,
-// renamed over `path`, and the parent directory fsynced — a crash at any
-// point leaves either the old checkpoint or the new one, never a blend.
-// Restore is all-or-nothing: every section is CRC-verified and staged
-// before one byte of live state changes.
+// section by name in the error. The CRC does not vouch for the writer:
+// every field is still checked, and every read is bounds-checked against
+// the bytes actually present BEFORE anything is allocated, so a
+// size-lying section fails with a Corruption status naming the section
+// and what was expected, never with a wild allocation or a silent short
+// read. A psi byte other than 0 is Corruption ("unknown psi kind").
+//
+// The manifest (first section, always) records the geometry the
+// checkpoint was taken under; Restore refuses a mismatched live instance
+// instead of guessing. Writing is atomic: everything is serialized to
+// memory, written to `path + ".tmp"`, fsynced, renamed over `path`, and
+// the parent directory fsynced — a crash at any point leaves either the
+// old checkpoint or the new one, never a blend. Restore is
+// all-or-nothing: every section is CRC-verified and staged before one
+// byte of live state changes.
 
 #pragma once
 
@@ -44,35 +42,25 @@ namespace vos::core {
 
 class ShardedVosSketch;
 
-/// Stateless serializer for VosSketch (friend of the class).
+/// Stateless field codec for one VosSketch (friend of the class): the
+/// payload of a v3 shard section.
 class VosSketchIo {
  public:
-  /// Writes `sketch` to `path`, overwriting. IoError on filesystem
-  /// problems.
-  static Status Save(const VosSketch& sketch, const std::string& path);
-
-  /// Reads a sketch from `path`. Corruption on malformed/damaged files;
-  /// every size field is validated against the bytes actually present
-  /// before any allocation.
-  static StatusOr<VosSketch> Load(const std::string& path);
-
-  /// Appends the versioned field layout (everything between the version
-  /// field and the trailing checksum of a v2 file) to `out`. Shared by
-  /// Save and the v3 shard sections.
+  /// Appends the sketch's field layout (see file comment) to `out`.
   static void SerializeFields(const VosSketch& sketch, std::string* out);
 
   /// Bounds-checked inverse of SerializeFields over [data, data + size):
-  /// parses one sketch in the v2 layout. `context` prefixes error
-  /// messages; `*consumed` receives the bytes read on success.
+  /// parses one sketch. `context` prefixes error messages; `*consumed`
+  /// receives the bytes read on success.
   static StatusOr<VosSketch> ParseFields(const uint8_t* data, size_t size,
                                          const std::string& context,
                                          size_t* consumed);
 
+  /// The magic that opens every checkpoint file.
   static constexpr char kMagic[9] = "VOSSKTCH";
-  /// The version Save writes and Load reads.
-  static constexpr uint32_t kVersion = 2;
-  /// The psi byte every file carries: ψ is the seeded mixer
-  /// (VosSketch::BucketOf). Loaders reject any other value.
+  /// The psi byte every sketch carries: ψ is the seeded mixer
+  /// (VosSketch::BucketOf). ParseFields and the manifest check reject any
+  /// other value.
   static constexpr uint8_t kPsiMixer = 0;
 };
 

@@ -9,9 +9,10 @@
 // with probability β (the fraction of 1-bits in A); the estimator
 // (core/vos_estimator.h) removes this contamination in closed form.
 //
-// Deviation from the paper (DESIGN.md §2): β is maintained as an exact
-// integer 1-bit counter rather than the paper's floating-point running
-// update, which is equivalent but exact.
+// Deviation from the paper: β is maintained as an exact integer 1-bit
+// counter rather than the paper's floating-point running update. The two
+// agree flip for flip (VosSketchTest.PaperBetaUpdateRuleEquivalence), but
+// the counter cannot drift with rounding.
 
 #pragma once
 

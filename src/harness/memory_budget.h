@@ -6,8 +6,6 @@
 // count |U|:
 //
 //   MinHash / OPH / RP : k registers of 32 bits per user
-//   b-bit minwise      : ⌊32·k / b⌋ registers of b bits per user
-//   dedicated OddSketch: 32·k private bits per user
 //   VOS                : one shared array of m = 32·k·|U| bits, with each
 //                        user's *virtual* sketch sized k_vos = λ·32·k bits
 //                        (λ = 2 in §V — virtual bits are free, only the
@@ -54,19 +52,6 @@ class MemoryBudget {
 
   /// Shared-array size for VOS: the whole budget.
   uint64_t VosArrayBits() const { return TotalBits(); }
-
-  /// Register count for b-bit minwise at digest width b.
-  uint32_t BbitK(uint32_t b) const {
-    VOS_CHECK(b >= 1 && b <= 32);
-    const uint64_t k = BitsPerUser() / b;
-    VOS_CHECK(k >= 1);
-    return static_cast<uint32_t>(k);
-  }
-
-  /// Private bits per user for the dedicated odd-sketch ablation.
-  uint32_t DedicatedOddSketchBits() const {
-    return static_cast<uint32_t>(BitsPerUser());
-  }
 
   uint64_t num_users() const { return num_users_; }
 

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 
-#include "baselines/bbit_minwise.h"
 #include "baselines/hll_union.h"
 #include "baselines/minhash.h"
 #include "baselines/oph.h"
 #include "baselines/random_pairing.h"
-#include "core/odd_sketch.h"
 #include "core/sharded_vos_method.h"
 #include "hashing/hash64.h"
 #include "hashing/seeds.h"
@@ -95,14 +93,6 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     return std::unique_ptr<core::SimilarityMethod>(
         std::make_unique<baseline::RandomPairing>(rp, num_users));
   }
-  if (name == "OddSketch") {
-    core::VosEstimatorOptions options;
-    options.clamp_to_feasible = config.clamp;
-    return std::unique_ptr<core::SimilarityMethod>(
-        std::make_unique<core::DedicatedOddSketchMethod>(
-            budget.DedicatedOddSketchBits(), num_users, SeedFor(config, name),
-            options));
-  }
   if (name == "HLL-union") {
     baseline::HllUnionConfig hll;
     // Equal memory at 8 bits/register: 32·k/8 = 4·k registers, rounded
@@ -115,16 +105,6 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     return std::unique_ptr<core::SimilarityMethod>(
         std::make_unique<baseline::HllUnion>(hll, num_users));
   }
-  if (name == "b-bit") {
-    baseline::BbitMinwiseConfig bb;
-    bb.k = budget.BbitK(config.bbit_b);
-    bb.b = config.bbit_b;
-    bb.seed = SeedFor(config, name);
-    bb.options.clamp_to_feasible = config.clamp;
-    return std::unique_ptr<core::SimilarityMethod>(
-        std::make_unique<baseline::BbitMinwise>(bb, num_users,
-                                                config.num_items));
-  }
   return Status::InvalidArgument("unknown method '" + name + "'");
 }
 
@@ -133,8 +113,8 @@ std::vector<std::string> PaperMethods() {
 }
 
 std::vector<std::string> AllMethods() {
-  return {"MinHash", "OPH",   "OPH+rot",   "OPH+rand", "OPH+opt",    "RP",
-          "OddSketch", "b-bit", "HLL-union", "VOS",      "VOS-sharded"};
+  return {"MinHash", "OPH",       "OPH+rot", "OPH+rand",   "OPH+opt",
+          "RP",      "HLL-union", "VOS",     "VOS-sharded"};
 }
 
 }  // namespace vos::harness

@@ -23,14 +23,13 @@ struct MethodFactoryConfig {
   uint32_t base_k = 100;
   /// VOS virtual-size multiplier λ (§V uses 2).
   double lambda = 2.0;
-  /// Digest width for "b-bit".
-  uint32_t bbit_b = 2;
   /// Domain sizes of the target stream.
   uint64_t num_users = 0;
   uint64_t num_items = 0;
   /// Master seed (per-method seeds are derived from it and the name).
   uint64_t seed = 99;
-  /// Apply feasible-range clamping to all estimates (DESIGN.md §5.3).
+  /// Apply feasible-range clamping (common items into [0, min(n_u, n_v)])
+  /// to all estimates, so every method gets the same numeric treatment.
   bool clamp = true;
   /// Shard count for "VOS-sharded" (total memory budget is split across
   /// shards, so the comparison with "VOS" is equal-memory). Ignored by
@@ -52,8 +51,8 @@ struct MethodFactoryConfig {
 };
 
 /// Recognized names: "VOS", "VOS-sharded", "MinHash", "OPH", "OPH+rot",
-/// "OPH+rand", "OPH+opt", "RP", "OddSketch", "b-bit". Returns
-/// InvalidArgument for anything else.
+/// "OPH+rand", "OPH+opt", "RP", "HLL-union". Returns InvalidArgument for
+/// anything else.
 StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     const std::string& name, const MethodFactoryConfig& config);
 

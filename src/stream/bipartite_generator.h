@@ -1,8 +1,9 @@
 // Synthetic bipartite graph generation with heavy-tailed degrees.
 //
 // Stands in for the crawled OSN datasets of Mislove et al. (IMC'07) used in
-// the paper's evaluation (see DESIGN.md §2, substitution table). The
-// construction is degree-targeted:
+// the paper's evaluation, which are not redistributable (stream/dataset.h
+// lists the presets that replace them). The construction is
+// degree-targeted:
 //
 //   1. User u (rank-ordered) gets a target degree d_u ∝ (u+1)^{−user_zipf},
 //      scaled so Σ d_u equals num_edges exactly and capped at

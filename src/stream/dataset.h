@@ -9,7 +9,7 @@
 // the relative size ordering of the four datasets (YouTube < Flickr <
 // LiveJournal < Orkut by edges). Deletion periods are scaled so each stream
 // experiences ≈2.4 massive deletions, matching 4.9M edges / 2M period on the
-// real YouTube graph. See DESIGN.md §2.
+// real YouTube graph.
 //
 // `toy` and `unit` presets support examples and fast tests.
 

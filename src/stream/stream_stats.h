@@ -1,10 +1,10 @@
 // Degree-distribution and churn statistics of a graph stream.
 //
-// Used three ways: (1) dataset presets are validated against the
-// heavy-tailed shape the evaluation depends on (tests), (2) the CLI's
-// `inspect` command prints these for any stream file, and (3) EXPERIMENTS.md
-// records them so readers can compare our synthetic stand-ins against the
-// crawled originals' published statistics.
+// Used two ways: (1) dataset presets are validated against the
+// heavy-tailed shape the evaluation depends on (tests), and (2) the CLI's
+// `inspect` command prints these for any stream file, so readers can
+// compare our synthetic stand-ins against the crawled originals' published
+// statistics.
 
 #pragma once
 

@@ -1,5 +1,5 @@
-// Unit tests for src/baselines: dynamic MinHash, OPH (plain + densified),
-// Random Pairing, and b-bit minwise — static accuracy, deletion semantics
+// Unit tests for src/baselines: dynamic MinHash, OPH (plain + densified)
+// and Random Pairing — static accuracy, deletion semantics
 // (including the §III bias behaviours the paper analyzes), and the RP
 // uniformity invariants.
 
@@ -10,7 +10,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "baselines/bbit_minwise.h"
 #include "baselines/minhash.h"
 #include "baselines/oph.h"
 #include "baselines/random_pairing.h"
@@ -329,40 +328,6 @@ TEST(RandomPairingTest, JaccardDerivedFromCommon) {
   const PairEstimate est = method.EstimatePair(0, 1);
   EXPECT_NEAR(est.common, 40.0, 8.0);
   EXPECT_GT(est.jaccard, 0.75);
-}
-
-// --------------------------------------------------------------- BbitMinwise
-
-TEST(BbitMinwiseTest, CollisionCorrectedEstimate) {
-  BbitMinwiseConfig config;
-  config.k = 800;
-  config.b = 2;
-  config.seed = 13;
-  BbitMinwise method(config, 2, kItems);
-  InsertRange(method, 0, 0, 200);
-  InsertRange(method, 1, 100, 200);
-  // True J = 1/3; the b-bit correction must de-bias the raw match rate
-  // (raw ≈ C + (1-C)/3 ≈ 0.5 for b=2).
-  EXPECT_NEAR(method.EstimatePair(0, 1).jaccard, 1.0 / 3.0, 0.10);
-}
-
-TEST(BbitMinwiseTest, LargeBehavesLikeMinHash) {
-  BbitMinwiseConfig config;
-  config.k = 256;
-  config.b = 32;
-  BbitMinwise method(config, 2, kItems);
-  InsertRange(method, 0, 0, 50);
-  InsertRange(method, 1, 0, 50);
-  EXPECT_DOUBLE_EQ(method.EstimatePair(0, 1).jaccard, 1.0);
-}
-
-TEST(BbitMinwiseTest, MemoryModelIsKbBits) {
-  BbitMinwiseConfig config;
-  config.k = 100;
-  config.b = 4;
-  BbitMinwise method(config, 10, kItems);
-  EXPECT_EQ(method.MemoryBits(), 100u * 4u * 10u);
-  EXPECT_EQ(method.Name(), "b-bit(b=4)");
 }
 
 // ------------------------------------------------ deletion-bias comparison

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -157,6 +158,22 @@ std::vector<SectionSpan> WalkSections(const std::string& bytes) {
   }
   EXPECT_EQ(pos, bytes.size()) << "walker disagrees with the writer";
   return sections;
+}
+
+/// `bytes` with section `span`'s payload replaced by `payload`, its size
+/// field and CRC re-sealed: the edit gets past the CRC check, so only the
+/// decoder's own checks can refuse it.
+std::string ResealSection(const std::string& bytes, const SectionSpan& span,
+                          const std::string& payload) {
+  const size_t header_pos = span.payload_pos - 16;
+  std::string section = bytes.substr(header_pos, 8);  // type | id
+  const uint64_t payload_bytes = payload.size();
+  section.append(reinterpret_cast<const char*>(&payload_bytes),
+                 sizeof(payload_bytes));
+  section += payload;
+  const uint32_t crc = Crc32(section.data(), section.size());
+  section.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return bytes.substr(0, header_pos) + section + bytes.substr(span.end_pos);
 }
 
 /// Every test disarms the process-wide injector on the way out so a
@@ -823,7 +840,7 @@ TEST_F(CheckpointRecoveryTest, ManifestUnknownPsiIsCorruption) {
   MakeCheckpoint(config, &sketch, path, 43);
   ASSERT_TRUE(sketch.Flush().ok());
 
-  std::string bytes = ReadFileBytes(path);
+  const std::string bytes = ReadFileBytes(path);
   const std::vector<SectionSpan> sections = WalkSections(bytes);
   ASSERT_FALSE(sections.empty());
   const SectionSpan& manifest = sections[0];
@@ -831,15 +848,12 @@ TEST_F(CheckpointRecoveryTest, ManifestUnknownPsiIsCorruption) {
   // Manifest payload: u32 shards | u32 lanes | u32 k | u64 m | u64 seed |
   // u8 psi | u32 num_users.
   constexpr size_t kPsiOffset = 4 + 4 + 4 + 8 + 8;
-  ASSERT_EQ(static_cast<uint8_t>(bytes[manifest.payload_pos + kPsiOffset]),
-            VosSketchIo::kPsiMixer);
-  bytes[manifest.payload_pos + kPsiOffset] = 1;
-  const size_t header_pos = manifest.payload_pos - 16;
-  const uint32_t crc = Crc32(bytes.data() + header_pos,
-                             manifest.end_pos - 4 - header_pos);
-  std::memcpy(bytes.data() + manifest.end_pos - 4, &crc, sizeof(crc));
+  std::string payload =
+      bytes.substr(manifest.payload_pos, manifest.payload_bytes);
+  ASSERT_EQ(static_cast<uint8_t>(payload[kPsiOffset]), VosSketchIo::kPsiMixer);
+  payload[kPsiOffset] = 1;
   const std::string damaged = TempPath("manifest_psi_damaged");
-  WriteFileBytes(damaged, bytes);
+  WriteFileBytes(damaged, ResealSection(bytes, manifest, payload));
 
   ShardedVosSketch reference(config, 300);
   ASSERT_TRUE(reference.Restore(path).ok());
@@ -850,57 +864,147 @@ TEST_F(CheckpointRecoveryTest, ManifestUnknownPsiIsCorruption) {
   ExpectBitIdentical(sketch, reference, "after rejected psi byte");
 }
 
-// ---------------------------------------- single-sketch (v2) file bounds
+/// Restore reports a missing file as IoError and any container version
+/// but 3 as Corruption naming the version.
+TEST_F(CheckpointRecoveryTest, RestoreRejectsMissingFileAndOtherVersions) {
+  const ShardedVosConfig config = TestConfig(4, 0);
+  ShardedVosSketch sketch(config, 300);
+  const std::string path = TempPath("version");
+  MakeCheckpoint(config, &sketch, path, 53);
 
-/// Every truncation of a v2 single-sketch file fails with Corruption —
-/// no allocation from a size field that the bytes on disk cannot back.
-TEST_F(CheckpointRecoveryTest, SingleSketchLoadRejectsTruncatedFiles) {
-  VosConfig config;
-  config.k = 512;
-  config.m = 1 << 14;
-  config.seed = 77;
-  VosSketch sketch(config, 64);
-  const std::vector<Element> elements = DynamicStream(64, 500, 41);
-  for (const Element& e : elements) sketch.Update(e);
-
-  const std::string path = TempPath("single_v2");
-  ASSERT_TRUE(VosSketchIo::Save(sketch, path).ok());
+  EXPECT_EQ(sketch.Restore(TempPath("version_absent")).code(),
+            StatusCode::kIoError);
   const std::string pristine = ReadFileBytes(path);
-  const std::string damaged = TempPath("single_v2_damaged");
-
-  // Truncate at a spread of prefixes: inside the header, inside the
-  // array payload, inside the cardinalities, inside the checksum.
-  for (const size_t cut :
-       {size_t{0}, size_t{4}, size_t{11}, size_t{20}, size_t{40},
-        pristine.size() / 2, pristine.size() - 12, pristine.size() - 1}) {
-    SCOPED_TRACE("truncate at byte " + std::to_string(cut));
-    WriteFileBytes(damaged, pristine.substr(0, cut));
-    const auto loaded = VosSketchIo::Load(damaged);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
-        << loaded.status();
+  const std::string damaged = TempPath("version_damaged");
+  for (const uint32_t version : {0u, 2u, ShardedCheckpointIo::kVersion + 1}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string bytes = pristine;
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    WriteFileBytes(damaged, bytes);
+    const Status rejected = sketch.Restore(damaged);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.code(), StatusCode::kCorruption) << rejected;
+    EXPECT_NE(rejected.message().find("unsupported checkpoint version"),
+              std::string::npos)
+        << rejected;
   }
+  ASSERT_TRUE(sketch.Restore(path).ok());
+}
 
-  // Oversized: trailing bytes are rejected, not silently ignored.
-  WriteFileBytes(damaged, pristine + std::string(3, '\7'));
-  const auto oversized = VosSketchIo::Load(damaged);
-  ASSERT_FALSE(oversized.ok());
-  EXPECT_EQ(oversized.status().code(), StatusCode::kCorruption)
-      << oversized.status();
+// ------------------------------------- shard-section decoder (ParseFields)
 
-  // A flipped payload byte trips the checksum.
-  std::string flipped = pristine;
-  flipped[flipped.size() / 2] ^= 0x10;
-  WriteFileBytes(damaged, flipped);
-  const auto corrupted = VosSketchIo::Load(damaged);
-  ASSERT_FALSE(corrupted.ok());
-  EXPECT_EQ(corrupted.status().code(), StatusCode::kCorruption)
-      << corrupted.status();
+// Field offsets in a shard section's payload (VosSketchIo::SerializeFields):
+// u32 k | u64 m | u64 seed | u8 psi | u64 f_seed | u32 num_users
+// | u64 num_words | array words | cardinalities.
+constexpr size_t kFieldK = 0;
+constexpr size_t kFieldPsi = 4 + 8 + 8;
+constexpr size_t kFieldNumUsers = kFieldPsi + 1 + 8;
+constexpr size_t kFieldNumWords = kFieldNumUsers + 4;
 
-  // The pristine file round-trips.
-  const auto loaded = VosSketchIo::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(loaded->array() == sketch.array());
+template <typename T>
+void WritePod(std::string* bytes, size_t pos, T value) {
+  ASSERT_LE(pos + sizeof(T), bytes->size());
+  std::memcpy(bytes->data() + pos, &value, sizeof(T));
+}
+
+/// Checkpoints a 4-shard sketch whose shards hold m = 1000 array bits (not
+/// a multiple of 64), lets `edit` rewrite shard[1]'s payload, re-seals
+/// the section, and restores the edited file into the live sketch, which
+/// has ingested on past the checkpoint. Restore must return Corruption
+/// naming shard[1] and `expected`, and leave the live sketch as it was.
+void ExpectShardEditRejected(const std::string& path,
+                             const std::function<void(std::string*)>& edit,
+                             const std::string& expected) {
+  ShardedVosConfig config = TestConfig(4, 0);
+  config.base.m = 4 * 1000;
+  ShardedVosSketch sketch(config, 300);
+  const CheckpointedState state = MakeCheckpoint(config, &sketch, path, 47);
+  FeedLanes(&sketch, state.lanes, state.cut);
+  ShardedVosSketch twin(config, 300);
+  FeedLanes(&twin, state.lanes, std::vector<uint64_t>(state.cut.size(), 0));
+
+  const std::string pristine = ReadFileBytes(path);
+  const SectionSpan* shard = nullptr;
+  const std::vector<SectionSpan> sections = WalkSections(pristine);
+  for (const SectionSpan& section : sections) {
+    if (section.type == ShardedCheckpointIo::kSectionShard &&
+        section.id == 1) {
+      shard = &section;
+    }
+  }
+  ASSERT_NE(shard, nullptr);
+  std::string payload =
+      pristine.substr(shard->payload_pos, shard->payload_bytes);
+  ASSERT_EQ(ResealSection(pristine, *shard, payload), pristine);
+  edit(&payload);
+  const std::string damaged = path + "_edited";
+  WriteFileBytes(damaged, ResealSection(pristine, *shard, payload));
+
+  const Status rejected = sketch.Restore(damaged);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.code(), StatusCode::kCorruption) << rejected;
+  EXPECT_NE(rejected.message().find("shard[1]"), std::string::npos)
+      << rejected;
+  EXPECT_NE(rejected.message().find(expected), std::string::npos)
+      << rejected;
+  ExpectBitIdentical(sketch, twin, "after rejected shard edit");
+  EXPECT_TRUE(sketch.IngestStatus().ok());
+}
+
+TEST_F(CheckpointRecoveryTest, ShardSectionUnknownPsiIsCorruption) {
+  ExpectShardEditRejected(
+      TempPath("shard_psi"),
+      [](std::string* payload) { (*payload)[kFieldPsi] = 1; },
+      "unknown psi kind 1");
+}
+
+/// A num_words that disagrees with m is refused before any allocation.
+TEST_F(CheckpointRecoveryTest, ShardSectionLyingWordCountIsCorruption) {
+  ExpectShardEditRejected(
+      TempPath("shard_words"),
+      [](std::string* payload) {
+        WritePod<uint64_t>(payload, kFieldNumWords, uint64_t{1} << 40);
+      },
+      "inconsistent geometry");
+}
+
+/// A num_users the payload cannot back is refused before any allocation.
+TEST_F(CheckpointRecoveryTest, ShardSectionLyingUserCountIsCorruption) {
+  ExpectShardEditRejected(
+      TempPath("shard_users"),
+      [](std::string* payload) {
+        WritePod<uint32_t>(payload, kFieldNumUsers, UINT32_MAX);
+      },
+      "header declares");
+}
+
+TEST_F(CheckpointRecoveryTest, ShardSectionZeroKIsCorruption) {
+  ExpectShardEditRejected(
+      TempPath("shard_k"),
+      [](std::string* payload) { WritePod<uint32_t>(payload, kFieldK, 0); },
+      "inconsistent geometry");
+}
+
+/// m = 1000 leaves bits 40..63 of the last array word outside the array.
+TEST_F(CheckpointRecoveryTest, ShardSectionStrayBitsBeyondMIsCorruption) {
+  ExpectShardEditRejected(
+      TempPath("shard_stray"),
+      [](std::string* payload) {
+        const uint64_t words = ReadPod<uint64_t>(*payload, kFieldNumWords);
+        ASSERT_EQ(words, (1000u + 63) / 64);
+        const size_t last = kFieldNumWords + 8 + (words - 1) * 8;
+        WritePod<uint64_t>(payload, last,
+                           ReadPod<uint64_t>(*payload, last) |
+                               (uint64_t{1} << 63));
+      },
+      "stray bits beyond m");
+}
+
+TEST_F(CheckpointRecoveryTest, ShardSectionTrailingBytesAreCorruption) {
+  ExpectShardEditRejected(
+      TempPath("shard_trailing"),
+      [](std::string* payload) { payload->append(3, '\x7f'); },
+      "3 trailing bytes");
 }
 
 // ------------------------------- stress: checkpoint under ingest load

@@ -7,7 +7,6 @@
 
 #include "baselines/estimate_util.h"
 #include "common/flags.h"
-#include "core/odd_sketch.h"
 #include "core/vos_sketch.h"
 #include "harness/memory_budget.h"
 #include "stream/dataset.h"
@@ -69,18 +68,6 @@ TEST(EstimateUtilTest, ClampingBehaviour) {
 
 using ContractDeathTest = ::testing::Test;
 
-TEST(ContractDeathTest, OddSketchSizeMismatchAborts) {
-  core::OddSketch a(64, 1), b(128, 1);
-  EXPECT_DEATH(core::OddSketch::EstimateSymmetricDifference(a, b),
-               "sketch size mismatch");
-}
-
-TEST(ContractDeathTest, OddSketchSeedMismatchAborts) {
-  core::OddSketch a(64, 1), b(64, 2);
-  EXPECT_DEATH(core::OddSketch::EstimateSymmetricDifference(a, b),
-               "different");
-}
-
 TEST(ContractDeathTest, ZeroSizedSketchAborts) {
   core::VosConfig config;
   config.k = 0;
@@ -104,7 +91,6 @@ TEST(ContractDeathTest, BadBudgetParametersAbort) {
   EXPECT_DEATH(harness::MemoryBudget(0, 100), "");
   harness::MemoryBudget budget(10, 100);
   EXPECT_DEATH(budget.VosVirtualK(0.0), "");
-  EXPECT_DEATH(budget.BbitK(0), "");
 }
 
 TEST(ContractDeathTest, NegativeScaleAborts) {

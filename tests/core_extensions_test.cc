@@ -1,27 +1,17 @@
-// Unit tests for the core extensions: sketch serialization (VosSketchIo),
-// sketch compatibility (VosSketch::IsCompatibleWith) and confidence
-// intervals (EstimateWithConfidence). The batch queries are tested in
-// query_engine_test.cc and query_planner_test.cc.
+// Unit tests for the core extensions: sketch compatibility
+// (VosSketch::IsCompatibleWith) and confidence intervals
+// (EstimateWithConfidence). The batch queries are tested in
+// query_engine_test.cc and query_planner_test.cc; the checkpoint format's
+// decoder in checkpoint_recovery_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <unordered_set>
-
 #include "common/random.h"
 #include "core/vos_estimator.h"
-#include "core/vos_io.h"
 #include "core/vos_sketch.h"
-#include "stream/dataset.h"
 
 namespace vos::core {
 namespace {
-
-using stream::Action;
-using stream::Element;
-using stream::ItemId;
-using stream::UserId;
 
 VosConfig TestConfig(uint32_t k = 512, uint64_t m = 1 << 14,
                      uint64_t seed = 11) {
@@ -30,139 +20,6 @@ VosConfig TestConfig(uint32_t k = 512, uint64_t m = 1 << 14,
   config.m = m;
   config.seed = seed;
   return config;
-}
-
-/// A feasible random insertion-only workload.
-std::vector<Element> RandomInsertions(UserId users, size_t count,
-                                      uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Element> elements;
-  std::unordered_set<uint64_t> live;
-  while (elements.size() < count) {
-    const auto u = static_cast<UserId>(rng.NextBounded(users));
-    const auto i = static_cast<ItemId>(rng.NextBounded(10000));
-    if (live.insert(stream::EdgeKey(u, i)).second) {
-      elements.push_back({u, i, Action::kInsert});
-    }
-  }
-  return elements;
-}
-
-// ------------------------------------------------------------ VosSketchIo
-
-TEST(VosSketchIoTest, SaveLoadRoundTripsBitForBit) {
-  const std::string path = ::testing::TempDir() + "/vos_sketch_io.bin";
-  VosSketch original(TestConfig(), 40);
-  for (const Element& e : RandomInsertions(40, 600, 3)) original.Update(e);
-
-  ASSERT_TRUE(VosSketchIo::Save(original, path).ok());
-  auto loaded = VosSketchIo::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  EXPECT_TRUE(loaded->array() == original.array());
-  EXPECT_DOUBLE_EQ(loaded->beta(), original.beta());
-  for (UserId u = 0; u < 40; ++u) {
-    EXPECT_EQ(loaded->Cardinality(u), original.Cardinality(u));
-  }
-  // Loaded sketch remains usable: same estimates, updatable.
-  EXPECT_TRUE(loaded->ExtractUserSketch(7) == original.ExtractUserSketch(7));
-  loaded->Update({0, 99999, Action::kInsert});
-  std::remove(path.c_str());
-}
-
-TEST(VosSketchIoTest, LoadRejectsMissingAndCorruptFiles) {
-  EXPECT_EQ(VosSketchIo::Load("/nonexistent/sketch.bin").status().code(),
-            StatusCode::kIoError);
-
-  const std::string path = ::testing::TempDir() + "/vos_corrupt.bin";
-  std::ofstream(path, std::ios::binary) << "VOSSKTCHgarbage";
-  EXPECT_EQ(VosSketchIo::Load(path).status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(VosSketchIoTest, LoadDetectsBitFlip) {
-  const std::string path = ::testing::TempDir() + "/vos_bitflip.bin";
-  VosSketch sketch(TestConfig(), 10);
-  for (const Element& e : RandomInsertions(10, 100, 5)) sketch.Update(e);
-  ASSERT_TRUE(VosSketchIo::Save(sketch, path).ok());
-
-  // Flip one byte in the middle of the payload.
-  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-  file.seekp(64);
-  char byte = 0;
-  file.read(&byte, 1);
-  file.seekp(64);
-  byte = static_cast<char>(byte ^ 0x40);
-  file.write(&byte, 1);
-  file.close();
-
-  EXPECT_EQ(VosSketchIo::Load(path).status().code(),
-            StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(VosSketchIoTest, LoadRejectsTruncation) {
-  const std::string path = ::testing::TempDir() + "/vos_truncated.bin";
-  VosSketch sketch(TestConfig(), 10);
-  ASSERT_TRUE(VosSketchIo::Save(sketch, path).ok());
-  // Truncate the file to half its size.
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  const auto size = static_cast<size_t>(in.tellg());
-  in.seekg(0);
-  std::vector<char> content(size / 2);
-  in.read(content.data(), static_cast<std::streamsize>(content.size()));
-  in.close();
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(content.data(), static_cast<std::streamsize>(content.size()));
-  EXPECT_EQ(VosSketchIo::Load(path).status().code(),
-            StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(VosSketchIoTest, LoadRejectsVersionsOutsideSupportedRange) {
-  // Version 1, the layout without f_seed, is rejected like any other.
-  for (const uint32_t version : {0u, 1u, VosSketchIo::kVersion + 1}) {
-    const std::string path = ::testing::TempDir() + "/vos_sketch_v" +
-                             std::to_string(version) + ".bin";
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(VosSketchIo::kMagic, 8);
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    out.close();
-    const Status status = VosSketchIo::Load(path).status();
-    EXPECT_EQ(status.code(), StatusCode::kCorruption) << "version " << version;
-    EXPECT_NE(status.message().find("unsupported version"), std::string::npos)
-        << status;
-    std::remove(path.c_str());
-  }
-}
-
-TEST(VosSketchIoTest, LoadRejectsUnknownPsiKind) {
-  // The psi byte comes from outside the program: only 0 (the seeded
-  // mixer) names a ψ this build has.
-  const std::string path = ::testing::TempDir() + "/vos_sketch_psi.bin";
-  VosSketch sketch(TestConfig(), 10);
-  for (const Element& e : RandomInsertions(10, 100, 5)) sketch.Update(e);
-  ASSERT_TRUE(VosSketchIo::Save(sketch, path).ok());
-
-  // magic | u32 version | u32 k | u64 m | u64 seed | u8 psi
-  constexpr std::streamoff kPsiOffset = 8 + 4 + 4 + 8 + 8;
-  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-  char psi = 0x7f;
-  file.seekg(kPsiOffset);
-  file.read(&psi, 1);
-  ASSERT_EQ(psi, static_cast<char>(VosSketchIo::kPsiMixer));
-  psi = 1;
-  file.seekp(kPsiOffset);
-  file.write(&psi, 1);
-  file.close();
-
-  const auto loaded = VosSketchIo::Load(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(loaded.status().message().find("unknown psi kind"),
-            std::string::npos)
-      << loaded.status();
-  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------- IsCompatibleWith

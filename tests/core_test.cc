@@ -1,4 +1,4 @@
-// Unit tests for src/core — the paper's contribution: OddSketch, VosSketch,
+// Unit tests for src/core — the paper's contribution: VosSketch,
 // VosEstimator (including the §IV moment formulas) and the SimilarityMethod
 // adapters.
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/odd_sketch.h"
 #include "core/similarity_method.h"
 #include "core/vos_estimator.h"
 #include "core/sharded_vos_method.h"
@@ -22,80 +21,6 @@ namespace {
 using stream::Action;
 using stream::Element;
 using stream::ItemId;
-
-// ---------------------------------------------------------------- OddSketch
-
-TEST(OddSketchTest, InsertThenDeleteCancelsExactly) {
-  OddSketch sketch(64, 7);
-  for (ItemId i = 0; i < 100; ++i) sketch.Toggle(i);
-  EXPECT_GT(sketch.Ones(), 0u);
-  for (ItemId i = 0; i < 100; ++i) sketch.Toggle(i);  // delete everything
-  EXPECT_EQ(sketch.Ones(), 0u);
-}
-
-TEST(OddSketchTest, OrderIrrelevance) {
-  OddSketch a(32, 3), b(32, 3);
-  a.Toggle(1);
-  a.Toggle(2);
-  a.Toggle(3);
-  b.Toggle(3);
-  b.Toggle(1);
-  b.Toggle(2);
-  EXPECT_TRUE(a.bits() == b.bits());
-}
-
-TEST(OddSketchTest, BucketMatchesParityDefinition) {
-  // O[j] must equal the parity of |{i in S : psi(i) = j}|.
-  OddSketch sketch(16, 11);
-  const std::vector<ItemId> items = {5, 9, 14, 21, 33, 47, 58};
-  std::vector<int> counts(16, 0);
-  for (ItemId i : items) {
-    sketch.Toggle(i);
-    ++counts[sketch.BucketOf(i)];
-  }
-  for (uint32_t j = 0; j < 16; ++j) {
-    EXPECT_EQ(sketch.bits().Get(j), counts[j] % 2 == 1) << "bucket " << j;
-  }
-}
-
-TEST(OddSketchTest, IdenticalSetsGiveZeroEstimate) {
-  OddSketch a(128, 5), b(128, 5);
-  for (ItemId i = 0; i < 50; ++i) {
-    a.Toggle(i);
-    b.Toggle(i);
-  }
-  EXPECT_DOUBLE_EQ(OddSketch::EstimateSymmetricDifference(a, b), 0.0);
-}
-
-TEST(OddSketchTest, EstimateTracksTrueSymmetricDifference) {
-  // Average the estimator over independent seeds; it should land near the
-  // true nΔ (within a few percent for nΔ ≪ k).
-  constexpr uint32_t kBits = 512;
-  constexpr int kTrueDelta = 60;
-  constexpr int kTrials = 60;
-  double sum = 0;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    OddSketch a(kBits, 100 + trial), b(kBits, 100 + trial);
-    for (ItemId i = 0; i < 200; ++i) {  // 200 shared items
-      a.Toggle(i);
-      b.Toggle(i);
-    }
-    for (ItemId i = 1000; i < 1000 + kTrueDelta / 2; ++i) a.Toggle(i);
-    for (ItemId i = 2000; i < 2000 + kTrueDelta / 2; ++i) b.Toggle(i);
-    sum += OddSketch::EstimateSymmetricDifference(a, b);
-  }
-  EXPECT_NEAR(sum / kTrials, kTrueDelta, 0.10 * kTrueDelta);
-}
-
-TEST(OddSketchTest, SaturationYieldsFiniteCap) {
-  const double capped =
-      OddSketch::EstimateSymmetricDifferenceFromAlpha(0.5, 64);
-  EXPECT_TRUE(std::isfinite(capped));
-  EXPECT_GT(capped, 64.0);  // far beyond the reliable range, but finite
-  // Monotone below the cap.
-  EXPECT_LT(OddSketch::EstimateSymmetricDifferenceFromAlpha(0.1, 64),
-            OddSketch::EstimateSymmetricDifferenceFromAlpha(0.3, 64));
-}
 
 // ---------------------------------------------------------------- VosSketch
 
@@ -153,7 +78,8 @@ TEST(VosSketchTest, BetaIsExactFractionOfOnes) {
 
 TEST(VosSketchTest, PaperBetaUpdateRuleEquivalence) {
   // The paper's running update β ← β + 2·((old-bit ⊕ 1) − ½)/m (interpreted
-  // on the pre-flip value, DESIGN.md §2) must match the exact counter.
+  // on the pre-flip value: +1/m for a 0→1 flip, −1/m for 1→0) must match
+  // the exact counter.
   VosSketch sketch(SmallVosConfig(64, 512), 10);
   double paper_beta = 0.0;
   const double m = 512.0;
@@ -389,35 +315,6 @@ TEST(VosOneShardTest, AccurateOnDisjointAndIdenticalSets) {
   const PairEstimate diff = method.EstimatePair(0, 2);
   EXPECT_NEAR(diff.common, 0.0, 6.0);
   EXPECT_LT(diff.jaccard, 0.12);
-}
-
-// ------------------------------------------------ DedicatedOddSketchMethod
-
-TEST(DedicatedOddSketchMethodTest, BasicEstimation) {
-  DedicatedOddSketchMethod method(2048, 2, 17);
-  for (ItemId i = 0; i < 100; ++i) {
-    method.Update({0, i, Action::kInsert});
-    method.Update({1, i < 80 ? i : i + 5000, Action::kInsert});
-  }
-  // 80 common, nΔ = 40.
-  const PairEstimate est = method.EstimatePair(0, 1);
-  EXPECT_NEAR(est.common, 80.0, 10.0);
-  EXPECT_EQ(method.Name(), "OddSketch");
-  EXPECT_EQ(method.MemoryBits(), 2u * 2048u);
-}
-
-TEST(DedicatedOddSketchMethodTest, DeletionExactness) {
-  DedicatedOddSketchMethod method(512, 2, 19);
-  for (ItemId i = 0; i < 50; ++i) {
-    method.Update({0, i, Action::kInsert});
-    method.Update({1, i, Action::kInsert});
-  }
-  for (ItemId i = 25; i < 50; ++i) method.Update({0, i, Action::kDelete});
-  for (ItemId i = 25; i < 50; ++i) method.Update({1, i, Action::kDelete});
-  // Both sets shrank to the same 25 items: estimate must be ~25, J ~1.
-  const PairEstimate est = method.EstimatePair(0, 1);
-  EXPECT_NEAR(est.common, 25.0, 3.0);
-  EXPECT_GT(est.jaccard, 0.9);
 }
 
 }  // namespace

@@ -76,7 +76,8 @@ TEST_P(EstimatorPropertyTest, ConfidenceWidthBehaviourInK) {
   //     the same true nΔ (the e^{4nΔ/k} inflation shrinks).
   //   β > 0 fixed: the contamination term ≈ 2kβ *grows* with k, so a
   //     larger virtual sketch against the same array fill is WIDER — the
-  //     mechanism behind the λ-ablation's U-shape (EXPERIMENTS.md A1).
+  //     mechanism behind the λ-ablation's U-shape (ablation A1,
+  //     bench/ablation_lambda.cc).
   const uint32_t k = GetParam();
   VosEstimator small(k);
   VosEstimator large(4 * k);

@@ -81,8 +81,6 @@ TEST(MemoryBudgetTest, PaperSizingRules) {
   EXPECT_EQ(budget.BaselineK(), 100u);
   EXPECT_EQ(budget.VosVirtualK(2.0), 6400u);
   EXPECT_EQ(budget.VosArrayBits(), budget.TotalBits());
-  EXPECT_EQ(budget.BbitK(2), 1600u);
-  EXPECT_EQ(budget.DedicatedOddSketchBits(), 3200u);
 }
 
 TEST(MemoryBudgetTest, LambdaScalesVirtualK) {

@@ -1,6 +1,6 @@
-// Parameter-matrix property tests: digest width b for b-bit minwise, the
-// exact-permutation (Feistel) mode across the min-wise baselines, and the
-// "VOS-sharded" pipeline matrix (shards × ingest threads).
+// Parameter-matrix property tests: the exact-permutation (Feistel) mode
+// across the min-wise baselines, and the "VOS-sharded" pipeline matrix
+// (shards × ingest threads).
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <string>
 #include <tuple>
 
-#include "baselines/bbit_minwise.h"
 #include "baselines/minhash.h"
 #include "baselines/oph.h"
 #include "harness/method_factory.h"
@@ -22,37 +21,6 @@ using stream::Action;
 using stream::ItemId;
 
 constexpr uint64_t kItems = 100000;
-
-/// b-bit sweep: the collision-corrected estimator must stay centred on the
-/// true J for every digest width (variance grows as b shrinks).
-class BbitWidthTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(BbitWidthTest, CorrectionCentersEstimate) {
-  const uint32_t b = GetParam();
-  // Average over several seeds: the correction must remove the 2^-b
-  // collision inflation at every width.
-  double total = 0.0;
-  constexpr int kRuns = 12;
-  for (int run = 0; run < kRuns; ++run) {
-    BbitMinwiseConfig config;
-    config.k = 600;
-    config.b = b;
-    config.seed = 1000 + run;
-    BbitMinwise method(config, 2, kItems);
-    for (ItemId i = 0; i < 200; ++i) {
-      method.Update({0, i, Action::kInsert});
-      method.Update({1, i + 100, Action::kInsert});  // 100 of 300 shared
-    }
-    total += method.EstimatePair(0, 1).jaccard;
-  }
-  const double true_j = 100.0 / 300.0;
-  // sd per run ≈ sqrt(J(1-J)/k)/(1-2^-b); the mean of 12 runs is tight.
-  const double tolerance = b == 1 ? 0.06 : 0.04;
-  EXPECT_NEAR(total / kRuns, true_j, tolerance) << "b=" << b;
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, BbitWidthTest,
-                         ::testing::Values(1, 2, 4, 8, 16, 32));
 
 /// Exact-permutation mode must agree statistically with mixer mode.
 class FeistelModeTest : public ::testing::TestWithParam<HashMode> {};

@@ -48,7 +48,8 @@ TEST(ScaleTest, PaperOrderingHoldsOnScaledYoutube) {
     EXPECT_LT(vos.armse, final_metrics.at(rival).armse) << "vs " << rival;
   }
   // And by a meaningful factor, not a statistical hair. At full scale the
-  // gap is 2–3× on both metrics (EXPERIMENTS.md); at this 0.15× test scale
+  // gap is 2–3× on both metrics (fig3b_aape_datasets and
+  // fig3d_armse_datasets print it); at this 0.15× test scale
   // the ARMSE gap narrows (smaller degrees raise VOS's relative variance),
   // so the margin there is looser.
   EXPECT_LT(vos.aape * 1.5, final_metrics.at("MinHash").aape);
