@@ -134,11 +134,12 @@ class VOS_SCOPED_CAPABILITY MutexLock {
 };
 
 /// Condition variable that waits on a vos::Mutex directly
-/// (condition_variable_any over the BasicLockable interface). Used only
-/// on cold park/flush paths, where the _any indirection is noise; the
-/// hot paths never block. Wait* require the mutex held; the internal
-/// release/reacquire is invisible to the analysis, which matches the
-/// caller-visible contract (held on entry, held on return).
+/// (condition_variable_any over the BasicLockable interface). Blocking is
+/// cold-path only: the ingest fabric waits through EventCount
+/// (common/event_count.h), which is built on this; the hot paths never
+/// block. Wait* require the mutex held; the internal release/reacquire is
+/// invisible to the analysis, which matches the caller-visible contract
+/// (held on entry, held on return).
 class CondVar {
  public:
   CondVar() = default;
@@ -152,19 +153,6 @@ class CondVar {
     cv_.wait(mu, std::move(pred));
   }
 
-  template <typename Rep, typename Period>
-  std::cv_status WaitFor(Mutex& mu,
-                         const std::chrono::duration<Rep, Period>& dur)
-      VOS_REQUIRES(mu) {
-    return cv_.wait_for(mu, dur);
-  }
-
-  template <typename Rep, typename Period, typename Predicate>
-  bool WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& dur,
-               Predicate pred) VOS_REQUIRES(mu) {
-    return cv_.wait_for(mu, dur, std::move(pred));
-  }
-
   template <typename Clock, typename Duration>
   std::cv_status WaitUntil(
       Mutex& mu, const std::chrono::time_point<Clock, Duration>& deadline)
@@ -172,7 +160,6 @@ class CondVar {
     return cv_.wait_until(mu, deadline);
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -18,13 +18,13 @@ namespace {
 constexpr uint64_t kRouterTag = 0x40a7e0;
 constexpr uint64_t kShardFTag = 0x5a4d00;
 
-/// Spin rounds before parking, shared by a producer on a full ring and
-/// a worker on empty rings. Each round yields: with fewer cores than
-/// threads the counterpart NEEDS this core to make progress, and with
-/// plenty of cores a yield is still cheaper than a park/unpark round-trip
-/// for the common microsecond-scale stall. Purely a performance constant:
-/// every park/wake handshake and Flush/poisoning contract is independent
-/// of its value.
+/// Spin rounds before waiting on an EventCount, shared by a producer on a
+/// full ring and a worker on empty rings. Each round yields: with fewer
+/// cores than threads the counterpart NEEDS this core to make progress,
+/// and with plenty of cores a yield is still cheaper than a wait/notify
+/// round-trip for the common microsecond-scale stall. Purely a
+/// performance constant: the EventCount's no-lost-wakeup guarantee and
+/// every Flush/poisoning contract are independent of its value.
 constexpr uint32_t kSpinRounds = 64;
 
 /// The memory-budget floor: shard arrays (word-rounded), per-user state
@@ -156,7 +156,8 @@ ShardedVosSketch::ShardedVosSketch(const ShardedVosConfig& config,
         worker_lanes_[owner_[s]].push_back(LaneIndex(p, s));
       }
     }
-    worker_slots_ = std::make_unique<WorkerSlot[]>(workers);
+    worker_wake_ = std::make_unique<EventCount[]>(workers);
+    idle_parks_ = std::vector<std::atomic<uint64_t>>(workers);
     worker_dead_.assign(workers, 0);
     worker_threads_.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
@@ -192,16 +193,29 @@ void ShardedVosSketch::UpdateBatch(const stream::Element* elements,
   accepted_[producer].store(
       accepted_[producer].load(std::memory_order_relaxed) + count,
       std::memory_order_relaxed);
-  if (!async()) {
-    if (!dense_remap()) {
-      // One shard, no remap: the caller's span is already the shard's
-      // sub-batch, and ApplySubBatch's per-element bound is the range
-      // check.
-      ApplySubBatch(0, producer, elements, count);
-      return;
+  if (!async() && !dense_remap()) {
+    // One shard, no remap: the caller's span is already the shard's
+    // sub-batch, and ApplySubBatch's per-element bound is the range check.
+    ApplySubBatch(0, producer, elements, count);
+    return;
+  }
+  if (count == 1) {
+    // A lone element (per-element Update) is routed directly: no buckets
+    // and no partition pass.
+    CheckUserInRange(elements->user);
+    const uint32_t shard = ShardOf(elements->user);
+    stream::Element local = *elements;
+    local.user = LocalIdOf(local.user);
+    if (async()) {
+      EnqueueSubBatch(producer, shard, {local});
+    } else {
+      ApplySubBatch(shard, producer, &local, 1);
     }
+    return;
+  }
+  if (!async()) {
     // The buckets keep their capacity from call to call, so a steady
-    // stream of small batches (per-element Update) allocates nothing.
+    // stream of small batches allocates nothing.
     for (std::vector<stream::Element>& bucket : sync_buckets_) bucket.clear();
     RoutePartition(elements, count, &sync_buckets_);
     for (uint32_t s = 0; s < router_.num_shards(); ++s) {
@@ -281,27 +295,14 @@ void ShardedVosSketch::PoisonShardLocked(uint32_t shard, Status status) {
 }
 
 void ShardedVosSketch::WakeAllWaiters() {
-  if (worker_slots_ != nullptr) {
-    for (size_t w = 0; w < worker_threads_.size(); ++w) {
-      {
-        MutexLock lock(&worker_slots_[w].mu);
-      }
-      worker_slots_[w].cv.NotifyAll();
-    }
+  for (size_t w = 0; w < worker_threads_.size(); ++w) {
+    worker_wake_[w].NotifyAll();
   }
   if (lanes_ != nullptr) {
     const size_t total = static_cast<size_t>(producers_) * router_.num_shards();
-    for (size_t l = 0; l < total; ++l) {
-      {
-        MutexLock lock(&lanes_[l].park_mu);
-      }
-      lanes_[l].park_cv.NotifyAll();
-    }
+    for (size_t l = 0; l < total; ++l) lanes_[l].room.NotifyAll();
   }
-  {
-    MutexLock lock(&flush_mu_);
-  }
-  flush_cv_.NotifyAll();
+  lanes_drained_.NotifyAll();
 }
 
 bool ShardedVosSketch::ShardPoisoned(uint32_t shard) const {
@@ -322,16 +323,22 @@ void ShardedVosSketch::ReclaimDeadLane(unsigned producer, uint32_t shard) {
     // here (or we beat it, in which case its drain will see an empty
     // ring) — either way exactly one consumer touches the ring at a
     // time.
-    std::vector<stream::Element> discard;
-    while (lane.ring.TryPop(&discard)) {
-      dropped_elements_.fetch_add(discard.size(), std::memory_order_relaxed);
-      queued_bytes_.fetch_sub(discard.size() * sizeof(stream::Element),
-                              std::memory_order_relaxed);
-      lane.completed.fetch_add(1, std::memory_order_release);
-      reclaimed = true;
-    }
+    reclaimed = DrainDeadLaneLocked(lane);
   }
   if (reclaimed) WakeAllWaiters();
+}
+
+bool ShardedVosSketch::DrainDeadLaneLocked(IngestLane& lane) {
+  bool drained = false;
+  std::vector<stream::Element> discard;
+  while (lane.ring.TryPop(&discard)) {
+    dropped_elements_.fetch_add(discard.size(), std::memory_order_relaxed);
+    queued_bytes_.fetch_sub(discard.size() * sizeof(stream::Element),
+                            std::memory_order_relaxed);
+    lane.completed.fetch_add(1, std::memory_order_release);
+    drained = true;
+  }
+  return drained;
 }
 
 bool ShardedVosSketch::PushWithBackPressure(
@@ -350,59 +357,40 @@ bool ShardedVosSketch::PushWithBackPressure(
     }
   }
   lane.push_parks.fetch_add(1, std::memory_order_relaxed);
-  // Park on the lane's condvar. Flag → fence → recheck pairs with the
-  // consumer's pop → fence → flag load: either our recheck sees the
-  // room, or the consumer sees the flag and notifies under park_mu.
+  // Wait for room, for this lane's own shard to be poisoned, or for the
+  // deadline. A notify for another shard's poisoning only re-runs the
+  // checks; the deadline is fixed at the first wait.
   const bool use_deadline = config_.enqueue_timeout_ms > 0;
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(config_.enqueue_timeout_ms);
-  lane.producer_parked.store(1, std::memory_order_relaxed);
-  struct ClearFlag {
-    std::atomic<uint32_t>& flag;
-    ~ClearFlag() { flag.store(0, std::memory_order_relaxed); }
-  } clear_on_exit{lane.producer_parked};
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // Explicit Lock/Unlock (not MutexLock): the loop drops park_mu around
-  // ShardPoisoned/mu_ so park mutexes are never held while taking mu_,
-  // and the analysis checks every exit path releases exactly once.
-  lane.park_mu.Lock();
   for (;;) {
+    const EventCount::Key key = lane.room.PrepareWait();
     if (lane.ring.TryPush(batch)) {
-      lane.park_mu.Unlock();
+      lane.room.CancelWait();
       return true;
     }
-    if (degraded_.load(std::memory_order_relaxed)) {
-      lane.park_mu.Unlock();
-      if (ShardPoisoned(shard)) return false;
-      lane.park_mu.Lock();
-      // Degraded for someone else's sake; re-test the ring, keep waiting.
-      continue;
+    if (degraded_.load(std::memory_order_relaxed) && ShardPoisoned(shard)) {
+      lane.room.CancelWait();
+      return false;
     }
-    if (use_deadline) {
-      if (lane.park_cv.WaitUntil(lane.park_mu, deadline) ==
-          std::cv_status::timeout) {
-        if (lane.ring.TryPush(batch)) {  // room at the wire
-          lane.park_mu.Unlock();
-          return true;
-        }
-        // The lane is starved: its worker made no room within the
-        // deadline. Poison the shard (sticky) so the failure surfaces
-        // at the next Flush instead of silently losing only this batch.
-        lane.park_mu.Unlock();  // park mutexes never held while taking mu_
-        {
-          MutexLock cold(&mu_);
-          PoisonShardLocked(
-              shard, Status::DeadlineExceeded(
-                         ShardTag(shard) + " enqueue timed out after " +
-                         std::to_string(config_.enqueue_timeout_ms) +
-                         " ms (lane starved)"));
-        }
-        WakeAllWaiters();
-        return false;
+    if (!use_deadline) {
+      lane.room.Wait(key);
+    } else if (!lane.room.WaitUntil(key, deadline)) {
+      if (lane.ring.TryPush(batch)) return true;  // room at the wire
+      // The lane is starved: its worker made no room within the deadline.
+      // Poison the shard (sticky) so the failure surfaces at the next
+      // Flush instead of silently losing only this batch.
+      {
+        MutexLock cold(&mu_);
+        PoisonShardLocked(
+            shard, Status::DeadlineExceeded(
+                       ShardTag(shard) + " enqueue timed out after " +
+                       std::to_string(config_.enqueue_timeout_ms) +
+                       " ms (lane starved)"));
       }
-    } else {
-      lane.park_cv.Wait(lane.park_mu);
+      WakeAllWaiters();
+      return false;
     }
   }
 }
@@ -448,17 +436,10 @@ void ShardedVosSketch::EnqueueSubBatch(unsigned producer, uint32_t shard,
       return;
     }
   }
-  // Published. The seq_cst fence pairs with both consumer-side fences:
-  // either the owner (parked, or draining itself to death) observes this
-  // push, or we observe its parked/degraded flag here and act.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  WorkerSlot& slot = worker_slots_[owner_[shard]];
-  if (slot.parked.load(std::memory_order_relaxed) != 0) {
-    {
-      MutexLock lock(&slot.mu);
-    }
-    slot.cv.NotifyOne();
-  }
+  // Published. NotifyAll's leading seq_cst fence also pairs with the kill
+  // path's fence in WorkerLoop: either the dying owner's final drain
+  // observes this push, or the degraded_ load below observes its poison.
+  worker_wake_[owner_[shard]].NotifyAll();
   if (degraded_.load(std::memory_order_relaxed)) {
     // The owner may have died between our health check and the push and
     // missed this batch in its final drain — reclaim our own lane. (The
@@ -471,7 +452,7 @@ bool ShardedVosSketch::PopNextBatch(unsigned worker, size_t* cursor,
                                     size_t* lane_index,
                                     std::vector<stream::Element>* batch) {
   const std::vector<size_t>& my_lanes = worker_lanes_[worker];
-  WorkerSlot& slot = worker_slots_[worker];
+  EventCount& wake = worker_wake_[worker];
   uint32_t idle_rounds = 0;
   for (;;) {
     // Round-robin over the worker's lanes so no producer's ring is
@@ -482,16 +463,10 @@ bool ShardedVosSketch::PopNextBatch(unsigned worker, size_t* cursor,
       if (lane.ring.TryPop(batch)) {
         *cursor = (*cursor + i + 1) % my_lanes.size();
         *lane_index = candidate;
-        // Room just opened: unpark the lane's producer NOW, before the
+        // Room just opened: wake the lane's producer NOW, before the
         // batch is applied — with capacity-1 rings the producer would
         // otherwise idle for a whole apply.
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (lane.producer_parked.load(std::memory_order_relaxed) != 0) {
-          {
-            MutexLock lock(&lane.park_mu);
-          }
-          lane.park_cv.NotifyAll();
-        }
+        lane.room.NotifyAll();
         return true;
       }
     }
@@ -501,37 +476,19 @@ bool ShardedVosSketch::PopNextBatch(unsigned worker, size_t* cursor,
       continue;
     }
     idle_rounds = 0;
-    slot.idle_parks.fetch_add(1, std::memory_order_relaxed);
-    // Park: publish the flag, then re-check under slot.mu — a producer
-    // that pushed before seeing the flag is caught by the predicate's
-    // rescan; one that sees it notifies under slot.mu. No lost wakeups.
-    slot.parked.store(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    {
-      MutexLock lock(&slot.mu);
-      slot.cv.Wait(slot.mu, [&] {
-        if (stopping_.load(std::memory_order_relaxed)) return true;
-        for (size_t l : my_lanes) {
-          if (!lanes_[l].ring.Empty()) return true;
-        }
-        return false;
-      });
+    idle_parks_[worker].fetch_add(1, std::memory_order_relaxed);
+    // Park unless a push (or the stop) landed after the last scan; a
+    // push after this recheck notifies `wake`.
+    const EventCount::Key key = wake.PrepareWait();
+    const bool work =
+        stopping_.load(std::memory_order_relaxed) ||
+        std::any_of(my_lanes.begin(), my_lanes.end(),
+                    [&](size_t l) { return !lanes_[l].ring.Empty(); });
+    if (work) {
+      wake.CancelWait();
+    } else {
+      wake.Wait(key);
     }
-    slot.parked.store(0, std::memory_order_relaxed);
-  }
-}
-
-void ShardedVosSketch::CompleteLaneBatch(IngestLane& lane) {
-  lane.completed.fetch_add(1, std::memory_order_release);
-  // Fence-paired with WaitLanesDrained's waiter registration: either the
-  // flusher's predicate sees this epoch, or we see its waiter count and
-  // pay for the notify. Idle barriers cost one relaxed load per batch.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (flush_waiters_.load(std::memory_order_relaxed) != 0) {
-    {
-      MutexLock lock(&flush_mu_);
-    }
-    flush_cv_.NotifyAll();
   }
 }
 
@@ -576,24 +533,14 @@ void ShardedVosSketch::WorkerLoop(unsigned worker) {
                        " worker killed mid-batch (fault injection); queued "
                        "batches lost"));
           }
-          // Publish the poison BEFORE the final drains (fence pairs with
-          // EnqueueSubBatch): a producer whose push these drains miss is
-          // guaranteed to observe degraded_ and reclaim its own lane.
-          // Draining under mu_ keeps the single-consumer invariant —
-          // reclaims serialize on mu_ and this thread never pops again.
+          // Publish the poison BEFORE the final drains (this fence pairs
+          // with the one that starts EnqueueSubBatch's NotifyAll): a
+          // producer whose push these drains miss is guaranteed to observe
+          // degraded_ and reclaim its own lane. Draining under mu_ keeps
+          // the single-consumer invariant — reclaims serialize on mu_ and
+          // this thread never pops again.
           std::atomic_thread_fence(std::memory_order_seq_cst);
-          for (size_t l : worker_lanes_[worker]) {
-            IngestLane& dead = lanes_[l];
-            std::vector<stream::Element> discard;
-            while (dead.ring.TryPop(&discard)) {
-              dropped_elements_.fetch_add(discard.size(),
-                                          std::memory_order_relaxed);
-              queued_bytes_.fetch_sub(
-                  discard.size() * sizeof(stream::Element),
-                  std::memory_order_relaxed);
-              dead.completed.fetch_add(1, std::memory_order_release);
-            }
-          }
+          for (size_t l : worker_lanes_[worker]) DrainDeadLaneLocked(lanes_[l]);
         }
         WakeAllWaiters();
         return;
@@ -605,7 +552,8 @@ void ShardedVosSketch::WorkerLoop(unsigned worker) {
     batch.clear();
     batch.shrink_to_fit();  // release before signalling completion
     queued_bytes_.fetch_sub(batch_bytes, std::memory_order_relaxed);
-    CompleteLaneBatch(lane);
+    lane.completed.fetch_add(1, std::memory_order_release);
+    lanes_drained_.NotifyAll();
   }
 }
 
@@ -614,42 +562,34 @@ Status ShardedVosSketch::WaitLanesDrained(size_t first, size_t last,
                                           const char* what) {
   const auto drained = [&] {
     for (size_t l = first; l < last; ++l) {
-      if (lanes_[l].completed.load(std::memory_order_acquire) !=
-          lanes_[l].ring.pushed()) {
-        return false;
-      }
+      if (!LaneDrained(lanes_[l])) return false;
     }
     return true;
   };
-  if (drained()) return Status::OK();
-  // Register as a waiter BEFORE re-checking (fence pairs with
-  // CompleteLaneBatch): either we see the final epoch, or the completing
-  // worker sees our registration and notifies under flush_mu_.
-  flush_waiters_.fetch_add(1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  Status result = Status::OK();
-  {
-    MutexLock lock(&flush_mu_);
-    if (use_timeout && config_.flush_timeout_ms > 0) {
-      if (!flush_cv_.WaitFor(
-              flush_mu_, std::chrono::milliseconds(config_.flush_timeout_ms),
-              drained)) {
-        uint64_t pending = 0;
-        for (size_t l = first; l < last; ++l) {
-          pending += lanes_[l].ring.pushed() -
-                     lanes_[l].completed.load(std::memory_order_acquire);
-        }
-        result = Status::DeadlineExceeded(
-            std::string(what) + " timed out after " +
-            std::to_string(config_.flush_timeout_ms) + " ms with " +
-            std::to_string(pending) + " sub-batches unapplied");
+  const bool use_deadline = use_timeout && config_.flush_timeout_ms > 0;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(config_.flush_timeout_ms);
+  while (!drained()) {
+    const EventCount::Key key = lanes_drained_.PrepareWait();
+    if (drained()) {
+      lanes_drained_.CancelWait();
+      break;
+    }
+    if (!use_deadline) {
+      lanes_drained_.Wait(key);
+    } else if (!lanes_drained_.WaitUntil(key, deadline) && !drained()) {
+      uint64_t pending = 0;
+      for (size_t l = first; l < last; ++l) {
+        pending += lanes_[l].ring.pushed() -
+                   lanes_[l].completed.load(std::memory_order_acquire);
       }
-    } else {
-      flush_cv_.Wait(flush_mu_, drained);
+      return Status::DeadlineExceeded(
+          std::string(what) + " timed out after " +
+          std::to_string(config_.flush_timeout_ms) + " ms with " +
+          std::to_string(pending) + " sub-batches unapplied");
     }
   }
-  flush_waiters_.fetch_sub(1, std::memory_order_relaxed);
-  return result;
+  return Status::OK();
 }
 
 Status ShardedVosSketch::Flush() {
@@ -705,9 +645,8 @@ ShardedVosSketch::SpinStats ShardedVosSketch::IngestSpinStats() const {
     stats.push_spin_saves +=
         lanes_[l].push_spin_saves.load(std::memory_order_relaxed);
   }
-  for (size_t w = 0; w < worker_threads_.size(); ++w) {
-    stats.idle_parks +=
-        worker_slots_[w].idle_parks.load(std::memory_order_relaxed);
+  for (const std::atomic<uint64_t>& parks : idle_parks_) {
+    stats.idle_parks += parks.load(std::memory_order_relaxed);
   }
   return stats;
 }
@@ -743,10 +682,7 @@ bool ShardedVosSketch::HasPendingIngest() const {
   if (!async()) return false;
   const size_t total = static_cast<size_t>(producers_) * router_.num_shards();
   for (size_t l = 0; l < total; ++l) {
-    if (lanes_[l].completed.load(std::memory_order_acquire) !=
-        lanes_[l].ring.pushed()) {
-      return true;
-    }
+    if (!LaneDrained(lanes_[l])) return true;
   }
   return false;
 }

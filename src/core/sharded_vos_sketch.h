@@ -28,17 +28,18 @@
 // per-shard sub-batches), then pushes each non-empty sub-batch onto its
 // own (producer, shard) ring. Every ring has exactly one writer (its
 // producer) and one reader (its shard's worker), so the healthy hot path
-// takes NO lock anywhere: push and pop are single release stores,
-// back-pressure spins a fixed number of yielding rounds and then parks on
-// a per-lane condvar, idle workers spin the same count and then park on
-// a per-worker condvar, and Flush barriers wait on
-// per-lane epoch counters (ring.pushed() vs lane.completed) instead of a
-// global notify_all. Worker w owns shards {s : s mod W == w} and drains
-// their rings round-robin across producers, applying every element of a
-// sub-batch verbatim — no worker ever scans elements it does not own, so
-// ingest bandwidth scales with the producer count instead of being
-// capped by a per-worker whole-batch scan, and with the worker count on
-// the apply side.
+// takes NO lock anywhere: push and pop are single release stores. Every
+// wait is on an EventCount (common/event_count.h): a producer on a full
+// ring spins a fixed number of yielding rounds and then waits on its
+// lane's, an idle worker spins the same count and then waits on its own,
+// and Flush barriers wait on one shared by all flushers while rechecking
+// per-lane epoch counters (ring.pushed() vs lane.completed). A notify
+// with nobody waiting costs one fence and one relaxed load. Worker w
+// owns shards {s : s mod W == w} and drains their rings round-robin
+// across producers, applying every element of a sub-batch verbatim — no
+// worker ever scans elements it does not own, so ingest bandwidth scales
+// with the producer count instead of being capped by a per-worker
+// whole-batch scan, and with the worker count on the apply side.
 //
 // Determinism: each (producer, shard) queue is FIFO and each shard is
 // applied by exactly one worker, so shard s sees producer p's elements in
@@ -112,6 +113,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/event_count.h"
 #include "common/spsc_ring.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -202,8 +204,9 @@ class ShardedVosSketch {
   /// Processes a contiguous batch on producer lane `producer`, preserving
   /// the lane's per-shard element order. The batch is split into
   /// per-shard sub-batches in one routing pass (none at S = 1 in
-  /// synchronous mode); synchronous mode applies each inline,
-  /// asynchronous mode enqueues each onto the lane's per-shard queue.
+  /// synchronous mode, and none for a lone element, which is routed
+  /// directly); synchronous mode applies each inline, asynchronous mode
+  /// enqueues each onto the lane's per-shard queue.
   /// Aborts on a user id outside [0, num_users()), in every mode and at
   /// every shard count.
   void UpdateBatch(const stream::Element* elements, size_t count,
@@ -233,7 +236,7 @@ class ShardedVosSketch {
   /// Zero on a healthy pipeline.
   uint64_t dropped_elements() const;
 
-  /// Spin/park counters summed over every producer lane / worker slot
+  /// Spin/park counters summed over every producer lane and worker
   /// since construction (all zero in synchronous mode, which has no
   /// lanes). Plain counters held for e2ebench's three spin metrics until
   /// the metrics registry (ROADMAP item 3) takes them over.
@@ -351,10 +354,10 @@ class ShardedVosSketch {
   friend class ShardedCheckpointIo;  // serialization needs raw state
 
   /// One SPSC channel from producer p to shard s's worker, plus the
-  /// lane's flush epoch and the producer-side parking spot for
-  /// back-pressure. Elements are already in shard-local coordinates, so
-  /// the owning worker applies them verbatim. alignas keeps one lane's
-  /// traffic off its neighbours' cache lines.
+  /// lane's flush epoch and the producer's wait for room. Elements are
+  /// already in shard-local coordinates, so the owning worker applies
+  /// them verbatim. alignas keeps one lane's traffic off its neighbours'
+  /// cache lines.
   struct alignas(64) IngestLane {
     SpscRing<std::vector<stream::Element>> ring;
     /// Sub-batches applied or discarded by the consumer side. The Flush
@@ -363,33 +366,13 @@ class ShardedVosSketch {
     /// discarded against a poisoned shard) or reclaimed from a dead
     /// worker's ring under mu_, and each of those paths increments this.
     std::atomic<uint64_t> completed{0};
-    /// 1 while the lane's producer is parked on a full ring. Consumers
-    /// load it after a pop (behind a seq_cst fence) and notify under
-    /// park_mu, pairing with the producer's set-flag → recheck → wait.
-    std::atomic<uint32_t> producer_parked{0};
-    /// Park-path leaf lock: never held while acquiring mu_ (see mu_'s
-    /// ordering note; array members cannot carry VOS_ACQUIRED_BEFORE, so
-    /// the order is enforced by VOS_EXCLUDES(mu_) on every acquirer).
-    Mutex park_mu;
-    CondVar park_cv;
+    /// The producer waits here on a full ring; the worker notifies after
+    /// every pop.
+    EventCount room;
     /// Written only by the lane's producer; atomic so IngestSpinStats()
     /// may read them from any thread.
     std::atomic<uint64_t> push_parks{0};
     std::atomic<uint64_t> push_spin_saves{0};
-  };
-
-  /// Per-worker parking spot for idle workers: the worker sets `parked`,
-  /// re-scans its rings, and only then waits; producers load `parked`
-  /// after a push (behind a seq_cst fence) and notify under mu — the
-  /// Dekker-style handshake that makes lost wakeups impossible without
-  /// any lock on the non-parked path.
-  struct alignas(64) WorkerSlot {
-    std::atomic<uint32_t> parked{0};
-    /// Park-path leaf lock, same ordering rule as IngestLane::park_mu.
-    Mutex mu;
-    CondVar cv;
-    /// Written only by the owning worker.
-    std::atomic<uint64_t> idle_parks{0};
   };
 
   bool async() const { return !worker_threads_.empty(); }
@@ -418,13 +401,11 @@ class ShardedVosSketch {
   /// Marks `shard` failed (first error wins, sticky) and flips the
   /// degraded flag. Does NOT touch rings (the consumer side discards a
   /// poisoned shard's backlog on pop, or the kill / reclaim paths drain
-  /// it) and does NOT wake waiters — call WakeAllWaiters() after
-  /// releasing mu_.
+  /// it) and does NOT wake waiters — call WakeAllWaiters().
   void PoisonShardLocked(uint32_t shard, Status status) VOS_REQUIRES(mu_);
   /// Wakes every parked producer, every parked worker and every flush
-  /// waiter (cold paths only: poison, budget, stop). Must be called
-  /// WITHOUT mu_ held — park mutexes are never nested inside mu_.
-  void WakeAllWaiters() VOS_EXCLUDES(mu_);
+  /// waiter (cold paths only: poison, budget, stop).
+  void WakeAllWaiters();
   /// True iff `shard` is poisoned (locks mu_; call only behind a
   /// degraded_ fast-path check).
   bool ShardPoisoned(uint32_t shard) const VOS_EXCLUDES(mu_);
@@ -434,6 +415,15 @@ class ShardedVosSketch {
   /// calls this. Drains under mu_ (the dead worker no longer touches the
   /// ring; mu_ serializes against Restore and other reclaims).
   void ReclaimDeadLane(unsigned producer, uint32_t shard) VOS_EXCLUDES(mu_);
+  /// Discards every sub-batch queued on a dead worker's lane: counts the
+  /// elements dropped, releases their budget bytes and completes each
+  /// one. mu_ keeps the ring single-consumer. True if any were queued.
+  bool DrainDeadLaneLocked(IngestLane& lane) VOS_REQUIRES(mu_);
+  /// The lane's Flush barrier: every pushed sub-batch is completed.
+  static bool LaneDrained(const IngestLane& lane) {
+    return lane.completed.load(std::memory_order_acquire) ==
+           lane.ring.pushed();
+  }
   Status IngestStatusLocked() const VOS_REQUIRES(mu_);
   /// The one routing pass: splits [elements, elements+count) into
   /// per-shard sub-batches rewritten to shard-local coordinates.
@@ -443,25 +433,23 @@ class ShardedVosSketch {
       const;
   void EnqueueSubBatch(unsigned producer, uint32_t shard,
                        std::vector<stream::Element> batch) VOS_EXCLUDES(mu_);
-  /// Spin-then-park push: bounded spin on the full ring, then park on the
-  /// lane's condvar until the worker pops, the shard is poisoned, or the
-  /// enqueue deadline expires. Returns false when the batch was NOT
-  /// pushed (caller drops it; on deadline the shard has been poisoned).
+  /// Spin-then-park push: bounded spin on the full ring, then wait on the
+  /// lane's EventCount until the worker pops, this lane's own shard is
+  /// poisoned, or the enqueue deadline expires — whatever other shards
+  /// do meanwhile. Returns false when the batch was NOT pushed (caller
+  /// drops it; on deadline the shard has been poisoned).
   bool PushWithBackPressure(IngestLane& lane, uint32_t shard,
                             std::vector<stream::Element>& batch)
       VOS_EXCLUDES(mu_);
   /// Waits until lanes [first, last) are drained (completed ==
   /// ring.pushed()), with the config flush deadline when `use_timeout`.
   Status WaitLanesDrained(size_t first, size_t last, bool use_timeout,
-                          const char* what) VOS_EXCLUDES(mu_);
-  /// Signals lane completion: bumps the lane epoch and wakes any flush
-  /// waiter (fence-paired, notify only when someone waits).
-  void CompleteLaneBatch(IngestLane& lane) VOS_EXCLUDES(mu_);
+                          const char* what);
   void WorkerLoop(unsigned worker);
   /// Pops one batch from the worker's lanes (round-robin), parking when
   /// every owned ring is empty. False = stopping and fully drained.
   bool PopNextBatch(unsigned worker, size_t* cursor, size_t* lane_index,
-                    std::vector<stream::Element>* batch) VOS_EXCLUDES(mu_);
+                    std::vector<stream::Element>* batch);
 
   ShardedVosConfig config_;
   stream::ShardRouter router_;
@@ -485,29 +473,27 @@ class ShardedVosSketch {
   /// require a quiesced pipeline. Ordering: relaxed everywhere — the
   /// single writer needs no RMW, and every read that must be exact
   /// (watermarks at checkpoint) is specified only after the Flush
-  /// barrier, whose seq_cst epoch fences already publish these counters.
+  /// barrier, whose acquire loads of the lane epochs already order these
+  /// counters (producer store → push → pop → completed release).
   std::vector<std::atomic<uint64_t>> accepted_;
 
   /// Producer-major: lanes_[LaneIndex(p, s)] is lane p's shard-s ring.
-  /// unique_ptr<[]> (not vector): IngestLane holds a mutex and never
-  /// moves.
+  /// unique_ptr<[]> (not vector): IngestLane holds an EventCount and
+  /// never moves.
   std::unique_ptr<IngestLane[]> lanes_;
   /// worker_lanes_[w] = indexes into lanes_ of every ring worker w
   /// drains (its owned shards × all producers). Immutable after
   /// construction.
   std::vector<std::vector<size_t>> worker_lanes_;
-  std::unique_ptr<WorkerSlot[]> worker_slots_;
+  /// worker_wake_[w]: idle worker w waits here; a push onto any of its
+  /// rings notifies it.
+  std::unique_ptr<EventCount[]> worker_wake_;
+  /// idle_parks_[w]: worker w's parks, written only by worker w.
+  std::vector<std::atomic<uint64_t>> idle_parks_;
   std::atomic<bool> stopping_{false};
   std::vector<std::thread> worker_threads_;
-
-  // --- Flush barrier ----------------------------------------------------
-  /// Number of threads inside WaitLanesDrained. Workers check it after
-  /// bumping a lane epoch (behind a seq_cst fence) and only then pay for
-  /// a notify — the per-batch cost of an idle barrier is one relaxed
-  /// load.
-  std::atomic<uint32_t> flush_waiters_{0};
-  Mutex flush_mu_;
-  CondVar flush_cv_;
+  /// Flush barriers wait here; every lane completion notifies it.
+  EventCount lanes_drained_;
 
   // --- Failure state ----------------------------------------------------
   /// Sticky per-shard health; non-OK = poisoned (worker exception, kill,
@@ -538,16 +524,11 @@ class ShardedVosSketch {
   /// worker_dead_[w]: the worker thread exited via an injected kill; its
   /// shards cannot ingest again in this process.
   std::vector<uint8_t> worker_dead_ VOS_GUARDED_BY(mu_);
-  /// Serializes the cold failure/restore state above. NEVER taken on the
-  /// healthy hot path and never held while taking a park mutex — the
-  /// PR 8 "drain under mu_" rule. The park mutexes live in lane/slot
-  /// arrays, which VOS_ACQUIRED_AFTER cannot name, so their side of the
-  /// order is enforced as VOS_EXCLUDES(mu_) on every function that
-  /// acquires one (WakeAllWaiters, PushWithBackPressure, EnqueueSubBatch,
-  /// PopNextBatch, CompleteLaneBatch, WaitLanesDrained); the statically
-  /// nameable peers are pinned here so any future nesting has a declared
-  /// direction the analysis can check.
-  mutable Mutex mu_ VOS_ACQUIRED_AFTER(flush_mu_);
+  /// Serializes the cold failure/restore state above; NEVER taken on the
+  /// healthy hot path. It is the fabric's only lock: each EventCount's
+  /// mutex is a private leaf, never held while caller code runs, so no
+  /// order between the two needs declaring.
+  mutable Mutex mu_;
 };
 
 }  // namespace vos::core

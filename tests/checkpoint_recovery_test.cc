@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -518,6 +519,52 @@ TEST_F(CheckpointRecoveryTest, LaneStarvationSurfacesEnqueueDeadline) {
   const Status refused = sketch.Checkpoint(TempPath("starved_refused"));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
+}
+
+/// A producer on a healthy but stalled lane keeps its enqueue deadline
+/// while ANOTHER shard is poisoned: it waits (no busy spin) for room, for
+/// its own shard's poisoning or for the deadline, so Flush names the
+/// starved shard 0, not shard 1's update failure.
+TEST_F(CheckpointRecoveryTest,
+       LaneStarvationSurfacesWhileAnotherShardIsPoisoned) {
+  ShardedVosConfig config = TestConfig(2, 2);
+  config.queue_capacity = 1;
+  config.enqueue_timeout_ms = 40;
+  ShardedVosSketch sketch(config, 300);
+
+  FaultSpec stall;
+  stall.site = FaultSite::kLaneStall;
+  stall.shard = 0;
+  stall.delay_ms = 300;
+  FaultInjector::Global().Arm(stall);
+  FaultSpec poison;
+  poison.site = FaultSite::kUpdateThrow;
+  poison.shard = 1;
+  FaultInjector::Global().Arm(poison);
+
+  const std::vector<Element> elements = DynamicStream(300, 4 * kBatch, 23);
+  const std::clock_t cpu_start = std::clock();
+  sketch.UpdateBatch(elements.data(), kBatch);
+  // Shard 1's worker throws on the first batch; shard 0's worker sleeps
+  // in it. Every later shard-0 sub-batch after the next one finds the
+  // capacity-1 ring full.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (size_t b = 1; b < 4; ++b) {
+    sketch.UpdateBatch(elements.data() + b * kBatch, kBatch);
+  }
+  const double feed_cpu_ms =
+      1000.0 * static_cast<double>(std::clock() - cpu_start) / CLOCKS_PER_SEC;
+  FaultInjector::Global().DisarmAll();
+
+  const Status degraded = sketch.Flush();
+  ASSERT_FALSE(degraded.ok());
+  EXPECT_EQ(degraded.code(), StatusCode::kDeadlineExceeded) << degraded;
+  EXPECT_NE(degraded.message().find("shard 0"), std::string::npos)
+      << degraded;
+  EXPECT_NE(degraded.message().find("lane starved"), std::string::npos)
+      << degraded;
+  // A spinning producer would burn the whole 300 ms stall per batch.
+  EXPECT_LT(feed_cpu_ms, 150.0) << "the degraded producer busy-spun";
 }
 
 /// Flush's own deadline: an expired wait reports DeadlineExceeded but

@@ -1,16 +1,21 @@
 // Unit tests for src/common: Status/StatusOr, BitVector, Rng, ZipfSampler,
-// TablePrinter, Flags, CsvWriter.
+// TablePrinter, Flags, CsvWriter, EventCount.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/bit_vector.h"
 #include "common/csv_writer.h"
+#include "common/event_count.h"
 #include "common/flags.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -388,6 +393,121 @@ TEST(CsvWriterTest, OpenFailsOnBadPath) {
   auto writer = CsvWriter::Open("/nonexistent-dir/file.csv", {"a"});
   EXPECT_FALSE(writer.ok());
   EXPECT_EQ(writer.status().code(), StatusCode::kIoError);
+}
+
+// ------------------------------------------------------------ EventCount
+
+TEST(EventCountTest, NotifyBetweenPrepareAndWaitIsNotLost) {
+  EventCount ec;
+  const EventCount::Key timed = ec.PrepareWait();
+  ec.NotifyAll();
+  ASSERT_TRUE(ec.WaitUntil(
+      timed, std::chrono::steady_clock::now() + std::chrono::seconds(60)));
+  const EventCount::Key key = ec.PrepareWait();
+  ec.NotifyAll();
+  ec.Wait(key);  // returns at once: the notify came after PrepareWait
+}
+
+TEST(EventCountTest, NotifyBeforePrepareWaitDoesNotWake) {
+  EventCount ec;
+  ec.NotifyAll();  // nobody registered: nothing to carry over
+  const EventCount::Key key = ec.PrepareWait();
+  EXPECT_FALSE(ec.WaitUntil(key, std::chrono::steady_clock::now() +
+                                     std::chrono::milliseconds(5)));
+}
+
+TEST(EventCountTest, WaitUntilReturnsFalseAtDeadline) {
+  EventCount ec;
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::milliseconds(30);
+  const EventCount::Key key = ec.PrepareWait();
+  EXPECT_FALSE(ec.WaitUntil(key, deadline));
+  EXPECT_GE(std::chrono::steady_clock::now(), deadline);
+  // Unregistered on the way out: a later wait still times out alone.
+  const EventCount::Key again = ec.PrepareWait();
+  EXPECT_FALSE(ec.WaitUntil(again, std::chrono::steady_clock::now()));
+}
+
+/// Notifiers hand out tokens (add one, NotifyAll) and waiters take them
+/// (recheck, else wait), both with random delays. Every token must be
+/// taken exactly once and no wait may run into its (generous) deadline:
+/// a lost wakeup would leave a waiter asleep beside an untaken token.
+TEST(EventCountTest, StressCountsEveryWake) {
+  constexpr int kNotifiers = 4;
+  constexpr int kWaiters = 4;
+  constexpr int kTokensEach = 500;
+  constexpr int kTotal = kNotifiers * kTokensEach;
+  EventCount ec;
+  std::atomic<int> tokens{0};
+  std::atomic<int> taken{0};
+  std::atomic<int> timeouts{0};
+  std::vector<int> taken_by(kWaiters, 0);
+  const auto random_pause = [](Rng& rng) {
+    const uint64_t r = rng.NextBounded(8);
+    if (r == 0) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(rng.NextBounded(200)));
+    } else if (r == 1) {
+      std::this_thread::yield();
+    }
+  };
+  const auto try_take = [&] {
+    int have = tokens.load(std::memory_order_relaxed);
+    while (have > 0) {
+      if (tokens.compare_exchange_weak(have, have - 1,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+        // The last token also wakes everyone still waiting, so they see
+        // that the run is over.
+        if (taken.fetch_add(1, std::memory_order_acq_rel) + 1 == kTotal) {
+          ec.NotifyAll();
+        }
+        return true;
+      }
+    }
+    return false;
+  };
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWaiters; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(100 + w);
+      for (;;) {
+        if (try_take()) {
+          ++taken_by[w];
+          random_pause(rng);
+          continue;
+        }
+        if (taken.load(std::memory_order_acquire) == kTotal) return;
+        const EventCount::Key key = ec.PrepareWait();
+        if (tokens.load(std::memory_order_acquire) > 0 ||
+            taken.load(std::memory_order_acquire) == kTotal) {
+          ec.CancelWait();
+          continue;
+        }
+        if (!ec.WaitUntil(key, std::chrono::steady_clock::now() +
+                                   std::chrono::seconds(30))) {
+          timeouts.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (int n = 0; n < kNotifiers; ++n) {
+    threads.emplace_back([&, n] {
+      Rng rng(200 + n);
+      for (int t = 0; t < kTokensEach; ++t) {
+        random_pause(rng);
+        tokens.fetch_add(1, std::memory_order_release);
+        ec.NotifyAll();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  int sum = 0;
+  for (int count : taken_by) sum += count;
+  EXPECT_EQ(sum, kTotal);
+  EXPECT_EQ(taken.load(), kTotal);
+  EXPECT_EQ(tokens.load(), 0);
+  EXPECT_EQ(timeouts.load(), 0) << "a waiter slept through a notify";
 }
 
 }  // namespace
