@@ -193,29 +193,16 @@ void ShardedVosSketch::UpdateBatch(const stream::Element* elements,
   accepted_[producer].store(
       accepted_[producer].load(std::memory_order_relaxed) + count,
       std::memory_order_relaxed);
-  if (!async() && !dense_remap()) {
-    // One shard, no remap: the caller's span is already the shard's
-    // sub-batch, and ApplySubBatch's per-element bound is the range check.
-    ApplySubBatch(0, producer, elements, count);
-    return;
-  }
-  if (count == 1) {
-    // A lone element (per-element Update) is routed directly: no buckets
-    // and no partition pass.
-    CheckUserInRange(elements->user);
-    const uint32_t shard = ShardOf(elements->user);
-    stream::Element local = *elements;
-    local.user = LocalIdOf(local.user);
-    if (async()) {
-      EnqueueSubBatch(producer, shard, {local});
-    } else {
-      ApplySubBatch(shard, producer, &local, 1);
-    }
-    return;
-  }
   if (!async()) {
+    if (!dense_remap()) {
+      // One shard, no remap: the caller's span is already the shard's
+      // sub-batch, and ApplySubBatch's per-element bound is the range
+      // check.
+      ApplySubBatch(0, producer, elements, count);
+      return;
+    }
     // The buckets keep their capacity from call to call, so a steady
-    // stream of small batches allocates nothing.
+    // stream of small batches (per-element Update) allocates nothing.
     for (std::vector<stream::Element>& bucket : sync_buckets_) bucket.clear();
     RoutePartition(elements, count, &sync_buckets_);
     for (uint32_t s = 0; s < router_.num_shards(); ++s) {

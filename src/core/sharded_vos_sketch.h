@@ -204,9 +204,8 @@ class ShardedVosSketch {
   /// Processes a contiguous batch on producer lane `producer`, preserving
   /// the lane's per-shard element order. The batch is split into
   /// per-shard sub-batches in one routing pass (none at S = 1 in
-  /// synchronous mode, and none for a lone element, which is routed
-  /// directly); synchronous mode applies each inline, asynchronous mode
-  /// enqueues each onto the lane's per-shard queue.
+  /// synchronous mode); synchronous mode applies each inline,
+  /// asynchronous mode enqueues each onto the lane's per-shard queue.
   /// Aborts on a user id outside [0, num_users()), in every mode and at
   /// every shard count.
   void UpdateBatch(const stream::Element* elements, size_t count,
@@ -444,12 +443,12 @@ class ShardedVosSketch {
   /// Waits until lanes [first, last) are drained (completed ==
   /// ring.pushed()), with the config flush deadline when `use_timeout`.
   Status WaitLanesDrained(size_t first, size_t last, bool use_timeout,
-                          const char* what);
+                          const char* what) VOS_EXCLUDES(mu_);
   void WorkerLoop(unsigned worker);
   /// Pops one batch from the worker's lanes (round-robin), parking when
   /// every owned ring is empty. False = stopping and fully drained.
   bool PopNextBatch(unsigned worker, size_t* cursor, size_t* lane_index,
-                    std::vector<stream::Element>* batch);
+                    std::vector<stream::Element>* batch) VOS_EXCLUDES(mu_);
 
   ShardedVosConfig config_;
   stream::ShardRouter router_;
@@ -527,7 +526,10 @@ class ShardedVosSketch {
   /// Serializes the cold failure/restore state above; NEVER taken on the
   /// healthy hot path. It is the fabric's only lock: each EventCount's
   /// mutex is a private leaf, never held while caller code runs, so no
-  /// order between the two needs declaring.
+  /// order between the two needs declaring. Every function that blocks on
+  /// the fabric (PushWithBackPressure, WaitLanesDrained, PopNextBatch) is
+  /// VOS_EXCLUDES(mu_): the threads it waits for take mu_ on their way
+  /// (poison, kill, reclaim), so waiting while holding it would deadlock.
   mutable Mutex mu_;
 };
 
